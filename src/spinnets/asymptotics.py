@@ -12,7 +12,7 @@ formula."""
 
 from __future__ import annotations
 
-import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,11 +198,11 @@ def find_configs(graph: Graph, coloring: dict, restarts: int = 200,
             found.append(neg)
 
     if not found:
-        print("find_configs: no restart converged below tol; "
-              "empty configuration set", file=sys.stderr)
+        warnings.warn("find_configs: no restart converged below tol; "
+                      "empty configuration set", stacklevel=2)
     elif restarts < 10 * len(found):
-        print(f"find_configs: {len(found)} classes from {restarts} restarts; "
-              "components may have been missed", file=sys.stderr)
+        warnings.warn(f"find_configs: {len(found)} classes from {restarts} restarts; "
+                      "components may have been missed", stacklevel=2)
     found.sort(key=lambda c: (c.triple_sign, np.round(c.gram, 8).tobytes()))
     return found
 
@@ -445,13 +445,6 @@ def detprime(m, kernel_dim: int, threshold: float = _KERNEL_THRESHOLD) -> comple
     """Product of eigenvalues off a kernel of the stated dimension."""
     rest = _split_kernel(_eigs(np.asarray(m)), kernel_dim, threshold)
     return complex(np.prod(rest))
-
-
-def _detprime_sqrt(m, kernel_dim: int, threshold: float = _KERNEL_THRESHOLD) -> complex:
-    """Product of principal square roots of the nonzero eigenvalues (valid
-    when the real part of the form is positive semidefinite)."""
-    rest = _split_kernel(_eigs(np.asarray(m)), kernel_dim, threshold)
-    return complex(np.prod(np.sqrt(rest)))
 
 
 def _richardson(values):

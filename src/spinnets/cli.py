@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from . import __version__, bundled_graph_path
 from .errors import (AdmissibilityError, DomainError, HypothesisError, InputError,
                      NumericalError, PreconditionError, RegimeError, SpinnetError)
 from .evaluator import bracket_square, eval_spin_network, theta_value
-from .graphs import Graph, is_admissible, load_coloring, load_graph, load_holonomy
+from .graphs import (Graph, check_coloring, is_admissible, load_coloring, load_graph,
+                     load_holonomy)
 from .haar import mc_bracket, mc_orthogonality, mc_W_point
 from .polyring import inverse_series
 from .rational import format_exact
@@ -29,12 +31,6 @@ from .series import (abelian_curve_sum, compare_with_evaluations, nonplanar_fix,
 
 DEFAULT_SEED = 20120712
 _BUNDLED = ("theta", "tetrahedron", "prism3", "tetrahedron_nonplanar")
-
-
-def _resolve(path: str):
-    if path in _BUNDLED:
-        return bundled_graph_path(path)
-    return path
 
 
 def _digest(path) -> str:
@@ -58,7 +54,7 @@ def _report(args, inputs, results, seed=None):
 
 
 def _sanitize(obj):
-    """Round floats to 12 significant digits so reports only carry digits
+    """Round floats to 10 significant digits so reports only carry digits
     that are reproducible across runs (BLAS rounding is not bit-stable)."""
     if isinstance(obj, float):
         return float(f"{obj:.10g}") + 0.0  # also folds -0.0 into 0.0
@@ -73,16 +69,30 @@ def _emit(obj):
     print(json.dumps(_sanitize(obj), sort_keys=True, indent=2))
 
 
-def _load_coloring_arg(spec: str, graph: Graph) -> dict:
-    if spec.strip().startswith("{"):
+def _load_inputs(args):
+    """Graph (file or bundled name) and optional -H holonomy, with the
+    digests of the files they came from."""
+    gpath = bundled_graph_path(args.graph) if args.graph in _BUNDLED else args.graph
+    graph = load_graph(gpath)
+    inputs = {"graph": _digest(gpath)}
+    holonomy = None
+    if getattr(args, "holonomy", None):
+        holonomy = load_holonomy(args.holonomy, graph)
+        inputs["holonomy"] = _digest(args.holonomy)
+    return graph, holonomy, inputs
+
+
+def _load_coloring_arg(spec: str | None, graph: Graph) -> dict:
+    """Coloring from -c: inline JSON object or a coloring file."""
+    if not spec:
+        raise InputError("a coloring (-c) is required")
+    if not spec.strip().startswith("{"):
+        return load_coloring(spec, graph)
+    try:
         obj = json.loads(spec)
-        col = {e: int(c) for e, c in obj.items()}
-    else:
-        col = load_coloring(spec, graph)
-    missing = set(graph.edge_ids) - set(col)
-    if missing:
-        raise InputError(f"coloring misses edges {sorted(missing)}")
-    return col
+    except json.JSONDecodeError as exc:
+        raise InputError(f"inline coloring is not valid JSON: {exc}") from exc
+    return check_coloring(obj, graph, "inline coloring")
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +100,8 @@ def _load_coloring_arg(spec: str, graph: Graph) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_eval(args):
-    gpath = _resolve(args.graph)
-    graph = load_graph(gpath)
-    inputs = {"graph": _digest(gpath)}
+    graph, holonomy, inputs = _load_inputs(args)
     coloring = _load_coloring_arg(args.coloring, graph)
-    holonomy = None
-    if args.holonomy:
-        holonomy = load_holonomy(args.holonomy, graph)
-        inputs["holonomy"] = _digest(args.holonomy)
     value = eval_spin_network(graph, coloring, holonomy)
     results = {
         "graph": graph.name,
@@ -113,14 +117,10 @@ def _cmd_eval(args):
 
 
 def _cmd_series(args):
-    gpath = _resolve(args.graph)
-    graph = load_graph(gpath)
-    inputs = {"graph": _digest(gpath)}
-    holonomy = None
-    if args.holonomy:
-        holonomy = load_holonomy(args.holonomy, graph)
-        inputs["holonomy"] = _digest(args.holonomy)
+    graph, holonomy, inputs = _load_inputs(args)
     degree = args.degree
+    if degree < 0:
+        raise InputError(f"--degree must be >= 0, got {degree}")
     sign_fixed = False
     if args.method == "det":
         series = series_Z(graph, holonomy, degree)
@@ -170,21 +170,13 @@ def _parse_y(pairs):
 
 
 def _cmd_integrate(args):
-    gpath = _resolve(args.graph)
-    graph = load_graph(gpath)
-    inputs = {"graph": _digest(gpath)}
-    holonomy = None
-    if args.holonomy:
-        holonomy = load_holonomy(args.holonomy, graph)
-        inputs["holonomy"] = _digest(args.holonomy)
+    graph, holonomy, inputs = _load_inputs(args)
     results = {"graph": graph.name, "target": args.target, "workers": args.workers}
     if args.target in ("bracket", "orthogonality"):
-        if not args.coloring:
-            raise InputError(f"--target {args.target} needs a coloring (-c)")
         coloring = _load_coloring_arg(args.coloring, graph)
         if max(coloring.values()) > 10:
-            print("integrate: colors above 10 have large variance; "
-                  "watch the reported stderr", file=sys.stderr)
+            warnings.warn("integrate: colors above 10 have large variance; "
+                          "watch the reported stderr")
         results["coloring"] = coloring
         if args.target == "bracket":
             est = mc_bracket(graph, coloring, holonomy, args.samples, args.seed, args.workers)
@@ -215,8 +207,7 @@ def _cmd_integrate(args):
 def _cmd_check(args):
     from .asymptotics import check_hypotheses, find_configs
 
-    gpath = _resolve(args.graph)
-    graph = load_graph(gpath)
+    graph, _, inputs = _load_inputs(args)
     coloring = _load_coloring_arg(args.coloring, graph)
     configs = find_configs(graph, coloring, restarts=args.restarts, tol=args.tol,
                            seed=args.seed)
@@ -234,19 +225,23 @@ def _cmd_check(args):
         ],
         "hypotheses": report.to_obj(),
     }
-    _emit(_report(args, {"graph": _digest(gpath)}, results, seed=args.seed))
+    _emit(_report(args, inputs, results, seed=args.seed))
     return 0 if report.passed else 1
 
 
 def _cmd_asymptote(args):
     from .asymptotics import asymptotic_estimate, check_hypotheses, find_configs
 
-    gpath = _resolve(args.graph)
-    graph = load_graph(gpath)
+    graph, _, inputs = _load_inputs(args)
     coloring = _load_coloring_arg(args.coloring, graph)
-    ks = [int(x) for x in args.k_list.split(",") if x]
+    try:
+        ks = [int(x) for x in args.k_list.split(",") if x]
+    except ValueError as exc:
+        raise InputError(f"--k-list takes comma-separated integers: {exc}") from exc
     if not ks:
         raise InputError("--k-list is empty")
+    if min(ks) < 1:
+        raise InputError(f"--k-list values must be >= 1, got {args.k_list!r}")
     configs = find_configs(graph, coloring, restarts=args.restarts, tol=args.tol,
                            seed=args.seed)
     report = check_hypotheses(graph, coloring, configs)
@@ -275,7 +270,7 @@ def _cmd_asymptote(args):
             for r in rows
         ],
     }
-    _emit(_report(args, {"graph": _digest(gpath)}, results, seed=args.seed))
+    _emit(_report(args, inputs, results, seed=args.seed))
     return 0
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "Holonomy",
     "load_graph",
     "load_coloring",
+    "check_coloring",
     "load_holonomy",
     "is_admissible",
     "internal_coloring",
@@ -150,9 +151,6 @@ class Graph:
             if vv == v:
                 return hs
         raise InputError(f"unknown vertex {v!r}")
-
-    def vertex_edge_ids(self, v):
-        return tuple(self.edge_of[h][0] for h in self.vertex_halfedges(v))
 
     def angles_at_halfedge(self, h):
         """Ids of the two angles containing half-edge h."""
@@ -384,20 +382,26 @@ def load_graph(path) -> Graph:
     return Graph.from_obj(_load_json(path))
 
 
-def load_coloring(path, graph: Graph | None = None) -> dict:
-    obj = _load_json(path)
+def check_coloring(obj, graph: Graph | None, source: str) -> dict:
+    """Validate a parsed coloring {edge: non-negative int}; with a graph, its
+    keys must be exactly the graph's edge ids.  `source` prefixes errors."""
     if not isinstance(obj, dict):
-        raise InputError(f"{path}: coloring must be an object {{edge: int}}")
-    out = {}
+        raise InputError(f"{source}: coloring must be an object {{edge: int}}")
     for e, c in obj.items():
         if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-            raise InputError(f"{path}: color of {e!r} must be a non-negative integer")
-        out[e] = c
+            raise InputError(f"{source}: color of {e!r} must be a non-negative integer")
     if graph is not None:
-        missing = set(graph.edge_ids) - set(out)
+        missing = set(graph.edge_ids) - set(obj)
         if missing:
-            raise InputError(f"{path}: coloring misses edges {sorted(missing)}")
-    return out
+            raise InputError(f"{source}: coloring misses edges {sorted(missing)}")
+        unknown = set(obj) - set(graph.edge_ids)
+        if unknown:
+            raise InputError(f"{source}: coloring names unknown edges {sorted(unknown)}")
+    return obj
+
+
+def load_coloring(path, graph: Graph | None = None) -> dict:
+    return check_coloring(_load_json(path), graph, path)
 
 
 def load_holonomy(path, graph: Graph) -> Holonomy:

@@ -91,13 +91,15 @@ def char_value(n: int, q):
     theta = np.arccos(w)
     s = np.sin(theta)
     big = np.abs(s) > 1e-8
-    out = np.where(big, np.divide(np.sin((n + 1) * theta), s, where=big),
-                   (n + 1) * np.sign(np.cos(theta)) ** n)
+    ratio = np.divide(np.sin((n + 1) * theta), s, out=np.zeros_like(s), where=big)
+    out = np.where(big, ratio, (n + 1) * np.sign(np.cos(theta)) ** n)
     return out if out.shape else float(out)
 
 
 def _chebyshev_u(n: int, x: np.ndarray) -> np.ndarray:
     """U_n(x) by recurrence; x = half the matrix trace, possibly complex."""
+    if n < 0:
+        raise DomainError("character label must be >= 0")
     if n == 0:
         return np.ones_like(x)
     prev = np.ones_like(x)

@@ -65,9 +65,6 @@ class Namespace:
             key >>= _BITS
         return d
 
-    def exponent(self, key: int, name: str) -> int:
-        return (key >> (_BITS * self.index[name])) & _MAXEXP
-
     def shift(self, name: str) -> int:
         return _BITS * self.index[name]
 
@@ -227,19 +224,6 @@ class MPoly:
                 p += (k >> s) & _MAXEXP
             out[k] = -c if p & 1 else c
         return MPoly(self.ns, out)
-
-    def variables(self):
-        seen = 0
-        for k in self.terms:
-            seen |= k
-        out = []
-        i = 0
-        while seen:
-            if seen & _MAXEXP:
-                out.append(self.ns.names[i])
-            seen >>= _BITS
-            i += 1
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
@@ -529,40 +513,40 @@ def _det_bareiss(m) -> MPoly:
 # series helpers
 # ---------------------------------------------------------------------------
 
-def inv_sqrt_series(d: MPoly, max_degree: int) -> TruncSeries:
-    """Truncated s with s^2 * d = 1 (mod degree > max_degree) and s(0) = 1.
+def power_series(u: MPoly, max_degree: int, step) -> MPoly:
+    """Truncated sum_{k>=0} c_k u^k with c_0 = 1 and c_k = c_{k-1} * step(k).
 
-    Binomial series in u = d - 1; requires constant term exactly 1.
+    u must have no constant term, so u^k vanishes once k > max_degree.
     """
-    if d.constant_term() != ONE:
-        raise PreconditionError("inv_sqrt_series needs constant term exactly 1")
-    ns = d.ns
-    u = (d - MPoly.const(ns, 1)).truncated(max_degree)
-    result = MPoly.const(ns, 1)
-    uk = MPoly.const(ns, 1)
+    if u.constant_term():
+        raise PreconditionError("power_series needs u without a constant term")
+    u = u.truncated(max_degree)
+    result = uk = MPoly.const(u.ns, 1)
     c = Fraction(1)
     k = 0
     while True:
         k += 1
         uk = uk.mul_trunc(u, max_degree)
         if uk.is_zero():
-            break
-        c = c * Fraction(-(2 * k - 1), 2 * k)
+            return result
+        c = c * step(k)
         result = result + uk.scalar_mul(c)
-    return TruncSeries(result, max_degree)
+
+
+def inv_sqrt_series(d: MPoly, max_degree: int) -> TruncSeries:
+    """Truncated s with s^2 * d = 1 (mod degree > max_degree) and s(0) = 1:
+    the binomial series of (1 + u)^(-1/2) in u = d - 1."""
+    if d.constant_term() != ONE:
+        raise PreconditionError("inv_sqrt_series needs constant term exactly 1")
+    u = d - MPoly.const(d.ns, 1)
+    return TruncSeries(power_series(u, max_degree, lambda k: Fraction(-(2 * k - 1), 2 * k)),
+                       max_degree)
 
 
 def inverse_series(d: MPoly, max_degree: int) -> TruncSeries:
-    """Truncated multiplicative inverse of d, with d(0) = 1."""
+    """Truncated multiplicative inverse of d, with d(0) = 1: the geometric
+    series of (1 + u)^(-1) in u = d - 1."""
     if d.constant_term() != ONE:
         raise PreconditionError("inverse_series needs constant term exactly 1")
-    ns = d.ns
-    u = (MPoly.const(ns, 1) - d).truncated(max_degree)
-    result = MPoly.const(ns, 1)
-    term = MPoly.const(ns, 1)
-    while True:
-        term = term.mul_trunc(u, max_degree)
-        if term.is_zero():
-            break
-        result = result + term
-    return TruncSeries(result, max_degree)
+    u = d - MPoly.const(d.ns, 1)
+    return TruncSeries(power_series(u, max_degree, lambda k: -1), max_degree)

@@ -137,10 +137,6 @@ def parse_exact(s) -> QQi:
     raise InputError(f"cannot parse exact scalar {s!r}")
 
 
-def format_fraction(f: Fraction) -> str:
-    return str(f)
-
-
 def format_exact(z) -> dict:
     """Serialize a QQi (or Fraction) as {"re": "p/q", "im": "p/q"}."""
     z = _coerce(z) if not isinstance(z, QQi) else z

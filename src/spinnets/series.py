@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, RegimeError
-from .evaluator import eval_spin_network, renormalize
+from .evaluator import _wvar, _zvar, eval_spin_network, renormalize
 from .graphs import Graph, Holonomy, admissible_colorings, internal_coloring
-from .polyring import MPoly, Namespace, TruncSeries, det_poly, inv_sqrt_series
+from .polyring import (MPoly, Namespace, TruncSeries, det_poly, inv_sqrt_series,
+                       power_series)
 from .rational import QQi
 
 __all__ = [
@@ -33,14 +34,6 @@ __all__ = [
 ]
 
 _I = QQi(0, 1)
-
-
-def _zvar(h):
-    return "z@" + h
-
-
-def _wvar(h):
-    return "w@" + h
 
 
 @dataclass(frozen=True)
@@ -180,38 +173,20 @@ def truncated_det(pq: PQMatrices, max_degree: int) -> MPoly:
         acc = {j: v for j, v in acc.items() if not v.is_zero()}
         if acc:
             b[r] = acc
-    # traces of B^m for m = 1..max_degree via powers up to ceil(m/2)
+    # log det = -sum_m tr(B^m)/m; tr(B^m) pairs B^p with B^(m-p), and both
+    # exponents stay <= top because m - top <= max_degree - top <= top
     powers = {1: b}
     top = max(1, (max_degree + 1) // 2)
     for m in range(2, top + 1):
         powers[m] = _sparse_matmul(powers[m - 1], b, ns, max_degree)
-    traces = {}
-    for m in range(1, max_degree + 1):
-        lo = min(m - 1, top) if m > 1 else 0
-        if m == 1:
-            traces[m] = _trace(b, ns)
-        else:
-            p1 = min(top, m - 1)
-            p2 = m - p1
-            while p2 > top:
-                p1 -= 1
-                p2 = m - p1
-            traces[m] = _pair_trace(powers[p1], powers[p2], ns, max_degree)
     logdet = MPoly.zero(ns)
-    for m, t in traces.items():
+    for m in range(1, max_degree + 1):
+        p = min(top, m - 1)
+        t = _trace(b, ns) if m == 1 else _pair_trace(powers[p], powers[m - p], ns, max_degree)
         if not t.is_zero():
             logdet = logdet + t.scalar_mul(Fraction(-1, m))
-    # exp(logdet), truncated; logdet has positive valuation
-    det = MPoly.const(ns, 1)
-    term = MPoly.const(ns, 1)
-    k = 0
-    while True:
-        k += 1
-        term = term.mul_trunc(logdet, max_degree).scalar_mul(Fraction(1, k))
-        if term.is_zero():
-            break
-        det = det + term
-    return det
+    # logdet has positive valuation, so its exponential series terminates
+    return power_series(logdet, max_degree, lambda k: Fraction(1, k))
 
 
 def series_Z(graph: Graph, holonomy: Holonomy | None = None, degree: int = 8,

@@ -45,6 +45,10 @@ def test_find_configs_tet(tet, tet_configs):
     assert s == {1, -1}  # P and -P are distinct classes
     # negation symmetry: the two classes have matching Gram matrices
     assert np.allclose(tet_configs[0].gram, tet_configs[1].gram, atol=1e-8)
+    # a thin restart budget finds the same classes but says it may be short
+    with pytest.warns(UserWarning, match="components may have been missed"):
+        few = find_configs(tet, {e: 2 for e in tet.edge_ids}, restarts=3, seed=7)
+    assert len(few) == 2
 
 
 def test_strict_triangle_precondition(theta):

@@ -88,7 +88,7 @@ def test_check_exit_1_on_hypothesis_failure():
     assert rc == 1
 
 
-def test_input_errors_exit_2(tmp_path):
+def test_input_errors_exit_2(tmp_path, capsys):
     rc, _ = run_cli("eval", "-g", "no_such_file.json", "-c", "{}")
     assert rc == 2
     rc, _ = run_cli("eval", "-g", "theta", "-c", '{"e1":1}')
@@ -99,6 +99,20 @@ def test_input_errors_exit_2(tmp_path):
     assert rc == 2
     rc, _ = run_cli("definitely-not-a-command")
     assert rc == 2
+    tet_c = '{"ab":2,"ac":2,"ad":2,"bc":2,"bd":2,"cd":2}'
+    for argv in (
+        ("eval", "-g", "theta", "-c", '{"e1":2,'),
+        ("eval", "-g", "theta", "-c", '{"e1":2.7,"e2":2,"e3":2}'),
+        ("eval", "-g", "theta", "-c", '{"e1":-2,"e2":2,"e3":2}'),
+        ("eval", "-g", "theta", "-c", '{"e1":2,"e2":2,"e3":2,"e9":2}'),
+        ("asymptote", "-g", "tetrahedron", "-c", tet_c, "--k-list", "10,x"),
+        ("asymptote", "-g", "tetrahedron", "-c", tet_c, "--k-list", "0"),
+        ("series", "-g", "theta", "--degree", "-1"),
+    ):
+        capsys.readouterr()
+        rc, _ = run_cli(*argv)
+        assert rc == 2, argv
+        assert len(capsys.readouterr().err.splitlines()) == 1, argv
 
 
 def test_reports_are_deterministic():

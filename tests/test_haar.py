@@ -24,6 +24,16 @@ def test_char_quarter_turn():
     assert _chebyshev_u(2, np.array(half)) == pytest.approx(-1.0)
 
 
+def test_negative_label_rejected(theta):
+    q = np.array([0.6, 0.8, 0.0, 0.0])
+    with pytest.raises(DomainError):
+        char_value(-2, q)
+    with pytest.raises(DomainError):
+        _chebyshev_u(-2, np.array([0.6]))
+    with pytest.raises(DomainError):
+        mc_bracket(theta, {"e1": -2, "e2": 2, "e3": 2}, samples=10_000, seed=1)
+
+
 def test_char_geometric_series():
     # partial sums of tr_n(g) y^n approach 1/det(1 - y g)
     rng = np.random.default_rng(0)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from oracles import naive_det, naive_edge_operator
 from spinnets.errors import InputError, PreconditionError
 from spinnets.polyring import (MPoly, Namespace, TruncSeries, apply_edge_operator,
-                               det_poly, exact_div, inv_sqrt_series, inverse_series)
+                               det_poly, exact_div, inv_sqrt_series, inverse_series,
+                               power_series)
 from spinnets.rational import QQi
 
 NS3 = Namespace(("x", "y", "z"))
@@ -133,6 +134,11 @@ def test_inv_sqrt_defining_identity(p, degree):
 def test_inv_sqrt_requires_unit_constant():
     with pytest.raises(PreconditionError):
         inv_sqrt_series(MPoly.const(NS3, 2), 3)
+    with pytest.raises(PreconditionError):
+        inverse_series(MPoly.const(NS3, 2), 3)
+    # a constant term would keep u^k from ever vanishing
+    with pytest.raises(PreconditionError):
+        power_series(MPoly.const(NS3, 1) + MPoly.var(NS3, "x"), 3, lambda k: 1)
 
 
 def test_inverse_series():
