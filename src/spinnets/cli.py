@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -24,7 +25,7 @@ from .evaluator import bracket_square, eval_spin_network, theta_value
 from .graphs import (Graph, check_coloring, is_admissible, load_coloring, load_graph,
                      load_holonomy)
 from .haar import mc_bracket, mc_orthogonality, mc_W_point
-from .polyring import inverse_series
+from .polyring import MAX_EXPONENT, inverse_series
 from .rational import format_exact
 from .series import (abelian_curve_sum, compare_with_evaluations, nonplanar_fix,
                      pfaffian_dimer_sum, series_Z, westbury_polynomial)
@@ -109,8 +110,7 @@ def _cmd_eval(args):
         "admissible": is_admissible(graph, coloring),
         "value": format_exact(value),
         "abs": float(value.norm2()) ** 0.5,
-        "bracket_square": str(bracket_square(graph, coloring, holonomy))
-        if is_admissible(graph, coloring) else "0",
+        "bracket_square": str(bracket_square(graph, coloring, value=value)),
     }
     _emit(_report(args, inputs, results))
     return 0
@@ -119,8 +119,8 @@ def _cmd_eval(args):
 def _cmd_series(args):
     graph, holonomy, inputs = _load_inputs(args)
     degree = args.degree
-    if degree < 0:
-        raise InputError(f"--degree must be >= 0, got {degree}")
+    if not 0 <= degree <= MAX_EXPONENT:
+        raise InputError(f"--degree must be in 0..{MAX_EXPONENT}, got {degree}")
     sign_fixed = False
     if args.method == "det":
         series = series_Z(graph, holonomy, degree)
@@ -165,7 +165,13 @@ def _parse_y(pairs):
         if "=" not in item:
             raise InputError(f"--y expects edge=value, got {item!r}")
         e, v = item.split("=", 1)
-        out[e] = float(v)
+        try:
+            y = float(v)
+        except ValueError:
+            raise InputError(f"--y value for {e!r} is not a number: {v!r}") from None
+        if not math.isfinite(y):
+            raise InputError(f"--y value for {e!r} must be finite, got {v!r}")
+        out[e] = y
     return out
 
 

@@ -5,7 +5,13 @@ factors (variables pre-composed with the inverse holonomy of each half-edge),
 hit by one antisymmetrized derivative operator per edge, times the crossing
 sign.  The i-normalized vertex/edge factors contribute a global scalar
 i^(2*sum c_e) = (-1)^(sum c_e), which is tracked outside the polynomial
-arithmetic so the trivial-holonomy contraction stays purely rational.
+arithmetic.
+
+Holonomy entries that are real integers enter as int coefficients, so the
+trivial-holonomy contraction runs on integers alone: one vertex factor
+touching each edge e is scaled by c_e!, which keeps every division by c_e!
+in the edge operator exact, and the final constant is divided once by
+prod_e c_e!.  Genuinely Gaussian-rational entries run the same code on QQi.
 """
 
 from __future__ import annotations
@@ -37,12 +43,24 @@ def _wvar(h):
     return "w@" + h
 
 
+def _narrow(x):
+    """x as an int when it is a real integer, else as a QQi."""
+    x = x if isinstance(x, QQi) else QQi(x)
+    if not x.im and x.re.denominator == 1:
+        return x.re.numerator
+    return x
+
+
 def _halfedge_forms(ns, holonomy, h):
-    """Linear forms (Z_h, W_h) = psi_h^{-1} (z_h, w_h)."""
-    (a, b), (c, d) = holonomy.inverse_matrix(h)
-    z = MPoly.var(ns, _zvar(h))
-    w = MPoly.var(ns, _wvar(h))
-    return z.scalar_mul(a) + w.scalar_mul(b), z.scalar_mul(c) + w.scalar_mul(d)
+    """Linear forms (Z_h, W_h) = psi_h^{-1} (z_h, w_h); holonomy None is the
+    trivial one."""
+    kz = 1 << ns.shift(_zvar(h))
+    kw = 1 << ns.shift(_wvar(h))
+    if holonomy is None:
+        return MPoly(ns, {kz: 1}), MPoly(ns, {kw: 1})
+    (a, b), (c, d) = ((_narrow(x) for x in row) for row in holonomy.inverse_matrix(h))
+    return (MPoly(ns, {k: x for k, x in ((kz, a), (kw, b)) if x}),
+            MPoly(ns, {k: x for k, x in ((kz, c), (kw, d)) if x}))
 
 
 def _vertex_factors(graph, coloring, holonomy, ns, v, hs):
@@ -67,9 +85,7 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
             raise InputError(f"coloring misses edge {e!r}")
         if coloring[e] > _MAX_COLOR:
             raise InputError(f"color {coloring[e]} exceeds supported bound {_MAX_COLOR}")
-    if holonomy is None:
-        holonomy = Holonomy.trivial(graph)
-    if not holonomy.exact:
+    if holonomy is not None and not holonomy.exact:
         raise RegimeError("exact evaluation needs an exact-regime holonomy")
     if not is_admissible(graph, coloring):
         return QQi(0)
@@ -85,19 +101,28 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
     for v, hs in graph.vertices:
         factors.extend(_vertex_factors(graph, coloring, holonomy, ns, v, hs))
 
+    # scale one factor touching each edge by c_e!, so that the edge operator's
+    # division by c_e! is exact on integer coefficients
+    scale = 1
+    for e, l, r in graph.edges:
+        ce = factorial(coloring[e])
+        if ce > 1:
+            scale *= ce
+            i = next(i for i, (hh, _) in enumerate(factors) if l in hh or r in hh)
+            factors[i] = (factors[i][0], factors[i][1].scalar_mul(ce))
+
     remaining = list(graph.edges)
 
     def cost(edge):
         _, l, r = edge
-        touch = {l, r}
-        return sum(len(p.terms) for hh, p in factors if touch & set(hh))
+        return sum(len(p.terms) for hh, p in factors if l in hh or r in hh)
 
     while remaining:
         best = min(range(len(remaining)), key=lambda i: (cost(remaining[i]), i))
         e, l, r = remaining.pop(best)
         touch = {l, r}
-        gathered = [f for f in factors if touch & set(f[0])]
-        factors = [f for f in factors if not (touch & set(f[0]))]
+        gathered = [f for f in factors if l in f[0] or r in f[0]]
+        factors = [f for f in factors if not (l in f[0] or r in f[0])]
         prod = None
         involved = set(touch)
         for hh, p in sorted(gathered, key=lambda f: len(f[1].terms)):
@@ -114,7 +139,7 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
             return QQi(0)
         factors.append((tuple(involved - touch), contracted))
 
-    value = QQi(1)
+    value = QQi(Fraction(1, scale))
     for hh, p in factors:
         value = value * p.constant_term()
     total = sum(coloring[e] for e in graph.edge_ids)
@@ -152,11 +177,16 @@ def renormalize(graph: Graph, coloring: dict, value: QQi) -> QQi:
     return value * Fraction(num, den)
 
 
-def bracket_square(graph: Graph, coloring: dict, holonomy: Holonomy | None = None) -> Fraction:
-    """|value|^2 divided by the product of per-vertex theta norms."""
+def bracket_square(graph: Graph, coloring: dict, holonomy: Holonomy | None = None,
+                   value: QQi | None = None) -> Fraction:
+    """|value|^2 divided by the product of per-vertex theta norms.
+
+    `value` is the network's evaluation under `holonomy` when the caller
+    already has it; otherwise the network is evaluated here.
+    """
     if not is_admissible(graph, coloring):
         return Fraction(0)
-    v = eval_spin_network(graph, coloring, holonomy)
+    v = eval_spin_network(graph, coloring, holonomy) if value is None else value
     den = Fraction(1)
     for vid, hs in graph.vertices:
         a, b, c = (coloring[graph.edge_of[h][0]] for h in hs)

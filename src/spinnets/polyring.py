@@ -1,20 +1,24 @@
 """Sparse multivariate polynomials and truncated series over Gaussian rationals.
 
+Coefficients are QQi, or plain int where every input coefficient is an
+integer: the ring operations work on either and mix them, an int meeting a
+QQi giving a QQi.
+
 Monomials are packed into a single int key, 6 bits per variable (exponents
-must stay below 64, which every caller in this package respects).  Monomial
-product is then plain integer addition of keys.
+must stay at or below MAX_EXPONENT = 63; `pow` refuses a power that would
+pass it).  Monomial product is then plain integer addition of keys.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import factorial
 
 from .errors import InputError, PreconditionError
 from .rational import QQi, ZERO, ONE
 
 _BITS = 6
-_MAXEXP = (1 << _BITS) - 1
+MAX_EXPONENT = (1 << _BITS) - 1
 
 
 class Namespace:
@@ -41,7 +45,7 @@ class Namespace:
     def encode(self, exps: dict) -> int:
         key = 0
         for name, e in exps.items():
-            if e < 0 or e > _MAXEXP:
+            if e < 0 or e > MAX_EXPONENT:
                 raise InputError(f"exponent {e} of {name} out of range")
             if e:
                 key |= e << (_BITS * self.index[name])
@@ -51,7 +55,7 @@ class Namespace:
         out = {}
         i = 0
         while key:
-            e = key & _MAXEXP
+            e = key & MAX_EXPONENT
             if e:
                 out[self.names[i]] = e
             key >>= _BITS
@@ -61,12 +65,23 @@ class Namespace:
     def degree(self, key: int) -> int:
         d = 0
         while key:
-            d += key & _MAXEXP
+            d += key & MAX_EXPONENT
             key >>= _BITS
         return d
 
     def shift(self, name: str) -> int:
         return _BITS * self.index[name]
+
+
+def _max_exponent(key: int) -> int:
+    """Largest per-variable exponent in a packed monomial."""
+    top = 0
+    while key:
+        low = (key & -key).bit_length() - 1  # skip the all-zero fields below
+        key >>= low - low % _BITS
+        top = max(top, key & MAX_EXPONENT)
+        key >>= _BITS
+    return top
 
 
 def _check_ns(a: "MPoly", b: "MPoly"):
@@ -75,7 +90,7 @@ def _check_ns(a: "MPoly", b: "MPoly"):
 
 
 class MPoly:
-    """Sparse polynomial: {packed monomial key: nonzero QQi coefficient}."""
+    """Sparse polynomial: {packed monomial key: nonzero QQi or int coefficient}."""
 
     __slots__ = ("ns", "terms")
 
@@ -151,7 +166,8 @@ class MPoly:
     __rmul__ = __mul__
 
     def scalar_mul(self, c):
-        c = c if isinstance(c, QQi) else QQi(c)
+        if type(c) is not int:
+            c = c if isinstance(c, QQi) else QQi(c)
         if not c:
             return MPoly.zero(self.ns)
         return MPoly(self.ns, {k: v * c for k, v in self.terms.items()})
@@ -182,23 +198,30 @@ class MPoly:
         return MPoly(self.ns, out)
 
     def pow(self, n: int):
+        """self**n by repeated squaring, in the coefficient ring of self."""
         if n < 0:
             raise InputError("negative power")
-        result = MPoly.const(self.ns, 1)
+        if n == 0:
+            return MPoly.const(self.ns, 1)
+        top = max((_max_exponent(k) for k in self.terms), default=0)
+        if n * top > MAX_EXPONENT:
+            raise InputError(f"power {n} of a polynomial with exponent {top} "
+                             f"exceeds the exponent bound {MAX_EXPONENT}")
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- queries -------------------------------------------------------
     def is_zero(self):
         return not self.terms
 
-    def constant_term(self) -> QQi:
+    def constant_term(self):
         return self.terms.get(0, ZERO)
 
     def total_degree(self) -> int:
@@ -207,7 +230,7 @@ class MPoly:
         deg = self.ns.degree
         return max(deg(k) for k in self.terms)
 
-    def coefficient(self, exps: dict) -> QQi:
+    def coefficient(self, exps: dict):
         return self.terms.get(self.ns.encode(exps), ZERO)
 
     def truncated(self, max_degree: int):
@@ -221,7 +244,7 @@ class MPoly:
         for k, c in self.terms.items():
             p = 0
             for s in shifts:
-                p += (k >> s) & _MAXEXP
+                p += (k >> s) & MAX_EXPONENT
             out[k] = -c if p & 1 else c
         return MPoly(self.ns, out)
 
@@ -241,6 +264,7 @@ class MPoly:
             exps = self.ns.decode(k)
             mono = "*".join(f"{n}^{e}" if e > 1 else n for n, e in sorted(exps.items()))
             c = self.terms[k]
+            c = c if isinstance(c, QQi) else QQi(c)
             bits.append(f"({c.re}{'+' if c.im >= 0 else ''}{c.im}i){'*' + mono if mono else ''}")
         return " + ".join(bits)
 
@@ -249,6 +273,7 @@ class MPoly:
         out = []
         for k in sorted(self.terms):
             c = self.terms[k]
+            c = c if isinstance(c, QQi) else QQi(c)
             out.append({"exponents": self.ns.decode(k), "re": str(c.re), "im": str(c.im)})
         return out
 
@@ -321,20 +346,29 @@ def apply_edge_operator(p: MPoly, z1: str, w1: str, z2: str, w2: str, c: int) ->
     variables to zero.
 
     A monomial z1^a1 w1^b1 z2^a2 w2^b2 * R survives iff a1 = b2, a2 = b1 and
-    a1 + a2 = c; it contributes (-1)^a2 / C(c, a2) * R.
+    a1 + a2 = c; it contributes (-1)^a2 / C(c, a2) * R, that is
+    (-1)^a2 * a1! * a2! / c! * R.  The surviving monomials are found by one
+    dictionary lookup of their four-variable part, summed with the integer
+    weights (-1)^a2 * a1! * a2!, and each output coefficient is divided by c!
+    once at the end.  Integer coefficients stay int when c! divides the sum
+    (the evaluator arranges that it always does) and become Fraction when it
+    does not.
     """
     ns = p.ns
     s_z1, s_w1, s_z2, s_w2 = (ns.shift(v) for v in (z1, w1, z2, w2))
-    strip = ~((_MAXEXP << s_z1) | (_MAXEXP << s_w1) | (_MAXEXP << s_z2) | (_MAXEXP << s_w2))
+    edge_part = ((MAX_EXPONENT << s_z1) | (MAX_EXPONENT << s_w1)
+                 | (MAX_EXPONENT << s_z2) | (MAX_EXPONENT << s_w2))
+    strip = ~edge_part
+    weights = {}
+    for a2 in range(max(0, c - MAX_EXPONENT), min(c, MAX_EXPONENT) + 1):
+        a1 = c - a2
+        w = factorial(a1) * factorial(a2)
+        weights[(a1 << s_z1) | (a2 << s_w1) | (a2 << s_z2) | (a1 << s_w2)] = -w if a2 & 1 else w
     out: dict = {}
     for k, coeff in p.terms.items():
-        a1 = (k >> s_z1) & _MAXEXP
-        b1 = (k >> s_w1) & _MAXEXP
-        a2 = (k >> s_z2) & _MAXEXP
-        b2 = (k >> s_w2) & _MAXEXP
-        if a1 + a2 != c or a1 != b2 or a2 != b1:
+        w = weights.get(k & edge_part)
+        if w is None:
             continue
-        w = Fraction(-1 if a2 & 1 else 1, comb(c, a2))
         kk = k & strip
         cc = coeff * w
         s = out.get(kk)
@@ -346,7 +380,18 @@ def apply_edge_operator(p: MPoly, z1: str, w1: str, z2: str, w2: str, c: int) ->
                 out[kk] = s
             else:
                 del out[kk]
+    if c > 1:
+        fc = factorial(c)
+        out = {k: _div_exact(v, fc) for k, v in out.items()}
     return MPoly(ns, out)
+
+
+def _div_exact(x, d: int):
+    """x / d, staying an int when x is an int that d divides."""
+    if type(x) is int:
+        q, r = divmod(x, d)
+        return Fraction(x, d) if r else q
+    return x * Fraction(1, d)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +455,7 @@ def exact_div(num: MPoly, den: MPoly) -> MPoly:
 
 def _divides(ka: int, kb: int) -> bool:
     while ka:
-        if (ka & _MAXEXP) > (kb & _MAXEXP):
+        if (ka & MAX_EXPONENT) > (kb & MAX_EXPONENT):
             return False
         ka >>= _BITS
         kb >>= _BITS

@@ -43,6 +43,8 @@ class QQi:
         return QQi(-self.re, -self.im)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return QQi(self.re * other, self.im * other)
         other = _coerce(other)
         a, b, c, d = self.re, self.im, other.re, other.im
         if not b and not d:

@@ -108,11 +108,35 @@ def test_input_errors_exit_2(tmp_path, capsys):
         ("asymptote", "-g", "tetrahedron", "-c", tet_c, "--k-list", "10,x"),
         ("asymptote", "-g", "tetrahedron", "-c", tet_c, "--k-list", "0"),
         ("series", "-g", "theta", "--degree", "-1"),
+        ("series", "-g", "theta", "--degree", "64"),
+        ("integrate", "-g", "theta", "--target", "W", "--y", "e1=abc"),
+        ("integrate", "-g", "theta", "--target", "W", "--y", "e1=nan"),
+        ("integrate", "-g", "theta", "--target", "W", "--y", "e1=inf"),
     ):
         capsys.readouterr()
         rc, _ = run_cli(*argv)
         assert rc == 2, argv
         assert len(capsys.readouterr().err.splitlines()) == 1, argv
+
+
+def test_eval_contracts_once(monkeypatch):
+    import spinnets.cli
+    import spinnets.evaluator
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (spinnets.cli, spinnets.evaluator):
+        monkeypatch.setattr(mod, "eval_spin_network", counted(mod.eval_spin_network))
+    rc, out = run_cli("eval", "-g", "theta", "-c", '{"e1":2,"e2":2,"e3":2}')
+    assert rc == 0
+    assert json.loads(out)["results"]["bracket_square"] == "1"
+    assert len(calls) == 1
 
 
 def test_reports_are_deterministic():

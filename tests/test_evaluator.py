@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_sl2, random_holonomy
 from oracles import tet_value_oracle
@@ -121,3 +123,52 @@ def test_gauge_rejects_non_unimodular(theta):
     bad = ((QQi(2), QQi(0)), (QQi(0), QQi(1)))
     with pytest.raises(InputError):
         gauge_transform(theta, hol, {k: bad for k in ["u", "v", "e1", "e2", "e3"]})
+
+
+def shear_gauge(graph, seed):
+    """Seeded determinant-1 gauge elements ((1, a), (0, 1)) ((1, 0), (b, 1))
+    with shears a, b of non-zero imaginary part."""
+    rng = random.Random(seed)
+    one = QQi(1)
+
+    def shear():
+        return QQi(Fraction(rng.randint(-3, 3), 2), Fraction(rng.choice((-1, 1)), 3))
+
+    g = {}
+    for key in [v for v, _ in graph.vertices] + list(graph.edge_ids):
+        a, b = shear(), shear()
+        g[key] = ((one + a * b, a), (b, one))
+    return g
+
+
+def eval_both_rings(graph, col, seed):
+    """Value under the trivial holonomy (int ring), asserted equal to the
+    value under a shear gauge of it (QQi ring)."""
+    hol = gauge_transform(graph, Holonomy.trivial(graph), shear_gauge(graph, seed))
+    assert any(x.im for m in hol.entries.values() for row in m for x in row)
+    value = eval_spin_network(graph, col)
+    assert eval_spin_network(graph, col, hol) == value
+    return value
+
+
+@pytest.fixture(scope="module")
+def tet_colorings(tet):
+    return list(admissible_colorings(tet, max_color=6))
+
+
+@pytest.fixture(scope="module")
+def prism_colorings(prism):
+    return list(admissible_colorings(prism, max_color=3))
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_int_ring_matches_gaussian_ring_tet(tet, tet_colorings, data, seed):
+    col = data.draw(st.sampled_from(tet_colorings))
+    assert eval_both_rings(tet, col, seed) == QQi(tet_value_oracle(col))
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_int_ring_matches_gaussian_ring_prism(prism, prism_colorings, data, seed):
+    eval_both_rings(prism, data.draw(st.sampled_from(prism_colorings)), seed)

@@ -52,6 +52,18 @@ def test_basic_identities():
     assert (x * y).substitute_sign_flip(["x", "y"]) == x * y
 
 
+def test_pow_keeps_ring_and_exponent_bound():
+    x = MPoly.var(NS3, "x")
+    assert x.pow(63).coefficient({"x": 63}) == QQi(1)
+    with pytest.raises(InputError):
+        x.pow(64)  # would alias onto y
+    with pytest.raises(InputError):
+        (x * x + MPoly.var(NS3, "y")).pow(32)
+    cube = MPoly(NS3, {NS3.encode({"x": 1}): 2, NS3.encode({"y": 1}): -1}).pow(3)
+    assert all(type(c) is int for c in cube.terms.values())
+    assert cube == (MPoly.var(NS3, "x", 2) - MPoly.var(NS3, "y")).pow(3)
+
+
 def test_namespace_mismatch():
     with pytest.raises(InputError):
         MPoly.var(NS3, "x") + MPoly.var(NS4, "z1")
@@ -93,6 +105,17 @@ def test_edge_operator_matches_naive(c, nterms, data):
         p = p + MPoly.monomial(NS4, exps, QQi(data.draw(st.integers(-3, 3))))
     fast = apply_edge_operator(p, "z1", "w1", "z2", "w2", c)
     assert fast == naive_edge_operator(p, "z1", "w1", "z2", "w2", c)
+
+
+def test_edge_operator_int_coefficients():
+    # int input stays int where c! divides the weighted sum, else Fraction
+    square = MPoly(NS4, {NS4.encode({"z1": 2, "w2": 2}): 3})
+    mixed = square + MPoly(NS4, {NS4.encode({"z1": 1, "w1": 1, "z2": 1, "w2": 1}): 1})
+    for p, value in ((square, 3), (mixed, Fraction(5, 2))):
+        got = apply_edge_operator(p, "z1", "w1", "z2", "w2", 2)
+        assert got == naive_edge_operator(p, "z1", "w1", "z2", "w2", 2)
+        assert got.constant_term() == value
+        assert type(got.constant_term()) is type(value)
 
 
 # -- inverse square root ----------------------------------------------------
