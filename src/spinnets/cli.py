@@ -15,6 +15,7 @@ import math
 import sys
 import time
 import warnings
+from functools import cache, partial
 
 import numpy as np
 
@@ -32,6 +33,15 @@ from .series import (abelian_curve_sum, compare_with_evaluations, nonplanar_fix,
 
 DEFAULT_SEED = 20120712
 _BUNDLED = ("theta", "tetrahedron", "prism3", "tetrahedron_nonplanar")
+
+# multithreaded BLAS reductions are not order-deterministic; sample
+# parallelism is seed-chunked by --workers instead
+try:
+    from threadpoolctl import threadpool_limits
+except ImportError:  # pragma: no cover
+    from contextlib import nullcontext as _one_blas_thread
+else:
+    _one_blas_thread = partial(threadpool_limits, limits=1)
 
 
 def _digest(path) -> str:
@@ -290,6 +300,7 @@ def _cmd_selftest(args):
 # dispatch
 # ---------------------------------------------------------------------------
 
+@cache
 def _build_parser():
     parser = argparse.ArgumentParser(prog="spinnet", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -365,17 +376,7 @@ def dispatch(argv) -> int:
         args.workers = int(os.environ.get("SPINNET_WORKERS", "1"))
     t0 = time.time()
     try:
-        # multithreaded BLAS reductions are not order-deterministic; sample
-        # parallelism is seed-chunked by --workers instead
-        try:
-            from threadpoolctl import threadpool_limits
-        except ImportError:  # pragma: no cover
-            from contextlib import nullcontext
-
-            limiter = nullcontext()
-        else:
-            limiter = threadpool_limits(limits=1)
-        with limiter:
+        with _one_blas_thread():
             rc = _HANDLERS[args.cmd](args)
     except (InputError, PreconditionError, AdmissibilityError, RegimeError,
             DomainError) as exc:

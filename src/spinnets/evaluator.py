@@ -22,7 +22,7 @@ from math import factorial
 from .errors import AdmissibilityError, InputError, RegimeError
 from .graphs import Graph, Holonomy, crossing_sign, internal_coloring, is_admissible
 from .polyring import MPoly, Namespace, apply_edge_operator
-from .rational import QQi
+from .rational import QQi, narrow
 
 __all__ = [
     "eval_spin_network",
@@ -43,14 +43,6 @@ def _wvar(h):
     return "w@" + h
 
 
-def _narrow(x):
-    """x as an int when it is a real integer, else as a QQi."""
-    x = x if isinstance(x, QQi) else QQi(x)
-    if not x.im and x.re.denominator == 1:
-        return x.re.numerator
-    return x
-
-
 def _halfedge_forms(ns, holonomy, h):
     """Linear forms (Z_h, W_h) = psi_h^{-1} (z_h, w_h); holonomy None is the
     trivial one."""
@@ -58,7 +50,7 @@ def _halfedge_forms(ns, holonomy, h):
     kw = 1 << ns.shift(_wvar(h))
     if holonomy is None:
         return MPoly(ns, {kz: 1}), MPoly(ns, {kw: 1})
-    (a, b), (c, d) = ((_narrow(x) for x in row) for row in holonomy.inverse_matrix(h))
+    (a, b), (c, d) = ((narrow(x) for x in row) for row in holonomy.inverse_matrix(h))
     return (MPoly(ns, {k: x for k, x in ((kz, a), (kw, b)) if x}),
             MPoly(ns, {k: x for k, x in ((kz, c), (kw, d)) if x}))
 

@@ -1,18 +1,21 @@
 """Sparse multivariate polynomials and truncated series over Gaussian rationals.
 
-Coefficients are QQi, or plain int where every input coefficient is an
-integer: the ring operations work on either and mix them, an int meeting a
-QQi giving a QQi.
+Coefficients are int, Fraction or QQi, each kept in the narrowest of these
+rings its inputs allow: the ring operations work on any of them and mix
+them, an int meeting a Fraction giving a Fraction and either meeting a QQi
+giving a QQi.
 
 Monomials are packed into a single int key, 6 bits per variable (exponents
-must stay at or below MAX_EXPONENT = 63; `pow` refuses a power that would
-pass it).  Monomial product is then plain integer addition of keys.
+must stay at or below MAX_EXPONENT = 63; products refuse to pass it).
+Monomial product is then plain integer addition of keys.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import factorial
+from operator import or_
 
 from .errors import InputError, PreconditionError
 from .rational import QQi, ZERO, ONE
@@ -24,7 +27,7 @@ MAX_EXPONENT = (1 << _BITS) - 1
 class Namespace:
     """Ordered set of variable names with monomial packing helpers."""
 
-    __slots__ = ("names", "index")
+    __slots__ = ("names", "index", "high")
 
     def __init__(self, names):
         names = tuple(names)
@@ -32,6 +35,8 @@ class Namespace:
             raise InputError("duplicate variable names in namespace")
         self.names = names
         self.index = {n: i for i, n in enumerate(names)}
+        # the top bit of every field, set in a key where that exponent is >= 32
+        self.high = sum(1 << (_BITS * i + _BITS - 1) for i in range(len(names)))
 
     def __len__(self):
         return len(self.names)
@@ -73,15 +78,23 @@ class Namespace:
         return _BITS * self.index[name]
 
 
-def _max_exponent(key: int) -> int:
-    """Largest per-variable exponent in a packed monomial."""
-    top = 0
-    while key:
-        low = (key & -key).bit_length() - 1  # skip the all-zero fields below
-        key >>= low - low % _BITS
-        top = max(top, key & MAX_EXPONENT)
-        key >>= _BITS
-    return top
+def _check_exponents(ns: Namespace, a: dict, b: dict):
+    """Raise InputError when the product of a key of a and a key of b would
+    carry an exponent past MAX_EXPONENT into the next variable's field.
+
+    The OR of all keys of a and b has the top bit of every field clear
+    exactly when every exponent is below 32, and then no sum passes 63;
+    only when that test fails are the per-field maxima compared.
+    """
+    if not (reduce(or_, a, 0) | reduce(or_, b, 0)) & ns.high or not (a and b):
+        return
+    for i, name in enumerate(ns.names):
+        s = _BITS * i
+        top = (max((k >> s) & MAX_EXPONENT for k in a)
+               + max((k >> s) & MAX_EXPONENT for k in b))
+        if top > MAX_EXPONENT:
+            raise InputError(f"product has exponent {top} of {name}, "
+                             f"past the exponent bound {MAX_EXPONENT}")
 
 
 def _check_ns(a: "MPoly", b: "MPoly"):
@@ -145,6 +158,7 @@ class MPoly:
             return self.scalar_mul(other)
         _check_ns(self, other)
         a, b = self.terms, other.terms
+        _check_exponents(self.ns, a, b)
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}
@@ -166,16 +180,23 @@ class MPoly:
     __rmul__ = __mul__
 
     def scalar_mul(self, c):
-        if type(c) is not int:
-            c = c if isinstance(c, QQi) else QQi(c)
+        if not isinstance(c, (int, Fraction, QQi)):
+            c = QQi(c)
         if not c:
             return MPoly.zero(self.ns)
         return MPoly(self.ns, {k: v * c for k, v in self.terms.items()})
 
     def mul_trunc(self, other, max_degree: int):
-        """Product with all monomials of total degree > max_degree dropped."""
+        """Product with all monomials of total degree > max_degree dropped.
+
+        With max_degree <= MAX_EXPONENT every kept monomial, and so every
+        exponent, stays within the bound; above it the exponents are checked
+        as in a full product, before any monomial is dropped.
+        """
         _check_ns(self, other)
         ns = self.ns
+        if max_degree > MAX_EXPONENT:
+            _check_exponents(ns, self.terms, other.terms)
         dega = {k: ns.degree(k) for k in self.terms}
         degb = {k: ns.degree(k) for k in other.terms}
         out: dict = {}
@@ -198,15 +219,12 @@ class MPoly:
         return MPoly(self.ns, out)
 
     def pow(self, n: int):
-        """self**n by repeated squaring, in the coefficient ring of self."""
+        """self**n by repeated squaring, in the coefficient ring of self; the
+        products refuse a power whose exponents would pass MAX_EXPONENT."""
         if n < 0:
             raise InputError("negative power")
         if n == 0:
             return MPoly.const(self.ns, 1)
-        top = max((_max_exponent(k) for k in self.terms), default=0)
-        if n * top > MAX_EXPONENT:
-            raise InputError(f"power {n} of a polynomial with exponent {top} "
-                             f"exceeds the exponent bound {MAX_EXPONENT}")
         result = None
         base = self
         while True:
@@ -566,8 +584,8 @@ def power_series(u: MPoly, max_degree: int, step) -> MPoly:
     if u.constant_term():
         raise PreconditionError("power_series needs u without a constant term")
     u = u.truncated(max_degree)
-    result = uk = MPoly.const(u.ns, 1)
-    c = Fraction(1)
+    result = uk = MPoly(u.ns, {0: 1})
+    c = 1
     k = 0
     while True:
         k += 1
@@ -583,7 +601,7 @@ def inv_sqrt_series(d: MPoly, max_degree: int) -> TruncSeries:
     the binomial series of (1 + u)^(-1/2) in u = d - 1."""
     if d.constant_term() != ONE:
         raise PreconditionError("inv_sqrt_series needs constant term exactly 1")
-    u = d - MPoly.const(d.ns, 1)
+    u = d - MPoly(d.ns, {0: 1})
     return TruncSeries(power_series(u, max_degree, lambda k: Fraction(-(2 * k - 1), 2 * k)),
                        max_degree)
 
@@ -593,5 +611,5 @@ def inverse_series(d: MPoly, max_degree: int) -> TruncSeries:
     series of (1 + u)^(-1) in u = d - 1."""
     if d.constant_term() != ONE:
         raise PreconditionError("inverse_series needs constant term exactly 1")
-    u = d - MPoly.const(d.ns, 1)
+    u = d - MPoly(d.ns, {0: 1})
     return TruncSeries(power_series(u, max_degree, lambda k: -1), max_degree)

@@ -106,6 +106,14 @@ def _coerce(x) -> QQi:
     raise TypeError(f"cannot coerce {type(x).__name__} to QQi")
 
 
+def narrow(x):
+    """x as an int when it is a real integer, else as a QQi."""
+    x = x if isinstance(x, QQi) else QQi(x)
+    if not x.im and x.re.denominator == 1:
+        return x.re.numerator
+    return x
+
+
 def ipow(n: int) -> QQi:
     """i**n for any integer n."""
     return (ONE, I, QQi(-1), QQi(0, -1))[n % 4]

@@ -18,9 +18,8 @@ from fractions import Fraction
 from .errors import InputError, RegimeError
 from .evaluator import _wvar, _zvar, eval_spin_network, renormalize
 from .graphs import Graph, Holonomy, admissible_colorings, internal_coloring
-from .polyring import (MPoly, Namespace, TruncSeries, det_poly, inv_sqrt_series,
-                       power_series)
-from .rational import QQi
+from .polyring import MPoly, Namespace, TruncSeries, _div_exact, det_poly, inv_sqrt_series
+from .rational import QQi, narrow
 
 __all__ = [
     "PQMatrices",
@@ -112,8 +111,14 @@ def build_pq(graph: Graph, holonomy: Holonomy | None = None) -> PQMatrices:
 
 
 # ---------------------------------------------------------------------------
-# determinant of P + Q, truncated: det(P+Q) = det(I - P·Q) since P^{-1} = -P
-# and det(P) = 1; log det = -sum tr((PQ)^m)/m is degree-m homogeneous.
+# determinant of P + Q, truncated: det(P+Q) = det(I - B) with B = P·Q, since
+# P^{-1} = -P and det(P) = 1.  B's entries are X-linear, so the power sum
+# p_m = tr(B^m) is homogeneous of degree m, and Newton's identities give the
+# degree-k part of the determinant as F_0 = 1, k·F_k = -sum_{m=1..k} p_m·F_{k-m}.
+# Each coefficient of B is narrowed to int when it is a real integer (every
+# one is for a real holonomy, as i·i = -1); then B's powers, the traces and
+# the F_k stay on int, the division by k being exact because det(I - B) has
+# integer coefficients.  Gaussian-rational entries run the same code on QQi.
 # ---------------------------------------------------------------------------
 
 def _sparse_matmul(a, b, ns, max_degree):
@@ -158,7 +163,7 @@ def _pair_trace(a, b, ns, max_degree):
 def truncated_det(pq: PQMatrices, max_degree: int) -> MPoly:
     """det(P + Q) with monomials of degree > max_degree dropped."""
     ns = pq.ns
-    # B = P·Q as sparse dict-of-dicts
+    # B = P·Q as sparse dict-of-dicts, on the narrowest ring
     b: dict = {}
     for r, cols in pq.p.items():
         acc: dict = {}
@@ -170,23 +175,30 @@ def truncated_det(pq: PQMatrices, max_degree: int) -> MPoly:
                 term = poly.scalar_mul(s)
                 cur = acc.get(j)
                 acc[j] = term if cur is None else cur + term
-        acc = {j: v for j, v in acc.items() if not v.is_zero()}
+        acc = {j: MPoly(ns, {k: narrow(c) for k, c in v.terms.items()})
+               for j, v in acc.items() if not v.is_zero()}
         if acc:
             b[r] = acc
-    # log det = -sum_m tr(B^m)/m; tr(B^m) pairs B^p with B^(m-p), and both
-    # exponents stay <= top because m - top <= max_degree - top <= top
+    # tr(B^m) pairs B^p with B^(m-p), and both exponents stay <= top because
+    # m - top <= max_degree - top <= top
     powers = {1: b}
     top = max(1, (max_degree + 1) // 2)
     for m in range(2, top + 1):
         powers[m] = _sparse_matmul(powers[m - 1], b, ns, max_degree)
-    logdet = MPoly.zero(ns)
+    traces = [None]
     for m in range(1, max_degree + 1):
         p = min(top, m - 1)
-        t = _trace(b, ns) if m == 1 else _pair_trace(powers[p], powers[m - p], ns, max_degree)
-        if not t.is_zero():
-            logdet = logdet + t.scalar_mul(Fraction(-1, m))
-    # logdet has positive valuation, so its exponential series terminates
-    return power_series(logdet, max_degree, lambda k: Fraction(1, k))
+        traces.append(_trace(b, ns) if m == 1
+                      else _pair_trace(powers[p], powers[m - p], ns, max_degree))
+    # Newton's identities, one homogeneous part at a time
+    parts = [MPoly(ns, {0: 1})]
+    for k in range(1, max_degree + 1):
+        total = MPoly.zero(ns)
+        for m in range(1, k + 1):
+            total = total + traces[m] * parts[k - m]
+        parts.append(MPoly(ns, {key: _div_exact(-c, k) for key, c in total.terms.items()}))
+    # the parts are homogeneous of distinct degrees, so no monomial repeats
+    return MPoly(ns, {key: c for part in parts for key, c in part.terms.items()})
 
 
 def series_Z(graph: Graph, holonomy: Holonomy | None = None, degree: int = 8,

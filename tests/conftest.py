@@ -61,6 +61,22 @@ def random_holonomy(graph, seed=0, steps=3):
     return Holonomy(graph, {h: rand_sl2(rng, steps) for h in graph.halfedges}, True)
 
 
+def shear_gauge(graph, seed):
+    """Seeded determinant-1 gauge elements ((1, a), (0, 1)) ((1, 0), (b, 1))
+    with shears a, b of non-zero imaginary part."""
+    rng = random.Random(seed)
+    one = QQi(1)
+
+    def shear():
+        return QQi(Fraction(rng.randint(-3, 3), 2), Fraction(rng.choice((-1, 1)), 3))
+
+    g = {}
+    for key in [v for v, _ in graph.vertices] + list(graph.edge_ids):
+        a, b = shear(), shear()
+        g[key] = ((one + a * b, a), (b, one))
+    return g
+
+
 # rational unit quaternions (w, x, y, z): exact points of SU(2)
 _RATIONAL_QUATERNIONS = [
     (Fraction(1, 3), Fraction(2, 3), Fraction(2, 3), Fraction(0)),

@@ -119,6 +119,25 @@ def test_input_errors_exit_2(tmp_path, capsys):
         assert len(capsys.readouterr().err.splitlines()) == 1, argv
 
 
+def test_parser_built_once(monkeypatch):
+    import argparse
+    import spinnets.cli
+
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        return add_subparsers(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    spinnets.cli._build_parser.cache_clear()
+    for _ in range(2):
+        rc, _ = run_cli("eval", "-g", "theta", "-c", '{"e1":2,"e2":2,"e3":2}')
+        assert rc == 0
+    assert len(built) == 1
+
+
 def test_eval_contracts_once(monkeypatch):
     import spinnets.cli
     import spinnets.evaluator

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_sl2, random_holonomy
+from conftest import rand_sl2, random_holonomy, shear_gauge
 from oracles import tet_value_oracle
 from spinnets.errors import AdmissibilityError, InputError, RegimeError
 from spinnets.evaluator import (bracket_square, eval_spin_network, gauge_transform,
@@ -123,22 +123,6 @@ def test_gauge_rejects_non_unimodular(theta):
     bad = ((QQi(2), QQi(0)), (QQi(0), QQi(1)))
     with pytest.raises(InputError):
         gauge_transform(theta, hol, {k: bad for k in ["u", "v", "e1", "e2", "e3"]})
-
-
-def shear_gauge(graph, seed):
-    """Seeded determinant-1 gauge elements ((1, a), (0, 1)) ((1, 0), (b, 1))
-    with shears a, b of non-zero imaginary part."""
-    rng = random.Random(seed)
-    one = QQi(1)
-
-    def shear():
-        return QQi(Fraction(rng.randint(-3, 3), 2), Fraction(rng.choice((-1, 1)), 3))
-
-    g = {}
-    for key in [v for v, _ in graph.vertices] + list(graph.edge_ids):
-        a, b = shear(), shear()
-        g[key] = ((one + a * b, a), (b, one))
-    return g
 
 
 def eval_both_rings(graph, col, seed):

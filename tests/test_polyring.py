@@ -64,6 +64,21 @@ def test_pow_keeps_ring_and_exponent_bound():
     assert cube == (MPoly.var(NS3, "x", 2) - MPoly.var(NS3, "y")).pow(3)
 
 
+def test_products_keep_exponent_bound():
+    ns = Namespace(("x", "y"))
+    x40 = MPoly.var(ns, "x").pow(40)
+    with pytest.raises(InputError):
+        x40 * x40  # x^80 would alias onto x^16*y
+    with pytest.raises(InputError):
+        x40.mul_trunc(x40, 100)
+    assert x40.mul_trunc(x40, 63).is_zero()
+    # exponents of 32 and more on both sides, sums still within the bound
+    x31y32 = MPoly.monomial(ns, {"x": 31, "y": 32}, 1)
+    y31 = MPoly.monomial(ns, {"y": 31}, 3)
+    assert x31y32 * y31 == MPoly.monomial(ns, {"x": 31, "y": 63}, 3)
+    assert x31y32.mul_trunc(y31, 100) == x31y32 * y31
+
+
 def test_namespace_mismatch():
     with pytest.raises(InputError):
         MPoly.var(NS3, "x") + MPoly.var(NS4, "z1")

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_holonomy
+from conftest import random_holonomy, shear_gauge
 from spinnets.errors import InputError
+from spinnets.evaluator import gauge_transform
 from spinnets.graphs import Holonomy
 from spinnets.polyring import MPoly, det_poly, inverse_series
 from spinnets.rational import QQi
@@ -68,9 +71,24 @@ def test_series_constant_coefficient(theta):
 
 
 def test_series_equals_westbury_inverse_square(theta):
-    z = series_Z(theta, degree=10)
     p = westbury_polynomial(theta)
-    assert z == inverse_series((p * p).truncated(10), 10)
+    for degree in (10, 32):
+        z = series_Z(theta, degree=degree)
+        assert z == inverse_series((p * p).truncated(degree), degree)
+
+
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(("theta", "tet", "prism")), degree=st.integers(0, 8),
+       seed=st.integers(0, 2**16))
+def test_int_ring_series_matches_gaussian_ring(theta, tet, prism, name, degree, seed):
+    """The trivial-holonomy series runs on int; a shear gauge of the trivial
+    holonomy (Gaussian-rational entries, the same series) runs on QQi."""
+    g = {"theta": theta, "tet": tet, "prism": prism}[name]
+    hol = gauge_transform(g, Holonomy.trivial(g), shear_gauge(g, seed))
+    assert any(x.im for m in hol.entries.values() for row in m for x in row)
+    z = series_Z(g, None, degree)
+    assert not any(isinstance(c, QQi) for c in z.poly.terms.values())
+    assert z == series_Z(g, hol, degree)
 
 
 def test_series_matches_evaluations(theta, tet):
