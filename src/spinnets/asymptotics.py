@@ -8,7 +8,10 @@ and kept in +/- pairs.  For a pair of configurations the per-edge phases come
 from the unique per-vertex rotations carrying one onto the other, lifted to
 SU(2); the Hessian data enters through three quadratic forms whose pruned
 determinants (products of nonzero eigenvalues) feed the two-sum leading-order
-formula."""
+formula.  Everything in that formula but the per-pair phase and the overall
+prefactor is independent of the scale k, so `asymptotic_estimate` computes
+it once per configuration and per ordered pair and then evaluates every k in
+the list it is given."""
 
 from __future__ import annotations
 
@@ -29,7 +32,6 @@ __all__ = [
     "find_configs",
     "critical_pair",
     "check_hypotheses",
-    "build_forms",
     "detprime",
     "detprime_limit",
     "asymptotic_estimate",
@@ -53,13 +55,9 @@ class Configuration:
     triple_sign: int             # sign of the first independent triple product
     hits: int = 1
 
-    def vector(self, graph: Graph, e: str) -> np.ndarray:
-        return self.vectors[graph.edge_ids.index(e)]
-
 
 def _make_config(vectors, residual, hits=1):
     gram = vectors @ vectors.T
-    sign = 0
     n = len(vectors)
     for i in range(n):
         for j in range(i + 1, n):
@@ -67,7 +65,7 @@ def _make_config(vectors, residual, hits=1):
                 d = float(np.linalg.det(vectors[[i, j, k]]))
                 if abs(d) > 1e-6:
                     return Configuration(vectors, residual, gram, 1 if d > 0 else -1, hits)
-    return Configuration(vectors, residual, gram, sign, hits)
+    return Configuration(vectors, residual, gram, 0, hits)
 
 
 def _strict_triangles(graph: Graph, coloring: dict):
@@ -78,17 +76,20 @@ def _strict_triangles(graph: Graph, coloring: dict):
                 f"coloring violates strict triangle inequalities at vertex {v!r}")
 
 
-def _closure_terms(graph: Graph):
-    """Per vertex: list of (edge index, orientation sign)."""
+def _closure(graph: Graph, coloring: dict):
+    """The closure map: unit vectors (E, 3) -> (V, 3), each row the sum over
+    the vertex's three half-edges of color x orientation sign x edge vector,
+    added left to right."""
     eidx = {e: i for i, e in enumerate(graph.edge_ids)}
-    out = []
-    for v, hs in graph.vertices:
-        terms = []
-        for h in hs:
-            e, side = graph.edge_of[h]
-            terms.append((eidx[e], 1.0 if side == "left" else -1.0))
-        out.append(terms)
-    return out
+    idx = np.array([[eidx[graph.edge_of[h][0]] for h in hs] for _, hs in graph.vertices])
+    sign = np.array([[1.0 if graph.edge_of[h][1] == "left" else -1.0 for h in hs]
+                     for _, hs in graph.vertices])
+    coef = np.array([float(coloring[e]) for e in graph.edge_ids])[idx] * sign
+
+    def closure(p):
+        t = coef[:, :, None] * p[idx]
+        return t[:, 0] + t[:, 1] + t[:, 2]
+    return closure
 
 
 def _canonical_rotation(vectors):
@@ -138,25 +139,16 @@ def find_configs(graph: Graph, coloring: dict, restarts: int = 200,
     Returns rotation-class representatives (canonically rotated), with -P
     included for every P found.  Completeness is not certified; hit counts
     per class are recorded and a warning is emitted when the restart budget
-    looks thin."""
+    looks thin.  A restart whose solve raises ValueError or LinAlgError is
+    skipped; the count and the first error go into one warning per call."""
     _strict_triangles(graph, coloring)
-    eids = graph.edge_ids
-    ne = len(eids)
-    weights = np.array([float(coloring[e]) for e in eids])
-    closure = _closure_terms(graph)
+    ne = len(graph.edge_ids)
+    closure = _closure(graph, coloring)
 
     def residuals(x):
         m = x.reshape(ne, 3)
         norms = np.linalg.norm(m, axis=1)
-        p = m / norms[:, None]
-        out = []
-        for terms in closure:
-            acc = np.zeros(3)
-            for ei, sign in terms:
-                acc += weights[ei] * sign * p[ei]
-            out.append(acc)
-        out.append(norms * norms - 1.0)
-        return np.concatenate([np.concatenate(out[:-1]), out[-1]])
+        return np.concatenate([closure(m / norms[:, None]).ravel(), norms * norms - 1.0])
 
     rng = np.random.default_rng(seed)
     found: list[Configuration] = []
@@ -165,22 +157,19 @@ def find_configs(graph: Graph, coloring: dict, restarts: int = 200,
         return (cfg.triple_sign == other.triple_sign
                 and float(np.max(np.abs(cfg.gram - other.gram))) < 1e-6)
 
+    raised = []
     for _ in range(restarts):
         x0 = rng.standard_normal((ne, 3))
         x0 /= np.linalg.norm(x0, axis=1, keepdims=True)
         try:
             sol = least_squares(residuals, x0.ravel(), method="lm",
                                 xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=4000)
-        except Exception:
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            raised.append(exc)
             continue
         p = sol.x.reshape(ne, 3)
         p /= np.linalg.norm(p, axis=1, keepdims=True)
-        res = 0.0
-        for terms in closure:
-            acc = np.zeros(3)
-            for ei, sign in terms:
-                acc += weights[ei] * sign * p[ei]
-            res = max(res, float(np.linalg.norm(acc)))
+        res = float(np.max(np.linalg.norm(closure(p), axis=1)))
         if res > tol:
             continue
         cfg = _make_config(_canonical_rotation(p), res)
@@ -197,6 +186,9 @@ def find_configs(graph: Graph, coloring: dict, restarts: int = 200,
         if not any(same_class(neg, other) for other in found):
             found.append(neg)
 
+    if raised:
+        warnings.warn(f"find_configs: {len(raised)} of {restarts} restarts raised; "
+                      f"first: {raised[0]!r}", stacklevel=2)
     if not found:
         warnings.warn("find_configs: no restart converged below tol; "
                       "empty configuration set", stacklevel=2)
@@ -409,17 +401,6 @@ def form_qpp(graph: Graph, coloring: dict, pair: CriticalPair):
     return _form_pair(graph, coloring, pair, gamma)
 
 
-def build_forms(graph: Graph, coloring: dict, P: Configuration, Q: Configuration,
-                kappa: float):
-    """The three matrices the leading-order formula consumes."""
-    out = {"r": form_r(graph, coloring, P), "qP": form_qP(graph, coloring, P)}
-    if Q is not P:
-        if kappa <= 1.0:
-            raise DomainError("kappa must be > 1 for a distinct pair")
-        out["qkappa"] = form_qkappa(graph, coloring, critical_pair(graph, coloring, P, Q), kappa)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # pruned determinants
 # ---------------------------------------------------------------------------
@@ -460,13 +441,10 @@ def _richardson(values):
 
 
 def detprime_limit(graph: Graph, coloring: dict, pair: CriticalPair,
-                   js=range(6, 13), rel_tol: float = 1e-4) -> complex:
-    """Extrapolated limit of (kappa-1)^{-3} det'(q_kappa) as kappa -> 1+."""
-    v, _ = _detprime_limit_both(graph, coloring, pair, js, rel_tol)
-    return v
-
-
-def _detprime_limit_both(graph, coloring, pair, js=range(6, 13), rel_tol=1e-4):
+                   js=range(6, 13), rel_tol: float = 1e-4) -> tuple[complex, complex]:
+    """Extrapolated limits as kappa -> 1+ of (kappa-1)^{-3} det'(q_kappa) and
+    of (kappa-1)^{-3/2} times the product of the square roots of the same
+    eigenvalues, both from one eigen-solve per level h = 2^-j."""
     for t in pair.taus.values():
         if abs(t * t - 1.0) < _PHASE_THRESHOLD:
             raise DomainError("pair has a phase at +/-1; not in the oscillatory branch")
@@ -567,57 +545,62 @@ def check_hypotheses(graph: Graph, coloring: dict, configs) -> HypothesesReport:
 # leading-order estimate
 # ---------------------------------------------------------------------------
 
-def asymptotic_estimate(graph: Graph, coloring: dict, k: int, configs=None,
-                        restarts: int = 200, tol: float = 1e-10, seed: int = 7) -> dict:
-    """Two-sum leading-order value of the rescaled bracket at scale k.
+def asymptotic_estimate(graph: Graph, coloring: dict, configs, ks) -> list[dict]:
+    """Two-sum leading-order value of the rescaled bracket at every scale k
+    in ks, one row per k.
 
     First sum over configurations; second over ordered pairs of distinct
     configurations (each +/- class contributes twice the real part, realized
-    as the sum over both ordered representatives)."""
-    if configs is None:
-        configs = find_configs(graph, coloring, restarts=restarts, tol=tol, seed=seed)
+    as the sum over both ordered representatives).  The determinants, the
+    critical pairs and their extrapolated limits are computed once; only the
+    pair phases and the prefactor depend on k."""
     if not configs:
         raise HypothesisError("no critical configurations found")
+    eids = graph.edge_ids
     n_exc = len(graph.edges) - len(graph.vertices)
     first = 0.0
     first_terms = []
+    root_det_r = []
     for idx, P in enumerate(configs):
         det_r = float(np.linalg.det(form_r(graph, coloring, P)))
         dq = detprime(form_qP(graph, coloring, P), 3)
         term = np.sqrt(det_r) / np.sqrt(float(dq.real))
         first += term
+        root_det_r.append(np.sqrt(det_r))
         first_terms.append({"config": idx, "det_r": det_r, "detprime_qP": dq.real,
                             "term": term})
-    second = 0.0
-    pair_terms = []
-    convention_dependent = False
+    pairs = []  # (i, j), thetas, k-independent amplitude and denominator
     for i, P in enumerate(configs):
         for j, Q in enumerate(configs):
             if i == j:
                 continue
             pair = critical_pair(graph, coloring, P, Q)
-            if any((k * coloring[e]) % 2 for e in graph.edge_ids):
-                convention_dependent = True
-            _, sqrt_lim = _detprime_limit_both(graph, coloring, pair)
-            det_r = float(np.linalg.det(form_r(graph, coloring, P)))
-            phase = sum((k * coloring[e] + 1) * pair.thetas[e] for e in graph.edge_ids)
-            sin_prod = float(np.prod([np.sin(pair.thetas[e]) for e in graph.edge_ids]))
-            z = (1j ** n_exc) * np.sqrt(det_r) * np.exp(1j * phase) / (sqrt_lim * sin_prod)
+            _, sqrt_lim = detprime_limit(graph, coloring, pair)
+            sin_prod = float(np.prod([np.sin(pair.thetas[e]) for e in eids]))
+            pairs.append(((i, j), pair.thetas, (1j ** n_exc) * root_det_r[i],
+                          sqrt_lim * sin_prod))
+    rows = []
+    for k in ks:
+        second = 0.0
+        pair_terms = []
+        for ij, thetas, amp, den in pairs:
+            phase = sum((k * coloring[e] + 1) * thetas[e] for e in eids)
+            z = amp * np.exp(1j * phase) / den
             second += z.real
-            pair_terms.append({"pair": (i, j), "contribution": z.real,
-                               "thetas": {e: pair.thetas[e] for e in graph.edge_ids}})
-    prefactor = (2.0 * n_exc) ** 1.5 / (np.pi * k ** 3) ** (n_exc - 1)
-    value = prefactor * (first + second)
-    return {
-        "k": k,
-        "value": value,
-        "terms": {
-            "prefactor": prefactor,
-            "first_sum": first,
-            "second_sum": second,
-            "first_terms": first_terms,
-            "pair_terms": pair_terms,
-        },
-        "n_configs": len(configs),
-        "convention_dependent": convention_dependent,
-    }
+            pair_terms.append({"pair": ij, "contribution": z.real,
+                               "thetas": {e: thetas[e] for e in eids}})
+        prefactor = (2.0 * n_exc) ** 1.5 / (np.pi * k ** 3) ** (n_exc - 1)
+        rows.append({
+            "k": k,
+            "value": prefactor * (first + second),
+            "terms": {
+                "prefactor": prefactor,
+                "first_sum": first,
+                "second_sum": second,
+                "first_terms": first_terms,
+                "pair_terms": pair_terms,
+            },
+            "n_configs": len(configs),
+            "convention_dependent": bool(pairs) and any((k * coloring[e]) % 2 for e in eids),
+        })
+    return rows

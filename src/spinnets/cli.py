@@ -220,14 +220,20 @@ def _cmd_integrate(args):
     return 0
 
 
-def _cmd_check(args):
+def _configs_and_report(args):
+    """Graph, coloring, input digests, critical configurations and their
+    hypothesis report, shared by check and asymptote."""
     from .asymptotics import check_hypotheses, find_configs
 
     graph, _, inputs = _load_inputs(args)
     coloring = _load_coloring_arg(args.coloring, graph)
     configs = find_configs(graph, coloring, restarts=args.restarts, tol=args.tol,
                            seed=args.seed)
-    report = check_hypotheses(graph, coloring, configs)
+    return graph, coloring, inputs, configs, check_hypotheses(graph, coloring, configs)
+
+
+def _cmd_check(args):
+    graph, coloring, inputs, configs, report = _configs_and_report(args)
     results = {
         "graph": graph.name,
         "coloring": coloring,
@@ -246,10 +252,8 @@ def _cmd_check(args):
 
 
 def _cmd_asymptote(args):
-    from .asymptotics import asymptotic_estimate, check_hypotheses, find_configs
+    from .asymptotics import asymptotic_estimate
 
-    graph, _, inputs = _load_inputs(args)
-    coloring = _load_coloring_arg(args.coloring, graph)
     try:
         ks = [int(x) for x in args.k_list.split(",") if x]
     except ValueError as exc:
@@ -258,14 +262,12 @@ def _cmd_asymptote(args):
         raise InputError("--k-list is empty")
     if min(ks) < 1:
         raise InputError(f"--k-list values must be >= 1, got {args.k_list!r}")
-    configs = find_configs(graph, coloring, restarts=args.restarts, tol=args.tol,
-                           seed=args.seed)
-    report = check_hypotheses(graph, coloring, configs)
+    graph, coloring, inputs, configs, report = _configs_and_report(args)
     if not report.passed:
         raise HypothesisError(
             "hypotheses failed: " + json.dumps(report.to_obj()["configs"]) if not report.h1
             else "H2/H3 failed on a configuration pair")
-    rows = [asymptotic_estimate(graph, coloring, k, configs=configs) for k in ks]
+    rows = asymptotic_estimate(graph, coloring, configs, ks)
     if args.report == "csv":
         print("k,value,first_sum,second_sum,convention_dependent")
         for r in rows:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 
 from . import bundled_graph_path
@@ -83,12 +84,16 @@ def run(seed: int = 0) -> int:
         return a == b, ""
 
     def hypotheses():
-        from .asymptotics import check_hypotheses, find_configs
+        from .asymptotics import asymptotic_estimate, check_hypotheses, find_configs
 
         col = {e: 2 for e in tet.edge_ids}
         configs = find_configs(tet, col, restarts=40, seed=seed or 7)
         rep = check_hypotheses(tet, col, configs)
-        return rep.passed and len(configs) == 2, f"configs={len(configs)}"
+        if not (rep.passed and len(configs) == 2):
+            return False, f"configs={len(configs)}"
+        rows = asymptotic_estimate(tet, col, configs, (10, 20))
+        ok = all(math.isfinite(r["value"]) and not r["convention_dependent"] for r in rows)
+        return ok, f"configs={len(configs)}"
 
     _check("theta closed form (colors <= 4)", theta_closed_form, failures)
     _check("series coefficients match evaluations (theta, deg 6)", series_vs_eval, failures)

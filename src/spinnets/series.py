@@ -245,7 +245,7 @@ def westbury_polynomial(graph: Graph) -> MPoly:
             i, j = inside
             exps[f"{v}:{i}{j}"] = 1
         if ok:
-            terms[ns.encode(exps)] = QQi(1)
+            terms[ns.encode(exps)] = 1
     return MPoly(ns, terms)
 
 
@@ -254,6 +254,12 @@ def westbury_polynomial(graph: Graph) -> MPoly:
 # internal link per angle.  Entry weights follow the half-edge matrix of the
 # diagonal-holonomy quadratic form divided by i.
 # ---------------------------------------------------------------------------
+
+def _ratio(a, b):
+    """a / b as an int when it is one, else as a Fraction."""
+    q = Fraction(a) / Fraction(b)
+    return q.numerator if q.denominator == 1 else q
+
 
 def _w1_entries(graph: Graph, t: dict):
     """(namespace, node list, {(g,h): (monomial key, coeff)}) with
@@ -267,13 +273,12 @@ def _w1_entries(graph: Graph, t: dict):
             raise InputError(f"t[{h!r}] must be nonzero")
     entries = {}
     for e, l, r in graph.edges:
-        entries[(l, r)] = (0, QQi(1))
-        entries[(r, l)] = (0, QQi(-1))
+        entries[(l, r)] = (0, 1)
+        entries[(r, l)] = (0, -1)
     for aid, v, (i, j), (g, h) in graph.angles:
         key = ns.encode({aid: 1})
-        tg, th = Fraction(t[g]), Fraction(t[h])
-        entries[(g, h)] = (key, QQi(th / tg))
-        entries[(h, g)] = (key, QQi(-tg / th))
+        entries[(g, h)] = (key, _ratio(t[h], t[g]))
+        entries[(h, g)] = (key, -_ratio(t[g], t[h]))
     return ns, list(graph.halfedges), entries
 
 
@@ -285,7 +290,8 @@ def w1_matrix(graph: Graph, t: dict):
     rows = [[MPoly.zero(ns) for _ in range(n)] for _ in range(n)]
     for (g, h), (key, c) in entries.items():
         cur = rows[idx[g]][idx[h]]
-        rows[idx[g]][idx[h]] = cur + MPoly(ns, {key: c})
+        # QQi: the fraction-free determinant divides coefficients with `/`
+        rows[idx[g]][idx[h]] = cur + MPoly(ns, {key: QQi(c)})
     return ns, rows
 
 
@@ -349,7 +355,7 @@ def abelian_curve_sum(graph: Graph, t: dict | None = None) -> MPoly:
 
         walk(v, mask_v, key, coeff, 1)
 
-    cover((1 << n) - 1, 0, QQi(1), n)  # global factor (-1)^n via start parity
+    cover((1 << n) - 1, 0, 1, n)  # global factor (-1)^n via start parity
     return MPoly(ns, acc)
 
 
@@ -377,8 +383,7 @@ def pfaffian_dimer_sum(graph: Graph) -> MPoly:
 
     def match(mask, key):
         if not mask:
-            cur = acc.get(key)
-            acc[key] = QQi(1) if cur is None else cur + QQi(1)
+            acc[key] = acc.get(key, 0) + 1
             return
         v = (mask & -mask).bit_length() - 1
         mask_v = mask & ~(1 << v)

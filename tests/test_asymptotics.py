@@ -1,14 +1,19 @@
+import io
+import json
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 
+import spinnets.asymptotics as asymptotics
 from conftest import build_cube_config
 from oracles import tet_bracket_oracle
-from spinnets.asymptotics import (Configuration, _closure_terms, _eigs, _make_config,
-                                  asymptotic_estimate, build_forms, check_hypotheses,
-                                  critical_pair, detprime, detprime_limit,
-                                  _detprime_limit_both, find_configs, form_qP, form_qpp,
+from spinnets.asymptotics import (Configuration, _closure, _eigs, _make_config,
+                                  asymptotic_estimate, check_hypotheses, critical_pair,
+                                  detprime, detprime_limit, find_configs, form_qP, form_qpp,
                                   form_qkappa, form_r, hopf_project, hopf_section,
                                   rotation_from_su2, su2_from_rotation)
+from spinnets.cli import dispatch
 from spinnets.errors import DomainError, HypothesisError
 from spinnets.haar import haar_su2, su2_matrix
 
@@ -49,6 +54,32 @@ def test_find_configs_tet(tet, tet_configs):
     with pytest.warns(UserWarning, match="components may have been missed"):
         few = find_configs(tet, {e: 2 for e in tet.edge_ids}, restarts=3, seed=7)
     assert len(few) == 2
+
+
+def test_find_configs_reports_raised_restarts(tet, monkeypatch):
+    # a restart that raises is skipped, counted and reported in one warning
+    real = asymptotics.least_squares
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "least_squares", flaky)
+    with pytest.warns(UserWarning, match=r"1 of 20 restarts raised; first: LinAlgError"):
+        configs = find_configs(tet, {e: 2 for e in tet.edge_ids}, restarts=20, seed=7)
+    assert len(calls) == 20 and len(configs) == 2
+    assert sum(c.hits for c in configs) == 19
+
+    # anything else is a bug and propagates
+    def broken(*args, **kwargs):
+        raise TypeError("not a solver failure")
+
+    monkeypatch.setattr(asymptotics, "least_squares", broken)
+    with pytest.raises(TypeError):
+        find_configs(tet, {e: 2 for e in tet.edge_ids}, restarts=20, seed=7)
 
 
 def test_strict_triangle_precondition(theta):
@@ -144,8 +175,8 @@ def test_detprime_limit_consistency(tet, tet_configs):
     col = {e: 2 for e in tet.edge_ids}
     pair = critical_pair(tet, col, tet_configs[0], tet_configs[1])
     # extrapolants from levels up to j=11 and up to j=12 agree to 4 digits
-    lim11 = detprime_limit(tet, col, pair, js=range(6, 12))
-    lim12 = detprime_limit(tet, col, pair, js=range(6, 13))
+    lim11, _ = detprime_limit(tet, col, pair, js=range(6, 12))
+    lim12, _ = detprime_limit(tet, col, pair, js=range(6, 13))
     assert abs(lim11 - lim12) / abs(lim12) < 1e-4
     # the raw scaled sequence converges linearly toward the same limit
     vs = []
@@ -163,7 +194,7 @@ def test_detprime_limit_slope_route(tet, tet_configs):
     # linearly vanishing eigenvalue slopes reproduces the extrapolated limit
     col = {e: 2 for e in tet.edge_ids}
     pair = critical_pair(tet, col, tet_configs[0], tet_configs[1])
-    lim = detprime_limit(tet, col, pair)
+    lim, _ = detprime_limit(tet, col, pair)
     d6 = detprime(form_qpp(tet, col, pair), 6)
     slopes = []
     for j in (10, 11):
@@ -189,7 +220,7 @@ def test_pair_contributions_conjugate(tet, tet_configs):
     zs = []
     for (i, j) in ((0, 1), (1, 0)):
         pair = critical_pair(tet, col, tet_configs[i], tet_configs[j])
-        _, sq = _detprime_limit_both(tet, col, pair)
+        _, sq = detprime_limit(tet, col, pair)
         det_r = float(np.linalg.det(form_r(tet, col, tet_configs[i])))
         phase = sum((k * col[e] + 1) * pair.thetas[e] for e in tet.edge_ids)
         sins = float(np.prod([np.sin(pair.thetas[e]) for e in tet.edge_ids]))
@@ -199,27 +230,56 @@ def test_pair_contributions_conjugate(tet, tet_configs):
 
 def test_build_forms_surface(tet, tet_configs):
     col = {e: 2 for e in tet.edge_ids}
-    out = build_forms(tet, col, tet_configs[0], tet_configs[1], 1.5)
-    assert out["r"].shape == (3, 3)
-    assert out["qP"].shape == (12, 12)
-    assert out["qkappa"].shape == (12, 12)
+    pair = critical_pair(tet, col, tet_configs[0], tet_configs[1])
+    assert form_r(tet, col, tet_configs[0]).shape == (3, 3)
+    assert form_qP(tet, col, tet_configs[0]).shape == (12, 12)
+    assert form_qkappa(tet, col, pair, 1.5).shape == (12, 12)
     with pytest.raises(DomainError):
-        build_forms(tet, col, tet_configs[0], tet_configs[1], 1.0)
+        form_qkappa(tet, col, pair, 1.0)
 
 
 def test_asymptotic_estimate_structure(tet, tet_configs):
     col = {e: 2 for e in tet.edge_ids}
-    out = asymptotic_estimate(tet, col, 10, configs=tet_configs)
+    out, out2 = asymptotic_estimate(tet, col, tet_configs, [10, 11])
+    assert out["k"] == 10 and out2["k"] == 11
     assert out["terms"]["prefactor"] == pytest.approx(8.0 / (np.pi * 1000.0))
     assert not out["convention_dependent"]
     # changing k rotates each pair phase as the formula prescribes
-    out2 = asymptotic_estimate(tet, col, 11, configs=tet_configs)
     assert out2["value"] != out["value"]
+
+
+def test_asymptotic_estimate_computes_k_independent_data_once(monkeypatch):
+    # critical pairs: one per ordered pair in check_hypotheses and one in the
+    # estimate; Richardson limits: one per ordered pair, whatever the k-list
+    calls = {"critical_pair": 0, "detprime_limit": 0}
+
+    def counted(name):
+        fn = getattr(asymptotics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(asymptotics, name, counted(name))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        rc = dispatch(["asymptote", "-g", "tetrahedron",
+                       "-c", '{"ab":2,"ac":2,"ad":2,"bc":2,"bd":2,"cd":2}',
+                       "--k-list", "10,20,40", "--restarts", "30", "--seed", "3"])
+    assert rc == 0
+    rep = json.loads(buf.getvalue())["results"]
+    n = rep["hypotheses"]["n_configs"]
+    assert n == 2
+    assert [r["k"] for r in rep["estimates"]] == [10, 20, 40]
+    assert calls["critical_pair"] <= 2 * n * (n - 1)
+    assert calls["detprime_limit"] == n * (n - 1)
 
 
 def test_asymptotic_accuracy_k20(tet, tet_configs):
     col = {e: 2 for e in tet.edge_ids}
-    est = asymptotic_estimate(tet, col, 20, configs=tet_configs)["value"]
+    est = asymptotic_estimate(tet, col, tet_configs, [20])[0]["value"]
     exact = float(tet_bracket_oracle({e: 40 for e in tet.edge_ids}))
     assert abs(est / exact - 1.0) < 0.1
 
@@ -236,8 +296,7 @@ def test_bricard_cube_fails_h1():
     pos = {"A0": A, "A1": half_turn(A), "B0": B, "B1": half_turn(B),
            "C0": C, "C1": half_turn(C)}
     g, vecs, cols = build_cube_config(pos)
-    res = max(np.linalg.norm(sum(cols[g.edge_ids[ei]] * s * vecs[ei] for ei, s in t))
-              for t in _closure_terms(g))
+    res = float(np.max(np.linalg.norm(_closure(g, cols)(vecs), axis=1)))
     assert res < 1e-6
     q = form_qP(g, cols, _make_config(vecs, res))
     eigs = np.sort(np.abs(_eigs(q)))

@@ -91,6 +91,23 @@ def test_int_ring_series_matches_gaussian_ring(theta, tet, prism, name, degree, 
     assert z == series_Z(g, hol, degree)
 
 
+def test_routes_run_on_int_ring(theta, prism):
+    """The westbury, curves and pfaffian polynomials and their inverted
+    series carry no QQi coefficient and equal the det route."""
+    for g, degree in ((theta, 24), (prism, 12)):
+        w = westbury_polynomial(g)
+        pf = pfaffian_dimer_sum(g)
+        curves = abelian_curve_sum(g)
+        z = series_Z(g, degree=degree)
+        for poly in (w, pf, curves):
+            assert not any(isinstance(c, QQi) for c in poly.terms.values())
+        for poly in ((w * w).truncated(degree), (pf * pf).truncated(degree),
+                     curves.truncated(degree)):
+            inv = inverse_series(poly, degree)
+            assert not any(isinstance(c, QQi) for c in inv.poly.terms.values())
+            assert inv == z
+
+
 def test_series_matches_evaluations(theta, tet):
     rows = compare_with_evaluations(theta, None, series_Z(theta, degree=8), 8)
     assert rows and all(r[3] for r in rows)
