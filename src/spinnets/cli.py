@@ -155,7 +155,7 @@ def _cmd_series(args):
         "method": args.method,
         "degree": degree,
         "sign_fixed": sign_fixed,
-        "series": series.to_obj(),
+        "series": {"degree": degree, "terms": series.to_obj()},
     }
     if args.check_against_eval:
         rows = compare_with_evaluations(graph, holonomy, series, degree)

@@ -98,7 +98,6 @@ class Graph:
             if len(pair) != 2 or not pair <= seen_e:
                 raise InputError(f"bad crossing pair {sorted(pair)}")
         # left half-edge must sit at the earlier vertex (loops: earlier slot)
-        vpos = {v: i for i, (v, _) in enumerate(self.vertices)}
         hslot = {}
         for i, (v, hs) in enumerate(self.vertices):
             for j, h in enumerate(hs):
@@ -123,7 +122,6 @@ class Graph:
         if len(roots) != 1:
             raise InputError("graph is not connected")
         self._in_vertex = in_vertex
-        self._vpos = vpos
         self._hslot = hslot
 
     def _index(self):

@@ -17,7 +17,6 @@ from .evaluator import theta_value
 from .graphs import Graph, Holonomy
 
 __all__ = [
-    "SU2Sample",
     "MCEstimate",
     "haar_su2",
     "char_value",
@@ -29,26 +28,6 @@ __all__ = [
 
 _BATCH = 1 << 15
 MIN_SAMPLES = 10_000
-
-
-@dataclass(frozen=True)
-class SU2Sample:
-    """A group element as a unit quaternion with its rotation angle in [0, pi]."""
-
-    quaternion: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.quaternion, dtype=float)
-        if q.shape != (4,) or abs(np.linalg.norm(q) - 1.0) > 1e-12:
-            raise InputError("SU2Sample needs a unit quaternion of shape (4,)")
-        object.__setattr__(self, "quaternion", q)
-
-    @property
-    def angle(self) -> float:
-        return float(np.arccos(np.clip(self.quaternion[0], -1.0, 1.0)))
-
-    def matrix(self) -> np.ndarray:
-        return su2_matrix(self.quaternion)
 
 
 @dataclass(frozen=True)
@@ -84,8 +63,6 @@ def char_value(n: int, q):
     angle theta: sin((n+1) theta) / sin(theta), with the limit at 0, pi."""
     if n < 0:
         raise DomainError("character label must be >= 0")
-    if isinstance(q, SU2Sample):
-        q = q.quaternion
     q = np.asarray(q, dtype=float)
     w = np.clip(q[..., 0], -1.0, 1.0)
     theta = np.arccos(w)

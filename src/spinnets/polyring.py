@@ -1,9 +1,11 @@
-"""Sparse multivariate polynomials and truncated series over Gaussian rationals.
+"""Sparse multivariate polynomials over int, Fraction or Gaussian rationals.
 
 Coefficients are int, Fraction or QQi, each kept in the narrowest of these
-rings its inputs allow: the ring operations work on any of them and mix
-them, an int meeting a Fraction giving a Fraction and either meeting a QQi
-giving a QQi.
+rings its inputs allow: constructors store the coefficient they are given,
+the ring operations work on any of them and mix them, an int meeting a
+Fraction giving a Fraction and either meeting a QQi giving a QQi, and
+division goes through `rational.div_exact`.  A truncated series is an MPoly
+whose caller knows its degree bound.
 
 Monomials are packed into a single int key, 6 bits per variable (exponents
 must stay at or below MAX_EXPONENT = 63; products refuse to pass it).
@@ -18,7 +20,7 @@ from math import factorial
 from operator import or_
 
 from .errors import InputError, PreconditionError
-from .rational import QQi, ZERO, ONE
+from .rational import QQi, div_exact
 
 _BITS = 6
 MAX_EXPONENT = (1 << _BITS) - 1
@@ -103,7 +105,7 @@ def _check_ns(a: "MPoly", b: "MPoly"):
 
 
 class MPoly:
-    """Sparse polynomial: {packed monomial key: nonzero QQi or int coefficient}."""
+    """Sparse polynomial: {packed monomial key: nonzero int, Fraction or QQi}."""
 
     __slots__ = ("ns", "terms")
 
@@ -118,18 +120,15 @@ class MPoly:
 
     @classmethod
     def const(cls, ns, c):
-        c = c if isinstance(c, QQi) else QQi(c)
         return cls(ns, {0: c} if c else {})
 
     @classmethod
     def var(cls, ns, name, coeff=1):
-        c = coeff if isinstance(coeff, QQi) else QQi(coeff)
-        return cls(ns, {ns.encode({name: 1}): c} if c else {})
+        return cls(ns, {ns.encode({name: 1}): coeff} if coeff else {})
 
     @classmethod
     def monomial(cls, ns, exps: dict, coeff):
-        c = coeff if isinstance(coeff, QQi) else QQi(coeff)
-        return cls(ns, {ns.encode(exps): c} if c else {})
+        return cls(ns, {ns.encode(exps): coeff} if coeff else {})
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
@@ -240,7 +239,7 @@ class MPoly:
         return not self.terms
 
     def constant_term(self):
-        return self.terms.get(0, ZERO)
+        return self.terms.get(0, 0)
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -249,7 +248,7 @@ class MPoly:
         return max(deg(k) for k in self.terms)
 
     def coefficient(self, exps: dict):
-        return self.terms.get(self.ns.encode(exps), ZERO)
+        return self.terms.get(self.ns.encode(exps), 0)
 
     def truncated(self, max_degree: int):
         deg = self.ns.degree
@@ -305,56 +304,6 @@ class MPoly:
         return cls(ns, terms)
 
 
-class TruncSeries:
-    """MPoly together with a total-degree bound; arithmetic re-truncates."""
-
-    __slots__ = ("poly", "degree")
-
-    def __init__(self, poly: MPoly, degree: int):
-        self.poly = poly.truncated(degree)
-        self.degree = degree
-
-    def __add__(self, other):
-        if isinstance(other, TruncSeries):
-            if other.degree != self.degree:
-                raise InputError("truncation degree mismatch")
-            other = other.poly
-        return TruncSeries(self.poly + other, self.degree)
-
-    def __neg__(self):
-        return TruncSeries(-self.poly, self.degree)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QQi)):
-            return TruncSeries(self.poly.scalar_mul(other), self.degree)
-        if isinstance(other, TruncSeries):
-            if other.degree != self.degree:
-                raise InputError("truncation degree mismatch")
-            other = other.poly
-        return TruncSeries(self.poly.mul_trunc(other, self.degree), self.degree)
-
-    __rmul__ = __mul__
-
-    def coefficient(self, exps: dict) -> QQi:
-        return self.poly.coefficient(exps)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncSeries)
-            and self.degree == other.degree
-            and self.poly == other.poly
-        )
-
-    def __repr__(self):
-        return f"TruncSeries(deg<={self.degree}, {self.poly!r})"
-
-    def to_obj(self):
-        return {"degree": self.degree, "terms": self.poly.to_obj()}
-
-
 # ---------------------------------------------------------------------------
 # edge-contraction operator
 # ---------------------------------------------------------------------------
@@ -400,16 +349,8 @@ def apply_edge_operator(p: MPoly, z1: str, w1: str, z2: str, w2: str, c: int) ->
                 del out[kk]
     if c > 1:
         fc = factorial(c)
-        out = {k: _div_exact(v, fc) for k, v in out.items()}
+        out = {k: div_exact(v, fc) for k, v in out.items()}
     return MPoly(ns, out)
-
-
-def _div_exact(x, d: int):
-    """x / d, staying an int when x is an int that d divides."""
-    if type(x) is int:
-        q, r = divmod(x, d)
-        return Fraction(x, d) if r else q
-    return x * Fraction(1, d)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +377,7 @@ def exact_div(num: MPoly, den: MPoly) -> MPoly:
         for k, c in num.terms.items():
             if kd and not _divides(kd, k):
                 raise InputError("inexact polynomial division")
-            out[k - kd] = c / cd
+            out[k - kd] = div_exact(c, cd)
         return MPoly(ns, out)
     import heapq
 
@@ -455,11 +396,11 @@ def exact_div(num: MPoly, den: MPoly) -> MPoly:
         if not _divides(lk, k):
             raise InputError("inexact polynomial division")
         qk = k - lk
-        qc = rem[k] / lc
+        qc = div_exact(rem[k], lc)
         quot[qk] = qc
         for kd, cd in den.terms.items():
             kk = kd + qk
-            s = rem.get(kk, ZERO) - cd * qc
+            s = rem.get(kk, 0) - cd * qc
             if s:
                 if kk not in rem:
                     heapq.heappush(heap, (-deg(kk), -kk))
@@ -596,20 +537,19 @@ def power_series(u: MPoly, max_degree: int, step) -> MPoly:
         result = result + uk.scalar_mul(c)
 
 
-def inv_sqrt_series(d: MPoly, max_degree: int) -> TruncSeries:
+def inv_sqrt_series(d: MPoly, max_degree: int) -> MPoly:
     """Truncated s with s^2 * d = 1 (mod degree > max_degree) and s(0) = 1:
     the binomial series of (1 + u)^(-1/2) in u = d - 1."""
-    if d.constant_term() != ONE:
+    if d.constant_term() != 1:
         raise PreconditionError("inv_sqrt_series needs constant term exactly 1")
     u = d - MPoly(d.ns, {0: 1})
-    return TruncSeries(power_series(u, max_degree, lambda k: Fraction(-(2 * k - 1), 2 * k)),
-                       max_degree)
+    return power_series(u, max_degree, lambda k: Fraction(-(2 * k - 1), 2 * k))
 
 
-def inverse_series(d: MPoly, max_degree: int) -> TruncSeries:
+def inverse_series(d: MPoly, max_degree: int) -> MPoly:
     """Truncated multiplicative inverse of d, with d(0) = 1: the geometric
     series of (1 + u)^(-1) in u = d - 1."""
-    if d.constant_term() != ONE:
+    if d.constant_term() != 1:
         raise PreconditionError("inverse_series needs constant term exactly 1")
     u = d - MPoly(d.ns, {0: 1})
-    return TruncSeries(power_series(u, max_degree, lambda k: -1), max_degree)
+    return power_series(u, max_degree, lambda k: -1)

@@ -54,6 +54,8 @@ class QQi:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QQi(self.re / other, self.im / other)
         other = _coerce(other)
         n2 = other.norm2()
         if not n2:
@@ -61,6 +63,9 @@ class QQi:
         conj = other.conjugate()
         num = self * conj
         return QQi(num.re / n2, num.im / n2)
+
+    def __rtruediv__(self, other):
+        return _coerce(other) / self
 
     def conjugate(self):
         return QQi(self.re, -self.im)
@@ -93,7 +98,6 @@ class QQi:
         return f"QQi({self.re}, {self.im})"
 
 
-ZERO = QQi(0)
 ONE = QQi(1)
 I = QQi(0, 1)
 
@@ -112,6 +116,19 @@ def narrow(x):
     if not x.im and x.re.denominator == 1:
         return x.re.numerator
     return x
+
+
+def div_exact(a, b):
+    """a / b without leaving the rings of a and b: an int when int or
+    Fraction operands give an integer, a Fraction when they give another
+    rational, a QQi when either operand is a QQi."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    if isinstance(a, QQi) or isinstance(b, QQi):
+        return a / b
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
 
 
 def ipow(n: int) -> QQi:

@@ -18,8 +18,9 @@ from fractions import Fraction
 from .errors import InputError, RegimeError
 from .evaluator import _wvar, _zvar, eval_spin_network, renormalize
 from .graphs import Graph, Holonomy, admissible_colorings, internal_coloring
-from .polyring import MPoly, Namespace, TruncSeries, _div_exact, det_poly, inv_sqrt_series
-from .rational import QQi, narrow
+from .polyring import MPoly, Namespace, inv_sqrt_series
+from .polyring import det_poly  # noqa: F401  perfbench/tracer.py patches it here by name
+from .rational import QQi, div_exact, narrow
 
 __all__ = [
     "PQMatrices",
@@ -196,27 +197,19 @@ def truncated_det(pq: PQMatrices, max_degree: int) -> MPoly:
         total = MPoly.zero(ns)
         for m in range(1, k + 1):
             total = total + traces[m] * parts[k - m]
-        parts.append(MPoly(ns, {key: _div_exact(-c, k) for key, c in total.terms.items()}))
+        parts.append(MPoly(ns, {key: div_exact(-c, k) for key, c in total.terms.items()}))
     # the parts are homogeneous of distinct degrees, so no monomial repeats
     return MPoly(ns, {key: c for part in parts for key, c in part.terms.items()})
 
 
-def series_Z(graph: Graph, holonomy: Holonomy | None = None, degree: int = 8,
-             method: str = "auto") -> TruncSeries:
+def series_Z(graph: Graph, holonomy: Holonomy | None = None, degree: int = 8) -> MPoly:
     """Inverse square root of det(P + Q) up to total degree `degree`.
 
     For crossing-free presentations the coefficient of X^c is the
     renormalized evaluation; with crossings, apply nonplanar_fix to the
     result to obtain the true generating series.
     """
-    pq = build_pq(graph, holonomy)
-    if method == "bareiss":
-        det = det_poly(pq.full()).truncated(degree)
-    elif method in ("auto", "trlog"):
-        det = truncated_det(pq, degree)
-    else:
-        raise InputError(f"unknown series method {method!r}")
-    return inv_sqrt_series(det, degree)
+    return inv_sqrt_series(truncated_det(build_pq(graph, holonomy), degree), degree)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +248,6 @@ def westbury_polynomial(graph: Graph) -> MPoly:
 # diagonal-holonomy quadratic form divided by i.
 # ---------------------------------------------------------------------------
 
-def _ratio(a, b):
-    """a / b as an int when it is one, else as a Fraction."""
-    q = Fraction(a) / Fraction(b)
-    return q.numerator if q.denominator == 1 else q
-
-
 def _w1_entries(graph: Graph, t: dict):
     """(namespace, node list, {(g,h): (monomial key, coeff)}) with
     W1[left][right] = 1, W1[right][left] = -1 per edge and
@@ -271,14 +258,15 @@ def _w1_entries(graph: Graph, t: dict):
             raise InputError(f"t misses half-edge {h!r}")
         if not Fraction(t[h]):
             raise InputError(f"t[{h!r}] must be nonzero")
+    t = {h: Fraction(t[h]) for h in graph.halfedges}
     entries = {}
     for e, l, r in graph.edges:
         entries[(l, r)] = (0, 1)
         entries[(r, l)] = (0, -1)
     for aid, v, (i, j), (g, h) in graph.angles:
         key = ns.encode({aid: 1})
-        entries[(g, h)] = (key, _ratio(t[h], t[g]))
-        entries[(h, g)] = (key, -_ratio(t[g], t[h]))
+        entries[(g, h)] = (key, div_exact(t[h], t[g]))
+        entries[(h, g)] = (key, -div_exact(t[g], t[h]))
     return ns, list(graph.halfedges), entries
 
 
@@ -289,9 +277,7 @@ def w1_matrix(graph: Graph, t: dict):
     idx = {h: i for i, h in enumerate(nodes)}
     rows = [[MPoly.zero(ns) for _ in range(n)] for _ in range(n)]
     for (g, h), (key, c) in entries.items():
-        cur = rows[idx[g]][idx[h]]
-        # QQi: the fraction-free determinant divides coefficients with `/`
-        rows[idx[g]][idx[h]] = cur + MPoly(ns, {key: QQi(c)})
+        rows[idx[g]][idx[h]] = rows[idx[g]][idx[h]] + MPoly(ns, {key: c})
     return ns, rows
 
 
@@ -405,10 +391,9 @@ def _flip_angles(graph: Graph, e: str):
     return graph.angles_at_halfedge(left)
 
 
-def nonplanar_fix(series: TruncSeries, graph: Graph) -> TruncSeries:
+def nonplanar_fix(poly: MPoly, graph: Graph) -> MPoly:
     """Apply S_x = (id + Op_e1 + Op_e2 - Op_e1 Op_e2)/2 for every crossing,
     where Op_e negates the two angle variables at the left endpoint of e."""
-    poly = series.poly
     for pair in sorted(tuple(sorted(p)) for p in graph.crossings):
         e1, e2 = pair
         f1 = _flip_angles(graph, e1)
@@ -417,7 +402,7 @@ def nonplanar_fix(series: TruncSeries, graph: Graph) -> TruncSeries:
         p2 = poly.substitute_sign_flip(f2)
         p12 = p1.substitute_sign_flip(f2)
         poly = (poly + p1 + p2 - p12).scalar_mul(Fraction(1, 2))
-    return TruncSeries(poly, series.degree)
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +410,7 @@ def nonplanar_fix(series: TruncSeries, graph: Graph) -> TruncSeries:
 # ---------------------------------------------------------------------------
 
 def compare_with_evaluations(graph: Graph, holonomy: Holonomy | None,
-                             series: TruncSeries, degree: int):
+                             series: MPoly, degree: int):
     """One row per admissible coloring of total degree <= degree:
     (coloring, series coefficient, renormalized evaluation, equal?)."""
     rows = []

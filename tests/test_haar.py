@@ -168,11 +168,12 @@ def test_determinism_and_worker_chunks(theta):
 
 
 def test_su2_sample_type():
-    from spinnets.haar import SU2Sample
-
-    s = SU2Sample(np.array([0.0, 1.0, 0.0, 0.0]))
-    assert s.angle == pytest.approx(np.pi / 2)
-    assert char_value(2, s) == pytest.approx(-1.0)
-    assert np.allclose(s.matrix() @ s.matrix().conj().T, np.eye(2))
-    with pytest.raises(InputError):
-        SU2Sample(np.array([1.0, 1.0, 0.0, 0.0]))
+    # group elements are unit quaternions: angle 0, pi/2, pi/2 and pi
+    q = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 0.0]])
+    assert char_value(2, q[1]) == pytest.approx(-1.0)
+    assert np.allclose(char_value(2, q), [3.0, -1.0, -1.0, 3.0])
+    m = su2_matrix(q)
+    assert m.shape == (4, 2, 2)
+    assert np.allclose(m @ m.conj().transpose(0, 2, 1), np.eye(2))
+    assert np.allclose(m[0], np.eye(2)) and np.allclose(m[3], -np.eye(2))

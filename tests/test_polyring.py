@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from oracles import naive_det, naive_edge_operator
 from spinnets.errors import InputError, PreconditionError
-from spinnets.polyring import (MPoly, Namespace, TruncSeries, apply_edge_operator,
-                               det_poly, exact_div, inv_sqrt_series, inverse_series,
-                               power_series)
+from spinnets.polyring import (MPoly, Namespace, apply_edge_operator, det_poly, exact_div,
+                               inv_sqrt_series, inverse_series, power_series)
 from spinnets.rational import QQi
 
 NS3 = Namespace(("x", "y", "z"))
@@ -50,6 +49,9 @@ def test_basic_identities():
     assert (x + y) * (x - y) == x * x - y * y
     assert (x * y).substitute_sign_flip(["x"]) == -(x * y)
     assert (x * y).substitute_sign_flip(["x", "y"]) == x * y
+    # an absent monomial reads as the int 0, in whatever ring the terms are
+    for p in (x, x.scalar_mul(QQi(0, 1))):
+        assert type(p.constant_term()) is int and type(p.coefficient({"y": 1})) is int
 
 
 def test_pow_keeps_ring_and_exponent_bound():
@@ -136,7 +138,7 @@ def test_edge_operator_int_coefficients():
 # -- inverse square root ----------------------------------------------------
 
 def test_inv_sqrt_trivial():
-    assert inv_sqrt_series(MPoly.const(NS3, 1), 5).poly == MPoly.const(NS3, 1)
+    assert inv_sqrt_series(MPoly.const(NS3, 1), 5) == MPoly.const(NS3, 1)
 
 
 def test_inv_sqrt_binomial():
@@ -144,7 +146,7 @@ def test_inv_sqrt_binomial():
     s = inv_sqrt_series(MPoly.const(NS3, 1) + u, 2)
     expect = (MPoly.const(NS3, 1) + u.scalar_mul(Fraction(-1, 2))
               + (u * u).scalar_mul(Fraction(3, 8)))
-    assert s.poly == expect
+    assert s == expect
 
 
 def test_inv_sqrt_perfect_power():
@@ -153,10 +155,9 @@ def test_inv_sqrt_perfect_power():
     d = (MPoly.const(NS3, 1) + u).pow(4)
     s = inv_sqrt_series(d, 6)
     for k in range(7):
-        assert s.poly.coefficient({"x": k}) == QQi((k + 1) * (-1) ** k)
+        assert s.coefficient({"x": k}) == QQi((k + 1) * (-1) ** k)
     # defining identity s^2 d = 1 mod degree > 6
-    sq = s * s * TruncSeries(d, 6)
-    assert sq.poly == MPoly.const(NS3, 1)
+    assert s.mul_trunc(s, 6).mul_trunc(d, 6) == MPoly.const(NS3, 1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -166,7 +167,7 @@ def test_inv_sqrt_defining_identity(p, degree):
     d = MPoly(NS3, {k: c for k, c in d.terms.items()}) - MPoly.monomial(
         NS3, {}, d.constant_term()) + MPoly.const(NS3, 1)
     s = inv_sqrt_series(d, degree)
-    assert (s * s * TruncSeries(d, degree)).poly == MPoly.const(NS3, 1)
+    assert s.mul_trunc(s, degree).mul_trunc(d, degree) == MPoly.const(NS3, 1)
 
 
 def test_inv_sqrt_requires_unit_constant():
@@ -182,7 +183,7 @@ def test_inv_sqrt_requires_unit_constant():
 def test_inverse_series():
     p = MPoly.const(NS3, 1) + MPoly.var(NS3, "x")
     inv = inverse_series(p, 4)
-    assert (inv * TruncSeries(p, 4)).poly == MPoly.const(NS3, 1)
+    assert inv.mul_trunc(p, 4) == MPoly.const(NS3, 1)
 
 
 # -- determinants -----------------------------------------------------------
@@ -197,12 +198,15 @@ def test_det_2x2_and_identity():
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(2, 4), st.data())
-def test_det_matches_cofactor(n, data):
+@given(st.integers(2, 4), st.sampled_from((int, QQi)), st.data())
+def test_det_matches_cofactor(n, ring, data):
     m = [[MPoly.monomial(NS3, {v: data.draw(st.integers(0, 1)) for v in "xy"},
-                         QQi(data.draw(st.integers(-2, 2))))
+                         ring(data.draw(st.integers(-2, 2))))
           for _ in range(n)] for _ in range(n)]
-    assert det_poly(m) == naive_det(m)
+    d = det_poly(m)
+    assert d == naive_det(m)
+    if ring is int:
+        assert all(type(c) is int for c in d.terms.values())
 
 
 def test_exact_div():
@@ -211,3 +215,15 @@ def test_exact_div():
     assert exact_div(num, x + y) == (x - y) * (x + y)
     with pytest.raises(InputError):
         exact_div(x * x + y, x + y)
+    # each coefficient keeps its ring: int stays int, and never turns float
+    two = MPoly.const(NS3, 2)
+    q = exact_div(x * 2, two)
+    assert q.terms == {NS3.encode({"x": 1}): 1}
+    assert all(type(c) is int for c in q.terms.values())
+    half = exact_div(x * 3 + y * 4, two)
+    assert half.terms == {NS3.encode({"x": 1}): Fraction(3, 2), NS3.encode({"y": 1}): 2}
+    assert type(half.coefficient({"x": 1})) is Fraction
+    q = exact_div(x * x * 6 - y * y * 6, (x + y) * 2)
+    assert q == x * 3 - y * 3
+    assert all(type(c) is int for c in q.terms.values())
+    assert type(exact_div(x * 2, MPoly.const(NS3, QQi(0, 1))).coefficient({"x": 1})) is QQi

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from spinnets.errors import InputError
-from spinnets.rational import QQi, format_exact, ipow, parse_exact
+from spinnets.rational import QQi, div_exact, format_exact, ipow, parse_exact
 
 
 def test_arithmetic():
@@ -23,6 +23,30 @@ def test_division_and_norm():
     assert a / a == QQi(1)
     with pytest.raises(ZeroDivisionError):
         a / QQi(0)
+    # a real divisor divides both parts; an int or Fraction dividend divides on QQi
+    assert a / 3 == a / QQi(3) == QQi(Fraction(1, 3), Fraction(2, 3))
+    assert 1 / a == Fraction(1, 2) / QQi(Fraction(1, 2), 1) == QQi(Fraction(1, 5), Fraction(-2, 5))
+    with pytest.raises(ZeroDivisionError):
+        a / 0
+
+
+def test_div_exact_keeps_ring():
+    cases = [
+        ((6, 3), 2, int),
+        ((-7, 2), Fraction(-7, 2), Fraction),
+        ((Fraction(3, 2), Fraction(1, 2)), 3, int),
+        ((Fraction(1, 2), 3), Fraction(1, 6), Fraction),
+        ((4, Fraction(2, 3)), 6, int),
+        ((QQi(2), 2), QQi(1), QQi),
+        ((2, QQi(0, 1)), QQi(0, -2), QQi),
+        ((Fraction(1, 2), QQi(1, 1)), QQi(Fraction(1, 4), Fraction(-1, 4)), QQi),
+    ]
+    for (a, b), value, ring in cases:
+        got = div_exact(a, b)
+        assert got == value and type(got) is ring, (a, b, got)
+    for zero in (0, Fraction(0), QQi(0)):
+        with pytest.raises(ZeroDivisionError):
+            div_exact(1, zero)
 
 
 def test_ipow():
