@@ -141,6 +141,8 @@ def find_configs(graph: Graph, coloring: dict, restarts: int = 200,
     per class are recorded and a warning is emitted when the restart budget
     looks thin.  A restart whose solve raises ValueError or LinAlgError is
     skipped; the count and the first error go into one warning per call."""
+    if restarts < 1:
+        raise DomainError(f"restarts must be >= 1, got {restarts}")
     _strict_triangles(graph, coloring)
     ne = len(graph.edge_ids)
     closure = _closure(graph, coloring)
@@ -472,14 +474,22 @@ def detprime_limit(graph: Graph, coloring: dict, pair: CriticalPair,
 
 @dataclass
 class HypothesesReport:
+    """H1-H3 and their diagnostics, with the k-independent data the estimate
+    reuses: the configurations, their q_P spectra and the critical pair of
+    every ordered pair of distinct configurations.  An empty configuration
+    set does not pass."""
+
     h1: bool
     h2: bool
     h3: bool
     details: dict
+    configs: list = field(default_factory=list, repr=False)
+    spectra: list = field(default_factory=list, repr=False)
+    pairs: dict = field(default_factory=dict, repr=False)
 
     @property
     def passed(self):
-        return self.h1 and self.h2 and self.h3
+        return bool(self.configs) and self.h1 and self.h2 and self.h3
 
     def to_obj(self):
         """JSON-stable view: noise-level diagnostics (eigenvalue gap ratios,
@@ -504,11 +514,13 @@ class HypothesesReport:
 def check_hypotheses(graph: Graph, coloring: dict, configs) -> HypothesesReport:
     """Kernel-dimension and phase checks for every configuration and every
     ordered pair of distinct configurations."""
+    spectra = [_eigs(form_qP(graph, coloring, P)) for P in configs]
+    pairs = {(i, j): critical_pair(graph, coloring, P, Q)
+             for i, P in enumerate(configs) for j, Q in enumerate(configs) if i != j}
     h1 = True
     h1_detail = []
-    nv = len(graph.vertices)
-    for idx, P in enumerate(configs):
-        eigs = np.sort(np.abs(_eigs(form_qP(graph, coloring, P))))
+    for idx, spectrum in enumerate(spectra):
+        eigs = np.sort(np.abs(spectrum))
         scale = eigs[-1]
         kdim = int(np.sum(eigs < _KERNEL_THRESHOLD * scale))
         gap = float(eigs[3] / eigs[2]) if eigs[2] > 0 else float("inf")
@@ -518,27 +530,24 @@ def check_hypotheses(graph: Graph, coloring: dict, configs) -> HypothesesReport:
     h2 = True
     h3 = True
     pair_detail = []
-    for i, P in enumerate(configs):
-        for j, Q in enumerate(configs):
-            if i == j:
-                continue
-            pair = critical_pair(graph, coloring, P, Q)
-            min_dev = min(abs(t * t - 1.0) for t in pair.taus.values())
-            ok2 = min_dev > _PHASE_THRESHOLD
-            h2 = h2 and ok2
-            entry = {"pair": (i, j), "min_abs_tau2_minus_1": min_dev, "H2_pass": ok2}
-            if ok2:
-                eigs = np.sort(np.abs(_eigs(form_qpp(graph, coloring, pair))))
-                scale = eigs[-1]
-                corank = int(np.sum(eigs < _KERNEL_THRESHOLD * scale))
-                ok3 = corank == 6
-                h3 = h3 and ok3
-                entry.update({"qpp_corank": corank, "H3_pass": ok3})
-            else:
-                h3 = False
-            pair_detail.append(entry)
+    for (i, j), pair in pairs.items():
+        min_dev = min(abs(t * t - 1.0) for t in pair.taus.values())
+        ok2 = min_dev > _PHASE_THRESHOLD
+        h2 = h2 and ok2
+        entry = {"pair": (i, j), "min_abs_tau2_minus_1": min_dev, "H2_pass": ok2}
+        if ok2:
+            eigs = np.sort(np.abs(_eigs(form_qpp(graph, coloring, pair))))
+            scale = eigs[-1]
+            corank = int(np.sum(eigs < _KERNEL_THRESHOLD * scale))
+            ok3 = corank == 6
+            h3 = h3 and ok3
+            entry.update({"qpp_corank": corank, "H3_pass": ok3})
+        else:
+            h3 = False
+        pair_detail.append(entry)
     return HypothesesReport(h1, h2, h3, {"configs": h1_detail, "pairs": pair_detail,
-                                         "n_configs": len(configs)})
+                                         "n_configs": len(configs)},
+                            list(configs), spectra, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +558,17 @@ def asymptotic_estimate(graph: Graph, coloring: dict, configs, ks) -> list[dict]
     """Two-sum leading-order value of the rescaled bracket at every scale k
     in ks, one row per k.
 
+    `configs` is the HypothesesReport of check_hypotheses, whose q_P spectra
+    and critical pairs are reused, or a configuration list to check first.
+
     First sum over configurations; second over ordered pairs of distinct
     configurations (each +/- class contributes twice the real part, realized
     as the sum over both ordered representatives).  The determinants, the
     critical pairs and their extrapolated limits are computed once; only the
     pair phases and the prefactor depend on k."""
+    report = (configs if isinstance(configs, HypothesesReport)
+              else check_hypotheses(graph, coloring, configs))
+    configs = report.configs
     if not configs:
         raise HypothesisError("no critical configurations found")
     eids = graph.edge_ids
@@ -563,22 +578,18 @@ def asymptotic_estimate(graph: Graph, coloring: dict, configs, ks) -> list[dict]
     root_det_r = []
     for idx, P in enumerate(configs):
         det_r = float(np.linalg.det(form_r(graph, coloring, P)))
-        dq = detprime(form_qP(graph, coloring, P), 3)
+        dq = complex(np.prod(_split_kernel(report.spectra[idx], 3, _KERNEL_THRESHOLD)))
         term = np.sqrt(det_r) / np.sqrt(float(dq.real))
         first += term
         root_det_r.append(np.sqrt(det_r))
         first_terms.append({"config": idx, "det_r": det_r, "detprime_qP": dq.real,
                             "term": term})
     pairs = []  # (i, j), thetas, k-independent amplitude and denominator
-    for i, P in enumerate(configs):
-        for j, Q in enumerate(configs):
-            if i == j:
-                continue
-            pair = critical_pair(graph, coloring, P, Q)
-            _, sqrt_lim = detprime_limit(graph, coloring, pair)
-            sin_prod = float(np.prod([np.sin(pair.thetas[e]) for e in eids]))
-            pairs.append(((i, j), pair.thetas, (1j ** n_exc) * root_det_r[i],
-                          sqrt_lim * sin_prod))
+    for (i, j), pair in report.pairs.items():
+        _, sqrt_lim = detprime_limit(graph, coloring, pair)
+        sin_prod = float(np.prod([np.sin(pair.thetas[e]) for e in eids]))
+        pairs.append(((i, j), pair.thetas, (1j ** n_exc) * root_det_r[i],
+                      sqrt_lim * sin_prod))
     rows = []
     for k in ks:
         second = 0.0

@@ -202,7 +202,7 @@ def _cmd_integrate(args):
             target = 1.0
             for v, hs in graph.vertices:
                 a, b, c = (coloring[graph.edge_of[h][0]] for h in hs)
-                target *= float(theta_value(a, b, c)) if is_admissible(graph, coloring) else 0.0
+                target *= float(theta_value(a, b, c))
             for e in graph.edge_ids:
                 target /= coloring[e] + 1
     elif args.target == "W":
@@ -210,6 +210,9 @@ def _cmd_integrate(args):
         missing = set(graph.edge_ids) - set(y)
         if missing:
             raise InputError(f"--y misses edges {sorted(missing)}")
+        unknown = set(y) - set(graph.edge_ids)
+        if unknown:
+            raise InputError(f"--y names unknown edges {sorted(unknown)}")
         est = mc_W_point(graph, y, holonomy, args.samples, args.seed, args.workers)
         results["y"] = y
         target = None
@@ -263,11 +266,13 @@ def _cmd_asymptote(args):
     if min(ks) < 1:
         raise InputError(f"--k-list values must be >= 1, got {args.k_list!r}")
     graph, coloring, inputs, configs, report = _configs_and_report(args)
+    if not configs:
+        raise HypothesisError("no critical configurations found")
     if not report.passed:
         raise HypothesisError(
             "hypotheses failed: " + json.dumps(report.to_obj()["configs"]) if not report.h1
             else "H2/H3 failed on a configuration pair")
-    rows = asymptotic_estimate(graph, coloring, configs, ks)
+    rows = asymptotic_estimate(graph, coloring, report, ks)
     if args.report == "csv":
         print("k,value,first_sum,second_sum,convention_dependent")
         for r in rows:

@@ -9,6 +9,7 @@ format and never inferred.
 
 from __future__ import annotations
 
+import cmath
 import json
 from fractions import Fraction
 
@@ -46,6 +47,8 @@ class Graph:
     # -- construction ----------------------------------------------------
     @classmethod
     def from_obj(cls, obj):
+        if not isinstance(obj, dict):
+            raise InputError("graph must be a JSON object")
         try:
             name = obj.get("name", "graph")
             vertices = [(v["id"], tuple(v["halfedges"])) for v in obj["vertices"]]
@@ -314,25 +317,34 @@ class Holonomy:
 
     @classmethod
     def from_obj(cls, graph: Graph, obj):
+        if not isinstance(obj, dict):
+            raise InputError("holonomy must be a JSON object {half-edge: 2x2 matrix}")
+        unknown = set(obj) - set(graph.halfedges)
+        if unknown:
+            raise InputError(f"holonomy names unknown half-edges {sorted(unknown)}")
         exact = True
         parsed = {}
         for h, m in obj.items():
+            if not (isinstance(m, (list, tuple)) and len(m) == 2
+                    and all(isinstance(row, (list, tuple)) and len(row) == 2 for row in m)):
+                raise InputError(f"holonomy at {h!r} is not a 2x2 matrix")
             rows = []
             for row in m:
                 cells = []
                 for s in row:
-                    if isinstance(s, bool):
-                        raise InputError(f"bad scalar {s!r} in holonomy at {h!r}")
-                    if isinstance(s, (int, str)):
+                    if isinstance(s, (int, str)) and not isinstance(s, bool):
                         cells.append(parse_exact(s))
-                    elif isinstance(s, float):
-                        exact = False
-                        cells.append(complex(s))
-                    elif isinstance(s, (list, tuple)) and len(s) == 2:
-                        exact = False
-                        cells.append(complex(float(s[0]), float(s[1])))
-                    else:
+                        continue
+                    # a float, or a [re, im] pair of real numbers
+                    parts = s if isinstance(s, (list, tuple)) else (s, 0.0)
+                    if len(parts) != 2 or not all(
+                            isinstance(t, (int, float)) and not isinstance(t, bool) for t in parts):
                         raise InputError(f"bad scalar {s!r} in holonomy at {h!r}")
+                    z = complex(float(parts[0]), float(parts[1]))
+                    if not cmath.isfinite(z):
+                        raise InputError(f"non-finite scalar {s!r} in holonomy at {h!r}")
+                    exact = False
+                    cells.append(z)
                 rows.append(tuple(cells))
             parsed[h] = tuple(rows)
         if not exact:

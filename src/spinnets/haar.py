@@ -1,9 +1,12 @@
 """Monte-Carlo integration over SU(2)^V with Haar sampling.
 
 Samples are unit quaternions (exactly Haar via normalized 4-d Gaussians,
-counter-based Philox streams).  Estimates are deterministic for a fixed
-(seed, samples, workers): worker i consumes its own spawned substream and
-partial sums are reduced in worker order.
+counter-based Philox streams), and every SU(2) product of an integrand is a
+Hamilton product of quaternion arrays: half the trace of a product is its
+scalar part, so <p, q> is half the trace of p q^-1.  `su2_matrix` carries a
+quaternion to its matrix for callers that need one.  Estimates are
+deterministic for a fixed (seed, samples, workers): worker i consumes its
+own spawned substream and partial sums are reduced in worker order.
 """
 
 from __future__ import annotations
@@ -97,6 +100,20 @@ def su2_matrix(q: np.ndarray) -> np.ndarray:
     return m
 
 
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])  # q * _CONJ is q^-1 for a unit q
+
+
+def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton product of quaternion arrays (..., 4), broadcast; su2_matrix
+    carries it to the matrix product."""
+    a, b, c, d = (p[..., i] for i in range(4))
+    e, f, g, h = (q[..., i] for i in range(4))
+    return np.stack([a * e - b * f - c * g - d * h,
+                     a * f + b * e + c * h - d * g,
+                     a * g - b * h + c * e + d * f,
+                     a * h + b * g - c * f + d * e], axis=-1)
+
+
 def _check_samples(samples):
     if samples < MIN_SAMPLES:
         raise PreconditionError(f"samples must be >= {MIN_SAMPLES}")
@@ -111,12 +128,10 @@ def _chunks(samples: int, workers: int):
 
 def _estimate(batch_fn, samples: int, seed: int, workers: int) -> MCEstimate:
     """Mean/stderr of a per-sample statistic; batch_fn(rng, n) -> (n,) floats."""
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    children = np.random.SeedSequence(seed).spawn(workers)
-    for w, n_w in enumerate(_chunks(samples, workers)):
-        rng = np.random.Generator(np.random.Philox(children[w]))
+    total = total_sq = 0.0
+    chunks = _chunks(samples, workers)  # validates workers before spawning
+    for child, n_w in zip(np.random.SeedSequence(seed).spawn(workers), chunks):
+        rng = np.random.Generator(np.random.Philox(child))
         done = 0
         while done < n_w:
             n = min(_BATCH, n_w - done)
@@ -124,55 +139,40 @@ def _estimate(batch_fn, samples: int, seed: int, workers: int) -> MCEstimate:
             total += float(np.sum(vals))
             total_sq += float(np.sum(vals * vals))
             done += n
-        count += n_w
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0) * count / max(count - 1, 1)
-    return MCEstimate(mean, (var / count) ** 0.5, count, seed)
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0) * samples / max(samples - 1, 1)
+    return MCEstimate(mean, (var / samples) ** 0.5, samples, seed)
 
 
 def _prepared_holonomy(graph: Graph, holonomy):
-    """Per-edge conjugators (A, B) = (psi at left half, psi at right half),
-    or None for the trivial case."""
-    if holonomy is None:
-        return None
-    if holonomy.exact and holonomy.is_trivial():
+    """Per-edge unit quaternion c_e = psi_l^-1 psi_r (psi at the left and the
+    right half-edge), or None for the trivial case."""
+    if holonomy is None or (holonomy.exact and holonomy.is_trivial()):
         return None
     hol = holonomy.to_float(graph)
-    out = {}
-    unitary = True
-    for e, l, r in graph.edges:
-        A = np.array(hol.matrix(l), dtype=complex)
-        B = np.array(hol.matrix(r), dtype=complex)
-        for m in (A, B):
-            if np.max(np.abs(m.conj().T @ m - np.eye(2))) > 1e-9:
-                unitary = False
-        out[e] = (A, B, np.linalg.inv(A), np.linalg.inv(B))
-    if not unitary:
-        raise InputError("Monte-Carlo integrands need a (numerically) unitary holonomy")
-    return out
+
+    def quaternion(h):
+        # det 1 and unitary: m = su2_matrix(q) for q read off its first row
+        m = np.array(hol.matrix(h), dtype=complex)
+        q = np.array([m[0, 0].real, -m[0, 1].imag, -m[0, 1].real, -m[0, 0].imag])
+        if np.max(np.abs(su2_matrix(q) - m)) > 1e-9:
+            raise InputError("Monte-Carlo integrands need a (numerically) unitary holonomy")
+        return q
+
+    return {e: _qmul(quaternion(l) * _CONJ, quaternion(r)) for e, l, r in graph.edges}
 
 
-def _edge_half_traces(graph, coloring, conj, g):
-    """Half the trace of the per-edge matrix psi_l g_v psi_l^-1 psi_r g_w^-1 psi_r^-1,
-    for a batch of vertex samples g with shape (n, V, 4)."""
+def _edge_half_traces(graph, conj, g):
+    """Half the trace of psi_l g_v psi_l^-1 psi_r g_w^-1 psi_r^-1 per edge, that
+    is <g_v, c_e g_w c_e^-1>, for vertex samples g of shape (n, V, 4)."""
     vidx = {v: i for i, (v, _) in enumerate(graph.vertices)}
-    if conj is None:
-        # trace(g_v g_w^{-1}) = 2 <q_v, q_w>
-        out = {}
-        for e, l, r in graph.edges:
-            qa = g[:, vidx[graph.vertex_of[l]], :]
-            qb = g[:, vidx[graph.vertex_of[r]], :]
-            out[e] = np.einsum("ij,ij->i", qa, qb)
-        return out
-    mats = su2_matrix(g)  # (n, V, 2, 2)
     out = {}
     for e, l, r in graph.edges:
-        A, B, Ai, Bi = conj[e]
-        gv = mats[:, vidx[graph.vertex_of[l]]]
-        gw = mats[:, vidx[graph.vertex_of[r]]]
-        gw_inv = np.conj(np.swapaxes(gw, -1, -2))
-        m = A @ gv @ Ai @ B @ gw_inv @ Bi
-        out[e] = 0.5 * np.real(m[..., 0, 0] + m[..., 1, 1])
+        qv = g[:, vidx[graph.vertex_of[l]], :]
+        qw = g[:, vidx[graph.vertex_of[r]], :]
+        if conj is not None:
+            qw = _qmul(_qmul(conj[e], qw), conj[e] * _CONJ)
+        out[e] = np.einsum("ij,ij->i", qv, qw)
     return out
 
 
@@ -189,7 +189,7 @@ def mc_bracket(graph: Graph, coloring: dict, holonomy: Holonomy | None = None,
 
     def batch(rng, n):
         g = haar_su2(rng, n * nv).reshape(n, nv, 4)
-        half = _edge_half_traces(graph, coloring, conj, g)
+        half = _edge_half_traces(graph, conj, g)
         vals = np.ones(n)
         for e in graph.edge_ids:
             vals = vals * _chebyshev_u(coloring[e], half[e])
@@ -213,7 +213,7 @@ def mc_W_point(graph: Graph, y: dict, holonomy: Holonomy | None = None,
 
     def batch(rng, n):
         g = haar_su2(rng, n * nv).reshape(n, nv, 4)
-        half = _edge_half_traces(graph, None, conj, g)
+        half = _edge_half_traces(graph, conj, g)
         vals = np.ones(n)
         for e in graph.edge_ids:
             ye = y[e]
@@ -243,15 +243,15 @@ def mc_orthogonality(graph: Graph, coloring: dict,
                  coloring[graph.edge_of[h][0]]) for h in graph.halfedges]
 
     def batch(rng, n):
-        gv = su2_matrix(haar_su2(rng, n * nv).reshape(n, nv, 4))
-        ge = su2_matrix(haar_su2(rng, n * ne).reshape(n, ne, 4))
-        psi = su2_matrix(haar_su2(rng, n * nh).reshape(n, nh, 4))
+        gv = haar_su2(rng, n * nv).reshape(n, nv, 4)
+        ge = haar_su2(rng, n * ne).reshape(n, ne, 4)
+        psi = haar_su2(rng, n * nh).reshape(n, nh, 4)
         vals = np.full(n, scale)
         for k, (ei, vi, c) in enumerate(halfinfo):
+            # half the trace of g_e psi g_v psi^-1 is <g_e^-1, psi g_v psi^-1>
             p = psi[:, k]
-            p_inv = np.conj(np.swapaxes(p, -1, -2))
-            m = ge[:, ei] @ p @ gv[:, vi] @ p_inv
-            half = 0.5 * np.real(m[..., 0, 0] + m[..., 1, 1])
+            rotated = _qmul(_qmul(p, gv[:, vi]), p * _CONJ)
+            half = np.einsum("ij,ij->i", ge[:, ei] * _CONJ, rotated)
             vals = vals * _chebyshev_u(c, half)
         return vals
 

@@ -91,7 +91,7 @@ def run(seed: int = 0) -> int:
         rep = check_hypotheses(tet, col, configs)
         if not (rep.passed and len(configs) == 2):
             return False, f"configs={len(configs)}"
-        rows = asymptotic_estimate(tet, col, configs, (10, 20))
+        rows = asymptotic_estimate(tet, col, rep, (10, 20))
         ok = all(math.isfinite(r["value"]) and not r["convention_dependent"] for r in rows)
         return ok, f"configs={len(configs)}"
 

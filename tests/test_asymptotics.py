@@ -132,6 +132,24 @@ def test_phases_and_hypotheses(tet, tet_configs):
     assert rep.h1 and rep.h2 and rep.h3 and rep.passed
 
 
+def test_empty_configuration_set_fails(tet):
+    col = {e: 2 for e in tet.edge_ids}
+    rep = check_hypotheses(tet, col, [])
+    assert rep.h1 and rep.h2 and rep.h3 and not rep.passed
+    for restarts in (0, -3):
+        with pytest.raises(DomainError):
+            find_configs(tet, col, restarts=restarts)
+
+
+def test_estimate_from_report_equals_estimate_from_configs(tet, tet_configs):
+    col = {e: 2 for e in tet.edge_ids}
+    rep = check_hypotheses(tet, col, tet_configs)
+    assert len(rep.pairs) == len(tet_configs) * (len(tet_configs) - 1)
+    ks = [10, 20, 40]
+    assert (asymptotic_estimate(tet, col, rep, ks)
+            == asymptotic_estimate(tet, col, tet_configs, ks))
+
+
 def test_kernel_dimensions_3_3_6(tet, tet_configs):
     col = {e: 2 for e in tet.edge_ids}
     pair = critical_pair(tet, col, tet_configs[0], tet_configs[1])
@@ -249,8 +267,9 @@ def test_asymptotic_estimate_structure(tet, tet_configs):
 
 
 def test_asymptotic_estimate_computes_k_independent_data_once(monkeypatch):
-    # critical pairs: one per ordered pair in check_hypotheses and one in the
-    # estimate; Richardson limits: one per ordered pair, whatever the k-list
+    # critical pairs: one per ordered pair, built in check_hypotheses and
+    # reused by the estimate; Richardson limits: one per ordered pair,
+    # whatever the k-list
     calls = {"critical_pair": 0, "detprime_limit": 0}
 
     def counted(name):
@@ -273,7 +292,7 @@ def test_asymptotic_estimate_computes_k_independent_data_once(monkeypatch):
     n = rep["hypotheses"]["n_configs"]
     assert n == 2
     assert [r["k"] for r in rep["estimates"]] == [10, 20, 40]
-    assert calls["critical_pair"] <= 2 * n * (n - 1)
+    assert calls["critical_pair"] == n * (n - 1)
     assert calls["detprime_limit"] == n * (n - 1)
 
 

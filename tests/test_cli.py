@@ -88,6 +88,16 @@ def test_check_exit_1_on_hypothesis_failure():
     assert rc == 1
 
 
+def test_check_exit_1_on_empty_configuration_set():
+    # no restart converges below tol = 1e-300: an empty search is not a pass
+    with pytest.warns(UserWarning, match="empty configuration set"):
+        rc, out = run_cli("check", "-g", "tetrahedron",
+                          "-c", '{"ab":2,"ac":2,"ad":2,"bc":2,"bd":2,"cd":2}',
+                          "--restarts", "2", "--tol", "1e-300")
+    assert rc == 1
+    assert json.loads(out)["results"]["hypotheses"]["n_configs"] == 0
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     rc, _ = run_cli("eval", "-g", "no_such_file.json", "-c", "{}")
     assert rc == 2
@@ -100,6 +110,20 @@ def test_input_errors_exit_2(tmp_path, capsys):
     rc, _ = run_cli("definitely-not-a-command")
     assert rc == 2
     tet_c = '{"ab":2,"ac":2,"ad":2,"bc":2,"bd":2,"cd":2}'
+    th_c = '{"e1":2,"e2":2,"e3":2}'
+    w_theta = ("integrate", "-g", "theta", "--target", "W", "--samples", "10000",
+               "--y", "e1=0.1", "--y", "e2=0.1", "--y", "e3=0.1")
+    ident = {h: [[1, 0], [0, 1]] for h in ("u1", "u2", "u3", "v1", "v2", "v3")}
+    files = {
+        "graph_array": [],
+        "hol_array": [],
+        "hol_not_2x2": {"u1": 5},
+        "hol_unknown": {**ident, "zz": [[1, 0], [0, 1]]},
+        "hol_bad_pair": {**ident, "u1": [[["a", 1], 0], [0, 1]]},
+        "hol_nan": {**ident, "u1": [[[float("nan"), 0.0], 0], [0, 1]]},
+    }
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     for argv in (
         ("eval", "-g", "theta", "-c", '{"e1":2,'),
         ("eval", "-g", "theta", "-c", '{"e1":2.7,"e2":2,"e3":2}'),
@@ -112,6 +136,13 @@ def test_input_errors_exit_2(tmp_path, capsys):
         ("integrate", "-g", "theta", "--target", "W", "--y", "e1=abc"),
         ("integrate", "-g", "theta", "--target", "W", "--y", "e1=nan"),
         ("integrate", "-g", "theta", "--target", "W", "--y", "e1=inf"),
+        (*w_theta, "--y", "zz=0.1"),
+        ("integrate", "-g", "theta", "-c", th_c, "--samples", "10000", "--workers", "-1"),
+        ("eval", "-g", str(tmp_path / "graph_array.json"), "-c", th_c),
+        *((*w_theta, "-H", str(tmp_path / f"{name}.json"))
+          for name in files if name.startswith("hol_")),
+        ("check", "-g", "tetrahedron", "-c", tet_c, "--restarts", "-3"),
+        ("check", "-g", "tetrahedron", "-c", tet_c, "--restarts", "0"),
     ):
         capsys.readouterr()
         rc, _ = run_cli(*argv)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from spinnets.errors import DomainError, InputError, PreconditionError
-from spinnets.evaluator import bracket_square
+from spinnets.evaluator import bracket_square, theta_value
 from spinnets.haar import (char_value, haar_su2, mc_bracket, mc_orthogonality,
-                           mc_W_point, su2_matrix, _chebyshev_u, _chunks)
+                           mc_W_point, su2_matrix, _chebyshev_u, _chunks,
+                           _edge_half_traces, _prepared_holonomy, _qmul)
 
 SAMPLES = 100_000
 
@@ -177,3 +178,64 @@ def test_su2_sample_type():
     assert m.shape == (4, 2, 2)
     assert np.allclose(m @ m.conj().transpose(0, 2, 1), np.eye(2))
     assert np.allclose(m[0], np.eye(2)) and np.allclose(m[3], -np.eye(2))
+
+
+def _half_trace(m):
+    return 0.5 * np.real(m[..., 0, 0] + m[..., 1, 1])
+
+
+def test_qmul_is_the_matrix_product():
+    rng = np.random.default_rng(21)
+    a, b = haar_su2(rng, 1000), haar_su2(rng, 1000)
+    err = np.abs(su2_matrix(_qmul(a, b)) - su2_matrix(a) @ su2_matrix(b))
+    assert np.max(err) < 1e-15
+    # broadcast: one quaternion against a batch
+    assert np.allclose(su2_matrix(_qmul(a[0], b)), su2_matrix(a[0]) @ su2_matrix(b))
+
+
+def test_edge_half_traces_match_matrix_formula(tet):
+    from conftest import random_unitary_holonomy
+
+    hol = random_unitary_holonomy(tet, seed=9)
+    nv = len(tet.vertices)
+    g = haar_su2(np.random.default_rng(22), 500 * nv).reshape(500, nv, 4)
+    half = _edge_half_traces(tet, _prepared_holonomy(tet, hol), g)
+    # oracle: 0.5 Re tr(A g_v A^-1 B g_w^-1 B^-1), A and B the holonomy
+    # matrices at the left and the right half-edge
+    mats = su2_matrix(g)
+    vidx = {v: i for i, (v, _) in enumerate(tet.vertices)}
+    fl = hol.to_float(tet)
+    for e, l, r in tet.edges:
+        A, B = (np.array(fl.matrix(h), dtype=complex) for h in (l, r))
+        gv = mats[:, vidx[tet.vertex_of[l]]]
+        gw_inv = np.conj(np.swapaxes(mats[:, vidx[tet.vertex_of[r]]], -1, -2))
+        m = A @ gv @ np.linalg.inv(A) @ B @ gw_inv @ np.linalg.inv(B)
+        assert np.max(np.abs(half[e] - _half_trace(m))) < 1e-14, e
+
+
+def test_orthogonality_integrand_matches_matrix_form(theta):
+    # redraw the estimator's one-worker stream and evaluate the integrand
+    # prod_v <v> prod_e (c_e + 1) prod_h tr_c(g_e psi_h g_v psi_h^-1) on matrices
+    col = {"e1": 2, "e2": 3, "e3": 3}
+    n, seed = 10_000, 5
+    est = mc_orthogonality(theta, col, samples=n, seed=seed)
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    rng = np.random.Generator(np.random.Philox(child))
+    nv, ne, nh = len(theta.vertices), len(theta.edges), len(theta.halfedges)
+    gv = su2_matrix(haar_su2(rng, n * nv).reshape(n, nv, 4))
+    ge = su2_matrix(haar_su2(rng, n * ne).reshape(n, ne, 4))
+    psi = su2_matrix(haar_su2(rng, n * nh).reshape(n, nh, 4))
+    vidx = {v: i for i, (v, _) in enumerate(theta.vertices)}
+    eidx = {e: i for i, e in enumerate(theta.edge_ids)}
+    scale = 1.0
+    for v, hs in theta.vertices:
+        scale *= float(theta_value(*(col[theta.edge_of[h][0]] for h in hs)))
+    vals = np.full(n, scale * np.prod([c + 1 for c in col.values()]))
+    for k, h in enumerate(theta.halfedges):
+        e = theta.edge_of[h][0]
+        p = psi[:, k]
+        m = ge[:, eidx[e]] @ p @ gv[:, vidx[theta.vertex_of[h]]] @ np.conj(
+            np.swapaxes(p, -1, -2))
+        vals = vals * _chebyshev_u(col[e], _half_trace(m))
+    assert est.mean == pytest.approx(vals.mean(), rel=1e-12, abs=1e-12)
+    assert est.stderr == pytest.approx(vals.std(ddof=1) / n ** 0.5, rel=1e-9)
