@@ -424,10 +424,13 @@ def _split_kernel(eigs, kernel_dim, threshold):
     return eigs[kernel_dim:]
 
 
+def _detprime_of(eigs, kernel_dim: int, threshold: float = _KERNEL_THRESHOLD) -> complex:
+    return complex(np.prod(_split_kernel(eigs, kernel_dim, threshold)))
+
+
 def detprime(m, kernel_dim: int, threshold: float = _KERNEL_THRESHOLD) -> complex:
     """Product of eigenvalues off a kernel of the stated dimension."""
-    rest = _split_kernel(_eigs(np.asarray(m)), kernel_dim, threshold)
-    return complex(np.prod(rest))
+    return _detprime_of(_eigs(np.asarray(m)), kernel_dim, threshold)
 
 
 def _richardson(values):
@@ -483,13 +486,13 @@ class HypothesesReport:
     h2: bool
     h3: bool
     details: dict
-    configs: list = field(default_factory=list, repr=False)
-    spectra: list = field(default_factory=list, repr=False)
-    pairs: dict = field(default_factory=dict, repr=False)
+    configs: list = field(repr=False)
+    spectra: list = field(repr=False)
+    pairs: dict = field(repr=False)
 
     @property
     def passed(self):
-        return bool(self.configs) and self.h1 and self.h2 and self.h3
+        return self.details["n_configs"] > 0 and self.h1 and self.h2 and self.h3
 
     def to_obj(self):
         """JSON-stable view: noise-level diagnostics (eigenvalue gap ratios,
@@ -554,23 +557,18 @@ def check_hypotheses(graph: Graph, coloring: dict, configs) -> HypothesesReport:
 # leading-order estimate
 # ---------------------------------------------------------------------------
 
-def asymptotic_estimate(graph: Graph, coloring: dict, configs, ks) -> list[dict]:
+def asymptotic_estimate(graph: Graph, coloring: dict, report: HypothesesReport,
+                        ks) -> list[dict]:
     """Two-sum leading-order value of the rescaled bracket at every scale k
-    in ks, one row per k.
-
-    `configs` is the HypothesesReport of check_hypotheses, whose q_P spectra
-    and critical pairs are reused, or a configuration list to check first.
+    in ks, one row per k, from a passing report of check_hypotheses, whose
+    configurations, q_P spectra and critical pairs it reuses.
 
     First sum over configurations; second over ordered pairs of distinct
     configurations (each +/- class contributes twice the real part, realized
     as the sum over both ordered representatives).  The determinants, the
     critical pairs and their extrapolated limits are computed once; only the
     pair phases and the prefactor depend on k."""
-    report = (configs if isinstance(configs, HypothesesReport)
-              else check_hypotheses(graph, coloring, configs))
     configs = report.configs
-    if not configs:
-        raise HypothesisError("no critical configurations found")
     eids = graph.edge_ids
     n_exc = len(graph.edges) - len(graph.vertices)
     first = 0.0
@@ -578,7 +576,7 @@ def asymptotic_estimate(graph: Graph, coloring: dict, configs, ks) -> list[dict]
     root_det_r = []
     for idx, P in enumerate(configs):
         det_r = float(np.linalg.det(form_r(graph, coloring, P)))
-        dq = complex(np.prod(_split_kernel(report.spectra[idx], 3, _KERNEL_THRESHOLD)))
+        dq = _detprime_of(report.spectra[idx], 3)
         term = np.sqrt(det_r) / np.sqrt(float(dq.real))
         first += term
         root_det_r.append(np.sqrt(det_r))

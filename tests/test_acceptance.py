@@ -173,7 +173,7 @@ def test_c10_asymptotics(tet):
             dims.append(int(np.sum(eigs < 1e-8 * eigs[-1])))
         assert dims == [3, 3, 6]
         errors = []
-        for row in asymptotic_estimate(tet, col, configs, (10, 20, 40)):
+        for row in asymptotic_estimate(tet, col, report, (10, 20, 40)):
             exact = float(tet_bracket_oracle({e: 2 * row["k"] for e in tet.edge_ids}))
             errors.append(abs(row["value"] / exact - 1.0))
         assert errors[0] >= errors[1] >= errors[2], errors

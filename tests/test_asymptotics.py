@@ -130,6 +130,7 @@ def test_phases_and_hypotheses(tet, tet_configs):
         assert abs(abs(t.real) - 1 / 3) < 1e-8
     rep = check_hypotheses(tet, col, tet_configs)
     assert rep.h1 and rep.h2 and rep.h3 and rep.passed
+    assert len(rep.pairs) == len(tet_configs) * (len(tet_configs) - 1)
 
 
 def test_empty_configuration_set_fails(tet):
@@ -139,15 +140,6 @@ def test_empty_configuration_set_fails(tet):
     for restarts in (0, -3):
         with pytest.raises(DomainError):
             find_configs(tet, col, restarts=restarts)
-
-
-def test_estimate_from_report_equals_estimate_from_configs(tet, tet_configs):
-    col = {e: 2 for e in tet.edge_ids}
-    rep = check_hypotheses(tet, col, tet_configs)
-    assert len(rep.pairs) == len(tet_configs) * (len(tet_configs) - 1)
-    ks = [10, 20, 40]
-    assert (asymptotic_estimate(tet, col, rep, ks)
-            == asymptotic_estimate(tet, col, tet_configs, ks))
 
 
 def test_kernel_dimensions_3_3_6(tet, tet_configs):
@@ -258,7 +250,8 @@ def test_build_forms_surface(tet, tet_configs):
 
 def test_asymptotic_estimate_structure(tet, tet_configs):
     col = {e: 2 for e in tet.edge_ids}
-    out, out2 = asymptotic_estimate(tet, col, tet_configs, [10, 11])
+    rep = check_hypotheses(tet, col, tet_configs)
+    out, out2 = asymptotic_estimate(tet, col, rep, [10, 11])
     assert out["k"] == 10 and out2["k"] == 11
     assert out["terms"]["prefactor"] == pytest.approx(8.0 / (np.pi * 1000.0))
     assert not out["convention_dependent"]
@@ -298,7 +291,8 @@ def test_asymptotic_estimate_computes_k_independent_data_once(monkeypatch):
 
 def test_asymptotic_accuracy_k20(tet, tet_configs):
     col = {e: 2 for e in tet.edge_ids}
-    est = asymptotic_estimate(tet, col, tet_configs, [20])[0]["value"]
+    rep = check_hypotheses(tet, col, tet_configs)
+    est = asymptotic_estimate(tet, col, rep, [20])[0]["value"]
     exact = float(tet_bracket_oracle({e: 40 for e in tet.edge_ids}))
     assert abs(est / exact - 1.0) < 0.1
 
