@@ -4,17 +4,19 @@ asymptotics of the squared-evaluation bracket under color rescaling.
 A configuration assigns a unit vector to every oriented edge so that the
 color-weighted vectors close at each vertex.  Configurations are found by
 multistart damped least squares, deduplicated modulo simultaneous rotation,
-and kept in +/- pairs.  For a pair of configurations the per-edge phases come
-from the unique per-vertex rotations carrying one onto the other, lifted to
-SU(2); the Hessian data enters through three quadratic forms whose pruned
-determinants (products of nonzero eigenvalues) feed the two-sum leading-order
-formula.  Everything in that formula but the per-pair phase and the overall
-prefactor is independent of the scale k, so `asymptotic_estimate` computes
-it once per configuration and per ordered pair and then evaluates every k in
-the list it is given."""
+and kept in +/- pairs.  Every rotation is an orthonormal frame built from two
+edge vectors.  For a pair of configurations the per-edge phases come from the
+unique per-vertex rotations carrying one onto the other, as quaternion lifts
+(the unit quaternions of `haar`); the Hessian data enters through three
+quadratic forms whose pruned determinants (products of nonzero eigenvalues)
+feed the two-sum leading-order formula.  Everything in that formula but the
+per-pair phase and the overall prefactor is independent of the scale k, so
+`asymptotic_estimate` computes it once per configuration and per ordered pair
+and then evaluates every k in the list it is given."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -23,7 +25,8 @@ from scipy.optimize import least_squares
 
 from .errors import DomainError, HypothesisError, NumericalError
 from .graphs import Graph
-from .haar import su2_matrix
+from .haar import _CONJ, _qmul
+from .haar import su2_matrix  # noqa: F401  perfbench/tracer.py patches it here by name
 
 __all__ = [
     "Configuration",
@@ -76,14 +79,21 @@ def _strict_triangles(graph: Graph, coloring: dict):
                 f"coloring violates strict triangle inequalities at vertex {v!r}")
 
 
-def _closure(graph: Graph, coloring: dict):
-    """The closure map: unit vectors (E, 3) -> (V, 3), each row the sum over
-    the vertex's three half-edges of color x orientation sign x edge vector,
-    added left to right."""
+def _incidence(graph: Graph):
+    """Per vertex, the edge index (V, 3) of its three half-edges and their
+    orientation sign (V, 3): +1 on a left half-edge, -1 on a right one."""
     eidx = {e: i for i, e in enumerate(graph.edge_ids)}
     idx = np.array([[eidx[graph.edge_of[h][0]] for h in hs] for _, hs in graph.vertices])
     sign = np.array([[1.0 if graph.edge_of[h][1] == "left" else -1.0 for h in hs]
                      for _, hs in graph.vertices])
+    return idx, sign
+
+
+def _closure(graph: Graph, coloring: dict):
+    """The closure map: unit vectors (E, 3) -> (V, 3), each row the sum over
+    the vertex's three half-edges of color x orientation sign x edge vector,
+    added left to right."""
+    idx, sign = _incidence(graph)
     coef = np.array([float(coloring[e]) for e in graph.edge_ids])[idx] * sign
 
     def closure(p):
@@ -92,44 +102,27 @@ def _closure(graph: Graph, coloring: dict):
     return closure
 
 
+def _frame(p1, p2):
+    """Columns p1, the unit part of p2 normal to p1, and their cross product."""
+    f1 = p1
+    u = p2 - np.dot(p2, p1) * p1
+    nu = np.linalg.norm(u)
+    if nu < 1e-10:
+        raise HypothesisError("rank < 2 at a vertex; cannot build a frame")
+    f2 = u / nu
+    return np.column_stack([f1, f2, np.cross(f1, f2)])
+
+
 def _canonical_rotation(vectors):
     """Rotate so the first edge vector is +z and the first independent one
     lies in the xz half-plane with x > 0."""
     v0 = vectors[0]
-    R1 = _rotation_onto(v0, np.array([0.0, 0.0, 1.0]))
-    w = vectors @ R1.T
-    for j in range(1, len(w)):
-        x, y = w[j, 0], w[j, 1]
-        if x * x + y * y > 1e-12:
-            phi = np.arctan2(y, x)
-            c, s = np.cos(-phi), np.sin(-phi)
-            R2 = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-            return w @ R2.T
-    return w
-
-
-def _rotation_onto(a, b):
-    """Rotation matrix sending unit vector a to unit vector b."""
-    v = np.cross(a, b)
-    c = float(np.dot(a, b))
-    s = float(np.linalg.norm(v))
-    if s < 1e-14:
-        if c > 0:
-            return np.eye(3)
-        # a = -b: rotate by pi around any axis orthogonal to a
-        axis = np.cross(a, [1.0, 0.0, 0.0])
-        if np.linalg.norm(axis) < 1e-8:
-            axis = np.cross(a, [0.0, 1.0, 0.0])
-        axis /= np.linalg.norm(axis)
-        return _axis_angle(axis, np.pi)
-    vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
-    return np.eye(3) + vx + vx @ vx * ((1 - c) / (s * s))
-
-
-def _axis_angle(axis, angle):
-    x, y, z = axis
-    K = np.array([[0, -z, y], [z, 0, -x], [-y, x, 0]])
-    return np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * (K @ K)
+    for vj in vectors[1:]:
+        u = vj - np.dot(vj, v0) * v0
+        if np.dot(u, u) > 1e-12:
+            # frame columns (v0, u/|u|, v0 x u/|u|) become the z, x, y axes
+            return vectors @ _frame(v0, vj)[:, [1, 2, 0]]
+    return np.outer(vectors @ v0, [0.0, 0.0, 1.0])
 
 
 def find_configs(graph: Graph, coloring: dict, restarts: int = 200,
@@ -143,6 +136,8 @@ def find_configs(graph: Graph, coloring: dict, restarts: int = 200,
     skipped; the count and the first error go into one warning per call."""
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
     _strict_triangles(graph, coloring)
     ne = len(graph.edge_ids)
     closure = _closure(graph, coloring)
@@ -206,6 +201,8 @@ def find_configs(graph: Graph, coloring: dict, restarts: int = 200,
 # ---------------------------------------------------------------------------
 
 def _quaternion_from_rotation(R):
+    """Unit quaternion (w, x, y, z) of a rotation matrix, one of its two
+    signs (Shoemake 1985)."""
     t = np.trace(R)
     if t > 0:
         r = np.sqrt(1.0 + t)
@@ -227,96 +224,43 @@ def _quaternion_from_rotation(R):
     return q / np.linalg.norm(q)
 
 
-def su2_from_rotation(R):
-    """One of the two SU(2) lifts of a rotation matrix."""
-    return su2_matrix(_quaternion_from_rotation(R))
-
-
-def rotation_from_su2(u):
-    """Adjoint rotation of an SU(2) matrix (conjugation on the Pauli basis)."""
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    sig = (sx, sy, sz)
-    R = np.empty((3, 3))
-    for a in range(3):
-        for b in range(3):
-            R[a, b] = 0.5 * np.real(np.trace(sig[a] @ u @ sig[b] @ u.conj().T))
-    return R
-
-
-def hopf_section(n):
-    """A unit spinor over the unit vector n: |u1|^2-|u2|^2 = n_z and
-    2 conj(u1) u2 = n_x + i n_y."""
-    theta = np.arccos(np.clip(n[2], -1.0, 1.0))
-    phi = np.arctan2(n[1], n[0])
-    return np.array([np.cos(theta / 2), np.sin(theta / 2) * np.exp(1j * phi)])
-
-
-def hopf_project(u):
-    z = 2.0 * np.conj(u[0]) * u[1]
-    return np.array([z.real, z.imag, abs(u[0]) ** 2 - abs(u[1]) ** 2])
-
-
-def _signed_vectors_at(graph: Graph, cfg: Configuration, v, hs):
-    eidx = {e: i for i, e in enumerate(graph.edge_ids)}
-    out = []
-    for h in hs:
-        e, side = graph.edge_of[h]
-        vec = cfg.vectors[eidx[e]]
-        out.append(vec if side == "left" else -vec)
-    return out
-
-
-def _frame(p1, p2):
-    f1 = p1
-    u = p2 - np.dot(p2, p1) * p1
-    nu = np.linalg.norm(u)
-    if nu < 1e-10:
-        raise HypothesisError("rank < 2 at a vertex; cannot build a frame")
-    f2 = u / nu
-    return np.column_stack([f1, f2, np.cross(f1, f2)])
-
-
 @dataclass
 class CriticalPair:
-    """Pair of configurations with per-vertex SU(2) lifts and per-edge
-    phases; theta_e are representatives in (0, pi) of the phase mod pi."""
+    """Pair of configurations with per-edge phases tau_e from the quaternion
+    lifts of the vertex rotations; theta_e in (0, pi) is the phase mod pi."""
 
     P: Configuration
     Q: Configuration
-    lifts: dict = field(repr=False)
     taus: dict = field(repr=False)
     thetas: dict = field(repr=False)
 
 
 def critical_pair(graph: Graph, coloring: dict, P: Configuration, Q: Configuration) -> CriticalPair:
-    """Vertex rotations g_v with g_v P_e = Q_e, one SU(2) lift each, and the
-    resulting per-edge phases tau_e = <g_v u_e, g_w u_e>."""
+    """Vertex rotations g_v with g_v P_e = Q_e, one quaternion lift each, and
+    the resulting per-edge phases tau_e = <g_v u_e, g_w u_e> for a spinor u_e
+    over P_e: with g = conj(g_v) g_w, tau_e = g_0 - i <g_vec, P_e>."""
+    idx, sign = _incidence(graph)
+    ps = sign[:, :, None] * P.vectors[idx]
+    qs = sign[:, :, None] * Q.vectors[idx]
     lifts = {}
-    for v, hs in graph.vertices:
-        ps = _signed_vectors_at(graph, P, v, hs)
-        qs = _signed_vectors_at(graph, Q, v, hs)
-        R = _frame(qs[0], qs[1]) @ _frame(ps[0], ps[1]).T
-        if np.linalg.norm(R @ ps[2] - qs[2]) > 1e-7:
+    for (v, _), p, q in zip(graph.vertices, ps, qs):
+        R = _frame(q[0], q[1]) @ _frame(p[0], p[1]).T
+        if np.linalg.norm(R @ p[2] - q[2]) > 1e-7:
             raise HypothesisError(
                 f"no rotation matches the configurations at vertex {v!r}")
-        lifts[v] = su2_from_rotation(R)
-    eidx = {e: i for i, e in enumerate(graph.edge_ids)}
+        lifts[v] = _quaternion_from_rotation(R)
     taus = {}
     thetas = {}
-    for e, l, r in graph.edges:
-        u = hopf_section(P.vectors[eidx[e]])
-        gv = lifts[graph.vertex_of[l]]
-        gw = lifts[graph.vertex_of[r]]
-        t = complex(np.vdot(gv @ u, gw @ u))
+    for i, (e, l, r) in enumerate(graph.edges):
+        g = _qmul(lifts[graph.vertex_of[l]] * _CONJ, lifts[graph.vertex_of[r]])
+        t = complex(g[0], -float(g[1:] @ P.vectors[i]))
         if abs(abs(t) - 1.0) > 1e-10:
             raise NumericalError(f"phase at edge {e!r} has |tau| = {abs(t)}")
         t /= abs(t)
         taus[e] = t
         th = np.arctan2(t.imag, t.real) % np.pi
         thetas[e] = th
-    return CriticalPair(P, Q, lifts, taus, thetas)
+    return CriticalPair(P, Q, taus, thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -336,48 +280,42 @@ def form_r(graph: Graph, coloring: dict, P: Configuration):
     return r
 
 
-def _vertex_index(graph: Graph):
-    return {v: i for i, (v, _) in enumerate(graph.vertices)}
-
-
-def form_qP(graph: Graph, coloring: dict, P: Configuration):
-    """6N x 6N real matrix of xi -> sum_e c_e |P_e x (xi_v - xi_w)|^2."""
-    vidx = _vertex_index(graph)
-    nv = len(graph.vertices)
-    m = np.zeros((3 * nv, 3 * nv))
+def _edge_form(graph: Graph, coloring: dict, vectors, gamma=None):
+    """3V x 3V matrix of xi -> sum_e gamma_e c_e |p_e x (xi_v - xi_w)|^2 over
+    the edge vectors p_e (gamma_e = 1 when gamma is None), and the row slices
+    (v, w) of every edge's two ends."""
+    rows = {v: slice(3 * i, 3 * i + 3) for i, (v, _) in enumerate(graph.vertices)}
+    n = 3 * len(rows)
+    m = np.zeros((n, n), dtype=float if gamma is None else complex)
+    ends = []
     for i, (e, l, r) in enumerate(graph.edges):
-        p = P.vectors[i]
+        p = vectors[i]
         a = coloring[e] * (np.eye(3) - np.outer(p, p))
-        vi, wi = vidx[graph.vertex_of[l]], vidx[graph.vertex_of[r]]
-        sv, sw = slice(3 * vi, 3 * vi + 3), slice(3 * wi, 3 * wi + 3)
+        if gamma is not None:
+            a = gamma[e] * a
+        sv, sw = rows[graph.vertex_of[l]], rows[graph.vertex_of[r]]
         m[sv, sv] += a
         m[sw, sw] += a
         m[sv, sw] -= a
         m[sw, sv] -= a
-    return m
+        ends.append((sv, sw))
+    return m, ends
+
+
+def form_qP(graph: Graph, coloring: dict, P: Configuration):
+    """6N x 6N real matrix of xi -> sum_e c_e |P_e x (xi_v - xi_w)|^2."""
+    return _edge_form(graph, coloring, P.vectors)[0]
 
 
 def _form_pair(graph: Graph, coloring: dict, pair: CriticalPair, gamma):
     """sum_e c_e [ gamma_e |Q_e x (xi_v - xi_w)|^2 + 2i <Q_e, xi_v x xi_w> ]."""
-    vidx = _vertex_index(graph)
-    nv = len(graph.vertices)
-    m = np.zeros((3 * nv, 3 * nv), dtype=complex)
-    for i, (e, l, r) in enumerate(graph.edges):
-        c = coloring[e]
-        q = pair.Q.vectors[i]
-        a = c * (np.eye(3) - np.outer(q, q))
-        vi, wi = vidx[graph.vertex_of[l]], vidx[graph.vertex_of[r]]
-        sv, sw = slice(3 * vi, 3 * vi + 3), slice(3 * wi, 3 * wi + 3)
-        g = gamma[e]
-        m[sv, sv] += g * a
-        m[sw, sw] += g * a
-        m[sv, sw] -= g * a
-        m[sw, sv] -= g * a
+    m, ends = _edge_form(graph, coloring, pair.Q.vectors, gamma)
+    for (e, _, _), q, (sv, sw) in zip(graph.edges, pair.Q.vectors, ends):
         # sign fixed by the 6-dim kernel of the limit form: the per-vertex
         # rotated directions xi_v = R_v eta must be annihilated
         cx = _cross_matrix(q)
-        m[sv, sw] += 1j * c * cx
-        m[sw, sv] += -1j * c * cx
+        m[sv, sw] += 1j * coloring[e] * cx
+        m[sw, sv] += -1j * coloring[e] * cx
     return m
 
 
@@ -413,15 +351,18 @@ def _eigs(m):
     return np.linalg.eigvals(m)
 
 
+def _kernel_dim(eigs, threshold: float = _KERNEL_THRESHOLD) -> int:
+    """Number of eigenvalues below threshold x the largest in modulus."""
+    mod = np.abs(eigs)
+    return int(np.sum(mod < threshold * np.max(mod, initial=0.0)))
+
+
 def _split_kernel(eigs, kernel_dim, threshold):
-    order = np.argsort(np.abs(eigs))
-    eigs = eigs[order]
-    scale = float(np.abs(eigs[-1])) if len(eigs) else 0.0
-    n_small = int(np.sum(np.abs(eigs) < threshold * scale))
+    n_small = _kernel_dim(eigs, threshold)
     if n_small != kernel_dim:
         raise HypothesisError(
             f"kernel dimension is {n_small}, expected {kernel_dim}")
-    return eigs[kernel_dim:]
+    return eigs[np.argsort(np.abs(eigs))][kernel_dim:]
 
 
 def _detprime_of(eigs, kernel_dim: int, threshold: float = _KERNEL_THRESHOLD) -> complex:
@@ -502,8 +443,9 @@ class HypothesesReport:
                     "pass": d["pass"]} for d in self.details["configs"]]
         pairs = []
         for d in self.details["pairs"]:
+            dev = d["min_abs_tau2_minus_1"]
             row = {"pair": list(d["pair"]),
-                   "min_abs_tau2_minus_1": float(f"{d['min_abs_tau2_minus_1']:.12g}"),
+                   "min_abs_tau2_minus_1": float(f"{dev:.12g}") if dev >= 1e-12 else 0.0,
                    "H2_pass": d["H2_pass"]}
             if "qpp_corank" in d:
                 row["qpp_corank"] = d["qpp_corank"]
@@ -524,8 +466,7 @@ def check_hypotheses(graph: Graph, coloring: dict, configs) -> HypothesesReport:
     h1_detail = []
     for idx, spectrum in enumerate(spectra):
         eigs = np.sort(np.abs(spectrum))
-        scale = eigs[-1]
-        kdim = int(np.sum(eigs < _KERNEL_THRESHOLD * scale))
+        kdim = _kernel_dim(spectrum)
         gap = float(eigs[3] / eigs[2]) if eigs[2] > 0 else float("inf")
         ok = kdim == 3
         h1 = h1 and ok
@@ -539,9 +480,7 @@ def check_hypotheses(graph: Graph, coloring: dict, configs) -> HypothesesReport:
         h2 = h2 and ok2
         entry = {"pair": (i, j), "min_abs_tau2_minus_1": min_dev, "H2_pass": ok2}
         if ok2:
-            eigs = np.sort(np.abs(_eigs(form_qpp(graph, coloring, pair))))
-            scale = eigs[-1]
-            corank = int(np.sum(eigs < _KERNEL_THRESHOLD * scale))
+            corank = _kernel_dim(_eigs(form_qpp(graph, coloring, pair)))
             ok3 = corank == 6
             h3 = h3 and ok3
             entry.update({"qpp_corank": corank, "H3_pass": ok3})

@@ -272,26 +272,25 @@ def _cmd_asymptote(args):
         raise HypothesisError(
             "hypotheses failed: " + json.dumps(report.to_obj()["configs"]) if not report.h1
             else "H2/H3 failed on a configuration pair")
-    rows = asymptotic_estimate(graph, coloring, report, ks)
+    estimates = [
+        # extrapolated determinants carry ~1e-12 relative eigensolver
+        # noise; keep 8 significant digits so repeated runs agree
+        {"k": r["k"], "value": float(f"{r['value']:.8g}"),
+         "first_sum": float(f"{r['terms']['first_sum']:.8g}"),
+         "second_sum": float(f"{r['terms']['second_sum']:.8g}"),
+         "convention_dependent": r["convention_dependent"]}
+        for r in asymptotic_estimate(graph, coloring, report, ks)
+    ]
     if args.report == "csv":
-        print("k,value,first_sum,second_sum,convention_dependent")
-        for r in rows:
-            print(f"{r['k']},{r['value']!r},{r['terms']['first_sum']!r},"
-                  f"{r['terms']['second_sum']!r},{r['convention_dependent']}")
+        print(",".join(estimates[0]))
+        for r in estimates:
+            print(",".join(str(v) for v in r.values()))
         return 0
     results = {
         "graph": graph.name,
         "coloring": coloring,
         "hypotheses": report.to_obj(),
-        "estimates": [
-            # extrapolated determinants carry ~1e-12 relative eigensolver
-            # noise; keep 8 significant digits so repeated runs agree
-            {"k": r["k"], "value": float(f"{r['value']:.8g}"),
-             "first_sum": float(f"{r['terms']['first_sum']:.8g}"),
-             "second_sum": float(f"{r['terms']['second_sum']:.8g}"),
-             "convention_dependent": r["convention_dependent"]}
-            for r in rows
-        ],
+        "estimates": estimates,
     }
     _emit(_report(args, inputs, results, seed=args.seed))
     return 0

@@ -2,12 +2,15 @@
 
 These deliberately avoid the library's contraction path: the tetrahedron
 oracle is the classical single-sum factorial formula, the naive edge
-operator applies first-order derivatives one at a time, and the naive
-determinant is cofactor expansion.
+operator applies first-order derivatives one at a time, the naive
+determinant is cofactor expansion, and the spinor phase pairs 2x2 SU(2)
+matrices with a Hopf spinor instead of multiplying quaternions.
 """
 
 from fractions import Fraction
 from math import factorial
+
+import numpy as np
 
 from spinnets.evaluator import theta_value
 from spinnets.polyring import MPoly
@@ -97,3 +100,17 @@ def naive_det(m) -> MPoly:
         term = m[0][j] * naive_det(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def hopf_section(n):
+    """A unit spinor over the unit vector n: |u1|^2-|u2|^2 = n_z and
+    2 conj(u1) u2 = n_x + i n_y."""
+    theta = np.arccos(np.clip(n[2], -1.0, 1.0))
+    phi = np.arctan2(n[1], n[0])
+    return np.array([np.cos(theta / 2), np.sin(theta / 2) * np.exp(1j * phi)])
+
+
+def spinor_phase(gv, gw, n) -> complex:
+    """<gv u, gw u> for SU(2) matrices gv, gw and the Hopf spinor u over n."""
+    u = hopf_section(n)
+    return complex(np.vdot(gv @ u, gw @ u))

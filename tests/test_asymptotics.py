@@ -1,21 +1,22 @@
 import io
 import json
 from contextlib import redirect_stdout
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import spinnets.asymptotics as asymptotics
 from conftest import build_cube_config
-from oracles import tet_bracket_oracle
-from spinnets.asymptotics import (Configuration, _closure, _eigs, _make_config,
+from oracles import hopf_section, spinor_phase, tet_bracket_oracle
+from spinnets.asymptotics import (Configuration, _canonical_rotation, _closure, _eigs,
+                                  _frame, _make_config, _quaternion_from_rotation,
                                   asymptotic_estimate, check_hypotheses, critical_pair,
                                   detprime, detprime_limit, find_configs, form_qP, form_qpp,
-                                  form_qkappa, form_r, hopf_project, hopf_section,
-                                  rotation_from_su2, su2_from_rotation)
+                                  form_qkappa, form_r)
 from spinnets.cli import dispatch
 from spinnets.errors import DomainError, HypothesisError
-from spinnets.haar import haar_su2, su2_matrix
+from spinnets.haar import su2_matrix
 
 
 @pytest.fixture(scope="module")
@@ -23,20 +24,51 @@ def tet_configs(tet):
     return find_configs(tet, {e: 2 for e in tet.edge_ids}, restarts=60, seed=7)
 
 
-def test_su2_rotation_hopf_conventions():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        q = haar_su2(rng, 1)[0]
-        U = su2_matrix(q)
-        R = rotation_from_su2(U)
-        assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
-        assert np.allclose(rotation_from_su2(su2_from_rotation(R)), R, atol=1e-10)
-        n = rng.standard_normal(3)
-        n /= np.linalg.norm(n)
-        u = hopf_section(n)
-        assert np.allclose(hopf_project(u), n, atol=1e-12)
-        # the Hopf projection intertwines conjugation and rotation
-        assert np.allclose(hopf_project(U @ u), R @ n, atol=1e-12)
+def test_phases_match_spinor_oracle(tet):
+    # tau_e = <g_v u, g_w u> for the SU(2) matrices of the vertex lifts and
+    # the Hopf spinor u over P_e, on both colorings and both ordered pairs
+    eidx = {e: i for i, e in enumerate(tet.edge_ids)}
+
+    def signed(cfg, hs):
+        return [cfg.vectors[eidx[e]] * (1.0 if side == "left" else -1.0)
+                for e, side in (tet.edge_of[h] for h in hs)]
+
+    for colors in ((2,) * 6, (3, 4, 3, 3, 4, 3)):
+        col = dict(zip(tet.edge_ids, colors))
+        configs = find_configs(tet, col, restarts=30, seed=5)
+        assert len(configs) == 2
+        for P, Q in ((configs[0], configs[1]), (configs[1], configs[0])):
+            pair = critical_pair(tet, col, P, Q)
+            lifts = {}
+            for v, hs in tet.vertices:
+                p, q = signed(P, hs), signed(Q, hs)
+                R = _frame(q[0], q[1]) @ _frame(p[0], p[1]).T
+                assert np.allclose(R @ np.array(p).T, np.array(q).T, atol=1e-9)
+                lifts[v] = su2_matrix(_quaternion_from_rotation(R))
+            for e, l, r in tet.edges:
+                n = P.vectors[eidx[e]]
+                u = hopf_section(n)
+                z = 2 * np.conj(u[0]) * u[1]
+                assert np.allclose([z.real, z.imag, abs(u[0]) ** 2 - abs(u[1]) ** 2], n,
+                                   atol=1e-14)
+                t = spinor_phase(lifts[tet.vertex_of[l]], lifts[tet.vertex_of[r]], n)
+                assert abs(pair.taus[e] - t) < 1e-14
+
+
+def test_canonical_rotation_frame():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        v = rng.standard_normal((6, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v[1] = -v[0]  # dependent on v0, so v[2] is the first independent vector
+        w = _canonical_rotation(v)
+        assert np.allclose(w[0], [0.0, 0.0, 1.0], atol=1e-14)
+        assert abs(w[2, 1]) < 1e-14 and w[2, 0] > 0
+        assert np.allclose(w @ w.T, v @ v.T, atol=1e-14)
+        # a rotation, not a reflection
+        assert np.linalg.det(w[[0, 2, 3]]) * np.linalg.det(v[[0, 2, 3]]) > 0
+    par = np.outer([1.0, -1.0, 1.0], [0.6, 0.0, 0.8])
+    assert np.allclose(_canonical_rotation(par), np.outer([1.0, -1.0, 1.0], [0.0, 0.0, 1.0]))
 
 
 def test_find_configs_tet(tet, tet_configs):
@@ -80,6 +112,19 @@ def test_find_configs_reports_raised_restarts(tet, monkeypatch):
     monkeypatch.setattr(asymptotics, "least_squares", broken)
     with pytest.raises(TypeError):
         find_configs(tet, {e: 2 for e in tet.edge_ids}, restarts=20, seed=7)
+
+
+def test_find_configs_refuses_bad_tol(tet, monkeypatch):
+    # a solver that returns its starting point converges nowhere; with
+    # tol = nan, `res > tol` is never true and every restart would be kept
+    monkeypatch.setattr(asymptotics, "least_squares",
+                        lambda fun, x0, **kwargs: SimpleNamespace(x=x0, nfev=0))
+    col = {e: 2 for e in tet.edge_ids}
+    for tol in (float("nan"), float("inf"), 0.0, -1e-10):
+        with pytest.raises(DomainError, match="tol"):
+            find_configs(tet, col, restarts=5, tol=tol)
+    with pytest.warns(UserWarning, match="empty configuration set"):
+        assert find_configs(tet, col, restarts=5) == []
 
 
 def test_strict_triangle_precondition(theta):
@@ -339,5 +384,11 @@ def test_prism_all2_fails_h2_honestly(prism):
     good = [p for p in rep.details["pairs"] if p["H2_pass"]]
     bad = [p for p in rep.details["pairs"] if not p["H2_pass"]]
     assert bad and all(p["min_abs_tau2_minus_1"] < 1e-12 for p in bad)
+    # the report prints those noise-level deviations as 0.0 and keeps 12
+    # significant digits of the others
+    shown = {tuple(row["pair"]): row["min_abs_tau2_minus_1"] for row in rep.to_obj()["pairs"]}
+    assert all(shown[p["pair"]] == 0.0 for p in bad)
+    assert all(shown[p["pair"]] == float(f"{p['min_abs_tau2_minus_1']:.12g}") > 0
+               for p in good)
     # the genuinely opposite pair still satisfies H2 and H3
     assert good and all(p.get("qpp_corank") == 6 for p in good)

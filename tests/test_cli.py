@@ -98,6 +98,25 @@ def test_check_exit_1_on_empty_configuration_set():
     assert json.loads(out)["results"]["hypotheses"]["n_configs"] == 0
 
 
+def test_asymptote_csv_matches_json():
+    # the csv report carries the JSON report's rounded estimates as plain
+    # floats, one row per k
+    args = ("asymptote", "-g", "tetrahedron",
+            "-c", '{"ab":2,"ac":2,"ad":2,"bc":2,"bd":2,"cd":2}',
+            "--restarts", "30", "--seed", "3")
+    rc, out = run_cli(*args)
+    rc_csv, csv = run_cli(*args, "--report", "csv")
+    assert rc == rc_csv == 0
+    estimates = json.loads(out)["results"]["estimates"]
+    header, *rows = (line.split(",") for line in csv.splitlines())
+    assert header == ["k", "value", "first_sum", "second_sum", "convention_dependent"]
+    assert len(rows) == len(estimates) == 3
+    for row, est in zip(rows, estimates):
+        cells = dict(zip(header, row))
+        assert cells.pop("convention_dependent") == str(est["convention_dependent"])
+        assert all(float(cell) == est[key] for key, cell in cells.items())
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     rc, _ = run_cli("eval", "-g", "no_such_file.json", "-c", "{}")
     assert rc == 2
@@ -143,6 +162,10 @@ def test_input_errors_exit_2(tmp_path, capsys):
           for name in files if name.startswith("hol_")),
         ("check", "-g", "tetrahedron", "-c", tet_c, "--restarts", "-3"),
         ("check", "-g", "tetrahedron", "-c", tet_c, "--restarts", "0"),
+        ("check", "-g", "tetrahedron", "-c", tet_c, "--tol", "nan"),
+        ("check", "-g", "tetrahedron", "-c", tet_c, "--tol", "inf"),
+        ("check", "-g", "tetrahedron", "-c", tet_c, "--tol", "0"),
+        ("asymptote", "-g", "tetrahedron", "-c", tet_c, "--tol=-1e-10"),
     ):
         capsys.readouterr()
         rc, _ = run_cli(*argv)
