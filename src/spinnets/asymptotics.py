@@ -3,14 +3,15 @@ asymptotics of the squared-evaluation bracket under color rescaling.
 
 A configuration assigns a unit vector to every oriented edge so that the
 color-weighted vectors close at each vertex.  Configurations are found by
-multistart damped least squares, deduplicated modulo simultaneous rotation,
-and kept in +/- pairs.  Every rotation is an orthonormal frame built from two
-edge vectors.  For a pair of configurations the per-edge phases come from the
-unique per-vertex rotations carrying one onto the other, as quaternion lifts
-(the unit quaternions of `haar`); the Hessian data enters through three
-quadratic forms whose pruned determinants (products of nonzero eigenvalues)
-feed the two-sum leading-order formula.  Everything in that formula but the
-per-pair phase and the overall prefactor is independent of the scale k, so
+multistart least squares (a numpy Levenberg-Marquardt with an analytic
+Jacobian), deduplicated modulo simultaneous rotation, and kept in +/- pairs.
+Every rotation is an orthonormal frame built from two edge vectors.  For a
+pair of configurations the per-edge phases come from the unique per-vertex
+rotations carrying one onto the other, as quaternion lifts (the unit
+quaternions of `haar`); the Hessian data enters through three quadratic forms
+whose pruned determinants (products of nonzero eigenvalues) feed the two-sum
+leading-order formula.  Everything in that formula but the per-pair phase
+and the overall prefactor is independent of the scale k, so
 `asymptotic_estimate` computes it once per configuration and per ordered pair
 and then evaluates every k in the list it is given."""
 
@@ -21,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DomainError, HypothesisError, NumericalError
 from .graphs import Graph
@@ -89,17 +89,97 @@ def _incidence(graph: Graph):
     return idx, sign
 
 
+def _signed_colors(graph: Graph, coloring: dict):
+    """The edge index (V, 3) of every vertex's half-edges and their color x
+    orientation sign (V, 3)."""
+    idx, sign = _incidence(graph)
+    return idx, np.array([float(coloring[e]) for e in graph.edge_ids])[idx] * sign
+
+
 def _closure(graph: Graph, coloring: dict):
     """The closure map: unit vectors (E, 3) -> (V, 3), each row the sum over
     the vertex's three half-edges of color x orientation sign x edge vector,
     added left to right."""
-    idx, sign = _incidence(graph)
-    coef = np.array([float(coloring[e]) for e in graph.edge_ids])[idx] * sign
+    idx, coef = _signed_colors(graph, coloring)
 
     def closure(p):
         t = coef[:, :, None] * p[idx]
         return t[:, 0] + t[:, 1] + t[:, 2]
     return closure
+
+
+def _search_system(graph: Graph, coloring: dict):
+    """The closure map, the search residual x -> (closure(m/|m|), |m|^2 - 1)
+    in the flattened edge vectors m (E, 3), and its Jacobian: the block of
+    vertex v and edge e is sum_j coef[v, j] (I - u_e u_e^T)/|m_e| over the
+    half-edges j of v on e (u = m/|m|), and the norm row of edge e is
+    2 m_e^T."""
+    closure = _closure(graph, coloring)
+    idx, coef = _signed_colors(graph, coloring)
+    nv, ne = len(idx), len(graph.edge_ids)
+    c = np.zeros((nv, ne))
+    np.add.at(c, (np.arange(nv)[:, None], idx), coef)
+    diag = np.eye(ne)[:, :, None]
+
+    def residuals(x):
+        m = x.reshape(ne, 3)
+        norms = np.linalg.norm(m, axis=1)
+        return np.concatenate([closure(m / norms[:, None]).ravel(), norms * norms - 1.0])
+
+    def jac(x):
+        m = x.reshape(ne, 3)
+        norms = np.linalg.norm(m, axis=1)
+        u = m / norms[:, None]
+        proj = (np.eye(3) - u[:, :, None] * u[:, None, :]) / norms[:, None, None]
+        blocks = (c[:, :, None, None] * proj).transpose(0, 2, 1, 3).reshape(3 * nv, 3 * ne)
+        return np.vstack([blocks, (2.0 * diag * m).reshape(ne, 3 * ne)])
+    return closure, residuals, jac
+
+
+@dataclass
+class _LMResult:
+    x: np.ndarray
+    nfev: int
+
+
+def least_squares(fun, x0, *, jac, xtol, ftol, gtol, max_nfev):
+    """Levenberg-Marquardt minimum of |fun(x)|^2 / 2 with Nielsen's damping
+    update, starting from mu = 1e-3 max diag(J^T J) (Madsen, Nielsen &
+    Tingleff 2004, algorithm 3.16).  Stops when no gradient entry exceeds
+    gtol, when a step is at most xtol (|x| + xtol) long, when an accepted
+    step lowers the cost by at most ftol times it, or after max_nfev
+    evaluations of fun.  A trial point with non-finite residuals is
+    rejected like any other uphill step; a non-finite start raises
+    ValueError."""
+    x = np.asarray(x0, dtype=float)
+    f = fun(x)
+    nfev = 1
+    if not np.all(np.isfinite(f)):
+        raise ValueError("residuals are not finite at the starting point")
+    cost = 0.5 * float(f @ f)
+    J = jac(x)
+    A, g = J.T @ J, J.T @ f
+    mu, nu = 1e-3 * float(np.max(np.diag(A))), 2.0
+    eye = np.eye(len(x))
+    while nfev < max_nfev and np.max(np.abs(g)) > gtol:
+        h = np.linalg.solve(A + mu * eye, -g)
+        if np.linalg.norm(h) <= xtol * (np.linalg.norm(x) + xtol):
+            break
+        f_new = fun(x + h)
+        nfev += 1
+        cost_new = 0.5 * float(f_new @ f_new)
+        rho = (cost - cost_new) / (0.5 * float(h @ (mu * h - g)))
+        if not rho > 0:  # uphill, or residuals not finite
+            mu, nu = mu * nu, 2.0 * nu
+            continue
+        small_drop = cost - cost_new <= ftol * cost
+        x, f, cost = x + h, f_new, cost_new
+        J = jac(x)
+        A, g = J.T @ J, J.T @ f
+        mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+        if small_drop:
+            break
+    return _LMResult(x, nfev)
 
 
 def _frame(p1, p2):
@@ -140,12 +220,7 @@ def find_configs(graph: Graph, coloring: dict, restarts: int = 200,
         raise DomainError(f"tol must be finite and > 0, got {tol}")
     _strict_triangles(graph, coloring)
     ne = len(graph.edge_ids)
-    closure = _closure(graph, coloring)
-
-    def residuals(x):
-        m = x.reshape(ne, 3)
-        norms = np.linalg.norm(m, axis=1)
-        return np.concatenate([closure(m / norms[:, None]).ravel(), norms * norms - 1.0])
+    closure, residuals, jac = _search_system(graph, coloring)
 
     rng = np.random.default_rng(seed)
     found: list[Configuration] = []
@@ -159,7 +234,7 @@ def find_configs(graph: Graph, coloring: dict, restarts: int = 200,
         x0 = rng.standard_normal((ne, 3))
         x0 /= np.linalg.norm(x0, axis=1, keepdims=True)
         try:
-            sol = least_squares(residuals, x0.ravel(), method="lm",
+            sol = least_squares(residuals, x0.ravel(), jac=jac,
                                 xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=4000)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raised.append(exc)

@@ -306,9 +306,17 @@ def _cmd_selftest(args):
 # dispatch
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `input error:` line on stderr and exits
+    2, like every other malformed input; subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"input error: {self.prog}: {message}\n")
+
+
 @cache
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="spinnet", description=__doc__)
+    parser = _Parser(prog="spinnet", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def add_graph(p, coloring=True, holonomy=True):

@@ -1,6 +1,11 @@
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,9 +16,9 @@ from conftest import build_cube_config
 from oracles import hopf_section, spinor_phase, tet_bracket_oracle
 from spinnets.asymptotics import (Configuration, _canonical_rotation, _closure, _eigs,
                                   _frame, _make_config, _quaternion_from_rotation,
-                                  asymptotic_estimate, check_hypotheses, critical_pair,
-                                  detprime, detprime_limit, find_configs, form_qP, form_qpp,
-                                  form_qkappa, form_r)
+                                  _search_system, asymptotic_estimate, check_hypotheses,
+                                  critical_pair, detprime, detprime_limit, find_configs,
+                                  form_qP, form_qpp, form_qkappa, form_r, least_squares)
 from spinnets.cli import dispatch
 from spinnets.errors import DomainError, HypothesisError
 from spinnets.haar import su2_matrix
@@ -125,6 +130,91 @@ def test_find_configs_refuses_bad_tol(tet, monkeypatch):
             find_configs(tet, col, restarts=5, tol=tol)
     with pytest.warns(UserWarning, match="empty configuration set"):
         assert find_configs(tet, col, restarts=5) == []
+
+
+def test_search_jacobian_matches_finite_differences(theta, tet, prism):
+    # the analytic Jacobian of (closure(m/|m|), |m|^2 - 1) against central
+    # differences, at unit and at non-unit edge vectors
+    rng = np.random.default_rng(17)
+    for graph in (theta, tet, prism):
+        ne = len(graph.edge_ids)
+        col = {e: int(c) for e, c in zip(graph.edge_ids, rng.integers(1, 6, ne))}
+        _, residuals, jac = _search_system(graph, col)
+        unit = rng.standard_normal((ne, 3))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        scaled = unit * rng.uniform(0.5, 2.0, (ne, 1))
+        for x in (unit.ravel(), scaled.ravel()):
+            h = 1e-6
+            fd = np.column_stack([(residuals(x + h * d) - residuals(x - h * d)) / (2 * h)
+                                  for d in np.eye(3 * ne)])
+            J = jac(x)
+            assert J.shape == (3 * len(graph.vertices) + ne, 3 * ne)
+            assert np.max(np.abs(J - fd)) < 1e-6
+
+
+def test_least_squares_linear_and_budget():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((7, 4))
+    x_true = rng.standard_normal(4)
+    b = a @ x_true
+    tols = dict(xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    sol = least_squares(lambda x: a @ x - b, np.zeros(4), jac=lambda x: a,
+                        max_nfev=200, **tols)
+    assert np.allclose(sol.x, x_true, rtol=0, atol=1e-12)
+    assert 1 < sol.nfev <= 200
+    # Rosenbrock from its usual start needs more than five evaluations
+    rosen = (lambda x: np.array([10 * (x[1] - x[0] ** 2), 1 - x[0]]),
+             lambda x: np.array([[-20 * x[0], 10.0], [-1.0, 0.0]]))
+    sol = least_squares(rosen[0], np.array([-1.2, 1.0]), jac=rosen[1], max_nfev=5, **tols)
+    assert sol.nfev == 5 and np.linalg.norm(sol.x - 1.0) > 1e-3
+    sol = least_squares(rosen[0], np.array([-1.2, 1.0]), jac=rosen[1], max_nfev=4000, **tols)
+    assert np.allclose(sol.x, 1.0, rtol=0, atol=1e-12) and sol.nfev < 4000
+    with pytest.raises(ValueError, match="not finite"):
+        least_squares(lambda x: x + np.inf, np.zeros(2), jac=lambda x: np.eye(2),
+                      max_nfev=10, **tols)
+
+
+def test_asymptotics_imports_no_scipy():
+    # scipy is not a dependency of the library: nothing under src imports it
+    src = Path(asymptotics.__file__).parent
+    pattern = re.compile(r"^\s*(import|from)\s+scipy\b", re.M)
+    assert not [p.name for p in src.glob("*.py") if pattern.search(p.read_text())]
+    env = dict(os.environ, PYTHONPATH=str(src.parent))
+    code = "import sys, spinnets.cli, spinnets.asymptotics; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_search_repeats_after_monte_carlo(monkeypatch):
+    # the configuration search takes the same path, evaluation for
+    # evaluation, whether or not a Monte-Carlo job ran before it in the
+    # same process
+    real = asymptotics.least_squares
+    nfev = []
+
+    def counted(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(asymptotics, "least_squares", counted)
+    tet_c = '{"ab":2,"ac":2,"ad":2,"bc":2,"bd":2,"cd":2}'
+    search = ["asymptote", "-g", "tetrahedron", "-c", tet_c, "--restarts", "50",
+              "--seed", "3"]
+    runs = []
+    for before in (None, ["integrate", "-g", "tetrahedron", "-c", tet_c, "--samples", "100000",
+                          "--seed", "11", "--workers", "2"]):
+        if before:
+            with redirect_stdout(io.StringIO()):
+                assert dispatch(before) == 0
+        nfev.clear()
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert dispatch(search) == 0
+        assert len(nfev) == 50
+        runs.append((sum(nfev), buf.getvalue()))
+    assert runs[0] == runs[1]
 
 
 def test_strict_triangle_precondition(theta):

@@ -126,8 +126,6 @@ def test_input_errors_exit_2(tmp_path, capsys):
     bad.write_text("{not json")
     rc, _ = run_cli("eval", "-g", str(bad), "-c", "{}")
     assert rc == 2
-    rc, _ = run_cli("definitely-not-a-command")
-    assert rc == 2
     tet_c = '{"ab":2,"ac":2,"ad":2,"bc":2,"bd":2,"cd":2}'
     th_c = '{"e1":2,"e2":2,"e3":2}'
     w_theta = ("integrate", "-g", "theta", "--target", "W", "--samples", "10000",
@@ -166,11 +164,21 @@ def test_input_errors_exit_2(tmp_path, capsys):
         ("check", "-g", "tetrahedron", "-c", tet_c, "--tol", "inf"),
         ("check", "-g", "tetrahedron", "-c", tet_c, "--tol", "0"),
         ("asymptote", "-g", "tetrahedron", "-c", tet_c, "--tol=-1e-10"),
+        # refused by the parser itself (it does not read -1e-10 as a value)
+        ("check", "-g", "tetrahedron", "-c", tet_c, "--tol", "-1e-10"),
+        ("eval", "-g", "theta", "--bogus"),
+        ("definitely-not-a-command",),
     ):
         capsys.readouterr()
         rc, _ = run_cli(*argv)
         assert rc == 2, argv
         assert len(capsys.readouterr().err.splitlines()) == 1, argv
+
+
+def test_help_exits_0(capsys):
+    rc, out = run_cli("check", "-h")
+    assert rc == 0 and out.startswith("usage: spinnet check")
+    assert capsys.readouterr().err == ""
 
 
 def test_parser_built_once(monkeypatch):
