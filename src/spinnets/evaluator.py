@@ -7,22 +7,25 @@ sign.  The i-normalized vertex/edge factors contribute a global scalar
 i^(2*sum c_e) = (-1)^(sum c_e), which is tracked outside the polynomial
 arithmetic.
 
-Holonomy entries that are real integers enter as int coefficients, so the
-trivial-holonomy contraction runs on integers alone: one vertex factor
-touching each edge e is scaled by c_e!, which keeps every division by c_e!
-in the edge operator exact, and the final constant is divided once by
-prod_e c_e!.  Genuinely Gaussian-rational entries run the same code on QQi.
+The contraction runs on Gaussian integers for every exact holonomy: each
+half-edge form is scaled by the common denominator d_h of the entries of
+psi_h^{-1}, so its coefficients are ints (real integer entries, as for the
+trivial holonomy) or QQi with int parts, and one vertex factor touching
+each edge e is scaled by c_e!, which keeps every division by c_e! in the
+edge operator exact.  The value is homogeneous of degree c_e(h) in the
+forms of each half-edge h, so the final constant is divided once by
+prod_e c_e! * prod_h d_h^{c_e(h)}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import AdmissibilityError, InputError, RegimeError
 from .graphs import Graph, Holonomy, crossing_sign, internal_coloring, is_admissible
 from .polyring import MPoly, Namespace, apply_edge_operator
-from .rational import QQi, narrow
+from .rational import QQi, denominator, div_exact, narrow
 
 __all__ = [
     "eval_spin_network",
@@ -44,30 +47,39 @@ def _wvar(h):
 
 
 def _halfedge_forms(ns, holonomy, h):
-    """Linear forms (Z_h, W_h) = psi_h^{-1} (z_h, w_h); holonomy None is the
-    trivial one."""
+    """Linear forms (Z_h, W_h) = d_h psi_h^{-1} (z_h, w_h) on Gaussian
+    integers, and d_h, the common denominator of psi_h^{-1}'s entries;
+    holonomy None is the trivial one."""
     kz = 1 << ns.shift(_zvar(h))
     kw = 1 << ns.shift(_wvar(h))
     if holonomy is None:
-        return MPoly(ns, {kz: 1}), MPoly(ns, {kw: 1})
-    (a, b), (c, d) = ((narrow(x) for x in row) for row in holonomy.inverse_matrix(h))
+        return MPoly(ns, {kz: 1}), MPoly(ns, {kw: 1}), 1
+    inv = holonomy.inverse_matrix(h)
+    den = lcm(*(denominator(x) for row in inv for x in row))
+    (a, b), (c, d) = ((narrow(x * den) for x in row) for row in inv)
     return (MPoly(ns, {k: x for k, x in ((kz, a), (kw, b)) if x}),
-            MPoly(ns, {k: x for k, x in ((kz, c), (kw, d)) if x}))
+            MPoly(ns, {k: x for k, x in ((kz, c), (kw, d)) if x}), den)
 
 
 def _vertex_factors(graph, coloring, holonomy, ns, v, hs):
-    a, b, c = (coloring[graph.edge_of[h][0]] for h in hs)
+    """The vertex's bracket factors tagged with the half-edges they touch,
+    and prod_h d_h^{c_e(h)} over its half-edges, the scale they carry."""
+    colors = [coloring[graph.edge_of[h][0]] for h in hs]
+    a, b, c = colors
     exps = ((a + b - c) // 2, (b + c - a) // 2, (a + c - b) // 2)
     pairs = ((0, 1), (1, 2), (0, 2))
     forms = [_halfedge_forms(ns, holonomy, h) for h in hs]
+    scale = 1
+    for (_, _, den), ce in zip(forms, colors):
+        scale *= den ** ce
     out = []
     for (i, j), n in zip(pairs, exps):
         if n == 0:
             continue
-        zi, wi = forms[i]
-        zj, wj = forms[j]
+        zi, wi, _ = forms[i]
+        zj, wj, _ = forms[j]
         out.append(((hs[i], hs[j]), (zi * wj - zj * wi).pow(n)))
-    return out
+    return out, scale
 
 
 def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = None) -> QQi:
@@ -88,14 +100,17 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
         names.append(_wvar(h))
     ns = Namespace(names)
 
-    # factors tagged with the half-edges they touch
+    # factors tagged with the half-edges they touch; scale collects every
+    # constant they are multiplied by: prod_h d_h^{c_e(h)} here, c_e! below
     factors = []
+    scale = 1
     for v, hs in graph.vertices:
-        factors.extend(_vertex_factors(graph, coloring, holonomy, ns, v, hs))
+        fs, s = _vertex_factors(graph, coloring, holonomy, ns, v, hs)
+        factors.extend(fs)
+        scale *= s
 
     # scale one factor touching each edge by c_e!, so that the edge operator's
     # division by c_e! is exact on integer coefficients
-    scale = 1
     for e, l, r in graph.edges:
         ce = factorial(coloring[e])
         if ce > 1:
@@ -131,9 +146,10 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
             return QQi(0)
         factors.append((tuple(involved - touch), contracted))
 
-    value = QQi(Fraction(1, scale))
+    value = QQi(1)
     for hh, p in factors:
         value = value * p.constant_term()
+    value = div_exact(value, scale)
     total = sum(coloring[e] for e in graph.edge_ids)
     if total % 2:
         value = -value

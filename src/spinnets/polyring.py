@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import factorial
+from math import comb, factorial
 from operator import or_
 
 from .errors import InputError, PreconditionError
@@ -517,8 +517,8 @@ def _det_bareiss(m) -> MPoly:
 # series helpers
 # ---------------------------------------------------------------------------
 
-def power_series(u: MPoly, max_degree: int, step) -> MPoly:
-    """Truncated sum_{k>=0} c_k u^k with c_0 = 1 and c_k = c_{k-1} * step(k).
+def power_series(u: MPoly, max_degree: int, coeff) -> MPoly:
+    """Truncated sum_{k>=0} coeff(k) u^k, taking coeff(0) = 1.
 
     u must have no constant term, so u^k vanishes once k > max_degree.
     """
@@ -526,24 +526,31 @@ def power_series(u: MPoly, max_degree: int, step) -> MPoly:
         raise PreconditionError("power_series needs u without a constant term")
     u = u.truncated(max_degree)
     result = uk = MPoly(u.ns, {0: 1})
-    c = 1
     k = 0
     while True:
         k += 1
         uk = uk.mul_trunc(u, max_degree)
         if uk.is_zero():
             return result
-        c = c * step(k)
-        result = result + uk.scalar_mul(c)
+        result = result + uk.scalar_mul(coeff(k))
 
 
 def inv_sqrt_series(d: MPoly, max_degree: int) -> MPoly:
-    """Truncated s with s^2 * d = 1 (mod degree > max_degree) and s(0) = 1:
-    the binomial series of (1 + u)^(-1/2) in u = d - 1."""
+    """Truncated s with s^2 * d = 1 (mod degree > max_degree) and s(0) = 1.
+
+    With u = d - 1, s = sum_k C(2k, k) (-u/4)^k.  Substituting X -> 4X turns
+    it into s(4X) = sum_k C(2k, k) v^k with v = -u(4X)/4, whose degree-j part
+    is -4^(j-1) u_j: integral wherever u is, as u has no constant term.  So
+    the series runs in the ring of u, and the degree-j part of s(4X) is
+    divided by 4^j once at the end.
+    """
     if d.constant_term() != 1:
         raise PreconditionError("inv_sqrt_series needs constant term exactly 1")
-    u = d - MPoly(d.ns, {0: 1})
-    return power_series(u, max_degree, lambda k: Fraction(-(2 * k - 1), 2 * k))
+    ns = d.ns
+    deg = ns.degree
+    v = MPoly(ns, {k: c * -(1 << 2 * deg(k) - 2) for k, c in d.terms.items() if k})
+    s = power_series(v, max_degree, lambda k: comb(2 * k, k))
+    return MPoly(ns, {k: div_exact(c, 1 << 2 * deg(k)) for k, c in s.terms.items()})
 
 
 def inverse_series(d: MPoly, max_degree: int) -> MPoly:
@@ -552,4 +559,4 @@ def inverse_series(d: MPoly, max_degree: int) -> MPoly:
     if d.constant_term() != 1:
         raise PreconditionError("inverse_series needs constant term exactly 1")
     u = d - MPoly(d.ns, {0: 1})
-    return power_series(u, max_degree, lambda k: -1)
+    return power_series(u, max_degree, lambda k: -1 if k & 1 else 1)

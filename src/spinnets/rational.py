@@ -4,74 +4,80 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class QQi:
-    """Complex number with exact `Fraction` real and imaginary parts.
+    """Complex number with exact rational real and imaginary parts.
 
-    Immutable value type; arithmetic is exact, equality is bit-for-bit.
+    Each part is an int or a Fraction.  Parts built from ints stay ints, so
+    Gaussian-integer arithmetic runs on int alone; every division goes
+    through `div_exact`, so none yields a float.  Immutable value type;
+    arithmetic is exact, and equality, hash and printed form do not depend on
+    whether a part is held as an int or as a Fraction.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        object.__setattr__(self, "re", re if type(re) in _PARTS else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) in _PARTS else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("QQi is immutable")
 
     def __add__(self, other):
-        other = _coerce(other)
-        return QQi(self.re + other.re, self.im + other.im)
+        if type(other) is not QQi:
+            other = _coerce(other)
+        return _qqi(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return QQi(self.re - other.re, self.im - other.im)
+        if type(other) is not QQi:
+            other = _coerce(other)
+        return _qqi(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _qqi(-self.re, -self.im)
 
     def __mul__(self, other):
-        if type(other) is int:
-            return QQi(self.re * other, self.im * other)
-        other = _coerce(other)
+        if type(other) is not QQi:
+            if isinstance(other, (int, Fraction)):
+                return _qqi(self.re * other, self.im * other)
+            other = _coerce(other)
         a, b, c, d = self.re, self.im, other.re, other.im
         if not b and not d:
-            return QQi(a * c, _ZERO)
-        return QQi(a * c - b * d, a * d + b * c)
+            return _qqi(a * c, 0)
+        return _qqi(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QQi(self.re / other, self.im / other)
-        other = _coerce(other)
+        if not isinstance(other, QQi):
+            other = _coerce(other)
+            if not other.im:
+                return _qqi(div_exact(self.re, other.re), div_exact(self.im, other.re))
         n2 = other.norm2()
         if not n2:
             raise ZeroDivisionError("division by zero QQi")
-        conj = other.conjugate()
-        num = self * conj
-        return QQi(num.re / n2, num.im / n2)
+        num = self * other.conjugate()
+        return _qqi(div_exact(num.re, n2), div_exact(num.im, n2))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
     def conjugate(self):
-        return QQi(self.re, -self.im)
+        return _qqi(self.re, -self.im)
 
-    def norm2(self) -> Fraction:
-        """|z|^2, an exact non-negative rational."""
+    def norm2(self):
+        """|z|^2, an exact non-negative rational (an int for a Gaussian
+        integer)."""
         return self.re * self.re + self.im * self.im
 
     def __bool__(self):
@@ -98,6 +104,20 @@ class QQi:
         return f"QQi({self.re}, {self.im})"
 
 
+_PARTS = (int, Fraction)
+_new = object.__new__
+_set_re, _set_im = QQi.re.__set__, QQi.im.__set__
+
+
+def _qqi(re, im):
+    """QQi(re, im) for parts already int or Fraction, skipping the checks
+    of the constructor (the arithmetic's results)."""
+    z = _new(QQi)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
+
+
 ONE = QQi(1)
 I = QQi(0, 1)
 
@@ -110,25 +130,39 @@ def _coerce(x) -> QQi:
     raise TypeError(f"cannot coerce {type(x).__name__} to QQi")
 
 
+def _narrow_part(q):
+    return q.numerator if q.denominator == 1 else q
+
+
 def narrow(x):
-    """x as an int when it is a real integer, else as a QQi."""
+    """x as an int when it is a real integer, else as a QQi whose integral
+    parts are ints (so a Gaussian integer has int parts)."""
     x = x if isinstance(x, QQi) else QQi(x)
-    if not x.im and x.re.denominator == 1:
-        return x.re.numerator
-    return x
+    re, im = _narrow_part(x.re), _narrow_part(x.im)
+    if not im and type(re) is int:
+        return re
+    return QQi(re, im)
+
+
+def denominator(x) -> int:
+    """The least positive d with d * x a Gaussian integer, for an int,
+    Fraction or QQi x."""
+    if isinstance(x, QQi):
+        return lcm(x.re.denominator, x.im.denominator)
+    return x.denominator
 
 
 def div_exact(a, b):
     """a / b without leaving the rings of a and b: an int when int or
     Fraction operands give an integer, a Fraction when they give another
-    rational, a QQi when either operand is a QQi."""
+    rational, a QQi when either operand is a QQi (its parts chosen the same
+    way)."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     if isinstance(a, QQi) or isinstance(b, QQi):
-        return a / b
-    q = Fraction(a) / b
-    return q.numerator if q.denominator == 1 else q
+        return _coerce(a) / b
+    return _narrow_part(Fraction(a) / b)
 
 
 def ipow(n: int) -> QQi:
@@ -142,8 +176,16 @@ _RE_IMAG = re.compile(rf"^\s*({_FRAC})\s*\*?\s*i\s*$")
 _RE_BOTH = re.compile(rf"^\s*({_FRAC})\s*([+-]\s*\d+(?:/\d+)?)\s*\*?\s*i\s*$")
 
 
+def _fraction(text, s) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator in exact scalar {s!r}") from None
+
+
 def parse_exact(s) -> QQi:
-    """Parse an exact scalar: int, "p/q", "r/s i", or "p/q+r/s i"."""
+    """Parse an exact scalar: int, "p/q", "r/s i", or "p/q+r/s i"; a zero
+    denominator is an InputError."""
     if isinstance(s, QQi):
         return s
     if isinstance(s, int):
@@ -154,13 +196,13 @@ def parse_exact(s) -> QQi:
         raise InputError(f"not an exact scalar: {s!r}")
     m = _RE_REAL.match(s)
     if m:
-        return QQi(Fraction(m.group(1)))
+        return QQi(_fraction(m.group(1), s))
     m = _RE_IMAG.match(s)
     if m:
-        return QQi(0, Fraction(m.group(1)))
+        return QQi(0, _fraction(m.group(1), s))
     m = _RE_BOTH.match(s)
     if m:
-        return QQi(Fraction(m.group(1)), Fraction(m.group(2).replace(" ", "")))
+        return QQi(_fraction(m.group(1), s), _fraction(m.group(2).replace(" ", ""), s))
     raise InputError(f"cannot parse exact scalar {s!r}")
 
 

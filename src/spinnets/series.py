@@ -12,15 +12,16 @@ generating series on presentations with crossings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError, RegimeError
 from .evaluator import _wvar, _zvar, eval_spin_network, renormalize
 from .graphs import Graph, Holonomy, admissible_colorings, internal_coloring
 from .polyring import MPoly, Namespace, inv_sqrt_series
 from .polyring import det_poly  # noqa: F401  perfbench/tracer.py patches it here by name
-from .rational import QQi, div_exact, narrow
+from .rational import QQi, denominator, div_exact, narrow
 
 __all__ = [
     "PQMatrices",
@@ -116,10 +117,14 @@ def build_pq(graph: Graph, holonomy: Holonomy | None = None) -> PQMatrices:
 # P^{-1} = -P and det(P) = 1.  B's entries are X-linear, so the power sum
 # p_m = tr(B^m) is homogeneous of degree m, and Newton's identities give the
 # degree-k part of the determinant as F_0 = 1, k·F_k = -sum_{m=1..k} p_m·F_{k-m}.
-# Each coefficient of B is narrowed to int when it is a real integer (every
-# one is for a real holonomy, as i·i = -1); then B's powers, the traces and
-# the F_k stay on int, the division by k being exact because det(I - B) has
-# integer coefficients.  Gaussian-rational entries run the same code on QQi.
+# Each coefficient of B is narrowed: to int when it is a real integer (every
+# one is for a real holonomy with integer entries, as i·i = -1), to a QQi
+# with int parts when it is a Gaussian integer.  series_Z scales Q by the
+# common denominator D of its coefficients first, which substitutes X -> D·X,
+# so for every exact holonomy B's powers, the traces and the F_k stay on
+# Gaussian integers, the division by k being exact because det(I - B) then
+# has Gaussian-integer coefficients; series_Z divides the degree-k part of
+# the inverse square root by D^k once at the end.
 # ---------------------------------------------------------------------------
 
 def _sparse_matmul(a, b, ns, max_degree):
@@ -208,8 +213,22 @@ def series_Z(graph: Graph, holonomy: Holonomy | None = None, degree: int = 8) ->
     For crossing-free presentations the coefficient of X^c is the
     renormalized evaluation; with crossings, apply nonplanar_fix to the
     result to obtain the true generating series.
+
+    Q is scaled by the common denominator D of its coefficients, so that
+    det(P + D·Q) = det(P + Q)(D·X) and its inverse square root run on
+    Gaussian integers; the degree-k part is then divided by D^k once.
     """
-    return inv_sqrt_series(truncated_det(build_pq(graph, holonomy), degree), degree)
+    pq = build_pq(graph, holonomy)
+    den = lcm(*(denominator(c) for cols in pq.q.values()
+                for poly in cols.values() for c in poly.terms.values()))
+    if den > 1:
+        pq = replace(pq, q={r: {c: poly.scalar_mul(den) for c, poly in cols.items()}
+                            for r, cols in pq.q.items()})
+    s = inv_sqrt_series(truncated_det(pq, degree), degree)
+    if den == 1:
+        return s
+    deg = pq.ns.degree
+    return MPoly(pq.ns, {k: div_exact(c, den ** deg(k)) for k, c in s.terms.items()})
 
 
 # ---------------------------------------------------------------------------

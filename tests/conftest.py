@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from spinnets import bundled_graph_path, load_graph
 from spinnets.graphs import Graph
@@ -61,20 +62,33 @@ def random_holonomy(graph, seed=0, steps=3):
     return Holonomy(graph, {h: rand_sl2(rng, steps) for h in graph.halfedges}, True)
 
 
-def shear_gauge(graph, seed):
-    """Seeded determinant-1 gauge elements ((1, a), (0, 1)) ((1, 0), (b, 1))
-    with shears a, b of non-zero imaginary part."""
-    rng = random.Random(seed)
+def _gauge_of_shears(graph, shear):
+    """Determinant-1 gauge elements ((1, a), (0, 1)) ((1, 0), (b, 1)) at every
+    vertex and edge, with shears a, b drawn by shear()."""
     one = QQi(1)
-
-    def shear():
-        return QQi(Fraction(rng.randint(-3, 3), 2), Fraction(rng.choice((-1, 1)), 3))
-
     g = {}
     for key in [v for v, _ in graph.vertices] + list(graph.edge_ids):
         a, b = shear(), shear()
         g[key] = ((one + a * b, a), (b, one))
     return g
+
+
+def shear_gauge(graph, seed, dens=(2, 3)):
+    """Seeded shear gauge whose shears have non-zero imaginary part, real
+    parts over dens[0] and imaginary parts over dens[1]."""
+    rng = random.Random(seed)
+    return _gauge_of_shears(graph, lambda: QQi(Fraction(rng.randint(-3, 3), dens[0]),
+                                               Fraction(rng.choice((-1, 1)), dens[1])))
+
+
+_PART = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 12))
+
+
+@st.composite
+def shear_gauges(draw, graph):
+    """Shear gauge with Gaussian-rational shears whose parts have
+    denominators up to 12."""
+    return _gauge_of_shears(graph, lambda: QQi(draw(_PART), draw(_PART)))
 
 
 # rational unit quaternions (w, x, y, z): exact points of SU(2)

@@ -138,6 +138,8 @@ def test_input_errors_exit_2(tmp_path, capsys):
         "hol_unknown": {**ident, "zz": [[1, 0], [0, 1]]},
         "hol_bad_pair": {**ident, "u1": [[["a", 1], 0], [0, 1]]},
         "hol_nan": {**ident, "u1": [[[float("nan"), 0.0], 0], [0, 1]]},
+        "hol_zero_den": {**ident, "u1": [["1/0", 0], [0, 1]]},
+        "hol_zero_den_im": {**ident, "u1": [["2/0 i", 0], [0, 1]]},
     }
     for name, obj in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
@@ -156,6 +158,8 @@ def test_input_errors_exit_2(tmp_path, capsys):
         (*w_theta, "--y", "zz=0.1"),
         ("integrate", "-g", "theta", "-c", th_c, "--samples", "10000", "--workers", "-1"),
         ("eval", "-g", str(tmp_path / "graph_array.json"), "-c", th_c),
+        *(("eval", "-g", "theta", "-c", th_c, "-H", str(tmp_path / f"{name}.json"))
+          for name in ("hol_zero_den", "hol_zero_den_im")),
         *((*w_theta, "-H", str(tmp_path / f"{name}.json"))
           for name in files if name.startswith("hol_")),
         ("check", "-g", "tetrahedron", "-c", tet_c, "--restarts", "-3"),

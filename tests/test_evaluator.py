@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_sl2, random_holonomy, shear_gauge
+from conftest import rand_sl2, random_holonomy, shear_gauge, shear_gauges
 from oracles import tet_value_oracle
+from spinnets import evaluator as evaluator_module
 from spinnets.errors import AdmissibilityError, InputError, RegimeError
 from spinnets.evaluator import (bracket_square, eval_spin_network, gauge_transform,
                                 renormalize, theta_value)
 from spinnets.graphs import Graph, Holonomy, admissible_colorings
+from spinnets.polyring import apply_edge_operator
 from spinnets.rational import QQi
 
 
@@ -106,6 +109,29 @@ def test_gauge_invariance(theta):
     for _ in range(100):
         g = {k: rand_sl2(rng) for k in keys}
         assert eval_spin_network(theta, col, gauge_transform(theta, hol, g)) == base
+
+
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(("theta", "tet")), seed=st.integers(0, 2**16), data=st.data())
+def test_scaled_contraction_is_gauge_invariant(theta, tet, name, seed, data):
+    """Half-edge forms are scaled by their own denominators, which a random
+    Gaussian-rational gauge changes; every contraction runs on Gaussian
+    integers and the value does not change."""
+    g = {"theta": theta, "tet": tet}[name]
+    cols = list(admissible_colorings(g, max_color=3))
+    col = data.draw(st.sampled_from(cols))
+    hol = random_holonomy(g, seed=seed)
+    gauged = gauge_transform(g, hol, data.draw(shear_gauges(g)))
+    coeffs = []
+
+    def spy(p, *args):
+        coeffs.extend(p.terms.values())
+        return apply_edge_operator(p, *args)
+
+    with mock.patch.object(evaluator_module, "apply_edge_operator", spy):
+        value = eval_spin_network(g, col, gauged)
+    assert all(type(c) is int or (type(c.re) is int and type(c.im) is int) for c in coeffs)
+    assert value == eval_spin_network(g, col, hol)
 
 
 def test_gauge_identity_and_minus_identity(theta):

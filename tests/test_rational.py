@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from spinnets.errors import InputError
-from spinnets.rational import QQi, div_exact, format_exact, ipow, parse_exact
+from spinnets.polyring import MPoly, Namespace
+from spinnets.rational import (QQi, denominator, div_exact, format_exact, ipow, narrow,
+                               parse_exact)
 
 
 def test_arithmetic():
@@ -66,10 +68,69 @@ def test_parse_exact(text, expect):
 
 
 def test_parse_rejects_floats_and_junk():
-    with pytest.raises(InputError):
-        parse_exact("0.5")
-    with pytest.raises(InputError):
-        parse_exact("i+1")
+    for text in ("0.5", "i+1", "1/0", "2/0 i", "1/2+3/0 i", "1/0+1 i"):
+        with pytest.raises(InputError):
+            parse_exact(text)
+
+
+def _parts_exact(z):
+    return type(z.re) in (int, Fraction) and type(z.im) in (int, Fraction)
+
+
+def test_int_parts_division_never_floats():
+    """Gaussian integers keep int parts; no division yields a float part."""
+    a, b = QQi(3, -4), QQi(1, 2)
+    assert type(a.re) is int and type(a.im) is int
+    for got, value in (
+        (a / 2, QQi(Fraction(3, 2), -2)),
+        (a / 1, a),
+        (a / Fraction(1, 2), QQi(6, -8)),
+        (a / Fraction(2, 3), QQi(Fraction(9, 2), -6)),
+        (a / b, QQi(-1, -2)),
+        (a / QQi(2, 0), QQi(Fraction(3, 2), -2)),
+        (5 / b, QQi(1, -2)),
+        (1 / a, QQi(Fraction(3, 25), Fraction(4, 25))),
+        (Fraction(1, 2) / b, QQi(Fraction(1, 10), Fraction(-1, 5))),
+        (div_exact(a, 2), QQi(Fraction(3, 2), -2)),
+        (div_exact(a, b), QQi(-1, -2)),
+        (div_exact(4, QQi(0, 2)), QQi(0, -2)),
+    ):
+        assert type(got) is QQi and _parts_exact(got) and got == value, (got, value)
+    # an integral quotient of int parts stays int
+    for got in (a / 1, a / b, 5 / b, div_exact(4, QQi(0, 2)), QQi(6, 8) / 2):
+        assert type(got.re) is int and type(got.im) is int, got
+
+
+def test_int_and_fraction_parts_agree():
+    pairs = [(QQi(3, -4), QQi(Fraction(3), Fraction(-4))),
+             (QQi(0, 1), QQi(Fraction(0), Fraction(1))),
+             (QQi(7), QQi(Fraction(7))),
+             (QQi(0), QQi(Fraction(0)))]
+    ns = Namespace(("x",))
+    for i, f in pairs:
+        assert type(i.re) is int and type(f.re) is Fraction
+        assert i == f and hash(i) == hash(f)
+        assert format_exact(i) == format_exact(f)
+        assert repr(i) == repr(f)
+        assert MPoly.var(ns, "x", i).to_obj() == MPoly.var(ns, "x", f).to_obj()
+    assert MPoly.var(ns, "x", 7).to_obj() == MPoly.var(ns, "x", Fraction(7)).to_obj() == [
+        {"exponents": {"x": 1}, "re": "7", "im": "0"}]
+    assert QQi(7) == 7 == QQi(Fraction(7)) and hash(QQi(7)) == hash(7)
+    assert {QQi(2, 1): "a"}[QQi(Fraction(2), Fraction(1))] == "a"
+
+
+def test_narrow():
+    assert narrow(QQi(Fraction(5), 0)) == 5 and type(narrow(QQi(Fraction(5)))) is int
+    z = narrow(QQi(Fraction(4, 2), Fraction(-3)))
+    assert type(z) is QQi and type(z.re) is int and type(z.im) is int and z == QQi(2, -3)
+    z = narrow(QQi(Fraction(1, 2), Fraction(3)))
+    assert z == QQi(Fraction(1, 2), 3) and type(z.re) is Fraction and type(z.im) is int
+
+
+def test_denominator():
+    assert denominator(3) == 1 and denominator(Fraction(3, 4)) == 4
+    assert denominator(QQi(Fraction(1, 4), Fraction(5, 6))) == 12
+    assert denominator(QQi(2, -1)) == 1
 
 
 def test_format_round_trip():

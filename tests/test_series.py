@@ -1,16 +1,20 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_holonomy, shear_gauge
+from conftest import random_holonomy, shear_gauge, shear_gauges
+from spinnets import series as series_module
 from spinnets.errors import InputError
 from spinnets.evaluator import gauge_transform
 from spinnets.graphs import Holonomy
 from spinnets.polyring import MPoly, det_poly, inverse_series
-from spinnets.rational import QQi
+from spinnets.rational import QQi, denominator, div_exact
 from spinnets.series import (abelian_curve_sum, build_pq, compare_with_evaluations,
                              nonplanar_fix, pfaffian_dimer_sum, series_Z,
                              truncated_det, w1_matrix, westbury_polynomial)
@@ -82,13 +86,73 @@ def test_series_equals_westbury_inverse_square(theta):
        seed=st.integers(0, 2**16))
 def test_int_ring_series_matches_gaussian_ring(theta, tet, prism, name, degree, seed):
     """The trivial-holonomy series runs on int; a shear gauge of the trivial
-    holonomy (Gaussian-rational entries, the same series) runs on QQi."""
+    holonomy (Gaussian-rational entries, the same series) runs on Gaussian
+    integers after Q is scaled by a common denominator."""
     g = {"theta": theta, "tet": tet, "prism": prism}[name]
     hol = gauge_transform(g, Holonomy.trivial(g), shear_gauge(g, seed))
     assert any(x.im for m in hol.entries.values() for row in m for x in row)
     z = series_Z(g, None, degree)
     assert not any(isinstance(c, QQi) for c in z.terms.values())
     assert z == series_Z(g, hol, degree)
+
+
+def _scaled(pq):
+    """pq with Q multiplied by the common denominator D of its coefficients,
+    and D."""
+    den = lcm(*(denominator(c) for cols in pq.q.values()
+                for poly in cols.values() for c in poly.terms.values()))
+    return replace(pq, q={r: {c: poly.scalar_mul(den) for c, poly in cols.items()}
+                          for r, cols in pq.q.items()}), den
+
+
+def _on_gaussian_integers(poly):
+    return all(type(c) is int or (type(c.re) is int and type(c.im) is int)
+               for c in poly.terms.values())
+
+
+def _check_scaled_det(pq, degree):
+    """truncated_det on pq and on pq scaled to Gaussian integers, against the
+    Bareiss determinant of the scaled matrix: det(P + D·Q) is det(P + Q)
+    with X -> D·X."""
+    scaled, den = _scaled(pq)
+    bareiss = det_poly(scaled.full())
+    deg = pq.ns.degree
+    got = truncated_det(scaled, degree)
+    assert _on_gaussian_integers(got)
+    assert got == bareiss.truncated(degree)
+    unscaled = MPoly(pq.ns, {k: div_exact(c, den ** deg(k)) for k, c in bareiss.terms.items()})
+    assert truncated_det(pq, degree) == unscaled.truncated(degree)
+
+
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(("theta", "tet")), seed=st.integers(0, 2**16), data=st.data())
+def test_scaled_kernel_matches_ungauged_series(theta, tet, name, seed, data):
+    """A random Gaussian-rational gauge of a random holonomy leaves the series
+    unchanged, although series_Z scales Q by a different denominator."""
+    g = {"theta": theta, "tet": tet}[name]
+    degree = 6 if name == "theta" else 4
+    hol = random_holonomy(g, seed=seed)
+    gauged = gauge_transform(g, hol, data.draw(shear_gauges(g)))
+    dets = []
+
+    def spy(pq, max_degree):
+        dets.append(truncated_det(pq, max_degree))
+        return dets[-1]
+
+    with mock.patch.object(series_module, "truncated_det", spy):
+        z = series_Z(g, gauged, degree)
+    # the determinant, and so the inverse square root, ran on Gaussian integers
+    assert len(dets) == 1 and _on_gaussian_integers(dets[0])
+    assert z == series_Z(g, hol, degree)
+    if name == "theta":  # Bareiss on the tetrahedron is checked once, below
+        _check_scaled_det(build_pq(g, gauged), degree)
+
+
+def test_scaled_kernel_matches_bareiss_tet(tet):
+    """truncated_det on the tetrahedron under a gauged random holonomy, with
+    shear denominators 7 and 11, equals the Bareiss determinant."""
+    hol = gauge_transform(tet, random_holonomy(tet, seed=5), shear_gauge(tet, 11, dens=(7, 11)))
+    _check_scaled_det(build_pq(tet, hol), 4)
 
 
 def test_routes_run_on_int_ring(theta, prism):
