@@ -12,10 +12,11 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 import warnings
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -33,15 +34,6 @@ from .series import (abelian_curve_sum, compare_with_evaluations, nonplanar_fix,
 
 DEFAULT_SEED = 20120712
 _BUNDLED = ("theta", "tetrahedron", "prism3", "tetrahedron_nonplanar")
-
-# multithreaded BLAS reductions are not order-deterministic; sample
-# parallelism is seed-chunked by --workers instead
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    from contextlib import nullcontext as _one_blas_thread
-else:
-    _one_blas_thread = partial(threadpool_limits, limits=1)
 
 
 def _digest(path) -> str:
@@ -185,9 +177,21 @@ def _parse_y(pairs):
     return out
 
 
+def _workers(args) -> int:
+    """--workers, else SPINNET_WORKERS, else 1; haar checks the range."""
+    if args.workers is not None:
+        return args.workers
+    raw = os.environ.get("SPINNET_WORKERS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"SPINNET_WORKERS must be an integer, got {raw!r}") from None
+
+
 def _cmd_integrate(args):
+    workers = _workers(args)
     graph, holonomy, inputs = _load_inputs(args)
-    results = {"graph": graph.name, "target": args.target, "workers": args.workers}
+    results = {"graph": graph.name, "target": args.target, "workers": workers}
     if args.target in ("bracket", "orthogonality"):
         coloring = _load_coloring_arg(args.coloring, graph)
         if max(coloring.values()) > 10:
@@ -195,10 +199,10 @@ def _cmd_integrate(args):
                           "watch the reported stderr")
         results["coloring"] = coloring
         if args.target == "bracket":
-            est = mc_bracket(graph, coloring, holonomy, args.samples, args.seed, args.workers)
+            est = mc_bracket(graph, coloring, holonomy, args.samples, args.seed, workers)
             target = float(bracket_square(graph, coloring, holonomy))
         else:
-            est = mc_orthogonality(graph, coloring, args.samples, args.seed, args.workers)
+            est = mc_orthogonality(graph, coloring, args.samples, args.seed, workers)
             target = 1.0
             for v, hs in graph.vertices:
                 a, b, c = (coloring[graph.edge_of[h][0]] for h in hs)
@@ -213,7 +217,7 @@ def _cmd_integrate(args):
         unknown = set(y) - set(graph.edge_ids)
         if unknown:
             raise InputError(f"--y names unknown edges {sorted(unknown)}")
-        est = mc_W_point(graph, y, holonomy, args.samples, args.seed, args.workers)
+        est = mc_W_point(graph, y, holonomy, args.samples, args.seed, workers)
         results["y"] = y
         target = None
     else:
@@ -384,14 +388,9 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     args._argv = list(argv)
-    if getattr(args, "workers", None) is None and args.cmd == "integrate":
-        import os
-
-        args.workers = int(os.environ.get("SPINNET_WORKERS", "1"))
     t0 = time.time()
     try:
-        with _one_blas_thread():
-            rc = _HANDLERS[args.cmd](args)
+        rc = _HANDLERS[args.cmd](args)
     except (InputError, PreconditionError, AdmissibilityError, RegimeError,
             DomainError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

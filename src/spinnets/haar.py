@@ -6,11 +6,17 @@ Hamilton product of quaternion arrays: half the trace of a product is its
 scalar part, so <p, q> is half the trace of p q^-1.  `su2_matrix` carries a
 quaternion to its matrix for callers that need one.  Estimates are
 deterministic for a fixed (seed, samples, workers): worker i consumes its
-own spawned substream and partial sums are reduced in worker order.
+own spawned substream and partial sums are reduced in worker order.  The
+workers run on min(workers, CPUs) threads, each drawing into one sample
+buffer its caller allocates; which thread runs a worker never changes what
+the worker draws or the order of the sums, so no estimate depends on the
+CPU count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +36,9 @@ __all__ = [
 ]
 
 _BATCH = 1 << 15
+# quaternions per normalisation pass and samples per integrand call: small
+# temporaries, which each thread's allocator reuses instead of retaining
+_BLOCK = 8192
 MIN_SAMPLES = 10_000
 
 
@@ -56,9 +65,24 @@ class MCEstimate:
 
 def haar_su2(rng: np.random.Generator, n: int) -> np.ndarray:
     """n Haar-distributed unit quaternions, shape (n, 4)."""
-    q = rng.standard_normal((n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    return q
+    return _fill_haar(rng, np.empty((n, 4)))
+
+
+def _fill_haar(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous (m, 4) array out with Haar unit quaternions and
+    return it.  Row norms are summed in the order np.linalg.norm(axis=1) sums
+    them, so out equals q / norm(q) bit for bit."""
+    rng.standard_normal(out=out)
+    for i in range(0, len(out), _BLOCK):
+        blk = out[i:i + _BLOCK]
+        t0, t1, t2, t3 = blk.T
+        s = t0 * t0
+        s += t1 * t1
+        s += t2 * t2
+        s += t3 * t3
+        np.sqrt(s, out=s)
+        blk /= s[:, None]
+    return out
 
 
 def char_value(n: int, q):
@@ -122,23 +146,77 @@ def _check_samples(samples):
 def _chunks(samples: int, workers: int):
     if workers < 1:
         raise InputError("workers must be >= 1")
+    if workers > samples:
+        raise InputError(f"workers must be <= samples ({samples}), got {workers}")
     base, rem = divmod(samples, workers)
     return [base + (1 if i < rem else 0) for i in range(workers)]
 
 
-def _estimate(batch_fn, samples: int, seed: int, workers: int) -> MCEstimate:
-    """Mean/stderr of a per-sample statistic; batch_fn(rng, n) -> (n,) floats."""
-    total = total_sq = 0.0
-    chunks = _chunks(samples, workers)  # validates workers before spawning
-    for child, n_w in zip(np.random.SeedSequence(seed).spawn(workers), chunks):
+def _batch_sums(integrand, draws, buf, vals, streams, counts):
+    """Per-batch (sum v, sum v^2) over the given workers' substreams, in
+    worker order, then batch order.  A batch of n samples is one draw of
+    n * sum(draws) quaternions into buf, read as one (n, d, 4) section per d
+    in draws; the integrand sees row blocks of the sections and its values
+    go to vals."""
+    k = sum(draws)
+    sums = []
+    for child, n_w in zip(streams, counts):
         rng = np.random.Generator(np.random.Philox(child))
-        done = 0
-        while done < n_w:
+        for done in range(0, n_w, _BATCH):
             n = min(_BATCH, n_w - done)
-            vals = batch_fn(rng, n)
-            total += float(np.sum(vals))
-            total_sq += float(np.sum(vals * vals))
-            done += n
+            q = _fill_haar(rng, buf[:n * k])
+            sections, lo = [], 0
+            for d in draws:
+                sections.append(q[n * lo:n * (lo + d)].reshape(n, d, 4))
+                lo += d
+            v = vals[:n]
+            for i in range(0, n, _BLOCK):
+                v[i:i + _BLOCK] = integrand(*(sec[i:i + _BLOCK] for sec in sections))
+            total = float(np.sum(v))
+            v *= v
+            sums.append((total, float(np.sum(v))))
+    return sums
+
+
+def _estimate(integrand, draws, samples: int, seed: int, workers: int) -> MCEstimate:
+    """Mean/stderr of a per-sample statistic: integrand(*sections) -> (m,)
+    floats for m samples, section j of shape (m, draws[j], 4) holding Haar
+    quaternions.
+
+    Worker w draws chunk w of the samples from substream w of the seed.
+    Thread t of min(workers, CPUs) runs a contiguous run of workers in
+    buffers allocated here; the sums are added in worker order, then batch
+    order, whatever the thread count."""
+    chunks = _chunks(samples, workers)  # validates workers before spawning
+    streams = np.random.SeedSequence(seed).spawn(workers)
+    runs = _chunks(workers, min(workers, os.cpu_count() or 1))
+    results = [None] * len(runs)
+
+    def run(t, lo, hi, buf, vals):
+        try:
+            results[t] = _batch_sums(integrand, draws, buf, vals, streams[lo:hi],
+                                     chunks[lo:hi])
+        except BaseException as exc:  # re-raised by the calling thread
+            results[t] = exc
+
+    threads, lo = [], 0
+    for t, count in enumerate(runs):
+        rows = min(_BATCH, chunks[lo])
+        bufs = (np.empty((rows * sum(draws), 4)), np.empty(rows))
+        threads.append(threading.Thread(target=run, args=(t, lo, lo + count, *bufs),
+                                        daemon=True))
+        lo += count
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    total = total_sq = 0.0
+    for sums in results:
+        if isinstance(sums, BaseException):
+            raise sums
+        for s, s2 in sums:
+            total += s
+            total_sq += s2
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0) * samples / max(samples - 1, 1)
     return MCEstimate(mean, (var / samples) ** 0.5, samples, seed)
@@ -187,15 +265,14 @@ def mc_bracket(graph: Graph, coloring: dict, holonomy: Holonomy | None = None,
     conj = _prepared_holonomy(graph, holonomy)
     nv = len(graph.vertices)
 
-    def batch(rng, n):
-        g = haar_su2(rng, n * nv).reshape(n, nv, 4)
+    def integrand(g):
         half = _edge_half_traces(graph, conj, g)
-        vals = np.ones(n)
+        vals = np.ones(len(g))
         for e in graph.edge_ids:
-            vals = vals * _chebyshev_u(coloring[e], half[e])
+            vals *= _chebyshev_u(coloring[e], half[e])
         return vals
 
-    return _estimate(batch, samples, seed, workers)
+    return _estimate(integrand, (nv,), samples, seed, workers)
 
 
 def mc_W_point(graph: Graph, y: dict, holonomy: Holonomy | None = None,
@@ -211,16 +288,15 @@ def mc_W_point(graph: Graph, y: dict, holonomy: Holonomy | None = None,
     conj = _prepared_holonomy(graph, holonomy)
     nv = len(graph.vertices)
 
-    def batch(rng, n):
-        g = haar_su2(rng, n * nv).reshape(n, nv, 4)
+    def integrand(g):
         half = _edge_half_traces(graph, conj, g)
-        vals = np.ones(n)
+        vals = np.ones(len(g))
         for e in graph.edge_ids:
             ye = y[e]
-            vals = vals / (1.0 - 2.0 * ye * half[e] + ye * ye)
+            vals /= 1.0 - 2.0 * ye * half[e] + ye * ye
         return vals
 
-    return _estimate(batch, samples, seed, workers)
+    return _estimate(integrand, (nv,), samples, seed, workers)
 
 
 def mc_orthogonality(graph: Graph, coloring: dict,
@@ -242,17 +318,15 @@ def mc_orthogonality(graph: Graph, coloring: dict,
     halfinfo = [(eidx[graph.edge_of[h][0]], vidx[graph.vertex_of[h]],
                  coloring[graph.edge_of[h][0]]) for h in graph.halfedges]
 
-    def batch(rng, n):
-        gv = haar_su2(rng, n * nv).reshape(n, nv, 4)
-        ge = haar_su2(rng, n * ne).reshape(n, ne, 4)
-        psi = haar_su2(rng, n * nh).reshape(n, nh, 4)
-        vals = np.full(n, scale)
+    def integrand(gv, ge, psi):
+        vals = np.full(len(gv), scale)
         for k, (ei, vi, c) in enumerate(halfinfo):
             # half the trace of g_e psi g_v psi^-1 is <g_e^-1, psi g_v psi^-1>
             p = psi[:, k]
             rotated = _qmul(_qmul(p, gv[:, vi]), p * _CONJ)
             half = np.einsum("ij,ij->i", ge[:, ei] * _CONJ, rotated)
-            vals = vals * _chebyshev_u(c, half)
+            vals *= _chebyshev_u(c, half)
         return vals
 
-    return _estimate(batch, samples, seed, workers)
+    # a batch draws its vertex, then its edge, then its half-edge samples
+    return _estimate(integrand, (nv, ne, nh), samples, seed, workers)

@@ -157,6 +157,8 @@ def test_input_errors_exit_2(tmp_path, capsys):
         ("integrate", "-g", "theta", "--target", "W", "--y", "e1=inf"),
         (*w_theta, "--y", "zz=0.1"),
         ("integrate", "-g", "theta", "-c", th_c, "--samples", "10000", "--workers", "-1"),
+        # refused before any thread starts: a worker beyond the samples draws nothing
+        ("integrate", "-g", "theta", "-c", th_c, "--samples", "10000", "--workers", "10001"),
         ("eval", "-g", str(tmp_path / "graph_array.json"), "-c", th_c),
         *(("eval", "-g", "theta", "-c", th_c, "-H", str(tmp_path / f"{name}.json"))
           for name in ("hol_zero_den", "hol_zero_den_im")),
@@ -177,6 +179,20 @@ def test_input_errors_exit_2(tmp_path, capsys):
         rc, _ = run_cli(*argv)
         assert rc == 2, argv
         assert len(capsys.readouterr().err.splitlines()) == 1, argv
+
+
+def test_bad_workers_variable_exits_2(monkeypatch, capsys):
+    argv = ("integrate", "-g", "theta", "-c", '{"e1":2,"e2":2,"e3":2}', "--samples", "10000")
+    for value in ("abc", "0", "2.5"):
+        monkeypatch.setenv("SPINNET_WORKERS", value)
+        capsys.readouterr()
+        rc, out = run_cli(*argv)
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and out == "", value
+        assert len(err) == 1 and err[0].startswith("input error:"), value
+    monkeypatch.setenv("SPINNET_WORKERS", "2")
+    rc, out = run_cli(*argv)
+    assert rc == 0 and json.loads(out)["results"]["workers"] == 2
 
 
 def test_help_exits_0(capsys):

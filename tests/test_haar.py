@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spinnets.haar as haar
 from spinnets.errors import DomainError, InputError, PreconditionError
 from spinnets.evaluator import bracket_square, theta_value
-from spinnets.haar import (char_value, haar_su2, mc_bracket, mc_orthogonality,
-                           mc_W_point, su2_matrix, _chebyshev_u, _chunks,
-                           _edge_half_traces, _prepared_holonomy, _qmul)
+from spinnets.haar import (MCEstimate, char_value, haar_su2, mc_bracket, mc_orthogonality,
+                           mc_W_point, su2_matrix, _BATCH, _BLOCK, _chebyshev_u,
+                           _chunks, _edge_half_traces, _prepared_holonomy, _qmul)
 
 SAMPLES = 100_000
 
@@ -164,8 +167,88 @@ def test_determinism_and_worker_chunks(theta):
     c = mc_bracket(theta, col, samples=20_000, seed=43, workers=3)
     assert a != c
     assert _chunks(10, 3) == [4, 3, 3]
-    with pytest.raises(InputError):
-        _chunks(10, 0)
+    assert _chunks(10, 10) == [1] * 10
+    for workers in (0, 11):
+        with pytest.raises(InputError):
+            _chunks(10, workers)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n=st.one_of(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                    2 * _BLOCK, 2 * _BLOCK + 1]),
+                   st.integers(0, 3 * _BLOCK + 1)))
+def test_haar_su2_is_the_normalised_gaussian(seed, n):
+    # the blocked in-place normalisation equals q / |q| with numpy's row norm
+    q = np.random.default_rng(seed).standard_normal((n, 4))
+    ref = q / np.linalg.norm(q, axis=1, keepdims=True)
+    assert np.array_equal(haar_su2(np.random.default_rng(seed), n), ref)
+
+
+def _serial_estimate(integrand, draws, samples, seed, workers):
+    """The one-thread estimator: worker after worker, batch after batch,
+    each batch of n samples drawn by successive haar_su2 calls of n * d
+    quaternions for each d in draws and evaluated whole."""
+    total = total_sq = 0.0
+    for child, n_w in zip(np.random.SeedSequence(seed).spawn(workers),
+                          _chunks(samples, workers)):
+        rng = np.random.Generator(np.random.Philox(child))
+        done = 0
+        while done < n_w:
+            n = min(_BATCH, n_w - done)
+            vals = integrand(*(haar_su2(rng, n * d).reshape(n, d, 4) for d in draws))
+            total += float(np.sum(vals))
+            total_sq += float(np.sum(vals * vals))
+            done += n
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0) * samples / max(samples - 1, 1)
+    return MCEstimate(mean, (var / samples) ** 0.5, samples, seed)
+
+
+def test_threaded_estimates_equal_serial_loop(theta, tet, monkeypatch):
+    # 70 000 samples give full and partial batches for 1, 2 and 3 workers
+    from conftest import random_unitary_holonomy
+
+    def not_on_pool_threads(rng, n):
+        raise AssertionError("the estimator calls the traced name haar.haar_su2")
+
+    integrands = []
+    real_estimate = haar._estimate
+
+    def recorded(integrand, draws, samples, seed, workers):
+        integrands.append((integrand, draws))
+        return real_estimate(integrand, draws, samples, seed, workers)
+
+    monkeypatch.setattr(haar, "haar_su2", not_on_pool_threads)
+    monkeypatch.setattr(haar, "_estimate", recorded)
+    col = {"e1": 2, "e2": 3, "e3": 3}
+    hol = random_unitary_holonomy(theta, seed=6)
+    nv, ne, nh = len(theta.vertices), len(theta.edges), len(theta.halfedges)
+    cases = [
+        (lambda w: mc_bracket(tet, {e: 2 for e in tet.edge_ids}, samples=70_000, seed=31,
+                              workers=w), (len(tet.vertices),)),
+        (lambda w: mc_bracket(theta, col, hol, samples=70_000, seed=32, workers=w), (nv,)),
+        (lambda w: mc_W_point(theta, {"e1": 0.3, "e2": 0.2, "e3": 0.1}, samples=70_000,
+                              seed=33, workers=w), (nv,)),
+        # one draw of V + E + H quaternions per sample is three successive draws
+        (lambda w: mc_orthogonality(theta, col, samples=70_000, seed=34, workers=w),
+         (nv, ne, nh)),
+    ]
+    for run, draws in cases:
+        for workers in (1, 2, 3):
+            est = run(workers)
+            integrand, seen = integrands[-1]
+            assert seen == draws
+            assert est == _serial_estimate(integrand, draws, 70_000, est.seed, workers)
+
+
+def test_pool_thread_errors_reach_the_caller(theta, monkeypatch):
+    def failing(n, x):
+        raise ValueError("integrand failed")
+
+    monkeypatch.setattr(haar, "_chebyshev_u", failing)
+    with pytest.raises(ValueError, match="integrand failed"):
+        mc_bracket(theta, {"e1": 2, "e2": 2, "e3": 2}, samples=10_000, seed=0, workers=2)
 
 
 def test_su2_sample_type():
