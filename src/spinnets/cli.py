@@ -132,16 +132,13 @@ def _cmd_series(args):
     else:
         if holonomy is not None:
             raise InputError(f"method {args.method!r} supports only the trivial holonomy")
-        if args.method == "westbury":
-            p = westbury_polynomial(graph)
-            series = inverse_series((p * p).truncated(degree), degree)
-        elif args.method == "curves":
-            series = inverse_series(abelian_curve_sum(graph).truncated(degree), degree)
-        elif args.method == "pfaffian":
-            p = pfaffian_dimer_sum(graph)
-            series = inverse_series((p * p).truncated(degree), degree)
-        else:
-            raise InputError(f"unknown method {args.method!r}")
+        if args.method == "curves":
+            d = abelian_curve_sum(graph)
+        else:  # the square of the cycle polynomial, by westbury or pfaffian
+            route = westbury_polynomial if args.method == "westbury" else pfaffian_dimer_sum
+            p = route(graph)
+            d = p * p
+        series = inverse_series(d, degree)
     results = {
         "graph": graph.name,
         "method": args.method,
@@ -173,6 +170,8 @@ def _parse_y(pairs):
             raise InputError(f"--y value for {e!r} is not a number: {v!r}") from None
         if not math.isfinite(y):
             raise InputError(f"--y value for {e!r} must be finite, got {v!r}")
+        if e in out:
+            raise InputError(f"--y gives edge {e!r} twice")
         out[e] = y
     return out
 
@@ -199,8 +198,9 @@ def _cmd_integrate(args):
                           "watch the reported stderr")
         results["coloring"] = coloring
         if args.target == "bracket":
-            est = mc_bracket(graph, coloring, holonomy, args.samples, args.seed, workers)
+            # the exact target checks the colors' bound, so it comes first
             target = float(bracket_square(graph, coloring, holonomy))
+            est = mc_bracket(graph, coloring, holonomy, args.samples, args.seed, workers)
         else:
             est = mc_orthogonality(graph, coloring, args.samples, args.seed, workers)
             target = 1.0

@@ -56,6 +56,14 @@ class Graph:
             crossings = obj.get("crossings", [])
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed graph object: missing {exc}") from exc
+        if not (isinstance(crossings, list)
+                and all(isinstance(p, list) and len(p) == 2 for p in crossings)):
+            raise InputError(f"crossings must be a list of edge-id pairs, got {crossings!r}")
+        # ids are compared and hashed below, so each must be a string
+        ids = [v for v, _ in vertices] + [h for _, hs in vertices for h in hs]
+        for x in ids + [x for e in edges for x in e] + [e for p in crossings for e in p]:
+            if not isinstance(x, str):
+                raise InputError(f"id or half-edge {x!r} is not a string")
         return cls(name, vertices, edges, crossings)
 
     def to_obj(self):

@@ -5,7 +5,9 @@ rings its inputs allow: constructors store the coefficient they are given,
 the ring operations work on any of them and mix them, an int meeting a
 Fraction giving a Fraction and either meeting a QQi giving a QQi, and
 division goes through `rational.div_exact`.  A truncated series is an MPoly
-whose caller knows its degree bound.
+whose caller knows its degree bound; the inverse, the inverse square root
+and the determinant series all come from one recurrence on homogeneous
+parts, F_0 = 1 and k·F_k = sum_m w(m, k)·g_m·F_{k-m}.
 
 Monomials are packed into a single int key, 6 bits per variable (exponents
 must stay at or below MAX_EXPONENT = 63; products refuse to pass it).
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial
+from math import factorial
 from operator import or_
 
 from .errors import InputError, PreconditionError
@@ -253,17 +255,6 @@ class MPoly:
     def truncated(self, max_degree: int):
         deg = self.ns.degree
         return MPoly(self.ns, {k: c for k, c in self.terms.items() if deg(k) <= max_degree})
-
-    def substitute_sign_flip(self, names):
-        """Negate the listed variables: X -> -X for each name."""
-        shifts = [self.ns.shift(n) for n in names]
-        out = {}
-        for k, c in self.terms.items():
-            p = 0
-            for s in shifts:
-                p += (k >> s) & MAX_EXPONENT
-            out[k] = -c if p & 1 else c
-        return MPoly(self.ns, out)
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
@@ -517,46 +508,60 @@ def _det_bareiss(m) -> MPoly:
 # series helpers
 # ---------------------------------------------------------------------------
 
-def power_series(u: MPoly, max_degree: int, coeff) -> MPoly:
-    """Truncated sum_{k>=0} coeff(k) u^k, taking coeff(0) = 1.
+def _series_recurrence(parts, max_degree: int, weight) -> MPoly:
+    """The series F = F_0 + F_1 + ... + F_max_degree with F_0 = 1 and
+    k·F_k = sum_{m=1..k} weight(m, k)·g_m·F_{k-m}, where g_m = parts[m] is
+    homogeneous of degree m and parts[0] is the constant 1.
 
-    u must have no constant term, so u^k vanishes once k > max_degree.
+    Each F_k is then homogeneous of degree k, so the products need no
+    truncation and only parts up to max_degree are read.  The weights are
+    ints and each division by k goes through div_exact.
     """
-    if u.constant_term():
-        raise PreconditionError("power_series needs u without a constant term")
-    u = u.truncated(max_degree)
-    result = uk = MPoly(u.ns, {0: 1})
-    k = 0
-    while True:
-        k += 1
-        uk = uk.mul_trunc(u, max_degree)
-        if uk.is_zero():
-            return result
-        result = result + uk.scalar_mul(coeff(k))
+    ns = parts[0].ns
+    out = [parts[0]]
+    for k in range(1, max_degree + 1):
+        acc: dict = {}
+        for m in range(1, k + 1):
+            w = weight(m, k)
+            for key, c in (parts[m] * out[k - m]).terms.items():
+                s = acc.get(key)
+                acc[key] = w * c if s is None else s + w * c
+        out.append(MPoly(ns, {key: div_exact(c, k) for key, c in acc.items() if c}))
+    # the F_k are homogeneous of distinct degrees, so no monomial repeats
+    return MPoly(ns, {key: c for part in out for key, c in part.terms.items()})
+
+
+def _unit_parts(d: MPoly, max_degree: int, series: str):
+    """[1, d_1, ..., d_max_degree], d_m the degree-m part of d, for d with
+    constant term 1; the name of the series is for the error."""
+    if d.constant_term() != 1:
+        raise PreconditionError(f"{series} needs constant term exactly 1")
+    parts = [{0: 1}] + [{} for _ in range(max_degree)]
+    deg = d.ns.degree
+    for k, c in d.terms.items():
+        if 0 < (m := deg(k)) <= max_degree:
+            parts[m][k] = c
+    return [MPoly(d.ns, t) for t in parts]
 
 
 def inv_sqrt_series(d: MPoly, max_degree: int) -> MPoly:
     """Truncated s with s^2 * d = 1 (mod degree > max_degree) and s(0) = 1.
 
-    With u = d - 1, s = sum_k C(2k, k) (-u/4)^k.  Substituting X -> 4X turns
-    it into s(4X) = sum_k C(2k, k) v^k with v = -u(4X)/4, whose degree-j part
-    is -4^(j-1) u_j: integral wherever u is, as u has no constant term.  So
-    the series runs in the ring of u, and the degree-j part of s(4X) is
-    divided by 4^j once at the end.
+    Miller's recurrence for d^(-1/2), k·s_k = sum_m (m/2 - k)·d_m·s_{k-m},
+    runs on d(4X) = 1 + 4v, whose degree-m part is 4^m·d_m, so the weight
+    (m/2 - k)·4^m = (m - 2k)·2^(2m-1) is an int.  The result there,
+    sum_k C(2k, k) (-v)^k, is integral wherever d is, as v's degree-m part
+    is 4^(m-1)·d_m, so each division by k stays in the ring of d; the
+    degree-k part is divided by 4^k once at the end.
     """
-    if d.constant_term() != 1:
-        raise PreconditionError("inv_sqrt_series needs constant term exactly 1")
-    ns = d.ns
-    deg = ns.degree
-    v = MPoly(ns, {k: c * -(1 << 2 * deg(k) - 2) for k, c in d.terms.items() if k})
-    s = power_series(v, max_degree, lambda k: comb(2 * k, k))
-    return MPoly(ns, {k: div_exact(c, 1 << 2 * deg(k)) for k, c in s.terms.items()})
+    s = _series_recurrence(_unit_parts(d, max_degree, "inv_sqrt_series"), max_degree,
+                           lambda m, k: (m - 2 * k) << 2 * m - 1)
+    deg = d.ns.degree
+    return MPoly(d.ns, {k: div_exact(c, 1 << 2 * deg(k)) for k, c in s.terms.items()})
 
 
 def inverse_series(d: MPoly, max_degree: int) -> MPoly:
-    """Truncated multiplicative inverse of d, with d(0) = 1: the geometric
-    series of (1 + u)^(-1) in u = d - 1."""
-    if d.constant_term() != 1:
-        raise PreconditionError("inverse_series needs constant term exactly 1")
-    u = d - MPoly(d.ns, {0: 1})
-    return power_series(u, max_degree, lambda k: -1 if k & 1 else 1)
+    """Truncated multiplicative inverse of d, with d(0) = 1: Miller's
+    recurrence for d^(-1), F_k = -sum_m d_m·F_{k-m}."""
+    return _series_recurrence(_unit_parts(d, max_degree, "inverse_series"), max_degree,
+                              lambda m, k: -k)

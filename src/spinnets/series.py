@@ -19,7 +19,7 @@ from math import lcm
 from .errors import InputError, RegimeError
 from .evaluator import _wvar, _zvar, eval_spin_network, renormalize
 from .graphs import Graph, Holonomy, admissible_colorings, internal_coloring
-from .polyring import MPoly, Namespace, inv_sqrt_series
+from .polyring import MPoly, Namespace, _series_recurrence, inv_sqrt_series
 from .polyring import det_poly  # noqa: F401  perfbench/tracer.py patches it here by name
 from .rational import QQi, denominator, div_exact, narrow
 
@@ -115,14 +115,15 @@ def build_pq(graph: Graph, holonomy: Holonomy | None = None) -> PQMatrices:
 # ---------------------------------------------------------------------------
 # determinant of P + Q, truncated: det(P+Q) = det(I - B) with B = P·Q, since
 # P^{-1} = -P and det(P) = 1.  B's entries are X-linear, so the power sum
-# p_m = tr(B^m) is homogeneous of degree m, and Newton's identities give the
-# degree-k part of the determinant as F_0 = 1, k·F_k = -sum_{m=1..k} p_m·F_{k-m}.
-# Each coefficient of B is narrowed: to int when it is a real integer (every
-# one is for a real holonomy with integer entries, as i·i = -1), to a QQi
-# with int parts when it is a Gaussian integer.  series_Z scales Q by the
-# common denominator D of its coefficients first, which substitutes X -> D·X,
-# so for every exact holonomy B's powers, the traces and the F_k stay on
-# Gaussian integers, the division by k being exact because det(I - B) then
+# p_m = tr(B^m) is homogeneous of degree m, and the series recurrence of
+# polyring, run with g_m = p_m and weight -1 (Newton's identities), gives the
+# degree-k part of the determinant.  Each coefficient of B is narrowed: to
+# int when it is a real integer (every one is for a real holonomy with
+# integer entries, as i·i = -1), to a QQi with int parts when it is a
+# Gaussian integer.  series_Z scales Q by the common denominator D of its
+# coefficients first, which substitutes X -> D·X, so for every exact
+# holonomy B's powers, the traces and the determinant's parts stay on
+# Gaussian integers, each division by k being exact because det(I - B) then
 # has Gaussian-integer coefficients; series_Z divides the degree-k part of
 # the inverse square root by D^k once at the end.
 # ---------------------------------------------------------------------------
@@ -145,15 +146,6 @@ def _sparse_matmul(a, b, ns, max_degree):
         if acc:
             out[i] = acc
     return out
-
-
-def _trace(a, ns):
-    t = MPoly.zero(ns)
-    for i, row in a.items():
-        v = row.get(i)
-        if v is not None:
-            t = t + v
-    return t
 
 
 def _pair_trace(a, b, ns, max_degree):
@@ -185,26 +177,19 @@ def truncated_det(pq: PQMatrices, max_degree: int) -> MPoly:
                for j, v in acc.items() if not v.is_zero()}
         if acc:
             b[r] = acc
-    # tr(B^m) pairs B^p with B^(m-p), and both exponents stay <= top because
-    # m - top <= max_degree - top <= top
-    powers = {1: b}
+    # tr(B^m) pairs B^p with B^(m-p) (B^0 being the identity on B's rows),
+    # and both exponents stay <= top because m - top <= max_degree - top <= top
+    one = MPoly(ns, {0: 1})
+    powers = {0: {i: {i: one} for i in b}, 1: b}
     top = max(1, (max_degree + 1) // 2)
     for m in range(2, top + 1):
         powers[m] = _sparse_matmul(powers[m - 1], b, ns, max_degree)
-    traces = [None]
+    traces = [one]
     for m in range(1, max_degree + 1):
         p = min(top, m - 1)
-        traces.append(_trace(b, ns) if m == 1
-                      else _pair_trace(powers[p], powers[m - p], ns, max_degree))
-    # Newton's identities, one homogeneous part at a time
-    parts = [MPoly(ns, {0: 1})]
-    for k in range(1, max_degree + 1):
-        total = MPoly.zero(ns)
-        for m in range(1, k + 1):
-            total = total + traces[m] * parts[k - m]
-        parts.append(MPoly(ns, {key: div_exact(-c, k) for key, c in total.terms.items()}))
-    # the parts are homogeneous of distinct degrees, so no monomial repeats
-    return MPoly(ns, {key: c for part in parts for key, c in part.terms.items()})
+        traces.append(_pair_trace(powers[p], powers[m - p], ns, max_degree))
+    # Newton's identities: k·F_k = -sum_m tr(B^m)·F_{k-m}
+    return _series_recurrence(traces, max_degree, lambda m, k: -1)
 
 
 def series_Z(graph: Graph, holonomy: Holonomy | None = None, degree: int = 8) -> MPoly:
@@ -404,24 +389,24 @@ def pfaffian_dimer_sum(graph: Graph) -> MPoly:
 # sign fix for presentations with crossings
 # ---------------------------------------------------------------------------
 
-def _flip_angles(graph: Graph, e: str):
-    """The two angles at the left endpoint of e that contain e."""
-    left = graph.edge_by_id[e][0]
-    return graph.angles_at_halfedge(left)
-
-
 def nonplanar_fix(poly: MPoly, graph: Graph) -> MPoly:
     """Apply S_x = (id + Op_e1 + Op_e2 - Op_e1 Op_e2)/2 for every crossing,
-    where Op_e negates the two angle variables at the left endpoint of e."""
-    for pair in sorted(tuple(sorted(p)) for p in graph.crossings):
-        e1, e2 = pair
-        f1 = _flip_angles(graph, e1)
-        f2 = _flip_angles(graph, e2)
-        p1 = poly.substitute_sign_flip(f1)
-        p2 = poly.substitute_sign_flip(f2)
-        p12 = p1.substitute_sign_flip(f2)
-        poly = (poly + p1 + p2 - p12).scalar_mul(Fraction(1, 2))
-    return poly
+    where Op_e negates the two angle variables at the left endpoint of e.
+
+    Op_e multiplies a monomial by -1 when its degree in those two angles is
+    odd, so S_x negates exactly the monomials odd in the angles of both
+    edges and keeps every other one: the fix is a sign per monomial.
+    """
+    ns = poly.ns
+    # per crossing edge, the low bit of its two angles' exponent fields: a key
+    # has an odd number of bits under it exactly when its degree in them is odd
+    lows = [[sum(1 << ns.shift(a) for a in graph.angles_at_halfedge(graph.edge_by_id[e][0]))
+             for e in pair] for pair in graph.crossings]
+    out = {}
+    for k, c in poly.terms.items():
+        odd = sum((k & m1).bit_count() & (k & m2).bit_count() & 1 for m1, m2 in lows)
+        out[k] = -c if odd & 1 else c
+    return MPoly(ns, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import copy
 import io
 import json
 from contextlib import redirect_stdout
+from functools import reduce
+from operator import getitem
 
 import pytest
 
+from spinnets import bundled_graph_path
 from spinnets.cli import dispatch
 
 
@@ -24,8 +28,6 @@ def test_eval_theta_c222():
 
 
 def test_eval_bundled_coloring_file(tmp_path):
-    from spinnets import bundled_graph_path
-
     cpath = bundled_graph_path("theta").parent / "theta_c222.json"
     rc, out = run_cli("eval", "-g", "theta", "-c", str(cpath))
     assert rc == 0
@@ -131,8 +133,22 @@ def test_input_errors_exit_2(tmp_path, capsys):
     w_theta = ("integrate", "-g", "theta", "--target", "W", "--samples", "10000",
                "--y", "e1=0.1", "--y", "e2=0.1", "--y", "e3=0.1")
     ident = {h: [[1, 0], [0, 1]] for h in ("u1", "u2", "u3", "v1", "v2", "v3")}
+    theta = json.loads(bundled_graph_path("theta").read_text())
+
+    def theta_with(path, value):
+        obj = copy.deepcopy(theta)
+        *keys, last = path
+        reduce(getitem, keys, obj)[last] = value
+        return obj
+
     files = {
         "graph_array": [],
+        # ids that are not strings: each was a TypeError traceback
+        "graph_halfedge": theta_with(("vertices", 0, "halfedges", 0), [1]),
+        "graph_vertex_id": theta_with(("vertices", 0, "id"), {"a": 1}),
+        "graph_edge_id": theta_with(("edges", 0, "id"), ["x"]),
+        "graph_crossing": theta_with(("crossings",), [1]),
+        "graph_crossing_pair": theta_with(("crossings",), [["e1", ["x"]]]),
         "hol_array": [],
         "hol_not_2x2": {"u1": 5},
         "hol_unknown": {**ident, "zz": [[1, 0], [0, 1]]},
@@ -156,10 +172,12 @@ def test_input_errors_exit_2(tmp_path, capsys):
         ("integrate", "-g", "theta", "--target", "W", "--y", "e1=nan"),
         ("integrate", "-g", "theta", "--target", "W", "--y", "e1=inf"),
         (*w_theta, "--y", "zz=0.1"),
+        (*w_theta, "--y", "e1=0.5"),
         ("integrate", "-g", "theta", "-c", th_c, "--samples", "10000", "--workers", "-1"),
         # refused before any thread starts: a worker beyond the samples draws nothing
         ("integrate", "-g", "theta", "-c", th_c, "--samples", "10000", "--workers", "10001"),
-        ("eval", "-g", str(tmp_path / "graph_array.json"), "-c", th_c),
+        *(("eval", "-g", str(tmp_path / f"{name}.json"), "-c", th_c)
+          for name in files if name.startswith("graph_")),
         *(("eval", "-g", "theta", "-c", th_c, "-H", str(tmp_path / f"{name}.json"))
           for name in ("hol_zero_den", "hol_zero_den_im")),
         *((*w_theta, "-H", str(tmp_path / f"{name}.json"))
@@ -179,6 +197,21 @@ def test_input_errors_exit_2(tmp_path, capsys):
         rc, _ = run_cli(*argv)
         assert rc == 2, argv
         assert len(capsys.readouterr().err.splitlines()) == 1, argv
+
+
+def test_integrate_checks_bracket_target_before_sampling(monkeypatch, capsys):
+    import spinnets.cli
+
+    def sample(*args):
+        raise AssertionError("sampled before the exact target was checked")
+
+    monkeypatch.setattr(spinnets.cli, "mc_bracket", sample)
+    with pytest.warns(UserWarning, match="colors above 10"):
+        rc, out = run_cli("integrate", "-g", "theta", "-c", '{"e1":61,"e2":61,"e3":2}',
+                          "--samples", "10000")
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and out == ""
+    assert len(err) == 1 and err[0].startswith("input error:")
 
 
 def test_bad_workers_variable_exits_2(monkeypatch, capsys):

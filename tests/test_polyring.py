@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import naive_det, naive_edge_operator
 from spinnets.errors import InputError, PreconditionError
 from spinnets.polyring import (MPoly, Namespace, apply_edge_operator, det_poly, exact_div,
-                               inv_sqrt_series, inverse_series, power_series)
+                               inv_sqrt_series, inverse_series)
 from spinnets.rational import QQi
 
 NS3 = Namespace(("x", "y", "z"))
@@ -47,8 +48,6 @@ def test_basic_identities():
     x = MPoly.var(NS3, "x")
     y = MPoly.var(NS3, "y")
     assert (x + y) * (x - y) == x * x - y * y
-    assert (x * y).substitute_sign_flip(["x"]) == -(x * y)
-    assert (x * y).substitute_sign_flip(["x", "y"]) == x * y
     # an absent monomial reads as the int 0, in whatever ring the terms are
     for p in (x, x.scalar_mul(QQi(0, 1))):
         assert type(p.constant_term()) is int and type(p.coefficient({"y": 1})) is int
@@ -175,15 +174,58 @@ def test_inv_sqrt_requires_unit_constant():
         inv_sqrt_series(MPoly.const(NS3, 2), 3)
     with pytest.raises(PreconditionError):
         inverse_series(MPoly.const(NS3, 2), 3)
-    # a constant term would keep u^k from ever vanishing
-    with pytest.raises(PreconditionError):
-        power_series(MPoly.const(NS3, 1) + MPoly.var(NS3, "x"), 3, lambda k: 1)
 
 
 def test_inverse_series():
     p = MPoly.const(NS3, 1) + MPoly.var(NS3, "x")
     inv = inverse_series(p, 4)
     assert inv.mul_trunc(p, 4) == MPoly.const(NS3, 1)
+
+
+_COEFFS = {
+    "int": st.integers(-3, 3),
+    "Fraction": st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+    "Gaussian integer": st.builds(QQi, st.integers(-3, 3), st.integers(-3, 3)),
+}
+
+
+@st.composite
+def unit_constant_polys(draw):
+    """d = 1 + u on 2 or 3 variables, u without a constant term, with int,
+    Fraction or Gaussian-integer coefficients."""
+    ns = draw(st.sampled_from((Namespace(("x", "y")), NS3)))
+    coeff = _COEFFS[draw(st.sampled_from(sorted(_COEFFS)))]
+    d = MPoly.const(ns, 1)
+    for _ in range(draw(st.integers(0, 5))):
+        exps = {v: draw(st.integers(0, 2)) for v in ns.names}
+        if any(exps.values()):
+            d = d + MPoly.monomial(ns, exps, draw(coeff))
+    return d
+
+
+def _power_sum(u, degree, coeff):
+    """sum_{k=0..degree} coeff(k) u^k, truncated: u^k has no monomial of
+    degree below k."""
+    total = uk = MPoly.const(u.ns, 1)
+    for k in range(1, degree + 1):
+        uk = uk.mul_trunc(u, degree)
+        total = total + uk.scalar_mul(coeff(k))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_constant_polys(), st.integers(0, 8))
+def test_series_kernel_inverse_and_inverse_sqrt(d, degree):
+    """Both series solve their defining identity and equal the geometric
+    series sum (-u)^k and the binomial series sum C(2k, k) (-u/4)^k."""
+    one = MPoly.const(d.ns, 1)
+    u = d - one
+    inv = inverse_series(d, degree)
+    s = inv_sqrt_series(d, degree)
+    assert inv.mul_trunc(d, degree) == one
+    assert s.mul_trunc(s, degree).mul_trunc(d, degree) == one
+    assert inv == _power_sum(u, degree, lambda k: (-1) ** k)
+    assert s == _power_sum(u, degree, lambda k: Fraction(comb(2 * k, k), (-4) ** k))
 
 
 # -- determinants -----------------------------------------------------------

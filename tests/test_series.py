@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -12,8 +13,8 @@ from conftest import random_holonomy, shear_gauge, shear_gauges
 from spinnets import series as series_module
 from spinnets.errors import InputError
 from spinnets.evaluator import gauge_transform
-from spinnets.graphs import Holonomy
-from spinnets.polyring import MPoly, det_poly, inverse_series
+from spinnets.graphs import Graph, Holonomy
+from spinnets.polyring import MPoly, Namespace, det_poly, inverse_series
 from spinnets.rational import QQi, denominator, div_exact
 from spinnets.series import (abelian_curve_sum, build_pq, compare_with_evaluations,
                              nonplanar_fix, pfaffian_dimer_sum, series_Z,
@@ -251,11 +252,36 @@ def test_nonplanar_fix_identity_without_crossings(theta):
     assert nonplanar_fix(z, theta) == z
 
 
-def test_sign_flip_operator_is_involution(tetnp):
-    p = series_Z(tetnp, degree=4)
-    left = tetnp.edge_by_id["ac"][0]
-    flips = tetnp.angles_at_halfedge(left)
-    assert p.substitute_sign_flip(flips).substitute_sign_flip(flips) == p
+def _half_sum_fix(poly, graph):
+    """(id + Op_e1 + Op_e2 - Op_e1 Op_e2)/2 for every crossing, as four
+    polynomials, where Op_e negates the two angles at the left endpoint of e."""
+    def flip(p, e):
+        angles = graph.angles_at_halfedge(graph.edge_by_id[e][0])
+        return MPoly(p.ns, {k: -c if sum(p.ns.decode(k).get(a, 0) for a in angles) % 2 else c
+                            for k, c in p.terms.items()})
+
+    for e1, e2 in map(tuple, graph.crossings):
+        poly = (poly + flip(poly, e1) + flip(poly, e2)
+                - flip(flip(poly, e1), e2)).scalar_mul(Fraction(1, 2))
+    return poly
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_nonplanar_fix_is_the_half_sum_operator(tet, data):
+    """The sign rule equals the half-sum operators on Gaussian-integer
+    polynomials, for crossing sets that share edges as well as disjoint ones."""
+    pairs = [list(p) for p in itertools.combinations(tet.edge_ids, 2)]
+    crossings = data.draw(st.lists(st.sampled_from(pairs), max_size=4, unique_by=tuple))
+    graph = Graph.from_obj({**tet.to_obj(), "crossings": crossings})
+    ns = Namespace(graph.angle_ids)
+    poly = MPoly.zero(ns)
+    for _ in range(data.draw(st.integers(0, 8))):
+        angles = data.draw(st.lists(st.sampled_from(graph.angle_ids), max_size=4))
+        exps = {a: data.draw(st.integers(0, 3)) for a in angles}
+        c = QQi(data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5)))
+        poly = poly + MPoly.monomial(ns, exps, c)
+    assert nonplanar_fix(poly, graph) == _half_sum_fix(poly, graph)
 
 
 def test_nonplanar_fix_matches_evaluations(tetnp):
