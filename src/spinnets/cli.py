@@ -123,12 +123,8 @@ def _cmd_series(args):
     degree = args.degree
     if not 0 <= degree <= MAX_EXPONENT:
         raise InputError(f"--degree must be in 0..{MAX_EXPONENT}, got {degree}")
-    sign_fixed = False
     if args.method == "det":
         series = series_Z(graph, holonomy, degree)
-        if graph.crossings:
-            series = nonplanar_fix(series, graph)
-            sign_fixed = True
     else:
         if holonomy is not None:
             raise InputError(f"method {args.method!r} supports only the trivial holonomy")
@@ -139,6 +135,11 @@ def _cmd_series(args):
             p = route(graph)
             d = p * p
         series = inverse_series(d, degree)
+    # det and curves expand determinants, which carry the crossing signs;
+    # westbury and pfaffian count cycles without signs
+    sign_fixed = bool(graph.crossings) and args.method in ("det", "curves")
+    if sign_fixed:
+        series = nonplanar_fix(series, graph)
     results = {
         "graph": graph.name,
         "method": args.method,
@@ -155,6 +156,11 @@ def _cmd_series(args):
         ]
         results["check_all_equal"] = all(r[3] for r in rows)
     _emit(_report(args, inputs, results))
+    if args.check_against_eval and not results["check_all_equal"]:
+        bad = sum(not r[3] for r in rows)
+        print(f"failure: {bad} of {len(rows)} series coefficients differ from "
+              "the evaluations", file=sys.stderr)
+        return 1
     return 0
 
 

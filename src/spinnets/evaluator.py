@@ -20,7 +20,9 @@ prod_e c_e! * prod_h d_h^{c_e(h)}.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import factorial, lcm
+from operator import mul
 
 from .errors import AdmissibilityError, InputError, RegimeError
 from .graphs import Graph, Holonomy, crossing_sign, internal_coloring, is_admissible
@@ -130,18 +132,20 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
         touch = {l, r}
         gathered = [f for f in factors if l in f[0] or r in f[0]]
         factors = [f for f in factors if not (l in f[0] or r in f[0])]
-        prod = None
-        involved = set(touch)
-        for hh, p in sorted(gathered, key=lambda f: len(f[1].terms)):
-            involved.update(hh)
-            prod = p if prod is None else prod * p
         c = coloring[e]
-        if prod is None:
+        if not gathered:
             # no factor touches this edge; operator acts on the constant 1
             if c != 0:
                 return QQi(0)
             continue
-        contracted = apply_edge_operator(prod, _zvar(l), _wvar(l), _zvar(r), _wvar(r), c)
+        gathered.sort(key=lambda f: len(f[1].terms))
+        involved = touch.union(*(hh for hh, _ in gathered))
+        *rest, last = (p for _, p in gathered)
+        # the edge operator contracts the product of the smaller factors
+        # against the largest without forming their product
+        args = (_zvar(l), _wvar(l), _zvar(r), _wvar(r), c)
+        contracted = (apply_edge_operator(reduce(mul, rest), *args, last) if rest
+                      else apply_edge_operator(last, *args))
         if contracted.is_zero():
             return QQi(0)
         factors.append((tuple(involved - touch), contracted))

@@ -9,6 +9,13 @@ whose caller knows its degree bound; the inverse, the inverse square root
 and the determinant series all come from one recurrence on homogeneous
 parts, F_0 = 1 and k·F_k = sum_m w(m, k)·g_m·F_{k-m}.
 
+Every sparse product runs on one multiply-accumulate kernel, _mul_acc,
+acc[ka + kb] += w·ca·cb over two term dicts: MPoly.__mul__, the series
+recurrence, the matrix powers and traces of `series`, and the edge
+contraction, which contracts a product p·q without forming it.  Each
+consumer accumulates into its own destination and drops cancelled terms
+once at the end.
+
 Monomials are packed into a single int key, 6 bits per variable (exponents
 must stay at or below MAX_EXPONENT = 63; products refuse to pass it).
 Monomial product is then plain integer addition of keys.
@@ -101,6 +108,36 @@ def _check_exponents(ns: Namespace, a: dict, b: dict):
                              f"past the exponent bound {MAX_EXPONENT}")
 
 
+def _mul_acc(acc: dict, a: dict, b: dict, w=1) -> dict:
+    """acc[ka + kb] += w·ca·cb over every term ka: ca of a and kb: cb of b;
+    returns acc.
+
+    The one sparse multiply kernel.  The smaller operand runs outside, so w
+    multiplies each of its coefficients once.  Cancelled entries stay in acc
+    as zeros until the caller drops them with _nonzero, and the caller runs
+    _check_exponents on the operands first: a key sum past MAX_EXPONENT
+    would carry into the next variable's field.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    for ka, ca in a.items():
+        if w != 1:
+            ca = w * ca
+        for kb, cb in b.items():
+            k = ka + kb
+            s = get(k)
+            acc[k] = ca * cb if s is None else s + ca * cb
+    return acc
+
+
+def _nonzero(acc: dict) -> dict:
+    """acc with its zero entries deleted in place; returns acc."""
+    for k in [k for k, c in acc.items() if not c]:
+        del acc[k]
+    return acc
+
+
 def _check_ns(a: "MPoly", b: "MPoly"):
     if a.ns is not b.ns and a.ns != b.ns:
         raise InputError("namespace mismatch")
@@ -158,25 +195,8 @@ class MPoly:
         if isinstance(other, (int, Fraction, QQi)):
             return self.scalar_mul(other)
         _check_ns(self, other)
-        a, b = self.terms, other.terms
-        _check_exponents(self.ns, a, b)
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                c = ca * cb
-                s = out.get(k)
-                if s is None:
-                    out[k] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        return MPoly(self.ns, out)
+        _check_exponents(self.ns, self.terms, other.terms)
+        return MPoly(self.ns, _nonzero(_mul_acc({}, self.terms, other.terms)))
 
     __rmul__ = __mul__
 
@@ -190,34 +210,21 @@ class MPoly:
     def mul_trunc(self, other, max_degree: int):
         """Product with all monomials of total degree > max_degree dropped.
 
-        With max_degree <= MAX_EXPONENT every kept monomial, and so every
-        exponent, stays within the bound; above it the exponents are checked
-        as in a full product, before any monomial is dropped.
+        Only pairs of homogeneous parts whose degrees add up to at most
+        max_degree are multiplied.  With max_degree <= MAX_EXPONENT every
+        kept monomial, and so every exponent, stays within the bound; above
+        it the exponents are checked as in a full product, before any
+        monomial is dropped.
         """
         _check_ns(self, other)
-        ns = self.ns
         if max_degree > MAX_EXPONENT:
-            _check_exponents(ns, self.terms, other.terms)
-        dega = {k: ns.degree(k) for k in self.terms}
-        degb = {k: ns.degree(k) for k in other.terms}
+            _check_exponents(self.ns, self.terms, other.terms)
+        a, b = _homogeneous_parts(self, max_degree), _homogeneous_parts(other, max_degree)
         out: dict = {}
-        for ka, ca in self.terms.items():
-            da = dega[ka]
-            for kb, cb in other.terms.items():
-                if da + degb[kb] > max_degree:
-                    continue
-                k = ka + kb
-                c = ca * cb
-                s = out.get(k)
-                if s is None:
-                    out[k] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        return MPoly(self.ns, out)
+        for da, ta in enumerate(a):
+            for tb in b[:max_degree - da + 1]:
+                _mul_acc(out, ta, tb)
+        return MPoly(self.ns, _nonzero(out))
 
     def pow(self, n: int):
         """self**n by repeated squaring, in the coefficient ring of self; the
@@ -299,49 +306,65 @@ class MPoly:
 # edge-contraction operator
 # ---------------------------------------------------------------------------
 
-def apply_edge_operator(p: MPoly, z1: str, w1: str, z2: str, w2: str, c: int) -> MPoly:
-    """Apply (1/c!^2) (d_z1 d_w2 - d_z2 d_w1)^c to p, then set the four
-    variables to zero.
+def apply_edge_operator(p: MPoly, z1: str, w1: str, z2: str, w2: str, c: int,
+                        q: MPoly | None = None) -> MPoly:
+    """Apply (1/c!^2) (d_z1 d_w2 - d_z2 d_w1)^c to p, or to p·q when q is
+    given, then set the four variables to zero.
 
     A monomial z1^a1 w1^b1 z2^a2 w2^b2 * R survives iff a1 = b2, a2 = b1 and
     a1 + a2 = c; it contributes (-1)^a2 / C(c, a2) * R, that is
-    (-1)^a2 * a1! * a2! / c! * R.  The surviving monomials are found by one
-    dictionary lookup of their four-variable part, summed with the integer
-    weights (-1)^a2 * a1! * a2!, and each output coefficient is divided by c!
-    once at the end.  Integer coefficients stay int when c! divides the sum
-    (the evaluator arranges that it always does) and become Fraction when it
-    does not.
+    (-1)^a2 * a1! * a2! / c! * R.  The terms of p, and of q, are grouped by
+    their four-variable edge part; for each group of p and each surviving
+    pattern the one group of q whose edge part completes it is found by one
+    lookup, and only those group pairs are multiplied, with the integer
+    weight (-1)^a2 * a1! * a2!, so the product p·q is never formed.  Each
+    output coefficient is divided by c! once at the end.  Integer
+    coefficients stay int when c! divides the sum (the evaluator arranges
+    that it always does) and become Fraction when it does not.
     """
     ns = p.ns
     s_z1, s_w1, s_z2, s_w2 = (ns.shift(v) for v in (z1, w1, z2, w2))
     edge_part = ((MAX_EXPONENT << s_z1) | (MAX_EXPONENT << s_w1)
                  | (MAX_EXPONENT << s_z2) | (MAX_EXPONENT << s_w2))
-    strip = ~edge_part
-    weights = {}
+    if q is None:  # p alone is p·1
+        q_groups = {0: {0: 1}}
+    else:
+        _check_ns(p, q)
+        _check_exponents(ns, p.terms, q.terms)
+        q_groups = _edge_groups(q.terms, edge_part)
+    weights = []
     for a2 in range(max(0, c - MAX_EXPONENT), min(c, MAX_EXPONENT) + 1):
         a1 = c - a2
         w = factorial(a1) * factorial(a2)
-        weights[(a1 << s_z1) | (a2 << s_w1) | (a2 << s_z2) | (a1 << s_w2)] = -w if a2 & 1 else w
+        weights.append(((a1 << s_z1) | (a2 << s_w1) | (a2 << s_z2) | (a1 << s_w2),
+                        -w if a2 & 1 else w))
     out: dict = {}
-    for k, coeff in p.terms.items():
-        w = weights.get(k & edge_part)
-        if w is None:
-            continue
-        kk = k & strip
-        cc = coeff * w
-        s = out.get(kk)
-        if s is None:
-            out[kk] = cc
-        else:
-            s = s + cc
-            if s:
-                out[kk] = s
-            else:
-                del out[kk]
+    # with no exponent past MAX_EXPONENT, key addition is fieldwise, so the
+    # q edge part pattern - ep, when present, completes ep to the pattern
+    for ep, gp in _edge_groups(p.terms, edge_part).items():
+        for pattern, w in weights:
+            gq = q_groups.get(pattern - ep)
+            if gq is not None:
+                _mul_acc(out, gp, gq, w)
+    _nonzero(out)
     if c > 1:
         fc = factorial(c)
         out = {k: div_exact(v, fc) for k, v in out.items()}
     return MPoly(ns, out)
+
+
+def _edge_groups(terms: dict, edge_part: int) -> dict:
+    """{edge part: {rest of the key: coefficient}} for the keys of terms."""
+    strip = ~edge_part
+    groups: dict = {}
+    for k, c in terms.items():
+        e = k & edge_part
+        g = groups.get(e)
+        if g is None:
+            groups[e] = {k & strip: c}
+        else:
+            g[k & strip] = c
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +545,22 @@ def _series_recurrence(parts, max_degree: int, weight) -> MPoly:
     for k in range(1, max_degree + 1):
         acc: dict = {}
         for m in range(1, k + 1):
-            w = weight(m, k)
-            for key, c in (parts[m] * out[k - m]).terms.items():
-                s = acc.get(key)
-                acc[key] = w * c if s is None else s + w * c
+            a, b = parts[m].terms, out[k - m].terms
+            _check_exponents(ns, a, b)
+            _mul_acc(acc, a, b, weight(m, k))
         out.append(MPoly(ns, {key: div_exact(c, k) for key, c in acc.items() if c}))
     # the F_k are homogeneous of distinct degrees, so no monomial repeats
     return MPoly(ns, {key: c for part in out for key, c in part.terms.items()})
+
+
+def _homogeneous_parts(p: MPoly, max_degree: int) -> list:
+    """[p_0, ..., p_max_degree] as term dicts, p_m the degree-m part of p."""
+    parts: list = [{} for _ in range(max_degree + 1)]
+    deg = p.ns.degree
+    for k, c in p.terms.items():
+        if (m := deg(k)) <= max_degree:
+            parts[m][k] = c
+    return parts
 
 
 def _unit_parts(d: MPoly, max_degree: int, series: str):
@@ -536,11 +568,8 @@ def _unit_parts(d: MPoly, max_degree: int, series: str):
     constant term 1; the name of the series is for the error."""
     if d.constant_term() != 1:
         raise PreconditionError(f"{series} needs constant term exactly 1")
-    parts = [{0: 1}] + [{} for _ in range(max_degree)]
-    deg = d.ns.degree
-    for k, c in d.terms.items():
-        if 0 < (m := deg(k)) <= max_degree:
-            parts[m][k] = c
+    parts = _homogeneous_parts(d, max_degree)
+    parts[0] = {0: 1}  # the int 1, whatever ring d's constant term is held in
     return [MPoly(d.ns, t) for t in parts]
 
 

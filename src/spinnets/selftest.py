@@ -9,7 +9,7 @@ from . import bundled_graph_path
 from .evaluator import eval_spin_network, theta_value
 from .graphs import admissible_colorings, load_graph
 from .haar import mc_bracket, mc_W_point, mc_orthogonality
-from .polyring import det_poly
+from .polyring import det_poly, inverse_series
 from .series import (abelian_curve_sum, build_pq, compare_with_evaluations,
                      nonplanar_fix, pfaffian_dimer_sum, series_Z,
                      westbury_polynomial)
@@ -61,6 +61,11 @@ def run(seed: int = 0) -> int:
         rows = compare_with_evaluations(tetnp, None, z, 4)
         return all(r[3] for r in rows), f"{len(rows)} coefficients"
 
+    def curves_sign_fix():
+        curves = nonplanar_fix(inverse_series(abelian_curve_sum(tetnp), 4), tetnp)
+        p = westbury_polynomial(tetnp)
+        return curves == inverse_series(p * p, 4), ""
+
     def mc_theta():
         col = {"e1": 2, "e2": 2, "e3": 2}
         est = mc_bracket(theta, col, samples=40_000, seed=seed)
@@ -100,6 +105,8 @@ def run(seed: int = 0) -> int:
     _check("determinant equals 4th power of cycle polynomial", westbury_det, failures)
     _check("dimer sum squared equals curve sum", pfaffian_square, failures)
     _check("crossing sign fix (tetrahedron_nonplanar, deg 4)", sign_fix, failures)
+    _check("sign-fixed curves series equals westbury (tetrahedron_nonplanar, deg 4)",
+           curves_sign_fix, failures)
     _check("MC bracket theta (2,2,2) near 1", mc_theta, failures)
     _check("MC series point (theta)", mc_w, failures)
     _check("MC orthogonality norm theta (2,2,2) near 1/3", mc_orth, failures)

@@ -19,7 +19,8 @@ from math import lcm
 from .errors import InputError, RegimeError
 from .evaluator import _wvar, _zvar, eval_spin_network, renormalize
 from .graphs import Graph, Holonomy, admissible_colorings, internal_coloring
-from .polyring import MPoly, Namespace, _series_recurrence, inv_sqrt_series
+from .polyring import (MPoly, Namespace, _check_exponents, _mul_acc, _nonzero,
+                       _series_recurrence, inv_sqrt_series)
 from .polyring import det_poly  # noqa: F401  perfbench/tracer.py patches it here by name
 from .rational import QQi, denominator, div_exact, narrow
 
@@ -117,77 +118,69 @@ def build_pq(graph: Graph, holonomy: Holonomy | None = None) -> PQMatrices:
 # P^{-1} = -P and det(P) = 1.  B's entries are X-linear, so the power sum
 # p_m = tr(B^m) is homogeneous of degree m, and the series recurrence of
 # polyring, run with g_m = p_m and weight -1 (Newton's identities), gives the
-# degree-k part of the determinant.  Each coefficient of B is narrowed: to
-# int when it is a real integer (every one is for a real holonomy with
-# integer entries, as i·i = -1), to a QQi with int parts when it is a
-# Gaussian integer.  series_Z scales Q by the common denominator D of its
-# coefficients first, which substitutes X -> D·X, so for every exact
-# holonomy B's powers, the traces and the determinant's parts stay on
-# Gaussian integers, each division by k being exact because det(I - B) then
-# has Gaussian-integer coefficients; series_Z divides the degree-k part of
-# the inverse square root by D^k once at the end.
+# degree-k part of the determinant.  B and its powers are dict-of-dicts of
+# term dicts; each entry of a power and each trace is accumulated in one
+# dict by polyring's multiply-accumulate kernel, and as every product is
+# homogeneous of degree m <= max_degree, none needs truncating.  Each
+# coefficient of B is narrowed: to int when it is a real integer (every one
+# is for a real holonomy with integer entries, as i·i = -1), to a QQi with
+# int parts when it is a Gaussian integer.  series_Z scales Q by the common
+# denominator D of its coefficients first, which substitutes X -> D·X, so
+# for every exact holonomy B's powers, the traces and the determinant's
+# parts stay on Gaussian integers, each division by k being exact because
+# det(I - B) then has Gaussian-integer coefficients; series_Z divides the
+# degree-k part of the inverse square root by D^k once at the end.
 # ---------------------------------------------------------------------------
 
-def _sparse_matmul(a, b, ns, max_degree):
+def _sparse_matmul(a, b, ns):
     out: dict = {}
     for i, row in a.items():
         acc: dict = {}
         for k, aik in row.items():
-            brow = b.get(k)
-            if not brow:
-                continue
-            for j, bkj in brow.items():
-                prod = aik.mul_trunc(bkj, max_degree)
-                if prod.is_zero():
-                    continue
-                cur = acc.get(j)
-                acc[j] = prod if cur is None else cur + prod
-        acc = {j: v for j, v in acc.items() if not v.is_zero()}
+            for j, bkj in b.get(k, {}).items():
+                _check_exponents(ns, aik, bkj)
+                _mul_acc(acc.setdefault(j, {}), aik, bkj)
+        acc = {j: t for j, t in acc.items() if _nonzero(t)}
         if acc:
             out[i] = acc
     return out
 
 
-def _pair_trace(a, b, ns, max_degree):
-    t = MPoly.zero(ns)
+def _pair_trace(a, b, ns) -> MPoly:
+    acc: dict = {}
     for i, row in a.items():
         for j, aij in row.items():
             bji = b.get(j, {}).get(i)
             if bji is not None:
-                t = t + aij.mul_trunc(bji, max_degree)
-    return t
+                _check_exponents(ns, aij, bji)
+                _mul_acc(acc, aij, bji)
+    return MPoly(ns, _nonzero(acc))
 
 
 def truncated_det(pq: PQMatrices, max_degree: int) -> MPoly:
     """det(P + Q) with monomials of degree > max_degree dropped."""
     ns = pq.ns
-    # B = P·Q as sparse dict-of-dicts, on the narrowest ring
+    # B = P·Q as sparse dict-of-dicts of term dicts, on the narrowest ring
     b: dict = {}
     for r, cols in pq.p.items():
         acc: dict = {}
         for k, s in cols.items():
-            qrow = pq.q.get(k)
-            if not qrow:
-                continue
-            for j, poly in qrow.items():
-                term = poly.scalar_mul(s)
-                cur = acc.get(j)
-                acc[j] = term if cur is None else cur + term
-        acc = {j: MPoly(ns, {k: narrow(c) for k, c in v.terms.items()})
-               for j, v in acc.items() if not v.is_zero()}
+            for j, poly in pq.q.get(k, {}).items():
+                _mul_acc(acc.setdefault(j, {}), {0: s}, poly.terms)
+        acc = {j: {key: narrow(c) for key, c in t.items()}
+               for j, t in acc.items() if _nonzero(t)}
         if acc:
             b[r] = acc
     # tr(B^m) pairs B^p with B^(m-p) (B^0 being the identity on B's rows),
     # and both exponents stay <= top because m - top <= max_degree - top <= top
-    one = MPoly(ns, {0: 1})
-    powers = {0: {i: {i: one} for i in b}, 1: b}
+    powers = {0: {i: {i: {0: 1}} for i in b}, 1: b}
     top = max(1, (max_degree + 1) // 2)
     for m in range(2, top + 1):
-        powers[m] = _sparse_matmul(powers[m - 1], b, ns, max_degree)
-    traces = [one]
+        powers[m] = _sparse_matmul(powers[m - 1], b, ns)
+    traces = [MPoly(ns, {0: 1})]
     for m in range(1, max_degree + 1):
         p = min(top, m - 1)
-        traces.append(_pair_trace(powers[p], powers[m - p], ns, max_degree))
+        traces.append(_pair_trace(powers[p], powers[m - p], ns))
     # Newton's identities: k·F_k = -sum_m tr(B^m)·F_{k-m}
     return _series_recurrence(traces, max_degree, lambda m, k: -1)
 

@@ -44,12 +44,39 @@ def test_series_westbury_matches_det():
 
 
 def test_series_check_against_eval():
-    rc, out = run_cli("series", "-g", "tetrahedron", "--degree", "4",
-                      "--method", "det", "--check-against-eval")
-    assert rc == 0
-    rep = json.loads(out)
-    assert rep["results"]["sign_fixed"] is True
-    assert rep["results"]["check_all_equal"] is True
+    # curves expands det(W1), which carries the crossing signs, so with
+    # crossings it is sign-fixed like det
+    for graph, method in (("tetrahedron", "det"), ("tetrahedron_nonplanar", "curves")):
+        rc, out = run_cli("series", "-g", graph, "--degree", "4",
+                          "--method", method, "--check-against-eval")
+        assert rc == 0, method
+        rep = json.loads(out)
+        assert rep["results"]["sign_fixed"] is True
+        assert rep["results"]["check_all_equal"] is True
+
+
+def test_series_check_exits_1_on_unequal_coefficient(monkeypatch, capsys):
+    import spinnets.series
+    from spinnets.rational import QQi
+
+    evaluate = spinnets.series.eval_spin_network
+    wrong = {"e1": 2, "e2": 2, "e3": 2}
+
+    def stub(graph, coloring, holonomy=None):
+        value = evaluate(graph, coloring, holonomy)
+        return value + QQi(1) if coloring == wrong else value
+
+    monkeypatch.setattr(spinnets.series, "eval_spin_network", stub)
+    capsys.readouterr()
+    rc, out = run_cli("series", "-g", "theta", "--degree", "6", "--method", "det",
+                      "--check-against-eval")
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    res = json.loads(out)["results"]
+    assert res["check_all_equal"] is False
+    assert [r["coloring"] for r in res["check"] if not r["equal"]] == [wrong]
+    assert [line for line in err if not line.startswith("elapsed_ms=")] == [
+        f"failure: 1 of {len(res['check'])} series coefficients differ from the evaluations"]
 
 
 def test_integrate_report_fields():

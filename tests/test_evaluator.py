@@ -125,7 +125,10 @@ def test_scaled_contraction_is_gauge_invariant(theta, tet, name, seed, data):
     coeffs = []
 
     def spy(p, *args):
-        coeffs.extend(p.terms.values())
+        # the evaluator passes the largest factor as a second operand q
+        assert len(args) in (5, 6)
+        for poly in (p, *args[5:]):
+            coeffs.extend(poly.terms.values())
         return apply_edge_operator(p, *args)
 
     with mock.patch.object(evaluator_module, "apply_edge_operator", spy):

@@ -123,6 +123,65 @@ def test_edge_operator_matches_naive(c, nterms, data):
     assert fast == naive_edge_operator(p, "z1", "w1", "z2", "w2", c)
 
 
+NS6 = Namespace(("z1", "w1", "z2", "w2", "x", "y"))
+EDGE = ("z1", "w1", "z2", "w2")
+RINGS = {
+    "int": st.integers(-4, 4),
+    "fraction": st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+    "gaussian": st.builds(QQi, st.integers(-3, 3), st.integers(-3, 3)),
+}
+EDGE_EXPS = st.tuples(*[st.integers(0, 3)] * 4)
+
+
+@st.composite
+def contraction_operands(draw, coeffs, c):
+    """p and q on NS6; about half of q's terms complete the edge part of a
+    term of p towards a surviving pattern (c - a2, a2, a2, c - a2), and every
+    term of p and of q carries a drawn extra power of x, so that their
+    product may pass MAX_EXPONENT."""
+    p_edges = draw(st.lists(EDGE_EXPS, max_size=6))
+    q_edges = []
+    for _ in range(draw(st.integers(0, 6))):
+        if p_edges and draw(st.booleans()):
+            a2 = draw(st.integers(0, c))
+            pattern = (c - a2, a2, a2, c - a2)
+            q_edges.append(tuple(max(0, t - e) for t, e in
+                                 zip(pattern, draw(st.sampled_from(p_edges)))))
+        else:
+            q_edges.append(draw(EDGE_EXPS))
+
+    def operand(edges):
+        high = draw(st.sampled_from((0, 30, 40)))
+        terms = {}
+        for edge in edges:
+            exps = dict(zip(EDGE, edge), x=high + draw(st.integers(0, 3)),
+                        y=draw(st.integers(0, 3)))
+            if coeff := draw(coeffs):
+                terms[NS6.encode(exps)] = coeff
+        return MPoly(NS6, terms)
+
+    return operand(p_edges), operand(q_edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ring=st.sampled_from(sorted(RINGS)), c=st.integers(0, 4), data=st.data())
+def test_edge_operator_contracts_a_product(ring, c, data):
+    """apply_edge_operator(p, ..., q) is the contraction of p * q, in the
+    same ring, and refuses a product past MAX_EXPONENT the way p * q does."""
+    p, q = data.draw(contraction_operands(RINGS[ring], c))
+    try:
+        expect = apply_edge_operator(p * q, *EDGE, c)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            apply_edge_operator(p, *EDGE, c, q)
+        assert str(got.value) == str(exc)
+        return
+    got = apply_edge_operator(p, *EDGE, c, q)
+    assert got == expect
+    assert {k: type(v) for k, v in got.terms.items()} == \
+        {k: type(v) for k, v in expect.terms.items()}
+
+
 def test_edge_operator_int_coefficients():
     # int input stays int where c! divides the weighted sum, else Fraction
     square = MPoly(NS4, {NS4.encode({"z1": 2, "w2": 2}): 3})
