@@ -195,6 +195,9 @@ def _workers(args) -> int:
 
 def _cmd_integrate(args):
     workers = _workers(args)
+    if args.target == "orthogonality" and args.holonomy:
+        raise InputError("--target orthogonality integrates over every connection "
+                         "and takes no -H holonomy")
     graph, holonomy, inputs = _load_inputs(args)
     results = {"graph": graph.name, "target": args.target, "workers": workers}
     if args.target in ("bracket", "orthogonality"):
@@ -316,6 +319,17 @@ def _cmd_selftest(args):
 # dispatch
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """--seed: a non-negative integer, as numpy's SeedSequence requires."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one `input error:` line on stderr and exits
     2, like every other malformed input; subparsers inherit the class."""
@@ -353,7 +367,7 @@ def _build_parser():
     p.add_argument("--target", choices=("bracket", "W", "orthogonality"),
                    default="bracket")
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--y", action="append", metavar="EDGE=VAL",
                    help="evaluation point for --target W (repeatable)")
@@ -362,7 +376,7 @@ def _build_parser():
     add_graph(p, holonomy=False)
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = sub.add_parser("asymptote", help="leading-order estimates")
     add_graph(p, holonomy=False)
@@ -370,10 +384,10 @@ def _build_parser():
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--report", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = sub.add_parser("selftest", help="reduced-scale acceptance checks")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     return parser
 
 

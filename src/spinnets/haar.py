@@ -7,10 +7,14 @@ scalar part, so <p, q> is half the trace of p q^-1.  `su2_matrix` carries a
 quaternion to its matrix for callers that need one.  Estimates are
 deterministic for a fixed (seed, samples, workers): worker i consumes its
 own spawned substream and partial sums are reduced in worker order.  The
-workers run on min(workers, CPUs) threads, each drawing into one sample
-buffer its caller allocates; which thread runs a worker never changes what
-the worker draws or the order of the sums, so no estimate depends on the
-CPU count.
+workers run on T = min(workers, CPUs) threads, each with one sample buffer
+its caller allocates.  When 2T <= CPUs, each thread also gets a drawer
+thread that only fills the buffer from the stream, block by block, while
+its own thread normalises the drawn blocks and evaluates the integrand;
+otherwise a thread draws for itself.  Successive fills of a generator draw
+what one fill would, and which thread runs a worker or draws its stream
+never changes what the worker draws or the order of the sums, so no
+estimate depends on the CPU count.
 """
 
 from __future__ import annotations
@@ -65,14 +69,14 @@ class MCEstimate:
 
 def haar_su2(rng: np.random.Generator, n: int) -> np.ndarray:
     """n Haar-distributed unit quaternions, shape (n, 4)."""
-    return _fill_haar(rng, np.empty((n, 4)))
+    return _normalise(rng.standard_normal((n, 4)))
 
 
-def _fill_haar(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill the C-contiguous (m, 4) array out with Haar unit quaternions and
-    return it.  Row norms are summed in the order np.linalg.norm(axis=1) sums
-    them, so out equals q / norm(q) bit for bit."""
-    rng.standard_normal(out=out)
+def _normalise(out: np.ndarray) -> np.ndarray:
+    """Divide each row of the C-contiguous (m, 4) array out by its norm in
+    place and return out.  Row norms are summed in the order
+    np.linalg.norm(axis=1) sums them, so a row q becomes q / norm(q) bit for
+    bit."""
     for i in range(0, len(out), _BLOCK):
         blk = out[i:i + _BLOCK]
         t0, t1, t2, t3 = blk.T
@@ -152,29 +156,125 @@ def _chunks(samples: int, workers: int):
     return [base + (1 if i < rem else 0) for i in range(workers)]
 
 
-def _batch_sums(integrand, draws, buf, vals, streams, counts):
+def _block_rows(draws, n: int, start: int):
+    """Row slices of the sample buffer that hold samples start..start+_BLOCK
+    of an n-sample batch, one per section.  A batch of n samples fills
+    n * sum(draws) rows, read as one (n, d, 4) section per d in draws."""
+    stop = min(n, start + _BLOCK)
+    out, lo = [], 0
+    for d in draws:
+        out.append(slice(n * lo + start * d, n * lo + stop * d))
+        lo += d
+    return out
+
+
+def _sub_fills(batches, draws, buf):
+    """A run's draws as successive fills of one generator, in stream order:
+    batch by batch, section by section, block by block.  Yields (rng, rows,
+    free, ready): the rows may be overwritten once the first `free` blocks
+    of the run are consumed, and once they are filled the first `ready`
+    blocks are drawn in every section."""
+    off, prev_n = 0, None  # blocks of the earlier batches; the last batch size
+    for rng, n in batches:
+        rows = [_block_rows(draws, n, s) for s in range(0, n, _BLOCK)]
+        for j in range(len(draws)):
+            for i, block in enumerate(rows):
+                # an equal batch size reuses the same rows: block i of the
+                # previous batch must be done; otherwise all of that batch
+                free = off - len(rows) + i + 1 if n == prev_n else off
+                ready = off + i + 1 if j == len(draws) - 1 else off
+                yield rng, buf[block[j]], free, ready
+        off += len(rows)
+        prev_n = n
+
+
+class _Drawer:
+    """Carries out a run's sub-fills: on the consumer's thread when it waits
+    for a block, or, when ahead is set, on a thread of its own that draws
+    as far ahead as the consumer has released rows.  Either way the fills
+    come in the same order, so they draw the same values."""
+
+    def __init__(self, fills, ahead: bool):
+        self._fills = fills
+        self._ready = self._released = 0
+        self._error = None
+        self._stopped = False
+        self._cond = threading.Condition()
+        self._thread = None
+        if ahead:
+            self._thread = threading.Thread(target=self._draw_ahead, daemon=True)
+            self._thread.start()
+
+    def _draw_ahead(self):
+        try:
+            for rng, rows, free, ready in self._fills:
+                with self._cond:
+                    self._cond.wait_for(lambda: self._released >= free or self._stopped)
+                    if self._stopped:
+                        return
+                rng.standard_normal(out=rows)  # drops the GIL while it fills
+                with self._cond:
+                    self._ready = ready
+                    self._cond.notify()
+        except BaseException as exc:  # re-raised by the consumer
+            with self._cond:
+                self._error = exc
+                self._cond.notify()
+
+    def wait(self, block: int):
+        """Return once every section's rows of the run's block are drawn."""
+        if self._thread is None:
+            while self._ready <= block:
+                rng, rows, _, self._ready = next(self._fills)
+                rng.standard_normal(out=rows)
+            return
+        with self._cond:
+            self._cond.wait_for(lambda: self._ready > block or self._error is not None)
+            if self._ready <= block:
+                raise self._error
+
+    def release(self, blocks: int):
+        """The run's first `blocks` blocks are consumed; redraw their rows."""
+        if self._thread is not None:
+            with self._cond:
+                self._released = blocks
+                self._cond.notify()
+
+    def close(self):
+        if self._thread is not None:
+            with self._cond:
+                self._stopped = True
+                self._cond.notify()
+            self._thread.join()
+
+
+def _batch_sums(integrand, draws, buf, vals, streams, counts, ahead: bool):
     """Per-batch (sum v, sum v^2) over the given workers' substreams, in
-    worker order, then batch order.  A batch of n samples is one draw of
-    n * sum(draws) quaternions into buf, read as one (n, d, 4) section per d
-    in draws; the integrand sees row blocks of the sections and its values
-    go to vals."""
-    k = sum(draws)
-    sums = []
+    worker order, then batch order.  A batch of n samples is n * sum(draws)
+    quaternions drawn into buf; each 8192-sample block of its sections is
+    normalised and passed to the integrand once drawn, and the values go to
+    vals.  With ahead set, a drawer thread fills the next blocks meanwhile."""
+    batches = []
     for child, n_w in zip(streams, counts):
         rng = np.random.Generator(np.random.Philox(child))
-        for done in range(0, n_w, _BATCH):
-            n = min(_BATCH, n_w - done)
-            q = _fill_haar(rng, buf[:n * k])
-            sections, lo = [], 0
-            for d in draws:
-                sections.append(q[n * lo:n * (lo + d)].reshape(n, d, 4))
-                lo += d
+        batches += [(rng, min(_BATCH, n_w - done)) for done in range(0, n_w, _BATCH)]
+    drawer = _Drawer(_sub_fills(batches, draws, buf), ahead)
+    sums, block = [], 0
+    try:
+        for _, n in batches:
             v = vals[:n]
-            for i in range(0, n, _BLOCK):
-                v[i:i + _BLOCK] = integrand(*(sec[i:i + _BLOCK] for sec in sections))
+            for start in range(0, n, _BLOCK):
+                drawer.wait(block)
+                sections = [_normalise(buf[rows]).reshape(-1, d, 4)
+                            for rows, d in zip(_block_rows(draws, n, start), draws)]
+                v[start:start + _BLOCK] = integrand(*sections)
+                block += 1
+                drawer.release(block)
             total = float(np.sum(v))
             v *= v
             sums.append((total, float(np.sum(v))))
+    finally:
+        drawer.close()
     return sums
 
 
@@ -184,18 +284,21 @@ def _estimate(integrand, draws, samples: int, seed: int, workers: int) -> MCEsti
     quaternions.
 
     Worker w draws chunk w of the samples from substream w of the seed.
-    Thread t of min(workers, CPUs) runs a contiguous run of workers in
-    buffers allocated here; the sums are added in worker order, then batch
-    order, whatever the thread count."""
+    Thread t of T = min(workers, CPUs) runs a contiguous run of workers in
+    buffers allocated here, with a drawer thread of its own when 2T <= CPUs;
+    the sums are added in worker order, then batch order, whatever the
+    thread count."""
     chunks = _chunks(samples, workers)  # validates workers before spawning
     streams = np.random.SeedSequence(seed).spawn(workers)
-    runs = _chunks(workers, min(workers, os.cpu_count() or 1))
+    cpus = os.cpu_count() or 1
+    runs = _chunks(workers, min(workers, cpus))
+    ahead = 2 * len(runs) <= cpus
     results = [None] * len(runs)
 
     def run(t, lo, hi, buf, vals):
         try:
             results[t] = _batch_sums(integrand, draws, buf, vals, streams[lo:hi],
-                                     chunks[lo:hi])
+                                     chunks[lo:hi], ahead)
         except BaseException as exc:  # re-raised by the calling thread
             results[t] = exc
 

@@ -1,11 +1,15 @@
 import copy
 import io
 import json
-from contextlib import redirect_stdout
+import os
+from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
 from operator import getitem
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinnets import bundled_graph_path
 from spinnets.cli import dispatch
@@ -184,6 +188,7 @@ def test_input_errors_exit_2(tmp_path, capsys):
         "hol_zero_den": {**ident, "u1": [["1/0", 0], [0, 1]]},
         "hol_zero_den_im": {**ident, "u1": [["2/0 i", 0], [0, 1]]},
     }
+    (tmp_path / "hol_flip.json").write_text(json.dumps({h: [[0, 1], [-1, 0]] for h in ident}))
     for name, obj in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     for argv in (
@@ -217,6 +222,14 @@ def test_input_errors_exit_2(tmp_path, capsys):
         ("asymptote", "-g", "tetrahedron", "-c", tet_c, "--tol=-1e-10"),
         # refused by the parser itself (it does not read -1e-10 as a value)
         ("check", "-g", "tetrahedron", "-c", tet_c, "--tol", "-1e-10"),
+        # a negative seed was a SeedSequence traceback (selftest: five FAIL lines)
+        ("integrate", "-g", "theta", "-c", th_c, "--samples", "10000", "--seed=-1"),
+        ("check", "-g", "tetrahedron", "-c", tet_c, "--seed=-1"),
+        ("asymptote", "-g", "tetrahedron", "-c", tet_c, "--seed=-1"),
+        ("selftest", "--seed=-1"),
+        # the orthogonality relation integrates over every connection
+        ("integrate", "-g", "theta", "-c", th_c, "--target", "orthogonality",
+         "--samples", "10000", "-H", str(tmp_path / "hol_flip.json")),
         ("eval", "-g", "theta", "--bogus"),
         ("definitely-not-a-command",),
     ):
@@ -224,6 +237,54 @@ def test_input_errors_exit_2(tmp_path, capsys):
         rc, _ = run_cli(*argv)
         assert rc == 2, argv
         assert len(capsys.readouterr().err.splitlines()) == 1, argv
+
+
+# texts at or past the edge of an integer option, each malformed or out of
+# range for at least one of them
+_EDGE = ("0", "-1", "abc", "", "1e4")
+
+
+def _int_option(lo, hi, *edge):
+    """A small valid integer as text, or a text at the edge."""
+    return st.one_of(st.integers(lo, hi).map(str), st.sampled_from(_EDGE + edge))
+
+
+@settings(max_examples=150, deadline=None)
+# the two findings of this boundary: each was a traceback with exit 1
+@example(target="bracket", colors=[2, 2, 2], samples="10000", seed="-1", workers=None,
+         env_workers=None)
+@example(target="W", colors=[2, 2, 2], samples="10000", seed=None, workers=None,
+         env_workers="abc")
+@given(target=st.sampled_from(("bracket", "W", "orthogonality")),
+       colors=st.lists(st.integers(0, 10), min_size=3, max_size=3),
+       # always given and small: nothing caps a valid sample count
+       samples=_int_option(10_000, 20_000, "9999"),
+       seed=st.one_of(st.none(), _int_option(0, 2 ** 64)),
+       # "above" stands for one worker more than the samples
+       workers=st.one_of(st.none(), _int_option(1, 8, "above")),
+       env_workers=st.one_of(st.none(), _int_option(1, 8)))
+def test_integrate_argument_boundary(target, colors, samples, seed, workers, env_workers):
+    if workers == "above":
+        workers = str(int(samples) + 1) if samples.isdigit() else "20001"
+    argv = ["integrate", "-g", "theta", "--target", target, f"--samples={samples}"]
+    if target == "W":
+        argv += ["--y", "e1=0.3", "--y", "e2=0.2", "--y", "e3=0.1"]
+    else:
+        argv += ["-c", json.dumps(dict(zip(("e1", "e2", "e3"), colors)))]
+    argv += [f"--{name}={value}" for name, value in (("seed", seed), ("workers", workers))
+             if value is not None]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop("SPINNET_WORKERS", None)
+        if env_workers is not None:
+            os.environ["SPINNET_WORKERS"] = env_workers
+        rc = dispatch(argv)
+    assert rc in (0, 2), (argv, env_workers, rc)
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:"), (argv, lines)
+    else:
+        assert json.loads(out.getvalue())["results"]["estimate"]["samples"] == int(samples)
 
 
 def test_integrate_checks_bracket_target_before_sampling(monkeypatch, capsys):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ import spinnets.haar as haar
 from spinnets.errors import DomainError, InputError, PreconditionError
 from spinnets.evaluator import bracket_square, theta_value
 from spinnets.haar import (MCEstimate, char_value, haar_su2, mc_bracket, mc_orthogonality,
-                           mc_W_point, su2_matrix, _BATCH, _BLOCK, _chebyshev_u,
+                           mc_W_point, su2_matrix, _BLOCK, _chebyshev_u,
                            _chunks, _edge_half_traces, _prepared_holonomy, _qmul)
 
 SAMPLES = 100_000
@@ -195,7 +198,7 @@ def _serial_estimate(integrand, draws, samples, seed, workers):
         rng = np.random.Generator(np.random.Philox(child))
         done = 0
         while done < n_w:
-            n = min(_BATCH, n_w - done)
+            n = min(haar._BATCH, n_w - done)
             vals = integrand(*(haar_su2(rng, n * d).reshape(n, d, 4) for d in draws))
             total += float(np.sum(vals))
             total_sq += float(np.sum(vals * vals))
@@ -205,12 +208,44 @@ def _serial_estimate(integrand, draws, samples, seed, workers):
     return MCEstimate(mean, (var / samples) ** 0.5, samples, seed)
 
 
-def test_threaded_estimates_equal_serial_loop(theta, tet, monkeypatch):
-    # 70 000 samples give full and partial batches for 1, 2 and 3 workers
-    from conftest import random_unitary_holonomy
+def _call_within(fn, seconds=120):
+    """fn() on a thread joined with a timeout, so that a hung hand-off
+    between a drawer and its consumer fails the test instead of blocking it."""
+    out = []
 
-    def not_on_pool_threads(rng, n):
-        raise AssertionError("the estimator calls the traced name haar.haar_su2")
+    def target():
+        try:
+            out.append((True, fn()))
+        except BaseException as exc:
+            out.append((False, exc))
+
+    th = threading.Thread(target=target, daemon=True)
+    th.start()
+    th.join(seconds)
+    assert not th.is_alive(), "the estimator did not return"
+    ok, value = out[0]
+    if not ok:
+        raise value
+    return value
+
+
+def _record_drawers(monkeypatch):
+    """Patch haar._Drawer to record the ahead flag of every run's drawer."""
+    aheads = []
+
+    class Recorded(haar._Drawer):
+        def __init__(self, fills, ahead):
+            aheads.append(ahead)
+            super().__init__(fills, ahead)
+
+    monkeypatch.setattr(haar, "_Drawer", Recorded)
+    return aheads
+
+
+def _estimate_cases(theta, tet, monkeypatch, samples):
+    """(run(workers), draws) per integrand, with the integrands that
+    haar._estimate receives appended to the returned list."""
+    from conftest import random_unitary_holonomy
 
     integrands = []
     real_estimate = haar._estimate
@@ -219,36 +254,109 @@ def test_threaded_estimates_equal_serial_loop(theta, tet, monkeypatch):
         integrands.append((integrand, draws))
         return real_estimate(integrand, draws, samples, seed, workers)
 
-    monkeypatch.setattr(haar, "haar_su2", not_on_pool_threads)
     monkeypatch.setattr(haar, "_estimate", recorded)
     col = {"e1": 2, "e2": 3, "e3": 3}
     hol = random_unitary_holonomy(theta, seed=6)
     nv, ne, nh = len(theta.vertices), len(theta.edges), len(theta.halfedges)
     cases = [
-        (lambda w: mc_bracket(tet, {e: 2 for e in tet.edge_ids}, samples=70_000, seed=31,
+        (lambda w: mc_bracket(tet, {e: 2 for e in tet.edge_ids}, samples=samples, seed=31,
                               workers=w), (len(tet.vertices),)),
-        (lambda w: mc_bracket(theta, col, hol, samples=70_000, seed=32, workers=w), (nv,)),
-        (lambda w: mc_W_point(theta, {"e1": 0.3, "e2": 0.2, "e3": 0.1}, samples=70_000,
+        (lambda w: mc_bracket(theta, col, hol, samples=samples, seed=32, workers=w), (nv,)),
+        (lambda w: mc_W_point(theta, {"e1": 0.3, "e2": 0.2, "e3": 0.1}, samples=samples,
                               seed=33, workers=w), (nv,)),
         # one draw of V + E + H quaternions per sample is three successive draws
-        (lambda w: mc_orthogonality(theta, col, samples=70_000, seed=34, workers=w),
+        (lambda w: mc_orthogonality(theta, col, samples=samples, seed=34, workers=w),
          (nv, ne, nh)),
     ]
-    for run, draws in cases:
-        for workers in (1, 2, 3):
-            est = run(workers)
-            integrand, seen = integrands[-1]
-            assert seen == draws
-            assert est == _serial_estimate(integrand, draws, 70_000, est.seed, workers)
+    return cases, integrands
+
+
+def test_threaded_estimates_equal_serial_loop(theta, tet, monkeypatch):
+    # 70 000 samples give full and partial batches and blocks (32 768 and
+    # 4 464 samples for one worker, 23 334 for three), and so unequal
+    # consecutive batches.  Each worker count runs with a drawer thread per
+    # run (2T <= CPUs for T = min(workers, CPUs)) and without one.
+    def not_on_pool_threads(rng, n):
+        raise AssertionError("the estimator calls the traced name haar.haar_su2")
+
+    monkeypatch.setattr(haar, "haar_su2", not_on_pool_threads)
+    cases, integrands = _estimate_cases(theta, tet, monkeypatch, 70_000)
+    aheads = _record_drawers(monkeypatch)
+    refs = {}
+    for cpus in (1, 2, 4, 6):
+        monkeypatch.setattr(haar.os, "cpu_count", lambda: cpus)
+        for case, (run, draws) in enumerate(cases):
+            for workers in (1, 2, 3):
+                aheads.clear()
+                est = run(workers)
+                threads = min(workers, cpus)
+                assert aheads == [2 * threads <= cpus] * threads
+                integrand, seen = integrands[-1]
+                assert seen == draws
+                if (case, workers) not in refs:
+                    refs[case, workers] = _serial_estimate(integrand, draws, 70_000,
+                                                           est.seed, workers)
+                assert est == refs[case, workers], (cpus, workers, draws)
+
+
+def test_drawer_hand_off_under_thread_switching(theta, tet, monkeypatch):
+    # batches of 2000 samples in blocks of 250 give each run 61 hand-offs and
+    # a last batch of 1031 samples; a drawer that overwrote rows before their
+    # block was consumed would change the sums
+    monkeypatch.setattr(haar, "_BATCH", 2000)
+    monkeypatch.setattr(haar, "_BLOCK", 250)
+    monkeypatch.setattr(haar.os, "cpu_count", lambda: 8)  # 4 runs, 4 drawers
+    cases, integrands = _estimate_cases(theta, tet, monkeypatch, 60_123)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ests = [_call_within(lambda: run(4)) for run, _ in cases]
+    finally:
+        sys.setswitchinterval(interval)
+    for est, (integrand, draws) in zip(ests, integrands):
+        assert est == _serial_estimate(integrand, draws, 60_123, est.seed, 4)
 
 
 def test_pool_thread_errors_reach_the_caller(theta, monkeypatch):
+    # two CPUs: one worker runs with a drawer thread, two workers without
+    monkeypatch.setattr(haar.os, "cpu_count", lambda: 2)
+    col = {"e1": 2, "e2": 2, "e3": 2}
+    before = threading.active_count()
+
     def failing(n, x):
         raise ValueError("integrand failed")
 
-    monkeypatch.setattr(haar, "_chebyshev_u", failing)
-    with pytest.raises(ValueError, match="integrand failed"):
-        mc_bracket(theta, {"e1": 2, "e2": 2, "e3": 2}, samples=10_000, seed=0, workers=2)
+    # the consumer fails on its first block while the drawer waits to draw
+    # the second batch into the rows of that block
+    with monkeypatch.context() as m:
+        m.setattr(haar, "_chebyshev_u", failing)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="integrand failed"):
+                _call_within(lambda: mc_bracket(theta, col, samples=70_000, seed=0,
+                                                workers=workers))
+            assert threading.active_count() == before
+
+    real_generator = np.random.Generator
+
+    class FailingGenerator:
+        """Draws like numpy's Generator, and raises on its third fill."""
+
+        def __init__(self, bit_generator):
+            self._rng = real_generator(bit_generator)
+            self._fills = 0
+
+        def standard_normal(self, *, out):
+            self._fills += 1
+            if self._fills == 3:
+                raise RuntimeError("draw failed")
+            return self._rng.standard_normal(out=out)
+
+    monkeypatch.setattr(haar.np.random, "Generator", FailingGenerator)
+    for workers in (1, 2):
+        with pytest.raises(RuntimeError, match="draw failed"):
+            _call_within(lambda: mc_bracket(theta, col, samples=70_000, seed=0,
+                                            workers=workers))
+        assert threading.active_count() == before
 
 
 def test_su2_sample_type():
