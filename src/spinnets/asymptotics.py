@@ -426,27 +426,27 @@ def _eigs(m):
     return np.linalg.eigvals(m)
 
 
-def _kernel_dim(eigs, threshold: float = _KERNEL_THRESHOLD) -> int:
-    """Number of eigenvalues below threshold x the largest in modulus."""
+def _kernel_dim(eigs) -> int:
+    """Number of eigenvalues below _KERNEL_THRESHOLD x the largest in modulus."""
     mod = np.abs(eigs)
-    return int(np.sum(mod < threshold * np.max(mod, initial=0.0)))
+    return int(np.sum(mod < _KERNEL_THRESHOLD * np.max(mod, initial=0.0)))
 
 
-def _split_kernel(eigs, kernel_dim, threshold):
-    n_small = _kernel_dim(eigs, threshold)
+def _split_kernel(eigs, kernel_dim):
+    n_small = _kernel_dim(eigs)
     if n_small != kernel_dim:
         raise HypothesisError(
             f"kernel dimension is {n_small}, expected {kernel_dim}")
     return eigs[np.argsort(np.abs(eigs))][kernel_dim:]
 
 
-def _detprime_of(eigs, kernel_dim: int, threshold: float = _KERNEL_THRESHOLD) -> complex:
-    return complex(np.prod(_split_kernel(eigs, kernel_dim, threshold)))
+def _detprime_of(eigs, kernel_dim: int) -> complex:
+    return complex(np.prod(_split_kernel(eigs, kernel_dim)))
 
 
-def detprime(m, kernel_dim: int, threshold: float = _KERNEL_THRESHOLD) -> complex:
+def detprime(m, kernel_dim: int) -> complex:
     """Product of eigenvalues off a kernel of the stated dimension."""
-    return _detprime_of(_eigs(np.asarray(m)), kernel_dim, threshold)
+    return _detprime_of(_eigs(np.asarray(m)), kernel_dim)
 
 
 def _richardson(values):
@@ -474,7 +474,7 @@ def detprime_limit(graph: Graph, coloring: dict, pair: CriticalPair,
     for j in js:
         h = 2.0 ** (-j)
         m = form_qkappa(graph, coloring, pair, 1.0 + h)
-        rest = _split_kernel(_eigs(m), 3, _KERNEL_THRESHOLD)
+        rest = _split_kernel(_eigs(m), 3)
         vals.append(complex(np.prod(rest)) / h ** 3)
         sqrts.append(complex(np.prod(np.sqrt(rest))) / h ** 1.5)
     lim, err = _richardson(vals)

@@ -193,11 +193,18 @@ def _workers(args) -> int:
         raise InputError(f"SPINNET_WORKERS must be an integer, got {raw!r}") from None
 
 
+# the inputs a target never reads, refused rather than ignored (orthogonality
+# integrates over every connection, so it reads no holonomy either)
+_UNREAD = {"bracket": (("y", "--y"),),
+           "orthogonality": (("y", "--y"), ("holonomy", "-H")),
+           "W": (("coloring", "-c"),)}
+
+
 def _cmd_integrate(args):
     workers = _workers(args)
-    if args.target == "orthogonality" and args.holonomy:
-        raise InputError("--target orthogonality integrates over every connection "
-                         "and takes no -H holonomy")
+    for attr, flag in _UNREAD.get(args.target, ()):
+        if getattr(args, attr):
+            raise InputError(f"--target {args.target} takes no {flag}")
     graph, holonomy, inputs = _load_inputs(args)
     results = {"graph": graph.name, "target": args.target, "workers": workers}
     if args.target in ("bracket", "orthogonality"):

@@ -407,6 +407,9 @@ def mc_orthogonality(graph: Graph, coloring: dict,
     """Estimate of prod_v <v> / prod_e <e>: Haar mean over vertex, edge and
     half-edge samples of prod_v <v> prod_e <e> prod_h tr_c(g_e psi_h g_v psi_h^-1)."""
     _check_samples(samples)
+    for e in graph.edge_ids:
+        if e not in coloring:
+            raise InputError(f"coloring misses edge {e!r}")
     scale = 1.0
     for v, hs in graph.vertices:
         a, b, c = (coloring[graph.edge_of[h][0]] for h in hs)

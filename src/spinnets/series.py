@@ -69,29 +69,16 @@ def build_pq(graph: Graph, holonomy: Holonomy | None = None) -> PQMatrices:
     if not holonomy.exact:
         raise RegimeError("build_pq needs an exact-regime holonomy")
     ns = Namespace(graph.angle_ids)
-    basis = []
-    for h in graph.halfedges:
-        basis.append(_zvar(h))
-        basis.append(_wvar(h))
+    basis = [x for h in graph.halfedges for x in (_zvar(h), _wvar(h))]
 
+    # every entry comes from exactly one edge or one angle: a half-edge lies
+    # on one edge, and an angle's pairs (g, h) and (h, g) are its own
     p: dict = {b: {} for b in basis}
-
-    def padd(r, c, v):
-        cur = p[r].get(c)
-        p[r][c] = v if cur is None else cur + v
-
     for e, l, r in graph.edges:
-        padd(_zvar(l), _wvar(r), _I)
-        padd(_wvar(r), _zvar(l), _I)
-        padd(_zvar(r), _wvar(l), -_I)
-        padd(_wvar(l), _zvar(r), -_I)
+        p[_zvar(l)][_wvar(r)] = p[_wvar(r)][_zvar(l)] = _I
+        p[_zvar(r)][_wvar(l)] = p[_wvar(l)][_zvar(r)] = -_I
 
     q: dict = {b: {} for b in basis}
-
-    def qadd(r, c, poly):
-        cur = q[r].get(c)
-        q[r][c] = poly if cur is None else cur + poly
-
     for aid, v, (i, j), (g, h) in graph.angles:
         (a, b), (c, d) = holonomy.inverse_matrix(g)
         (a2, b2), (c2, d2) = holonomy.inverse_matrix(h)
@@ -102,14 +89,8 @@ def build_pq(graph: Graph, holonomy: Holonomy | None = None) -> PQMatrices:
             (_wvar(g), _wvar(h)): _I * (b * d2 - b2 * d),
         }
         for (rr, cc), val in coeffs.items():
-            if not val:
-                continue
-            mono = MPoly.var(ns, aid, val)
-            qadd(rr, cc, mono)
-            qadd(cc, rr, mono)
-
-    p = {r: {c: v for c, v in cols.items() if v} for r, cols in p.items()}
-    q = {r: {c: v for c, v in cols.items() if not v.is_zero()} for r, cols in q.items()}
+            if val:
+                q[rr][cc] = q[cc][rr] = MPoly.var(ns, aid, val)
     return PQMatrices(ns, tuple(basis), p, q)
 
 
@@ -160,17 +141,14 @@ def _pair_trace(a, b, ns) -> MPoly:
 def truncated_det(pq: PQMatrices, max_degree: int) -> MPoly:
     """det(P + Q) with monomials of degree > max_degree dropped."""
     ns = pq.ns
-    # B = P·Q as sparse dict-of-dicts of term dicts, on the narrowest ring
+    # B = P·Q as sparse dict-of-dicts of term dicts, on the narrowest ring:
+    # row r of P holds one entry s, at column k, so row r of B is s·(row k of Q)
     b: dict = {}
     for r, cols in pq.p.items():
-        acc: dict = {}
-        for k, s in cols.items():
-            for j, poly in pq.q.get(k, {}).items():
-                _mul_acc(acc.setdefault(j, {}), {0: s}, poly.terms)
-        acc = {j: {key: narrow(c) for key, c in t.items()}
-               for j, t in acc.items() if _nonzero(t)}
-        if acc:
-            b[r] = acc
+        (k, s), = cols.items()
+        if pq.q.get(k):
+            b[r] = {j: {key: narrow(s * c) for key, c in poly.terms.items()}
+                    for j, poly in pq.q[k].items()}
     # tr(B^m) pairs B^p with B^(m-p) (B^0 being the identity on B's rows),
     # and both exponents stay <= top because m - top <= max_degree - top <= top
     powers = {0: {i: {i: {0: 1}} for i in b}, 1: b}
@@ -241,40 +219,52 @@ def westbury_polynomial(graph: Graph) -> MPoly:
 
 # ---------------------------------------------------------------------------
 # blown-up graph: nodes are half-edges; an external link per edge, an
-# internal link per angle.  Entry weights follow the half-edge matrix of the
-# diagonal-holonomy quadratic form divided by i.
+# internal link per angle.  Link weights follow the half-edge matrix of the
+# diagonal-holonomy quadratic form divided by i.  A loop edge and the angle
+# between its two half-edges link the same pair of nodes, so each ordered
+# pair holds a list of links, and the enumerations take one link per step.
 # ---------------------------------------------------------------------------
 
-def _w1_entries(graph: Graph, t: dict):
-    """(namespace, node list, {(g,h): (monomial key, coeff)}) with
-    W1[left][right] = 1, W1[right][left] = -1 per edge and
-    W1[g][h] = (t_g^{-1} t_h) X_a, W1[h][g] = -(t_g t_h^{-1}) X_a per angle."""
+def _blown_up(graph: Graph, t: dict | None = None):
+    """(namespace, links) where links[g][h] lists the (monomial key, weight)
+    links from node g to node h, nodes numbered in half-edge order: weight 1
+    from left to right and -1 back per edge, (t_g^{-1} t_h) X_a from g to h
+    and -(t_g t_h^{-1}) X_a back per angle a = (g, h); t defaults to 1."""
     ns = Namespace(graph.angle_ids)
-    for h in graph.halfedges:
-        if h not in t:
-            raise InputError(f"t misses half-edge {h!r}")
-        if not Fraction(t[h]):
-            raise InputError(f"t[{h!r}] must be nonzero")
-    t = {h: Fraction(t[h]) for h in graph.halfedges}
-    entries = {}
+    if t is None:
+        t = dict.fromkeys(graph.halfedges, 1)
+    else:
+        for h in graph.halfedges:
+            if h not in t:
+                raise InputError(f"t misses half-edge {h!r}")
+            if not Fraction(t[h]):
+                raise InputError(f"t[{h!r}] must be nonzero")
+        t = {h: Fraction(t[h]) for h in graph.halfedges}
+    idx = {h: i for i, h in enumerate(graph.halfedges)}
+    links = [{} for _ in idx]
+
+    def link(g, h, key, weight):
+        links[idx[g]].setdefault(idx[h], []).append((key, weight))
+
     for e, l, r in graph.edges:
-        entries[(l, r)] = (0, 1)
-        entries[(r, l)] = (0, -1)
+        link(l, r, 0, 1)
+        link(r, l, 0, -1)
     for aid, v, (i, j), (g, h) in graph.angles:
         key = ns.encode({aid: 1})
-        entries[(g, h)] = (key, div_exact(t[h], t[g]))
-        entries[(h, g)] = (key, -div_exact(t[g], t[h]))
-    return ns, list(graph.halfedges), entries
+        link(g, h, key, div_exact(t[h], t[g]))
+        link(h, g, key, -div_exact(t[g], t[h]))
+    return ns, links
 
 
 def w1_matrix(graph: Graph, t: dict):
     """Dense half-edge matrix (list of lists of MPoly) for det_poly checks."""
-    ns, nodes, entries = _w1_entries(graph, t)
-    n = len(nodes)
-    idx = {h: i for i, h in enumerate(nodes)}
+    ns, links = _blown_up(graph, t)
+    n = len(links)
     rows = [[MPoly.zero(ns) for _ in range(n)] for _ in range(n)]
-    for (g, h), (key, c) in entries.items():
-        rows[idx[g]][idx[h]] = rows[idx[g]][idx[h]] + MPoly(ns, {key: c})
+    for g, row in enumerate(links):
+        for h, ls in row.items():
+            # one edge link (key 0) and one angle link at most: keys differ
+            rows[g][h] = MPoly(ns, dict(ls))
     return ns, rows
 
 
@@ -282,19 +272,13 @@ def abelian_curve_sum(graph: Graph, t: dict | None = None) -> MPoly:
     """Signed sum over configurations of oriented curves and dimers covering
     the blown-up graph; equals det(W1) and, inverted, the generating series
     for the diagonal holonomy diag(t_h, t_h^{-1})."""
-    if t is None:
-        t = {h: Fraction(1) for h in graph.halfedges}
-    ns, nodes, entries = _w1_entries(graph, t)
-    n = len(nodes)
-    idx = {h: i for i, h in enumerate(nodes)}
-    w = {}
-    adj = [[] for _ in range(n)]
-    for (g, h), (key, c) in entries.items():
-        gi, hi = idx[g], idx[h]
-        w[(gi, hi)] = (key, c)
-        adj[gi].append(hi)
-    for lst in adj:
-        lst.sort()
+    ns, links = _blown_up(graph, t)
+    n = len(links)
+    adj = [sorted(row.items()) for row in links]
+    # per node v, the dimers {v, u} with u > v: every product of a link from
+    # v to u with a link back
+    dimers = [[(u, [(k1 + k2, c1 * c2) for k1, c1 in ls for k2, c2 in links[u][v]])
+               for u, ls in row if u > v] for v, row in enumerate(adj)]
     acc: dict = {}
 
     def emit(key, coeff, parity):
@@ -315,26 +299,23 @@ def abelian_curve_sum(graph: Graph, t: dict | None = None) -> MPoly:
             return
         v = (mask & -mask).bit_length() - 1
         mask_v = mask & ~(1 << v)
-        # dimer on {v, u}
-        for u in adj[v]:
-            if not (mask_v >> u) & 1:
-                continue
-            k1, c1 = w[(v, u)]
-            k2, c2 = w[(u, v)]
-            cover(mask_v & ~(1 << u), key + k1 + k2, coeff * c1 * c2, parity + 1)
+        for u, products in dimers[v]:
+            if (mask_v >> u) & 1:
+                for kd, cd in products:
+                    cover(mask_v & ~(1 << u), key + kd, coeff * cd, parity + 1)
 
         # oriented cycles of length >= 3 through v (v is the minimum node)
         def walk(cur, mask2, key2, coeff2, length):
-            for u in adj[cur]:
+            for u, ls in adj[cur]:
                 if u == v:
                     if length >= 3:
-                        ke, ce = w[(cur, v)]
-                        cover(mask2, key2 + ke, coeff2 * ce, parity + 1)
+                        for ke, ce in ls:
+                            cover(mask2, key2 + ke, coeff2 * ce, parity + 1)
                     continue
                 if not (mask2 >> u) & 1:
                     continue
-                ke, ce = w[(cur, u)]
-                walk(u, mask2 & ~(1 << u), key2 + ke, coeff2 * ce, length + 1)
+                for ke, ce in ls:
+                    walk(u, mask2 & ~(1 << u), key2 + ke, coeff2 * ce, length + 1)
 
         walk(v, mask_v, key, coeff, 1)
 
@@ -345,23 +326,8 @@ def abelian_curve_sum(graph: Graph, t: dict | None = None) -> MPoly:
 def pfaffian_dimer_sum(graph: Graph) -> MPoly:
     """Sum over dimer configurations of the blown-up graph of the product of
     covered angle variables, all signs +1; equals westbury_polynomial."""
-    ns = Namespace(graph.angle_ids)
-    nodes = list(graph.halfedges)
-    n = len(nodes)
-    idx = {h: i for i, h in enumerate(nodes)}
-    links = {}
-    for e, l, r in graph.edges:
-        links[(idx[l], idx[r])] = 0
-        links[(idx[r], idx[l])] = 0
-    for aid, v, (i, j), (g, h) in graph.angles:
-        key = ns.encode({aid: 1})
-        links[(idx[g], idx[h])] = key
-        links[(idx[h], idx[g])] = key
-    adj = [[] for _ in range(n)]
-    for (a, b) in links:
-        adj[a].append(b)
-    for lst in adj:
-        lst.sort()
+    ns, links = _blown_up(graph)
+    adj = [[(u, [k for k, _ in ls]) for u, ls in sorted(row.items())] for row in links]
     acc: dict = {}
 
     def match(mask, key):
@@ -370,11 +336,12 @@ def pfaffian_dimer_sum(graph: Graph) -> MPoly:
             return
         v = (mask & -mask).bit_length() - 1
         mask_v = mask & ~(1 << v)
-        for u in adj[v]:
+        for u, keys in adj[v]:
             if (mask_v >> u) & 1:
-                match(mask_v & ~(1 << u), key + links[(v, u)])
+                for k in keys:
+                    match(mask_v & ~(1 << u), key + k)
 
-    match((1 << n) - 1, 0)
+    match((1 << len(links)) - 1, 0)
     return MPoly(ns, acc)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -29,6 +30,30 @@ def tetnp():
 @pytest.fixture(scope="session")
 def prism():
     return load_graph(bundled_graph_path("prism3"))
+
+
+# two vertices, each with a loop edge, joined by one edge: the loop a and the
+# angle between u1 and u2 link the same pair of half-edges
+DUMBBELL = {
+    "name": "dumbbell",
+    "vertices": [{"id": "u", "halfedges": ["u1", "u2", "u3"]},
+                 {"id": "v", "halfedges": ["v1", "v2", "v3"]}],
+    "edges": [{"id": "a", "left": "u1", "right": "u2"},
+              {"id": "b", "left": "u3", "right": "v1"},
+              {"id": "c", "left": "v2", "right": "v3"}],
+}
+
+
+@pytest.fixture(scope="session")
+def dumbbell_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("graphs") / "dumbbell.json"
+    path.write_text(json.dumps(DUMBBELL))
+    return path
+
+
+@pytest.fixture(scope="session")
+def dumbbell(dumbbell_path):
+    return load_graph(dumbbell_path)
 
 
 def rand_qqi(rng, lim=2):

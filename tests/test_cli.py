@@ -59,6 +59,18 @@ def test_series_check_against_eval():
         assert rep["results"]["check_all_equal"] is True
 
 
+def test_series_loop_edges_match_evaluations(dumbbell_path):
+    # the loop and the angle between its half-edges link the same pair of
+    # nodes of the blown-up graph; dropping either link broke both routes
+    for method in ("curves", "pfaffian"):
+        rc, out = run_cli("series", "-g", str(dumbbell_path), "--degree", "6",
+                          "--method", method, "--check-against-eval")
+        assert rc == 0, method
+        rep = json.loads(out)
+        assert len(rep["results"]["check"]) > 1, method
+        assert rep["results"]["check_all_equal"] is True, method
+
+
 def test_series_check_exits_1_on_unequal_coefficient(monkeypatch, capsys):
     import spinnets.series
     from spinnets.rational import QQi
@@ -230,6 +242,12 @@ def test_input_errors_exit_2(tmp_path, capsys):
         # the orthogonality relation integrates over every connection
         ("integrate", "-g", "theta", "-c", th_c, "--target", "orthogonality",
          "--samples", "10000", "-H", str(tmp_path / "hol_flip.json")),
+        # inputs the target never reads: each exited 0
+        (*w_theta, "-c", '{"e1":61,"e2":2,"e3":2}'),
+        ("integrate", "-g", "theta", "-c", th_c, "--y", "e1=0.9", "--y", "zz=5",
+         "--samples", "10000"),
+        ("integrate", "-g", "theta", "-c", th_c, "--target", "orthogonality",
+         "--y", "e1=0.1", "--samples", "10000"),
         ("eval", "-g", "theta", "--bogus"),
         ("definitely-not-a-command",),
     ):

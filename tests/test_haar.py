@@ -157,6 +157,11 @@ def test_mc_orthogonality(theta):
     assert abs(est0.z_score(1.0)) < 3
 
 
+def test_mc_orthogonality_missing_edge(theta):
+    with pytest.raises(InputError, match="coloring misses edge 'e3'"):
+        mc_orthogonality(theta, {"e1": 2, "e2": 2}, samples=10_000)
+
+
 def test_min_samples_enforced(theta):
     with pytest.raises(PreconditionError):
         mc_bracket(theta, {"e1": 2, "e2": 2, "e3": 2}, samples=100, seed=0)

@@ -201,20 +201,20 @@ def test_series_with_random_holonomy(theta):
     assert rows and all(r[3] for r in rows)
 
 
-def test_pfaffian_equals_westbury(theta, tet, prism):
-    for g in (theta, tet, prism):
+def test_pfaffian_equals_westbury(theta, tet, prism, dumbbell):
+    for g in (theta, tet, prism, dumbbell):
         assert pfaffian_dimer_sum(g) == westbury_polynomial(g)
 
 
-def test_pfaffian_square_equals_curves(theta, tet):
-    for g in (theta, tet):
+def test_pfaffian_square_equals_curves(theta, tet, dumbbell):
+    for g in (theta, tet, dumbbell):
         pf = pfaffian_dimer_sum(g)
         assert pf * pf == abelian_curve_sum(g)
 
 
-def test_curves_match_w1_determinant(theta, tet):
+def test_curves_match_w1_determinant(theta, tet, dumbbell):
     rng = random.Random(17)
-    for g in (theta, tet):
+    for g in (theta, tet, dumbbell):
         for _ in range(3):
             t = {h: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for h in g.halfedges}
             ns, w1 = w1_matrix(g, t)
@@ -239,12 +239,13 @@ def test_curves_constant_term_and_zero_t(theta):
         abelian_curve_sum(theta, t)
 
 
-def test_diagonal_holonomy_series_consistency(theta):
+def test_diagonal_holonomy_series_consistency(theta, dumbbell):
     rng = random.Random(23)
-    t = {h: Fraction(rng.randint(1, 5), rng.randint(1, 5)) for h in theta.halfedges}
-    hol = Holonomy.diagonal(theta, t)
-    z = series_Z(theta, hol, degree=8)
-    assert z == inverse_series(abelian_curve_sum(theta, t).truncated(8), 8)
+    for g in (theta, dumbbell):
+        t = {h: Fraction(rng.randint(1, 5), rng.randint(1, 5)) for h in g.halfedges}
+        hol = Holonomy.diagonal(g, t)
+        z = series_Z(g, hol, degree=8)
+        assert z == inverse_series(abelian_curve_sum(g, t).truncated(8), 8)
 
 
 def test_nonplanar_fix_identity_without_crossings(theta):
