@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, HypothesisError, NumericalError
-from .graphs import Graph
+from .graphs import Graph, vertex_colors
 from .haar import _CONJ, _qmul
 from .haar import su2_matrix  # noqa: F401  perfbench/tracer.py patches it here by name
 
@@ -72,8 +72,7 @@ def _make_config(vectors, residual, hits=1):
 
 
 def _strict_triangles(graph: Graph, coloring: dict):
-    for v, hs in graph.vertices:
-        a, b, c = (coloring[graph.edge_of[h][0]] for h in hs)
+    for (v, _), (a, b, c) in zip(graph.vertices, vertex_colors(graph, coloring)):
         if a >= b + c or b >= a + c or c >= a + b:
             raise HypothesisError(
                 f"coloring violates strict triangle inequalities at vertex {v!r}")
@@ -82,8 +81,7 @@ def _strict_triangles(graph: Graph, coloring: dict):
 def _incidence(graph: Graph):
     """Per vertex, the edge index (V, 3) of its three half-edges and their
     orientation sign (V, 3): +1 on a left half-edge, -1 on a right one."""
-    eidx = {e: i for i, e in enumerate(graph.edge_ids)}
-    idx = np.array([[eidx[graph.edge_of[h][0]] for h in hs] for _, hs in graph.vertices])
+    idx = np.array([[graph.edge_index[e] for e in es] for es in graph.vertex_edges])
     sign = np.array([[1.0 if graph.edge_of[h][1] == "left" else -1.0 for h in hs]
                      for _, hs in graph.vertices])
     return idx, sign
@@ -359,7 +357,7 @@ def _edge_form(graph: Graph, coloring: dict, vectors, gamma=None):
     """3V x 3V matrix of xi -> sum_e gamma_e c_e |p_e x (xi_v - xi_w)|^2 over
     the edge vectors p_e (gamma_e = 1 when gamma is None), and the row slices
     (v, w) of every edge's two ends."""
-    rows = {v: slice(3 * i, 3 * i + 3) for i, (v, _) in enumerate(graph.vertices)}
+    rows = {v: slice(3 * i, 3 * i + 3) for v, i in graph.vertex_index.items()}
     n = 3 * len(rows)
     m = np.zeros((n, n), dtype=float if gamma is None else complex)
     ends = []
@@ -584,7 +582,7 @@ def asymptotic_estimate(graph: Graph, coloring: dict, report: HypothesesReport,
     pair phases and the prefactor depend on k."""
     configs = report.configs
     eids = graph.edge_ids
-    n_exc = len(graph.edges) - len(graph.vertices)
+    n_exc = graph.N
     first = 0.0
     first_terms = []
     root_det_r = []

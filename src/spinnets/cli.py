@@ -25,7 +25,7 @@ from .errors import (AdmissibilityError, DomainError, HypothesisError, InputErro
                      NumericalError, PreconditionError, RegimeError, SpinnetError)
 from .evaluator import bracket_square, eval_spin_network, theta_value
 from .graphs import (Graph, check_coloring, is_admissible, load_coloring, load_graph,
-                     load_holonomy)
+                     load_holonomy, vertex_colors)
 from .haar import mc_bracket, mc_orthogonality, mc_W_point
 from .polyring import MAX_EXPONENT, inverse_series
 from .rational import format_exact
@@ -220,11 +220,13 @@ def _cmd_integrate(args):
         else:
             est = mc_orthogonality(graph, coloring, args.samples, args.seed, workers)
             target = 1.0
-            for v, hs in graph.vertices:
-                a, b, c = (coloring[graph.edge_of[h][0]] for h in hs)
-                target *= float(theta_value(a, b, c))
+            for cols in vertex_colors(graph, coloring):
+                target *= float(theta_value(*cols))
             for e in graph.edge_ids:
                 target /= coloring[e] + 1
+            if not target:
+                raise DomainError(f"the target prod_v <v> / prod_e (c_e + 1) is {target} "
+                                  "in floating point at these colors")
     elif args.target == "W":
         y = _parse_y(args.y)
         missing = set(graph.edge_ids) - set(y)

@@ -25,7 +25,8 @@ from math import factorial, lcm
 from operator import mul
 
 from .errors import AdmissibilityError, InputError, RegimeError
-from .graphs import Graph, Holonomy, crossing_sign, internal_coloring, is_admissible
+from .graphs import (Graph, Holonomy, admissible_triple, crossing_sign, internal_coloring,
+                     is_admissible, vertex_colors)
 from .polyring import MPoly, Namespace, apply_edge_operator
 from .rational import QQi, denominator, div_exact, narrow
 
@@ -63,27 +64,6 @@ def _halfedge_forms(ns, holonomy, h):
             MPoly(ns, {k: x for k, x in ((kz, c), (kw, d)) if x}), den)
 
 
-def _vertex_factors(graph, coloring, holonomy, ns, v, hs):
-    """The vertex's bracket factors tagged with the half-edges they touch,
-    and prod_h d_h^{c_e(h)} over its half-edges, the scale they carry."""
-    colors = [coloring[graph.edge_of[h][0]] for h in hs]
-    a, b, c = colors
-    exps = ((a + b - c) // 2, (b + c - a) // 2, (a + c - b) // 2)
-    pairs = ((0, 1), (1, 2), (0, 2))
-    forms = [_halfedge_forms(ns, holonomy, h) for h in hs]
-    scale = 1
-    for (_, _, den), ce in zip(forms, colors):
-        scale *= den ** ce
-    out = []
-    for (i, j), n in zip(pairs, exps):
-        if n == 0:
-            continue
-        zi, wi, _ = forms[i]
-        zj, wj, _ = forms[j]
-        out.append(((hs[i], hs[j]), (zi * wj - zj * wi).pow(n)))
-    return out, scale
-
-
 def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = None) -> QQi:
     """Exact value of the spin network (0 for non-admissible colorings)."""
     for e in graph.edge_ids:
@@ -102,14 +82,20 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
         names.append(_wvar(h))
     ns = Namespace(names)
 
-    # factors tagged with the half-edges they touch; scale collects every
-    # constant they are multiplied by: prod_h d_h^{c_e(h)} here, c_e! below
-    factors = []
+    # one bracket factor (Z_g W_h - Z_h W_g)^n per angle (g, h) of color n,
+    # tagged with the half-edges it touches; scale collects every constant
+    # the factors are multiplied by: prod_h d_h^{c_e(h)} here, c_e! below
+    forms = {h: _halfedge_forms(ns, holonomy, h) for h in graph.halfedges}
     scale = 1
-    for v, hs in graph.vertices:
-        fs, s = _vertex_factors(graph, coloring, holonomy, ns, v, hs)
-        factors.extend(fs)
-        scale *= s
+    for h, (_, _, den) in forms.items():
+        scale *= den ** coloring[graph.edge_of[h][0]]
+    internal = internal_coloring(graph, coloring)
+    factors = []
+    for aid, _, _, (g, h) in graph.angles:
+        if internal[aid]:
+            zg, wg, _ = forms[g]
+            zh, wh, _ = forms[h]
+            factors.append(((g, h), (zg * wh - zh * wg).pow(internal[aid])))
 
     # scale one factor touching each edge by c_e!, so that the edge operator's
     # division by c_e! is exact on integer coefficients
@@ -164,10 +150,9 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
 
 def theta_value(a: int, b: int, c: int) -> Fraction:
     """Closed factorial formula for the (positive) theta-graph norm."""
-    s2 = a + b + c
-    if s2 % 2 or a > b + c or b > a + c or c > a + b or min(a, b, c) < 0:
+    if not admissible_triple(a, b, c):
         raise AdmissibilityError(f"triple ({a},{b},{c}) is not admissible")
-    s = s2 // 2
+    s = (a + b + c) // 2
     num = (
         factorial(s + 1)
         * factorial((a + b - c) // 2)
@@ -200,9 +185,8 @@ def bracket_square(graph: Graph, coloring: dict, holonomy: Holonomy | None = Non
         return Fraction(0)
     v = eval_spin_network(graph, coloring, holonomy) if value is None else value
     den = Fraction(1)
-    for vid, hs in graph.vertices:
-        a, b, c = (coloring[graph.edge_of[h][0]] for h in hs)
-        den *= theta_value(a, b, c)
+    for cols in vertex_colors(graph, coloring):
+        den *= theta_value(*cols)
     return v.norm2() / den
 
 

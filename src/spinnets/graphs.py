@@ -23,6 +23,8 @@ __all__ = [
     "load_coloring",
     "check_coloring",
     "load_holonomy",
+    "vertex_colors",
+    "admissible_triple",
     "is_admissible",
     "internal_coloring",
     "crossing_sign",
@@ -51,11 +53,17 @@ class Graph:
             raise InputError("graph must be a JSON object")
         try:
             name = obj.get("name", "graph")
-            vertices = [(v["id"], tuple(v["halfedges"])) for v in obj["vertices"]]
+            vertices = [(v["id"], v["halfedges"]) for v in obj["vertices"]]
             edges = [(e["id"], e["left"], e["right"]) for e in obj["edges"]]
             crossings = obj.get("crossings", [])
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise InputError(f"malformed graph object: missing {exc}") from exc
+        except TypeError as exc:
+            # an entry that is not an object, or vertices or edges not a list
+            raise InputError(f"malformed graph object: wrong type ({exc})") from exc
+        for v, hs in vertices:
+            if not isinstance(hs, list):
+                raise InputError(f"half-edges of vertex {v!r} must be a list, got {hs!r}")
         if not (isinstance(crossings, list)
                 and all(isinstance(p, list) and len(p) == 2 for p in crossings)):
             raise InputError(f"crossings must be a list of edge-id pairs, got {crossings!r}")
@@ -64,6 +72,8 @@ class Graph:
         for x in ids + [x for e in edges for x in e] + [e for p in crossings for e in p]:
             if not isinstance(x, str):
                 raise InputError(f"id or half-edge {x!r} is not a string")
+        if len({frozenset(p) for p in crossings}) != len(crossings):
+            raise InputError(f"a crossing pair is listed twice in {crossings!r}")
         return cls(name, vertices, edges, crossings)
 
     def to_obj(self):
@@ -139,34 +149,34 @@ class Graph:
         self.halfedges = tuple(h for _, hs in self.vertices for h in hs)
         self.halfedge_slot = self._hslot
         self.vertex_of = dict(self._in_vertex)
+        self.vertex_index = {v: i for i, (v, _) in enumerate(self.vertices)}
         self.edge_ids = tuple(e for e, _, _ in self.edges)
+        self.edge_index = {e: i for i, e in enumerate(self.edge_ids)}
         self.edge_by_id = {e: (l, r) for e, l, r in self.edges}
         self.edge_of = {}
         for e, l, r in self.edges:
             self.edge_of[l] = (e, "left")
             self.edge_of[r] = (e, "right")
+        # the edge at each slot of each vertex
+        self.vertex_edges = tuple(tuple(self.edge_of[h][0] for h in hs)
+                                  for _, hs in self.vertices)
         # angles: per vertex, half-edge position pairs (0,1), (1,2), (0,2)
         angles = []
+        self._angles_at = {h: () for h in self.halfedges}
         for v, hs in self.vertices:
             for (i, j) in ((0, 1), (1, 2), (0, 2)):
-                angles.append((f"{v}:{i}{j}", v, (i, j), (hs[i], hs[j])))
+                aid = f"{v}:{i}{j}"
+                angles.append((aid, v, (i, j), (hs[i], hs[j])))
+                for h in (hs[i], hs[j]):
+                    self._angles_at[h] += (aid,)
         self.angles = tuple(angles)
         self.angle_ids = tuple(a[0] for a in angles)
         self.N = len(self.edges) - len(self.vertices)
 
     # -- queries -----------------------------------------------------------
-    def vertex_halfedges(self, v):
-        for vv, hs in self.vertices:
-            if vv == v:
-                return hs
-        raise InputError(f"unknown vertex {v!r}")
-
     def angles_at_halfedge(self, h):
         """Ids of the two angles containing half-edge h."""
-        v = self.vertex_of[h]
-        hs = self.vertex_halfedges(v)
-        p = hs.index(h)
-        return tuple(f"{v}:{i}{j}" for (i, j) in ((0, 1), (1, 2), (0, 2)) if p in (i, j))
+        return self._angles_at[h]
 
     def interleaving_crossings(self):
         """Canonical crossing set: arcs whose slot endpoints interleave."""
@@ -191,38 +201,35 @@ class Graph:
 # colorings
 # ---------------------------------------------------------------------------
 
-def _vertex_colors(graph, coloring, v, hs):
-    cols = []
-    for h in hs:
-        e = graph.edge_of[h][0]
-        if e not in coloring:
-            raise InputError(f"coloring misses edge {e!r}")
-        cols.append(coloring[e])
-    return cols
+def vertex_colors(graph: Graph, coloring: dict) -> list:
+    """Per vertex, the colors of the edges at its three slots."""
+    try:
+        return [tuple(coloring[e] for e in es) for es in graph.vertex_edges]
+    except KeyError as exc:
+        raise InputError(f"coloring misses edge {exc.args[0]!r}") from None
+
+
+def admissible_triple(a: int, b: int, c: int) -> bool:
+    """Even sum and the three triangle inequalities (which force a, b, c >= 0)."""
+    return not (a + b + c) % 2 and a <= b + c and b <= a + c and c <= a + b
 
 
 def is_admissible(graph: Graph, coloring: dict) -> bool:
     """Parity and all three triangle inequalities at every vertex."""
-    for v, hs in graph.vertices:
-        a, b, c = _vertex_colors(graph, coloring, v, hs)
-        if (a + b + c) % 2:
-            return False
-        if a > b + c or b > a + c or c > a + b:
-            return False
-    return True
+    return all(admissible_triple(*cols) for cols in vertex_colors(graph, coloring))
 
 
 def internal_coloring(graph: Graph, coloring: dict) -> dict:
     """Angle coloring {angle_id: (c_i + c_j - c_k) / 2}."""
+    cols = vertex_colors(graph, coloring)
     out = {}
-    for v, hs in graph.vertices:
-        a, b, c = _vertex_colors(graph, coloring, v, hs)
-        vals = {(0, 1): (a + b - c), (1, 2): (b + c - a), (0, 2): (a + c - b)}
-        for (i, j), t in vals.items():
-            if t < 0 or t % 2:
-                raise AdmissibilityError(
-                    f"angle {v}:{i}{j} would get color {t}/2; coloring not admissible")
-            out[f"{v}:{i}{j}"] = t // 2
+    for aid, v, (i, j), _ in graph.angles:
+        c = cols[graph.vertex_index[v]]
+        t = c[i] + c[j] - c[3 - i - j]
+        if t < 0 or t % 2:
+            raise AdmissibilityError(
+                f"angle {aid} would get color {t}/2; coloring not admissible")
+        out[aid] = t // 2
     return out
 
 
@@ -242,20 +249,12 @@ def admissible_colorings(graph: Graph, max_color=None, max_total=None):
         raise InputError("need max_color or max_total")
     cap = max_color if max_color is not None else max_total
     edges = graph.edge_ids
-    # vertex constraints as (edge indices at vertex)
-    vtx = []
-    eidx = {e: i for i, e in enumerate(edges)}
-    for v, hs in graph.vertices:
-        vtx.append(tuple(eidx[graph.edge_of[h][0]] for h in hs))
+    # each vertex's edge indices, checked once: when its last edge gets a color
+    closing = [[] for _ in edges]
+    for es in graph.vertex_edges:
+        tri = tuple(graph.edge_index[e] for e in es)
+        closing[max(tri)].append(tri)
     cols = [0] * len(edges)
-
-    def ok_partial(n_set):
-        for tri in vtx:
-            if all(i < n_set for i in tri):
-                a, b, c = (cols[i] for i in tri)
-                if (a + b + c) % 2 or a > b + c or b > a + c or c > a + b:
-                    return False
-        return True
 
     def rec(i, total):
         if i == len(edges):
@@ -266,7 +265,7 @@ def admissible_colorings(graph: Graph, max_color=None, max_total=None):
             top = min(top, max_total - total)
         for c in range(top + 1):
             cols[i] = c
-            if ok_partial(i + 1):
+            if all(admissible_triple(cols[x], cols[y], cols[z]) for x, y, z in closing[i]):
                 yield from rec(i + 1, total + c)
         cols[i] = 0
 

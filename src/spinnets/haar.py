@@ -19,6 +19,7 @@ estimate depends on the CPU count.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, PreconditionError
 from .evaluator import theta_value
-from .graphs import Graph, Holonomy
+from .graphs import Graph, Holonomy, vertex_colors
 
 __all__ = [
     "MCEstimate",
@@ -346,11 +347,11 @@ def _prepared_holonomy(graph: Graph, holonomy):
 def _edge_half_traces(graph, conj, g):
     """Half the trace of psi_l g_v psi_l^-1 psi_r g_w^-1 psi_r^-1 per edge, that
     is <g_v, c_e g_w c_e^-1>, for vertex samples g of shape (n, V, 4)."""
-    vidx = {v: i for i, (v, _) in enumerate(graph.vertices)}
+    vi = graph.vertex_index
     out = {}
     for e, l, r in graph.edges:
-        qv = g[:, vidx[graph.vertex_of[l]], :]
-        qw = g[:, vidx[graph.vertex_of[r]], :]
+        qv = g[:, vi[graph.vertex_of[l]], :]
+        qw = g[:, vi[graph.vertex_of[r]], :]
         if conj is not None:
             qw = _qmul(_qmul(conj[e], qw), conj[e] * _CONJ)
         out[e] = np.einsum("ij,ij->i", qv, qw)
@@ -407,22 +408,21 @@ def mc_orthogonality(graph: Graph, coloring: dict,
     """Estimate of prod_v <v> / prod_e <e>: Haar mean over vertex, edge and
     half-edge samples of prod_v <v> prod_e <e> prod_h tr_c(g_e psi_h g_v psi_h^-1)."""
     _check_samples(samples)
-    for e in graph.edge_ids:
-        if e not in coloring:
-            raise InputError(f"coloring misses edge {e!r}")
     scale = 1.0
-    for v, hs in graph.vertices:
-        a, b, c = (coloring[graph.edge_of[h][0]] for h in hs)
-        scale *= float(theta_value(a, b, c))
+    for cols in vertex_colors(graph, coloring):
+        scale *= float(theta_value(*cols))
     for e in graph.edge_ids:
         scale *= coloring[e] + 1
+    if not (scale > 0.0 and math.isfinite(scale)):
+        raise DomainError(f"the weight prod_v <v> prod_e (c_e + 1) is {scale} "
+                          "in floating point at these colors")
     nv = len(graph.vertices)
     ne = len(graph.edges)
     nh = len(graph.halfedges)
-    vidx = {v: i for i, (v, _) in enumerate(graph.vertices)}
-    eidx = {e: i for i, e in enumerate(graph.edge_ids)}
-    halfinfo = [(eidx[graph.edge_of[h][0]], vidx[graph.vertex_of[h]],
-                 coloring[graph.edge_of[h][0]]) for h in graph.halfedges]
+    # per half-edge, in graph.halfedges order: its edge's index, its vertex's
+    # index and its color
+    halfinfo = [(graph.edge_index[e], vi, coloring[e])
+                for vi, es in enumerate(graph.vertex_edges) for e in es]
 
     def integrand(gv, ge, psi):
         vals = np.full(len(gv), scale)

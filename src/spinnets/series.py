@@ -195,10 +195,10 @@ def westbury_polynomial(graph: Graph) -> MPoly:
     """Sum over subgraphs that are disjoint unions of cycles of the product
     of the angle variables covered twice (the empty subgraph contributes 1)."""
     ns = Namespace(graph.angle_ids)
-    eidx = {e: i for i, e in enumerate(graph.edge_ids)}
-    vslots = []  # per vertex: (vertex id, [edge index per slot])
-    for v, hs in graph.vertices:
-        vslots.append((v, [eidx[graph.edge_of[h][0]] for h in hs]))
+    angle_at = {(v, ij): aid for aid, v, ij, _ in graph.angles}
+    # per vertex: (vertex id, [edge index per slot])
+    vslots = [(v, [graph.edge_index[e] for e in es])
+              for (v, _), es in zip(graph.vertices, graph.vertex_edges)]
     terms = {}
     for mask in range(1 << len(graph.edge_ids)):
         exps = {}
@@ -210,8 +210,7 @@ def westbury_polynomial(graph: Graph) -> MPoly:
             if len(inside) != 2:
                 ok = False
                 break
-            i, j = inside
-            exps[f"{v}:{i}{j}"] = 1
+            exps[angle_at[v, tuple(inside)]] = 1
         if ok:
             terms[ns.encode(exps)] = 1
     return MPoly(ns, terms)

@@ -20,7 +20,7 @@ from spinnets.asymptotics import (Configuration, _canonical_rotation, _closure, 
                                   critical_pair, detprime, detprime_limit, find_configs,
                                   form_qP, form_qpp, form_qkappa, form_r, least_squares)
 from spinnets.cli import dispatch
-from spinnets.errors import DomainError, HypothesisError
+from spinnets.errors import DomainError, HypothesisError, InputError
 from spinnets.haar import su2_matrix
 
 
@@ -223,6 +223,11 @@ def test_search_repeats_after_monte_carlo(monkeypatch):
 def test_strict_triangle_precondition(theta):
     with pytest.raises(HypothesisError):
         find_configs(theta, {"e1": 1, "e2": 1, "e3": 2}, restarts=2)
+
+
+def test_find_configs_missing_edge(theta):
+    with pytest.raises(InputError, match="coloring misses edge 'e3'"):
+        find_configs(theta, {"e1": 2, "e2": 2}, restarts=2)
 
 
 def test_form_r_axes_example(tet):

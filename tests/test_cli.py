@@ -255,6 +255,17 @@ def test_input_errors_exit_2(tmp_path, capsys):
         rc, _ = run_cli(*argv)
         assert rc == 2, argv
         assert len(capsys.readouterr().err.splitlines()) == 1, argv
+    # an orthogonality weight (colors 1000) or target (colors 870) that
+    # underflows to 0.0: each printed a report of zeros
+    for c in (1000, 870):
+        capsys.readouterr()
+        coloring = json.dumps(dict.fromkeys(("e1", "e2", "e3"), c))
+        with pytest.warns(UserWarning, match="colors above 10"):
+            rc, _ = run_cli("integrate", "-g", "theta", "-c", coloring,
+                            "--target", "orthogonality", "--samples", "10000")
+        assert rc == 2, c
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:"), (c, err)
 
 
 # texts at or past the edge of an integer option, each malformed or out of

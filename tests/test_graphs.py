@@ -19,13 +19,20 @@ def theta_obj(edges=None, crossings=()):
     }
 
 
-def test_counts_and_indexing(theta, tet, prism):
-    for g, n in ((theta, 1), (tet, 2), (prism, 3)):
+def test_counts_and_indexing(theta, tet, prism, dumbbell):
+    for g, n in ((theta, 1), (tet, 2), (prism, 3), (dumbbell, 1)):
         assert g.N == n
         assert len(g.vertices) == 2 * n
         assert len(g.edges) == 3 * n
         assert len(g.halfedges) == 6 * n == len(g.angles)
         assert 3 * len(g.vertices) == 2 * len(g.edges)
+        assert g.vertex_edges == tuple(tuple(g.edge_of[h][0] for h in hs)
+                                       for _, hs in g.vertices)
+        assert [g.edge_index[e] for e in g.edge_ids] == list(range(len(g.edges)))
+        assert [g.vertex_index[v] for v, _ in g.vertices] == list(range(len(g.vertices)))
+        for h in g.halfedges:
+            # a loop edge puts both its half-edges in one angle
+            assert g.angles_at_halfedge(h) == tuple(a for a, _, _, hh in g.angles if h in hh)
 
 
 def test_validation_errors():
@@ -46,6 +53,23 @@ def test_validation_errors():
                            {"id": "e3", "left": "u3", "right": "v1"}])
     with pytest.raises(InputError):
         Graph.from_obj(bad)
+    # a string is not a list of half-edges, even one of three characters
+    bad = theta_obj(edges=[{"id": "e1", "left": "a", "right": "v3"},
+                           {"id": "e2", "left": "b", "right": "v2"},
+                           {"id": "e3", "left": "c", "right": "v1"}])
+    bad["vertices"][0]["halfedges"] = "abc"
+    with pytest.raises(InputError, match="must be a list"):
+        Graph.from_obj(bad)
+    # one crossing listed twice, in either order
+    bad = theta_obj(crossings=[["e1", "e2"], ["e2", "e1"]])
+    with pytest.raises(InputError, match="listed twice"):
+        Graph.from_obj(bad)
+    # an edge that is a list, not an object: a wrong type, not a missing key
+    bad = theta_obj()
+    bad["edges"][0] = ["e1", "u1", "v3"]
+    with pytest.raises(InputError, match="wrong type") as err:
+        Graph.from_obj(bad)
+    assert "missing" not in str(err.value)
 
 
 def test_disconnected_rejected():

@@ -162,6 +162,12 @@ def test_mc_orthogonality_missing_edge(theta):
         mc_orthogonality(theta, {"e1": 2, "e2": 2}, samples=10_000)
 
 
+def test_mc_orthogonality_weight_underflow(theta):
+    # prod_v <v> prod_e (c_e + 1) is about 4e-357 here: 0.0 as a float
+    with pytest.raises(DomainError, match="weight"):
+        mc_orthogonality(theta, {"e1": 1000, "e2": 1000, "e3": 1000}, samples=10_000)
+
+
 def test_min_samples_enforced(theta):
     with pytest.raises(PreconditionError):
         mc_bracket(theta, {"e1": 2, "e2": 2, "e3": 2}, samples=100, seed=0)
