@@ -218,7 +218,7 @@ def _cmd_integrate(args):
             target = float(bracket_square(graph, coloring, holonomy))
             est = mc_bracket(graph, coloring, holonomy, args.samples, args.seed, workers)
         else:
-            est = mc_orthogonality(graph, coloring, args.samples, args.seed, workers)
+            # a target that underflows is an input error, refused before sampling
             target = 1.0
             for cols in vertex_colors(graph, coloring):
                 target *= float(theta_value(*cols))
@@ -227,6 +227,7 @@ def _cmd_integrate(args):
             if not target:
                 raise DomainError(f"the target prod_v <v> / prod_e (c_e + 1) is {target} "
                                   "in floating point at these colors")
+            est = mc_orthogonality(graph, coloring, args.samples, args.seed, workers)
     elif args.target == "W":
         y = _parse_y(args.y)
         missing = set(graph.edge_ids) - set(y)

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, PreconditionError
+from .errors import DomainError, InputError, NumericalError, PreconditionError
 from .evaluator import theta_value
 from .graphs import Graph, Holonomy, vertex_colors
 
@@ -321,6 +322,9 @@ def _estimate(integrand, draws, samples: int, seed: int, workers: int) -> MCEsti
         for s, s2 in sums:
             total += s
             total_sq += s2
+    if total and total_sq < sys.float_info.min:
+        raise NumericalError(f"the squared samples underflow (their sum is {total_sq}), "
+                             "so the standard error is lost")
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0) * samples / max(samples - 1, 1)
     return MCEstimate(mean, (var / samples) ** 0.5, samples, seed)

@@ -537,8 +537,9 @@ def _series_recurrence(parts, max_degree: int, weight) -> MPoly:
     homogeneous of degree m and parts[0] is the constant 1.
 
     Each F_k is then homogeneous of degree k, so the products need no
-    truncation and only parts up to max_degree are read.  The weights are
-    ints and each division by k goes through div_exact.
+    truncation, only parts up to max_degree are read, and a product with an
+    empty part is skipped.  The weights are ints and each division by k goes
+    through div_exact.
     """
     ns = parts[0].ns
     out = [parts[0]]
@@ -546,8 +547,9 @@ def _series_recurrence(parts, max_degree: int, weight) -> MPoly:
         acc: dict = {}
         for m in range(1, k + 1):
             a, b = parts[m].terms, out[k - m].terms
-            _check_exponents(ns, a, b)
-            _mul_acc(acc, a, b, weight(m, k))
+            if a and b:
+                _check_exponents(ns, a, b)
+                _mul_acc(acc, a, b, weight(m, k))
         out.append(MPoly(ns, {key: div_exact(c, k) for key, c in acc.items() if c}))
     # the F_k are homogeneous of distinct degrees, so no monomial repeats
     return MPoly(ns, {key: c for part in out for key, c in part.terms.items()})

@@ -111,6 +111,9 @@ def build_pq(graph: Graph, holonomy: Holonomy | None = None) -> PQMatrices:
 # parts stay on Gaussian integers, each division by k being exact because
 # det(I - B) then has Gaussian-integer coefficients; series_Z divides the
 # degree-k part of the inverse square root by D^k once at the end.
+# truncated_det caps max_degree at 4V: a vertex's angles occur only in Q's block
+# i·Dᵀ(S ⊗ ε)D on its half-edges (D = diag(psi_h^-1), ε and S the 2x2 and 3x3 antisymmetric
+# forms), of rank <= 4, and det(M + tN) has degree <= rank N in t (Horn & Johnson).
 # ---------------------------------------------------------------------------
 
 def _sparse_matmul(a, b, ns):
@@ -139,8 +142,10 @@ def _pair_trace(a, b, ns) -> MPoly:
 
 
 def truncated_det(pq: PQMatrices, max_degree: int) -> MPoly:
-    """det(P + Q) with monomials of degree > max_degree dropped."""
+    """det(P + Q) with monomials of degree > max_degree dropped; any
+    max_degree >= 4V (V vertices) gives the exact determinant."""
     ns = pq.ns
+    max_degree = min(max_degree, 4 * len(ns) // 3)  # three angles per vertex
     # B = P·Q as sparse dict-of-dicts of term dicts, on the narrowest ring:
     # row r of P holds one entry s, at column k, so row r of B is s·(row k of Q)
     b: dict = {}

@@ -133,6 +133,29 @@ def test_check_exit_1_on_hypothesis_failure():
     assert rc == 1
 
 
+def test_integrate_exit_1_when_squared_samples_underflow(capsys):
+    # orthogonality at colors 500 and 600: the squared samples underflow, and
+    # each printed stderr 0.0 and "z_score": Infinity (not JSON) with exit 0
+    for c, rc_want in ((600, 1), (500, 1), (400, 0)):
+        capsys.readouterr()
+        coloring = json.dumps(dict.fromkeys(("e1", "e2", "e3"), c))
+        with pytest.warns(UserWarning, match="colors above 10"):
+            rc, out = run_cli("integrate", "-g", "theta", "-c", coloring,
+                              "--target", "orthogonality", "--samples", "10000")
+        assert rc == rc_want, c
+        err = capsys.readouterr().err.splitlines()
+        if rc_want:
+            assert out == "" and len(err) == 1 and err[0].startswith("failure:"), (c, err)
+        else:
+            assert json.loads(out)["results"]["estimate"]["stderr"] > 0.0, c
+
+
+def test_selftest_passes():
+    rc, out = run_cli("selftest")
+    assert rc == 0
+    assert out and all(line.startswith("PASS") for line in out.splitlines()), out
+
+
 def test_check_exit_1_on_empty_configuration_set():
     # no restart converges below tol = 1e-300: an empty search is not a pass
     with pytest.warns(UserWarning, match="empty configuration set"):

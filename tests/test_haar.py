@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinnets.haar as haar
-from spinnets.errors import DomainError, InputError, PreconditionError
+from spinnets.errors import DomainError, InputError, NumericalError, PreconditionError
 from spinnets.evaluator import bracket_square, theta_value
 from spinnets.haar import (MCEstimate, char_value, haar_su2, mc_bracket, mc_orthogonality,
                            mc_W_point, su2_matrix, _BLOCK, _chebyshev_u,
@@ -166,6 +167,19 @@ def test_mc_orthogonality_weight_underflow(theta):
     # prod_v <v> prod_e (c_e + 1) is about 4e-357 here: 0.0 as a float
     with pytest.raises(DomainError, match="weight"):
         mc_orthogonality(theta, {"e1": 1000, "e2": 1000, "e3": 1000}, samples=10_000)
+
+
+def test_mc_orthogonality_squared_sample_underflow(theta):
+    # at colors 600 the samples are about 1e-210, so their squares sum to 0.0
+    # and the standard error read 0.0 with an infinite z-score
+    with pytest.raises(NumericalError, match="underflow"):
+        mc_orthogonality(theta, dict.fromkeys(("e1", "e2", "e3"), 600), samples=10_000)
+    # colors 400: the squares (about 1e-270) stay normal floats
+    est = mc_orthogonality(theta, dict.fromkeys(("e1", "e2", "e3"), 400), samples=10_000)
+    assert 0.0 < est.stderr < math.inf
+    # a constant integrand has squares summing to n and a zero stderr
+    est = mc_orthogonality(theta, dict.fromkeys(("e1", "e2", "e3"), 0), samples=10_000)
+    assert (est.mean, est.stderr) == (1.0, 0.0)
 
 
 def test_min_samples_enforced(theta):

@@ -287,6 +287,23 @@ def test_series_kernel_inverse_and_inverse_sqrt(d, degree):
     assert s == _power_sum(u, degree, lambda k: Fraction(comb(2 * k, k), (-4) ** k))
 
 
+def test_series_of_polynomial_with_empty_parts():
+    """d with empty parts above its degree and in every odd degree: the
+    recurrence skips those products and both series still solve their
+    identities up to degree 40."""
+    ns = Namespace(("u1", "u2", "u3", "v1", "v2", "v3"))
+    # theta's determinant: the 4th power of its cycle polynomial, degree 8
+    cycles = poly(ns, ({}, 1), ({"u1": 1, "v1": 1}, 1), ({"u2": 1, "v2": 1}, 1),
+                  ({"u3": 1, "v3": 1}, 1))
+    quartic = poly(Namespace(("x", "y")), ({}, 1), ({"x": 2}, QQi(2, -1)), ({"x": 1, "y": 1}, -3),
+                   ({"x": 2, "y": 2}, 5), ({"x": 1, "y": 3}, QQi(0, 4)))
+    for d in (cycles.pow(4), quartic):
+        one = MPoly.const(d.ns, 1)
+        inv, s = inverse_series(d, 40), inv_sqrt_series(d, 40)
+        assert inv.mul_trunc(d, 40) == one
+        assert s.mul_trunc(s, 40).mul_trunc(d, 40) == one
+
+
 # -- determinants -----------------------------------------------------------
 
 def test_det_2x2_and_identity():

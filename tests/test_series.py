@@ -156,6 +156,31 @@ def test_scaled_kernel_matches_bareiss_tet(tet):
     _check_scaled_det(build_pq(tet, hol), 4)
 
 
+def _check_degree_bound(g, hol):
+    """The Bareiss determinant of the scaled P + Q has total degree <= 4V,
+    and truncated_det at 4V + j equals it for j in 0..3."""
+    scaled, _ = _scaled(build_pq(g, hol))
+    bound = 4 * len(g.vertices)
+    bareiss = det_poly(scaled.full())
+    assert bareiss.total_degree() <= bound
+    for j in range(4):
+        assert truncated_det(scaled, bound + j) == bareiss
+
+
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(("theta", "dumbbell")), seed=st.integers(0, 2**16), data=st.data())
+def test_det_degree_bound(theta, dumbbell, name, seed, data):
+    g = {"theta": theta, "dumbbell": dumbbell}[name]
+    hol = gauge_transform(g, random_holonomy(g, seed=seed), data.draw(shear_gauges(g)))
+    _check_degree_bound(g, hol)
+
+
+def test_det_degree_bound_nonplanar(tetnp):
+    # Bareiss takes about 2 s here with a holonomy: one example
+    _check_degree_bound(tetnp, None)
+    _check_degree_bound(tetnp, random_holonomy(tetnp, seed=4))
+
+
 def test_routes_run_on_int_ring(theta, prism):
     """The westbury, curves and pfaffian polynomials and their inverted
     series carry no QQi coefficient and equal the det route."""
