@@ -8,13 +8,12 @@ quaternion to its matrix for callers that need one.  Estimates are
 deterministic for a fixed (seed, samples, workers): worker i consumes its
 own spawned substream and partial sums are reduced in worker order.  The
 workers run on T = min(workers, CPUs) threads, each with one sample buffer
-its caller allocates.  When 2T <= CPUs, each thread also gets a drawer
-thread that only fills the buffer from the stream, block by block, while
-its own thread normalises the drawn blocks and evaluates the integrand;
-otherwise a thread draws for itself.  Successive fills of a generator draw
-what one fill would, and which thread runs a worker or draws its stream
-never changes what the worker draws or the order of the sums, so no
-estimate depends on the CPU count.
+its caller allocates; the calling thread runs the first of them.  Each
+also gets a drawer thread that only fills the buffer from the stream, block
+by block, while its own thread normalises the drawn blocks and evaluates
+the integrand.  Successive fills of a generator draw what one fill would,
+and which thread runs a worker never changes what the worker draws or the
+order of the sums, so no estimate depends on the CPU count.
 """
 
 from __future__ import annotations
@@ -191,21 +190,17 @@ def _sub_fills(batches, draws, buf):
 
 
 class _Drawer:
-    """Carries out a run's sub-fills: on the consumer's thread when it waits
-    for a block, or, when ahead is set, on a thread of its own that draws
-    as far ahead as the consumer has released rows.  Either way the fills
-    come in the same order, so they draw the same values."""
+    """Carries out a run's sub-fills in order on a thread of its own, which
+    draws as far ahead as the consumer has released rows."""
 
-    def __init__(self, fills, ahead: bool):
+    def __init__(self, fills):
         self._fills = fills
         self._ready = self._released = 0
         self._error = None
         self._stopped = False
         self._cond = threading.Condition()
-        self._thread = None
-        if ahead:
-            self._thread = threading.Thread(target=self._draw_ahead, daemon=True)
-            self._thread.start()
+        self._thread = threading.Thread(target=self._draw_ahead, daemon=True)
+        self._thread.start()
 
     def _draw_ahead(self):
         try:
@@ -225,11 +220,6 @@ class _Drawer:
 
     def wait(self, block: int):
         """Return once every section's rows of the run's block are drawn."""
-        if self._thread is None:
-            while self._ready <= block:
-                rng, rows, _, self._ready = next(self._fills)
-                rng.standard_normal(out=rows)
-            return
         with self._cond:
             self._cond.wait_for(lambda: self._ready > block or self._error is not None)
             if self._ready <= block:
@@ -237,30 +227,28 @@ class _Drawer:
 
     def release(self, blocks: int):
         """The run's first `blocks` blocks are consumed; redraw their rows."""
-        if self._thread is not None:
-            with self._cond:
-                self._released = blocks
-                self._cond.notify()
+        with self._cond:
+            self._released = blocks
+            self._cond.notify()
 
     def close(self):
-        if self._thread is not None:
-            with self._cond:
-                self._stopped = True
-                self._cond.notify()
-            self._thread.join()
+        with self._cond:
+            self._stopped = True
+            self._cond.notify()
+        self._thread.join()
 
 
-def _batch_sums(integrand, draws, buf, vals, streams, counts, ahead: bool):
+def _batch_sums(integrand, draws, buf, vals, streams, counts):
     """Per-batch (sum v, sum v^2) over the given workers' substreams, in
     worker order, then batch order.  A batch of n samples is n * sum(draws)
     quaternions drawn into buf; each 8192-sample block of its sections is
     normalised and passed to the integrand once drawn, and the values go to
-    vals.  With ahead set, a drawer thread fills the next blocks meanwhile."""
+    vals, while a drawer thread fills the next blocks."""
     batches = []
     for child, n_w in zip(streams, counts):
         rng = np.random.Generator(np.random.Philox(child))
         batches += [(rng, min(_BATCH, n_w - done)) for done in range(0, n_w, _BATCH)]
-    drawer = _Drawer(_sub_fills(batches, draws, buf), ahead)
+    drawer = _Drawer(_sub_fills(batches, draws, buf))
     sums, block = [], 0
     try:
         for _, n in batches:
@@ -286,33 +274,33 @@ def _estimate(integrand, draws, samples: int, seed: int, workers: int) -> MCEsti
     quaternions.
 
     Worker w draws chunk w of the samples from substream w of the seed.
-    Thread t of T = min(workers, CPUs) runs a contiguous run of workers in
-    buffers allocated here, with a drawer thread of its own when 2T <= CPUs;
-    the sums are added in worker order, then batch order, whatever the
-    thread count."""
+    Run t of T = min(workers, CPUs) is a contiguous run of workers, in
+    buffers allocated here and with a drawer thread of its own; the calling
+    thread runs the first run and a pool thread each other one.  The sums
+    are added in worker order, then batch order, whatever the thread count,
+    and a run's error is raised, in run order, once every run has stopped."""
     chunks = _chunks(samples, workers)  # validates workers before spawning
     streams = np.random.SeedSequence(seed).spawn(workers)
-    cpus = os.cpu_count() or 1
-    runs = _chunks(workers, min(workers, cpus))
-    ahead = 2 * len(runs) <= cpus
+    runs = _chunks(workers, min(workers, os.cpu_count() or 1))
+    jobs, lo = [], 0
+    for count in runs:
+        rows = min(_BATCH, chunks[lo])
+        jobs.append((np.empty((rows * sum(draws), 4)), np.empty(rows),
+                     streams[lo:lo + count], chunks[lo:lo + count]))
+        lo += count
     results = [None] * len(runs)
 
-    def run(t, lo, hi, buf, vals):
+    def run(t, catch):
         try:
-            results[t] = _batch_sums(integrand, draws, buf, vals, streams[lo:hi],
-                                     chunks[lo:hi], ahead)
-        except BaseException as exc:  # re-raised by the calling thread
+            results[t] = _batch_sums(integrand, draws, *jobs[t])
+        except catch as exc:  # re-raised by the calling thread
             results[t] = exc
 
-    threads, lo = [], 0
-    for t, count in enumerate(runs):
-        rows = min(_BATCH, chunks[lo])
-        bufs = (np.empty((rows * sum(draws), 4)), np.empty(rows))
-        threads.append(threading.Thread(target=run, args=(t, lo, lo + count, *bufs),
-                                        daemon=True))
-        lo += count
+    threads = [threading.Thread(target=run, args=(t, BaseException), daemon=True)
+               for t in range(1, len(runs))]
     for th in threads:
         th.start()
+    run(0, Exception)  # Ctrl-C here raises at once
     for th in threads:
         th.join()
     total = total_sq = 0.0

@@ -292,15 +292,6 @@ class MPoly:
             out.append({"exponents": self.ns.decode(k), "re": str(c.re), "im": str(c.im)})
         return out
 
-    @classmethod
-    def from_obj(cls, ns, obj):
-        terms = {}
-        for item in obj:
-            c = QQi(Fraction(item["re"]), Fraction(item["im"]))
-            if c:
-                terms[ns.encode(item["exponents"])] = c
-        return cls(ns, terms)
-
 
 # ---------------------------------------------------------------------------
 # edge-contraction operator

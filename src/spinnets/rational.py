@@ -118,10 +118,6 @@ def _qqi(re, im):
     return z
 
 
-ONE = QQi(1)
-I = QQi(0, 1)
-
-
 def _coerce(x) -> QQi:
     if isinstance(x, QQi):
         return x
@@ -163,11 +159,6 @@ def div_exact(a, b):
     if isinstance(a, QQi) or isinstance(b, QQi):
         return _coerce(a) / b
     return _narrow_part(Fraction(a) / b)
-
-
-def ipow(n: int) -> QQi:
-    """i**n for any integer n."""
-    return (ONE, I, QQi(-1), QQi(0, -1))[n % 4]
 
 
 _FRAC = r"[+-]?\d+(?:/\d+)?"

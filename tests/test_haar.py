@@ -254,19 +254,6 @@ def _call_within(fn, seconds=120):
     return value
 
 
-def _record_drawers(monkeypatch):
-    """Patch haar._Drawer to record the ahead flag of every run's drawer."""
-    aheads = []
-
-    class Recorded(haar._Drawer):
-        def __init__(self, fills, ahead):
-            aheads.append(ahead)
-            super().__init__(fills, ahead)
-
-    monkeypatch.setattr(haar, "_Drawer", Recorded)
-    return aheads
-
-
 def _estimate_cases(theta, tet, monkeypatch, samples):
     """(run(workers), draws) per integrand, with the integrands that
     haar._estimate receives appended to the returned list."""
@@ -299,23 +286,19 @@ def _estimate_cases(theta, tet, monkeypatch, samples):
 def test_threaded_estimates_equal_serial_loop(theta, tet, monkeypatch):
     # 70 000 samples give full and partial batches and blocks (32 768 and
     # 4 464 samples for one worker, 23 334 for three), and so unequal
-    # consecutive batches.  Each worker count runs with a drawer thread per
-    # run (2T <= CPUs for T = min(workers, CPUs)) and without one.
+    # consecutive batches.  The CPU counts give T = min(workers, CPUs) runs,
+    # the first on the calling thread, each with a drawer thread.
     def not_on_pool_threads(rng, n):
         raise AssertionError("the estimator calls the traced name haar.haar_su2")
 
     monkeypatch.setattr(haar, "haar_su2", not_on_pool_threads)
     cases, integrands = _estimate_cases(theta, tet, monkeypatch, 70_000)
-    aheads = _record_drawers(monkeypatch)
     refs = {}
     for cpus in (1, 2, 4, 6):
         monkeypatch.setattr(haar.os, "cpu_count", lambda: cpus)
         for case, (run, draws) in enumerate(cases):
             for workers in (1, 2, 3):
-                aheads.clear()
                 est = run(workers)
-                threads = min(workers, cpus)
-                assert aheads == [2 * threads <= cpus] * threads
                 integrand, seen = integrands[-1]
                 assert seen == draws
                 if (case, workers) not in refs:
@@ -343,10 +326,38 @@ def test_drawer_hand_off_under_thread_switching(theta, tet, monkeypatch):
 
 
 def test_pool_thread_errors_reach_the_caller(theta, monkeypatch):
-    # two CPUs: one worker runs with a drawer thread, two workers without
+    # two CPUs: one worker runs on the calling thread, two and three workers
+    # add a pool thread, and every run has a drawer thread
     monkeypatch.setattr(haar.os, "cpu_count", lambda: 2)
     col = {"e1": 2, "e2": 2, "e3": 2}
     before = threading.active_count()
+    for workers in (1, 2, 3):
+        est = _call_within(lambda: mc_bracket(theta, col, samples=70_000, seed=0,
+                                              workers=workers))
+        assert est.samples == 70_000
+        assert threading.active_count() == before
+
+    # the calling thread fails on its first block while the pool run waits,
+    # in its first block, until that error is on its way
+    real_chebyshev = haar._chebyshev_u
+    caller, raised = [], threading.Event()
+
+    def failing_on_caller(n, x):
+        if threading.current_thread() is caller[0]:
+            raised.set()
+            raise ValueError("integrand failed on the calling thread")
+        assert raised.wait(60)
+        return real_chebyshev(n, x)
+
+    def call():
+        caller.append(threading.current_thread())
+        return mc_bracket(theta, col, samples=70_000, seed=0, workers=2)
+
+    with monkeypatch.context() as m:
+        m.setattr(haar, "_chebyshev_u", failing_on_caller)
+        with pytest.raises(ValueError, match="on the calling thread"):
+            _call_within(call)
+    assert threading.active_count() == before
 
     def failing(n, x):
         raise ValueError("integrand failed")

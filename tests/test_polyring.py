@@ -85,11 +85,6 @@ def test_namespace_mismatch():
         MPoly.var(NS3, "x") + MPoly.var(NS4, "z1")
 
 
-def test_serialization_round_trip():
-    p = poly(NS3, ({"x": 2}, QQi(Fraction(1, 3), 2)), ({"y": 1, "z": 4}, QQi(-5)))
-    assert MPoly.from_obj(NS3, p.to_obj()) == p
-
-
 # -- edge operator ----------------------------------------------------------
 
 def bracket(a, b, c, d):

@@ -4,7 +4,7 @@ import pytest
 
 from spinnets.errors import InputError
 from spinnets.polyring import MPoly, Namespace
-from spinnets.rational import (QQi, denominator, div_exact, format_exact, ipow, narrow,
+from spinnets.rational import (QQi, denominator, div_exact, format_exact, narrow,
                                parse_exact)
 
 
@@ -49,11 +49,6 @@ def test_div_exact_keeps_ring():
     for zero in (0, Fraction(0), QQi(0)):
         with pytest.raises(ZeroDivisionError):
             div_exact(1, zero)
-
-
-def test_ipow():
-    assert [ipow(n) for n in range(4)] == [QQi(1), QQi(0, 1), QQi(-1), QQi(0, -1)]
-    assert ipow(-1) == QQi(0, -1)
 
 
 @pytest.mark.parametrize("text,expect", [
