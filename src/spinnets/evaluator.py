@@ -2,31 +2,29 @@
 
 The value is a full contraction: a product over vertices of three bracket
 factors (variables pre-composed with the inverse holonomy of each half-edge),
-hit by one antisymmetrized derivative operator per edge, times the crossing
-sign.  The i-normalized vertex/edge factors contribute a global scalar
-i^(2*sum c_e) = (-1)^(sum c_e), which is tracked outside the polynomial
-arithmetic.
+hit by one antisymmetrized derivative operator (1/c!^2)(d_z1 d_w2 - d_z2 d_w1)^c
+per edge of color c, times the crossing sign.  The i-normalized vertex/edge
+factors contribute a global scalar i^(2*sum c_e) = (-1)^(sum c_e), which is
+tracked outside the polynomial arithmetic.
 
-The contraction runs on Gaussian integers for every exact holonomy: each
-half-edge form is scaled by the common denominator d_h of the entries of
-psi_h^{-1}, so its coefficients are ints (real integer entries, as for the
-trivial holonomy) or QQi with int parts, and one vertex factor touching
-each edge e is scaled by c_e!, which keeps every division by c_e! in the
-edge operator exact.  The value is homogeneous of degree c_e(h) in the
-forms of each half-edge h, so the final constant is divided once by
-prod_e c_e! * prod_h d_h^{c_e(h)}.
+The contraction runs on Gaussian integers for every exact holonomy, and the
+value is divided once.  Each half-edge form is scaled by the common
+denominator d_h of the entries of psi_h^{-1}, so its coefficients are ints
+(real integer entries, as for the trivial holonomy) or QQi with int parts,
+and `apply_edge_operator` contracts each edge e with c_e! times its
+operator, on integer weights and without dividing.  The value is
+homogeneous of degree c_e(h) in the forms of each half-edge h, so the final
+constant is divided once by prod_e c_e! * prod_h d_h^{c_e(h)}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import factorial, lcm
-from operator import mul
+from math import factorial, lcm, prod
 
 from .errors import AdmissibilityError, InputError, RegimeError
-from .graphs import (Graph, Holonomy, admissible_triple, crossing_sign, internal_coloring,
-                     is_admissible, vertex_colors)
+from .graphs import (Graph, Holonomy, admissible_triple, check_coloring, crossing_sign,
+                     internal_coloring, is_admissible, vertex_colors)
 from .polyring import MPoly, Namespace, apply_edge_operator
 from .rational import QQi, denominator, div_exact, narrow
 
@@ -66,9 +64,8 @@ def _halfedge_forms(ns, holonomy, h):
 
 def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = None) -> QQi:
     """Exact value of the spin network (0 for non-admissible colorings)."""
+    check_coloring(coloring, graph, "coloring")
     for e in graph.edge_ids:
-        if e not in coloring:
-            raise InputError(f"coloring misses edge {e!r}")
         if coloring[e] > _MAX_COLOR:
             raise InputError(f"color {coloring[e]} exceeds supported bound {_MAX_COLOR}")
     if holonomy is not None and not holonomy.exact:
@@ -83,10 +80,11 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
     ns = Namespace(names)
 
     # one bracket factor (Z_g W_h - Z_h W_g)^n per angle (g, h) of color n,
-    # tagged with the half-edges it touches; scale collects every constant
-    # the factors are multiplied by: prod_h d_h^{c_e(h)} here, c_e! below
+    # tagged with the half-edges it touches; the value is divided once by
+    # scale: prod_e c_e!, as each edge contraction is c_e! times the edge's
+    # operator, and prod_h d_h^{c_e(h)} for the scaled half-edge forms
     forms = {h: _halfedge_forms(ns, holonomy, h) for h in graph.halfedges}
-    scale = 1
+    scale = prod(factorial(coloring[e]) for e in graph.edge_ids)
     for h, (_, _, den) in forms.items():
         scale *= den ** coloring[graph.edge_of[h][0]]
     internal = internal_coloring(graph, coloring)
@@ -97,16 +95,9 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
             zh, wh, _ = forms[h]
             factors.append(((g, h), (zg * wh - zh * wg).pow(internal[aid])))
 
-    # scale one factor touching each edge by c_e!, so that the edge operator's
-    # division by c_e! is exact on integer coefficients
-    for e, l, r in graph.edges:
-        ce = factorial(coloring[e])
-        if ce > 1:
-            scale *= ce
-            i = next(i for i, (hh, _) in enumerate(factors) if l in hh or r in hh)
-            factors[i] = (factors[i][0], factors[i][1].scalar_mul(ce))
-
-    remaining = list(graph.edges)
+    # a color-0 edge touches no factor; an edge of color c_e > 0 touches a
+    # factor at each half-edge, whose two angles' colors sum to c_e
+    remaining = [edge for edge in graph.edges if coloring[edge[0]]]
 
     def cost(edge):
         _, l, r = edge
@@ -118,20 +109,9 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
         touch = {l, r}
         gathered = [f for f in factors if l in f[0] or r in f[0]]
         factors = [f for f in factors if not (l in f[0] or r in f[0])]
-        c = coloring[e]
-        if not gathered:
-            # no factor touches this edge; operator acts on the constant 1
-            if c != 0:
-                return QQi(0)
-            continue
-        gathered.sort(key=lambda f: len(f[1].terms))
         involved = touch.union(*(hh for hh, _ in gathered))
-        *rest, last = (p for _, p in gathered)
-        # the edge operator contracts the product of the smaller factors
-        # against the largest without forming their product
-        args = (_zvar(l), _wvar(l), _zvar(r), _wvar(r), c)
-        contracted = (apply_edge_operator(reduce(mul, rest), *args, last) if rest
-                      else apply_edge_operator(last, *args))
+        contracted = apply_edge_operator([p for _, p in gathered], _zvar(l), _wvar(l),
+                                         _zvar(r), _wvar(r), coloring[e])
         if contracted.is_zero():
             return QQi(0)
         factors.append((tuple(involved - touch), contracted))
@@ -181,6 +161,7 @@ def bracket_square(graph: Graph, coloring: dict, holonomy: Holonomy | None = Non
     `value` is the network's evaluation under `holonomy` when the caller
     already has it; otherwise the network is evaluated here.
     """
+    check_coloring(coloring, graph, "coloring")
     if not is_admissible(graph, coloring):
         return Fraction(0)
     v = eval_spin_network(graph, coloring, holonomy) if value is None else value

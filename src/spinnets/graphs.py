@@ -22,6 +22,7 @@ __all__ = [
     "load_graph",
     "load_coloring",
     "check_coloring",
+    "check_diagonal_t",
     "load_holonomy",
     "vertex_colors",
     "admissible_triple",
@@ -311,16 +312,9 @@ class Holonomy:
     @classmethod
     def diagonal(cls, graph: Graph, t: dict):
         """Diagonal exact holonomy diag(t_h, 1/t_h) from nonzero rationals."""
-        entries = {}
         zero = QQi(0)
-        for h in graph.halfedges:
-            if h not in t:
-                raise InputError(f"t misses half-edge {h!r}")
-            th = Fraction(t[h])
-            if not th:
-                raise InputError(f"t[{h!r}] must be nonzero")
-            entries[h] = ((QQi(th), zero), (zero, QQi(1 / th)))
-        return cls(graph, entries, True)
+        return cls(graph, {h: ((QQi(th), zero), (zero, QQi(1 / th)))
+                           for h, th in check_diagonal_t(graph, t).items()}, True)
 
     @classmethod
     def from_obj(cls, graph: Graph, obj):
@@ -415,6 +409,23 @@ def check_coloring(obj, graph: Graph | None, source: str) -> dict:
         if unknown:
             raise InputError(f"{source}: coloring names unknown edges {sorted(unknown)}")
     return obj
+
+
+def check_diagonal_t(graph: Graph, t: dict) -> dict:
+    """{half-edge: Fraction} from the values t_h of a diagonal holonomy
+    diag(t_h, 1/t_h): one per half-edge, each a nonzero int (not bool) or
+    Fraction."""
+    out = {}
+    for h in graph.halfedges:
+        if h not in t:
+            raise InputError(f"t misses half-edge {h!r}")
+        th = t[h]
+        if not isinstance(th, (int, Fraction)) or isinstance(th, bool):
+            raise InputError(f"t[{h!r}] must be an int or a Fraction, got {th!r}")
+        if not th:
+            raise InputError(f"t[{h!r}] must be nonzero")
+        out[h] = Fraction(th)
+    return out
 
 
 def load_coloring(path, graph: Graph | None = None) -> dict:

@@ -11,10 +11,11 @@ parts, F_0 = 1 and k·F_k = sum_m w(m, k)·g_m·F_{k-m}.
 
 Every sparse product runs on one multiply-accumulate kernel, _mul_acc,
 acc[ka + kb] += w·ca·cb over two term dicts: MPoly.__mul__, the series
-recurrence, the matrix powers and traces of `series`, and the edge
-contraction, which contracts a product p·q without forming it.  Each
-consumer accumulates into its own destination and drops cancelled terms
-once at the end.
+recurrence, the matrix powers and traces of `series`, and the integer
+edge contraction, which contracts the factors at an edge against the
+largest of them without forming their product.  Each consumer
+accumulates into its own destination and drops cancelled terms once at
+the end.
 
 Monomials are packed into a single int key, 6 bits per variable (exponents
 must stay at or below MAX_EXPONENT = 63; products refuse to pass it).
@@ -26,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import factorial
-from operator import or_
+from operator import mul, or_
 
 from .errors import InputError, PreconditionError
 from .rational import QQi, div_exact
@@ -297,32 +298,31 @@ class MPoly:
 # edge-contraction operator
 # ---------------------------------------------------------------------------
 
-def apply_edge_operator(p: MPoly, z1: str, w1: str, z2: str, w2: str, c: int,
-                        q: MPoly | None = None) -> MPoly:
-    """Apply (1/c!^2) (d_z1 d_w2 - d_z2 d_w1)^c to p, or to p·q when q is
-    given, then set the four variables to zero.
+def apply_edge_operator(factors: list, z1: str, w1: str, z2: str, w2: str,
+                        c: int) -> MPoly:
+    """Apply (1/c!) (d_z1 d_w2 - d_z2 d_w1)^c to the product of the factors
+    at an edge (a nonempty list of MPoly), then set the four variables to
+    zero.
 
     A monomial z1^a1 w1^b1 z2^a2 w2^b2 * R survives iff a1 = b2, a2 = b1 and
-    a1 + a2 = c; it contributes (-1)^a2 / C(c, a2) * R, that is
-    (-1)^a2 * a1! * a2! / c! * R.  The terms of p, and of q, are grouped by
-    their four-variable edge part; for each group of p and each surviving
-    pattern the one group of q whose edge part completes it is found by one
-    lookup, and only those group pairs are multiplied, with the integer
-    weight (-1)^a2 * a1! * a2!, so the product p·q is never formed.  Each
-    output coefficient is divided by c! once at the end.  Integer
-    coefficients stay int when c! divides the sum (the evaluator arranges
-    that it always does) and become Fraction when it does not.
+    a1 + a2 = c; it contributes the integer weight (-1)^a2 * a1! * a2! times
+    R, so nothing is divided and integer or Gaussian-integer coefficients
+    stay in their ring.  The factors are sorted by term count and all but
+    the largest, q, are multiplied out into p (the constant 1 when there is
+    one factor).  The terms of p and of q are grouped by their four-variable
+    edge part; for each group of p and each surviving pattern the one group
+    of q whose edge part completes it is found by one lookup, and only those
+    group pairs are multiplied, so the product p·q is never formed.
     """
-    ns = p.ns
+    *rest, q = sorted(factors, key=lambda f: len(f.terms))
+    ns = q.ns
+    p = reduce(mul, rest) if rest else MPoly.const(ns, 1)
+    _check_ns(p, q)
+    _check_exponents(ns, p.terms, q.terms)
     s_z1, s_w1, s_z2, s_w2 = (ns.shift(v) for v in (z1, w1, z2, w2))
     edge_part = ((MAX_EXPONENT << s_z1) | (MAX_EXPONENT << s_w1)
                  | (MAX_EXPONENT << s_z2) | (MAX_EXPONENT << s_w2))
-    if q is None:  # p alone is p·1
-        q_groups = {0: {0: 1}}
-    else:
-        _check_ns(p, q)
-        _check_exponents(ns, p.terms, q.terms)
-        q_groups = _edge_groups(q.terms, edge_part)
+    q_groups = _edge_groups(q.terms, edge_part)
     weights = []
     for a2 in range(max(0, c - MAX_EXPONENT), min(c, MAX_EXPONENT) + 1):
         a1 = c - a2
@@ -337,11 +337,7 @@ def apply_edge_operator(p: MPoly, z1: str, w1: str, z2: str, w2: str, c: int,
             gq = q_groups.get(pattern - ep)
             if gq is not None:
                 _mul_acc(out, gp, gq, w)
-    _nonzero(out)
-    if c > 1:
-        fc = factorial(c)
-        out = {k: div_exact(v, fc) for k, v in out.items()}
-    return MPoly(ns, out)
+    return MPoly(ns, _nonzero(out))
 
 
 def _edge_groups(terms: dict, edge_part: int) -> dict:

@@ -13,12 +13,11 @@ generating series on presentations with crossings.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import lcm
 
-from .errors import InputError, RegimeError
+from .errors import RegimeError
 from .evaluator import _wvar, _zvar, eval_spin_network, renormalize
-from .graphs import Graph, Holonomy, admissible_colorings, internal_coloring
+from .graphs import Graph, Holonomy, admissible_colorings, check_diagonal_t, internal_coloring
 from .polyring import (MPoly, Namespace, _check_exponents, _mul_acc, _nonzero,
                        _series_recurrence, inv_sqrt_series)
 from .polyring import det_poly  # noqa: F401  perfbench/tracer.py patches it here by name
@@ -240,15 +239,7 @@ def _blown_up(graph: Graph, t: dict | None = None):
     from left to right and -1 back per edge, (t_g^{-1} t_h) X_a from g to h
     and -(t_g t_h^{-1}) X_a back per angle a = (g, h); t defaults to 1."""
     ns = Namespace(graph.angle_ids)
-    if t is None:
-        t = dict.fromkeys(graph.halfedges, 1)
-    else:
-        for h in graph.halfedges:
-            if h not in t:
-                raise InputError(f"t misses half-edge {h!r}")
-            if not Fraction(t[h]):
-                raise InputError(f"t[{h!r}] must be nonzero")
-        t = {h: Fraction(t[h]) for h in graph.halfedges}
+    t = dict.fromkeys(graph.halfedges, 1) if t is None else check_diagonal_t(graph, t)
     idx = {h: i for i, h in enumerate(graph.halfedges)}
     links = [{} for _ in idx]
 

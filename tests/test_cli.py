@@ -31,6 +31,13 @@ def test_eval_theta_c222():
     assert rep["results"]["bracket_square"] == "1"
 
 
+def test_eval_at_the_color_bound():
+    rc, _ = run_cli("eval", "-g", "theta", "-c", '{"e1":60,"e2":58,"e3":2}')
+    assert rc == 0
+    rc, _ = run_cli("eval", "-g", "theta", "-c", '{"e1":61,"e2":59,"e3":2}')
+    assert rc == 2
+
+
 def test_eval_bundled_coloring_file(tmp_path):
     cpath = bundled_graph_path("theta").parent / "theta_c222.json"
     rc, out = run_cli("eval", "-g", "theta", "-c", str(cpath))

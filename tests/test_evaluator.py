@@ -24,6 +24,30 @@ def test_theta_trivial_cases(theta):
     assert v.norm2() == 9  # |value| = 3
 
 
+@pytest.mark.parametrize("coloring", [
+    {"e1": 2.0, "e2": 2, "e3": 2},
+    {"e1": "2", "e2": 2, "e3": 2},
+    {"e1": True, "e2": True, "e3": 2},
+    {"e1": -2, "e2": 2, "e3": 2},
+    {"e1": 2, "e2": 2},
+    {"e1": 2, "e2": 2, "e3": 2, "e9": 2},
+], ids=["float", "str", "bool", "negative", "missing", "unknown"])
+def test_coloring_is_checked(theta, coloring):
+    # a float or str color was a TypeError, and True was read as 1
+    for f in (eval_spin_network, bracket_square):
+        with pytest.raises(InputError):
+            f(theta, coloring)
+
+
+def test_eval_at_the_color_bound(theta):
+    # one variable reaches exponent 60
+    v = eval_spin_network(theta, {"e1": 60, "e2": 58, "e3": 2})
+    assert v.im == 0
+    assert abs(v.re) == theta_value(60, 58, 2)
+    with pytest.raises(InputError):
+        eval_spin_network(theta, {"e1": 61, "e2": 59, "e3": 2})
+
+
 def test_theta_value_examples():
     assert theta_value(0, 0, 0) == 1
     assert theta_value(2, 2, 2) == 3
@@ -124,12 +148,12 @@ def test_scaled_contraction_is_gauge_invariant(theta, tet, name, seed, data):
     gauged = gauge_transform(g, hol, data.draw(shear_gauges(g)))
     coeffs = []
 
-    def spy(p, *args):
-        # the evaluator passes the largest factor as a second operand q
-        assert len(args) in (5, 6)
-        for poly in (p, *args[5:]):
+    def spy(factors, *args):
+        for poly in factors:
             coeffs.extend(poly.terms.values())
-        return apply_edge_operator(p, *args)
+        out = apply_edge_operator(factors, *args)
+        coeffs.extend(out.terms.values())
+        return out
 
     with mock.patch.object(evaluator_module, "apply_edge_operator", spy):
         value = eval_spin_network(g, col, gauged)

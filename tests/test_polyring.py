@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -94,17 +94,18 @@ def bracket(a, b, c, d):
 
 def test_edge_operator_degree_one():
     p = poly(NS4, ({"z1": 1, "w2": 1}, QQi(1)))
-    assert apply_edge_operator(p, "z1", "w1", "z2", "w2", 1) == MPoly.const(NS4, 1)
+    assert apply_edge_operator([p], "z1", "w1", "z2", "w2", 1) == MPoly.const(NS4, 1)
     q = poly(NS4, ({"z2": 1, "w1": 1}, QQi(1)))
-    assert apply_edge_operator(q, "z1", "w1", "z2", "w2", 1) == MPoly.const(NS4, -1)
+    assert apply_edge_operator([q], "z1", "w1", "z2", "w2", 1) == MPoly.const(NS4, -1)
 
 
 def test_edge_operator_omega2_self_contraction():
-    # contraction of (z1 w2 - z2 w1)^2 is 3, frozen from the naive oracle
+    # contraction of (z1 w2 - z2 w1)^2 is 3, frozen from the naive oracle;
+    # apply_edge_operator gives 2! times it
     w2 = bracket("z1", "w2", "z2", "w1").pow(2)
-    got = apply_edge_operator(w2, "z1", "w1", "z2", "w2", 2)
-    assert got == MPoly.const(NS4, 3)
-    assert naive_edge_operator(w2, "z1", "w1", "z2", "w2", 2) == got
+    got = apply_edge_operator([w2], "z1", "w1", "z2", "w2", 2)
+    assert got == MPoly.const(NS4, 3 * 2)
+    assert naive_edge_operator(w2, "z1", "w1", "z2", "w2", 2).scalar_mul(factorial(2)) == got
 
 
 @settings(max_examples=25, deadline=None)
@@ -114,8 +115,8 @@ def test_edge_operator_matches_naive(c, nterms, data):
     for _ in range(nterms):
         exps = {v: data.draw(st.integers(0, 3)) for v in NS4.names}
         p = p + MPoly.monomial(NS4, exps, QQi(data.draw(st.integers(-3, 3))))
-    fast = apply_edge_operator(p, "z1", "w1", "z2", "w2", c)
-    assert fast == naive_edge_operator(p, "z1", "w1", "z2", "w2", c)
+    fast = apply_edge_operator([p], "z1", "w1", "z2", "w2", c)
+    assert fast == naive_edge_operator(p, "z1", "w1", "z2", "w2", c).scalar_mul(factorial(c))
 
 
 NS6 = Namespace(("z1", "w1", "z2", "w2", "x", "y"))
@@ -161,29 +162,29 @@ def contraction_operands(draw, coeffs, c):
 @settings(max_examples=80, deadline=None)
 @given(ring=st.sampled_from(sorted(RINGS)), c=st.integers(0, 4), data=st.data())
 def test_edge_operator_contracts_a_product(ring, c, data):
-    """apply_edge_operator(p, ..., q) is the contraction of p * q, in the
+    """apply_edge_operator([p, q], ...) is the contraction of p * q, in the
     same ring, and refuses a product past MAX_EXPONENT the way p * q does."""
     p, q = data.draw(contraction_operands(RINGS[ring], c))
     try:
-        expect = apply_edge_operator(p * q, *EDGE, c)
+        expect = apply_edge_operator([p * q], *EDGE, c)
     except InputError as exc:
         with pytest.raises(InputError) as got:
-            apply_edge_operator(p, *EDGE, c, q)
+            apply_edge_operator([p, q], *EDGE, c)
         assert str(got.value) == str(exc)
         return
-    got = apply_edge_operator(p, *EDGE, c, q)
+    got = apply_edge_operator([p, q], *EDGE, c)
     assert got == expect
     assert {k: type(v) for k, v in got.terms.items()} == \
         {k: type(v) for k, v in expect.terms.items()}
 
 
 def test_edge_operator_int_coefficients():
-    # int input stays int where c! divides the weighted sum, else Fraction
+    # int input stays int: the weights are integers and nothing is divided
     square = MPoly(NS4, {NS4.encode({"z1": 2, "w2": 2}): 3})
     mixed = square + MPoly(NS4, {NS4.encode({"z1": 1, "w1": 1, "z2": 1, "w2": 1}): 1})
-    for p, value in ((square, 3), (mixed, Fraction(5, 2))):
-        got = apply_edge_operator(p, "z1", "w1", "z2", "w2", 2)
-        assert got == naive_edge_operator(p, "z1", "w1", "z2", "w2", 2)
+    for p, value in ((square, 6), (mixed, 5)):
+        got = apply_edge_operator([p], "z1", "w1", "z2", "w2", 2)
+        assert got == naive_edge_operator(p, "z1", "w1", "z2", "w2", 2).scalar_mul(factorial(2))
         assert got.constant_term() == value
         assert type(got.constant_term()) is type(value)
 

@@ -264,6 +264,18 @@ def test_curves_constant_term_and_zero_t(theta):
         abelian_curve_sum(theta, t)
 
 
+@pytest.mark.parametrize("bad", [QQi(1, 1), 0.1, True, "2", 0],
+                         ids=["qqi", "float", "bool", "str", "zero"])
+@pytest.mark.parametrize("route", [Holonomy.diagonal, abelian_curve_sum],
+                         ids=["holonomy", "curves"])
+def test_diagonal_t_is_checked(theta, route, bad):
+    # a QQi was a TypeError; 0.1 was read as its binary fraction, True as 1
+    t = {h: Fraction(1) for h in theta.halfedges}
+    t["u1"] = bad
+    with pytest.raises(InputError, match="u1"):
+        route(theta, t)
+
+
 def test_diagonal_holonomy_series_consistency(theta, dumbbell):
     rng = random.Random(23)
     for g in (theta, dumbbell):
