@@ -33,7 +33,6 @@ __all__ = [
     "theta_value",
     "renormalize",
     "bracket_square",
-    "gauge_transform",
 ]
 
 _MAX_COLOR = 60  # monomial packing allows per-variable exponents < 64
@@ -169,41 +168,3 @@ def bracket_square(graph: Graph, coloring: dict, holonomy: Holonomy | None = Non
     for cols in vertex_colors(graph, coloring):
         den *= theta_value(*cols)
     return v.norm2() / den
-
-
-# ---------------------------------------------------------------------------
-# gauge action
-# ---------------------------------------------------------------------------
-
-def _mat2_mul(m, n):
-    (a, b), (c, d) = m
-    (e, f), (g, h) = n
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-def _mat2_inv_det1(m):
-    (a, b), (c, d) = m
-    return ((d, -b), (-c, a))
-
-
-def gauge_transform(graph: Graph, holonomy: Holonomy, g: dict) -> Holonomy:
-    """Transformed connection: half-edge (e, v) maps to g_e psi_h g_v^{-1}."""
-    if not holonomy.exact:
-        raise RegimeError("gauge_transform needs an exact-regime holonomy")
-    mats = {}
-    for key, m in g.items():
-        rows = tuple(tuple(x if isinstance(x, QQi) else QQi(x) for x in row) for row in m)
-        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        if det != QQi(1):
-            raise InputError(f"gauge element at {key!r} has determinant {det!r}, not 1")
-        mats[key] = rows
-    entries = {}
-    for h in graph.halfedges:
-        e = graph.edge_of[h][0]
-        v = graph.vertex_of[h]
-        ge = mats.get(e)
-        gv = mats.get(v)
-        if ge is None or gv is None:
-            raise InputError(f"gauge map misses {'edge ' + repr(e) if ge is None else 'vertex ' + repr(v)}")
-        entries[h] = _mat2_mul(_mat2_mul(ge, holonomy.matrix(h)), _mat2_inv_det1(gv))
-    return Holonomy(graph, entries, True)

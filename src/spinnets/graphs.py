@@ -1,4 +1,5 @@
-"""Trivalent graphs with planar presentations, colorings and holonomies.
+"""Trivalent graphs with planar presentations, colorings, holonomies and the
+gauge action on holonomies.
 
 A presentation fixes: the left-to-right vertex order, the order of the three
 half-edges at each vertex (a rotation of the clockwise cyclic order), a
@@ -13,7 +14,7 @@ import cmath
 import json
 from fractions import Fraction
 
-from .errors import AdmissibilityError, InputError
+from .errors import AdmissibilityError, InputError, RegimeError
 from .rational import QQi, parse_exact
 
 __all__ = [
@@ -24,6 +25,8 @@ __all__ = [
     "check_coloring",
     "check_diagonal_t",
     "load_holonomy",
+    "gauge_transform",
+    "check_edge_keys",
     "vertex_colors",
     "admissible_triple",
     "is_admissible",
@@ -44,7 +47,6 @@ class Graph:
         self.vertices = tuple((v, tuple(hs)) for v, hs in vertices)
         self.edges = tuple((e, l, r) for e, l, r in edges)
         self.crossings = frozenset(frozenset(p) for p in crossings)
-        self._validate()
         self._index()
 
     # -- construction ----------------------------------------------------
@@ -85,50 +87,48 @@ class Graph:
             "crossings": sorted(sorted(p) for p in self.crossings),
         }
 
-    def _validate(self):
-        seen_v = set()
-        in_vertex = {}
-        for v, hs in self.vertices:
-            if v in seen_v:
+    def _index(self):
+        """Fill the incidence maps and check the presentation as they fill."""
+        self.vertex_index = {}
+        self.vertex_of = {}  # half-edge -> its vertex id
+        self.halfedge_slot = {}  # half-edge -> 3 * vertex position + slot
+        for i, (v, hs) in enumerate(self.vertices):
+            if v in self.vertex_index:
                 raise InputError(f"duplicate vertex id {v!r}")
-            seen_v.add(v)
+            self.vertex_index[v] = i
             if len(hs) != 3:
                 raise InputError(f"vertex {v!r} must carry exactly 3 half-edges")
-            for h in hs:
-                if h in in_vertex:
+            for j, h in enumerate(hs):
+                if h in self.vertex_of:
                     raise InputError(f"half-edge {h!r} appears at two vertex slots")
-                in_vertex[h] = v
-        seen_e = set()
-        in_edge = set()
+                self.vertex_of[h] = v
+                self.halfedge_slot[h] = 3 * i + j
+        self.edge_index = {}
+        self.edge_by_id = {}
+        self.edge_of = {}  # half-edge -> (its edge id, "left" or "right")
         for e, l, r in self.edges:
-            if e in seen_e:
+            if e in self.edge_index:
                 raise InputError(f"duplicate edge id {e!r}")
-            seen_e.add(e)
-            for h in (l, r):
-                if h not in in_vertex:
+            self.edge_index[e] = len(self.edge_index)
+            self.edge_by_id[e] = (l, r)
+            for h, side in ((l, "left"), (r, "right")):
+                if h not in self.vertex_of:
                     raise InputError(f"edge {e!r} references unknown half-edge {h!r}")
-                if h in in_edge:
+                if h in self.edge_of:
                     raise InputError(f"half-edge {h!r} appears in two edges")
-                in_edge.add(h)
-        if in_edge != set(in_vertex):
-            missing = set(in_vertex) - in_edge
+                self.edge_of[h] = (e, side)
+        # the edges cover the 3V half-edges, two each, so 2E = 3V and V is even
+        if len(self.edge_of) != len(self.vertex_of):
+            missing = self.vertex_of.keys() - self.edge_of.keys()
             raise InputError(f"half-edges not covered by edges: {sorted(missing)}")
-        nv, ne = len(self.vertices), len(self.edges)
-        if 3 * nv != 2 * ne or nv % 2:
-            raise InputError(f"counts violate #V=2N, #E=3N: V={nv}, E={ne}")
         for pair in self.crossings:
-            if len(pair) != 2 or not pair <= seen_e:
+            if len(pair) != 2 or not pair <= self.edge_index.keys():
                 raise InputError(f"bad crossing pair {sorted(pair)}")
         # left half-edge must sit at the earlier vertex (loops: earlier slot)
-        hslot = {}
-        for i, (v, hs) in enumerate(self.vertices):
-            for j, h in enumerate(hs):
-                hslot[h] = 3 * i + j
         for e, l, r in self.edges:
-            if hslot[l] > hslot[r]:
+            if self.halfedge_slot[l] > self.halfedge_slot[r]:
                 raise InputError(f"edge {e!r}: left half-edge is right of its partner")
-        # connectivity
-        parent = {v: v for v, _ in self.vertices}
+        parent = {v: v for v in self.vertex_index}
 
         def find(x):
             while parent[x] != x:
@@ -136,28 +136,15 @@ class Graph:
                 x = parent[x]
             return x
 
-        for e, l, r in self.edges:
-            a, b = find(in_vertex[l]), find(in_vertex[r])
+        for l, r in self.edge_by_id.values():
+            a, b = find(self.vertex_of[l]), find(self.vertex_of[r])
             if a != b:
                 parent[a] = b
-        roots = {find(v) for v, _ in self.vertices}
-        if len(roots) != 1:
+        if len({find(v) for v in parent}) != 1:
             raise InputError("graph is not connected")
-        self._in_vertex = in_vertex
-        self._hslot = hslot
 
-    def _index(self):
-        self.halfedges = tuple(h for _, hs in self.vertices for h in hs)
-        self.halfedge_slot = self._hslot
-        self.vertex_of = dict(self._in_vertex)
-        self.vertex_index = {v: i for i, (v, _) in enumerate(self.vertices)}
-        self.edge_ids = tuple(e for e, _, _ in self.edges)
-        self.edge_index = {e: i for i, e in enumerate(self.edge_ids)}
-        self.edge_by_id = {e: (l, r) for e, l, r in self.edges}
-        self.edge_of = {}
-        for e, l, r in self.edges:
-            self.edge_of[l] = (e, "left")
-            self.edge_of[r] = (e, "right")
+        self.halfedges = tuple(self.vertex_of)
+        self.edge_ids = tuple(self.edge_index)
         # the edge at each slot of each vertex
         self.vertex_edges = tuple(tuple(self.edge_of[h][0] for h in hs)
                                   for _, hs in self.vertices)
@@ -277,8 +264,36 @@ def admissible_colorings(graph: Graph, max_color=None, max_total=None):
 # holonomies
 # ---------------------------------------------------------------------------
 
+def _rows2(m, where: str) -> tuple:
+    """The rows of a 2x2 matrix as tuples; `where` names it in the error."""
+    rows = tuple(tuple(row) for row in m)
+    if len(rows) != 2 or any(len(r) != 2 for r in rows):
+        raise InputError(f"{where} is not a 2x2 matrix")
+    return rows
+
+
 def _det2(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def _adj2(m):
+    """Adjugate of a 2x2 matrix: its inverse when the determinant is 1."""
+    (a, b), (c, d) = m
+    return ((d, -b), (-c, a))
+
+
+def _mul2(m, n):
+    (a, b), (c, d) = m
+    (e, f), (g, h) = n
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _exact_scalar(s, where: str) -> QQi:
+    """An exact scalar (QQi, int, Fraction or exact string) as a QQi; a bool
+    or a float is refused rather than read as a number."""
+    if isinstance(s, bool) or not isinstance(s, (QQi, int, Fraction, str)):
+        raise InputError(f"bad scalar {s!r} in {where}")
+    return parse_exact(s)
 
 
 class Holonomy:
@@ -290,10 +305,7 @@ class Holonomy:
         for h in graph.halfedges:
             if h not in entries:
                 raise InputError(f"holonomy misses half-edge {h!r}")
-            m = entries[h]
-            rows = tuple(tuple(row) for row in m)
-            if len(rows) != 2 or any(len(r) != 2 for r in rows):
-                raise InputError(f"holonomy at {h!r} is not a 2x2 matrix")
+            rows = _rows2(entries[h], f"holonomy at {h!r}")
             d = _det2(rows)
             if exact:
                 if d != QQi(1):
@@ -333,8 +345,8 @@ class Holonomy:
             for row in m:
                 cells = []
                 for s in row:
-                    if isinstance(s, (int, str)) and not isinstance(s, bool):
-                        cells.append(parse_exact(s))
+                    if not isinstance(s, (float, list, tuple)):
+                        cells.append(_exact_scalar(s, f"holonomy at {h!r}"))
                         continue
                     # a float, or a [re, im] pair of real numbers
                     parts = s if isinstance(s, (list, tuple)) else (s, 0.0)
@@ -357,9 +369,7 @@ class Holonomy:
         return self.entries[h]
 
     def inverse_matrix(self, h):
-        # determinant is 1, so the inverse is the adjugate
-        (a, b), (c, d) = self.entries[h]
-        return ((d, -b), (-c, a))
+        return _adj2(self.entries[h])
 
     def is_trivial(self):
         if not self.exact:
@@ -373,6 +383,33 @@ class Holonomy:
         ent = {h: tuple(tuple(complex(x) for x in row) for row in m)
                for h, m in self.entries.items()}
         return Holonomy(graph, ent, False)
+
+
+def gauge_transform(graph: Graph, holonomy: Holonomy, g: dict) -> Holonomy:
+    """Transformed connection: half-edge (e, v) maps to g_e psi_h g_v^{-1}.
+
+    g maps every edge and vertex id to a determinant-1 matrix of exact
+    scalars, read by the rule of exact holonomy entries."""
+    if not holonomy.exact:
+        raise RegimeError("gauge_transform needs an exact-regime holonomy")
+    mats = {}
+    for key, m in g.items():
+        where = f"gauge element at {key!r}"
+        rows = tuple(tuple(_exact_scalar(x, where) for x in row) for row in _rows2(m, where))
+        det = _det2(rows)
+        if det != 1:
+            raise InputError(f"{where} has determinant {det!r}, not 1")
+        mats[key] = rows
+    entries = {}
+    for h in graph.halfedges:
+        e = graph.edge_of[h][0]
+        v = graph.vertex_of[h]
+        ge = mats.get(e)
+        gv = mats.get(v)
+        if ge is None or gv is None:
+            raise InputError(f"gauge map misses {'edge ' + repr(e) if ge is None else 'vertex ' + repr(v)}")
+        entries[h] = _mul2(_mul2(ge, holonomy.matrix(h)), _adj2(gv))
+    return Holonomy(graph, entries, True)
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +430,26 @@ def load_graph(path) -> Graph:
     return Graph.from_obj(_load_json(path))
 
 
-def check_coloring(obj, graph: Graph | None, source: str) -> dict:
-    """Validate a parsed coloring {edge: non-negative int}; with a graph, its
-    keys must be exactly the graph's edge ids.  `source` prefixes errors."""
+def check_edge_keys(obj, graph: Graph, what: str):
+    """Raise InputError unless the keys of obj are exactly the graph's edge
+    ids; `what` names obj in the message."""
+    for e in graph.edge_ids:
+        if e not in obj:
+            raise InputError(f"{what} misses edge {e!r}")
+    for e in obj:
+        if e not in graph.edge_index:
+            raise InputError(f"{what} names unknown edge {e!r}")
+
+
+def check_coloring(obj, graph: Graph, source: str) -> dict:
+    """Validate a parsed coloring {edge: non-negative int} whose keys are
+    exactly the graph's edge ids.  `source` prefixes errors."""
     if not isinstance(obj, dict):
         raise InputError(f"{source}: coloring must be an object {{edge: int}}")
     for e, c in obj.items():
         if not isinstance(c, int) or isinstance(c, bool) or c < 0:
             raise InputError(f"{source}: color of {e!r} must be a non-negative integer")
-    if graph is not None:
-        missing = set(graph.edge_ids) - set(obj)
-        if missing:
-            raise InputError(f"{source}: coloring misses edges {sorted(missing)}")
-        unknown = set(obj) - set(graph.edge_ids)
-        if unknown:
-            raise InputError(f"{source}: coloring names unknown edges {sorted(unknown)}")
+    check_edge_keys(obj, graph, f"{source}: coloring")
     return obj
 
 
@@ -428,7 +470,7 @@ def check_diagonal_t(graph: Graph, t: dict) -> dict:
     return out
 
 
-def load_coloring(path, graph: Graph | None = None) -> dict:
+def load_coloring(path, graph: Graph) -> dict:
     return check_coloring(_load_json(path), graph, path)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, NumericalError, PreconditionError
 from .evaluator import theta_value
-from .graphs import Graph, Holonomy, vertex_colors
+from .graphs import Graph, Holonomy, check_coloring, check_edge_keys, vertex_colors
 
 __all__ = [
     "MCEstimate",
@@ -350,14 +350,20 @@ def _edge_half_traces(graph, conj, g):
     return out
 
 
+def _check_labels(graph: Graph, coloring: dict):
+    """check_coloring for a coloring by character labels, where a negative
+    label raises DomainError, as its character does."""
+    if isinstance(coloring, dict) and any(type(c) is int and c < 0 for c in coloring.values()):
+        raise DomainError("character label must be >= 0")
+    check_coloring(coloring, graph, "coloring")
+
+
 def mc_bracket(graph: Graph, coloring: dict, holonomy: Holonomy | None = None,
                samples: int = 1_000_000, seed: int = 0, workers: int = 1) -> MCEstimate:
     """Estimate of the squared-evaluation bracket: Haar mean over vertex
     tuples of the product over edges of characters of the edge products."""
     _check_samples(samples)
-    for e in graph.edge_ids:
-        if e not in coloring:
-            raise InputError(f"coloring misses edge {e!r}")
+    _check_labels(graph, coloring)
     conj = _prepared_holonomy(graph, holonomy)
     nv = len(graph.vertices)
 
@@ -376,10 +382,14 @@ def mc_W_point(graph: Graph, y: dict, holonomy: Holonomy | None = None,
     """Estimate of the generating series of brackets at the point Y_e = y_e,
     |y_e| < 1: Haar mean of prod_e 1/det(1 - y_e M_e)."""
     _check_samples(samples)
+    if not isinstance(y, dict):
+        raise InputError("y must be a dict {edge: float}")
+    check_edge_keys(y, graph, "y")
     for e in graph.edge_ids:
-        if e not in y:
-            raise InputError(f"y misses edge {e!r}")
-        if abs(y[e]) >= 1:
+        ye = y[e]
+        if not (isinstance(ye, (int, float)) and not isinstance(ye, bool) and math.isfinite(ye)):
+            raise InputError(f"y[{e!r}] must be a finite int or float, got {ye!r}")
+        if abs(ye) >= 1:
             raise DomainError(f"|y[{e!r}]| must be < 1")
     conj = _prepared_holonomy(graph, holonomy)
     nv = len(graph.vertices)
@@ -400,6 +410,7 @@ def mc_orthogonality(graph: Graph, coloring: dict,
     """Estimate of prod_v <v> / prod_e <e>: Haar mean over vertex, edge and
     half-edge samples of prod_v <v> prod_e <e> prod_h tr_c(g_e psi_h g_v psi_h^-1)."""
     _check_samples(samples)
+    _check_labels(graph, coloring)
     scale = 1.0
     for cols in vertex_colors(graph, coloring):
         scale *= float(theta_value(*cols))

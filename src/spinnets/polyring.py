@@ -554,7 +554,9 @@ def _homogeneous_parts(p: MPoly, max_degree: int) -> list:
 
 def _unit_parts(d: MPoly, max_degree: int, series: str):
     """[1, d_1, ..., d_max_degree], d_m the degree-m part of d, for d with
-    constant term 1; the name of the series is for the error."""
+    constant term 1; the name of the series is for the errors."""
+    if max_degree < 0:
+        raise InputError(f"{series} needs a degree >= 0, got {max_degree}")
     if d.constant_term() != 1:
         raise PreconditionError(f"{series} needs constant term exactly 1")
     parts = _homogeneous_parts(d, max_degree)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import lcm
 
-from .errors import RegimeError
+from .errors import InputError, RegimeError
 from .evaluator import _wvar, _zvar, eval_spin_network, renormalize
 from .graphs import Graph, Holonomy, admissible_colorings, check_diagonal_t, internal_coloring
 from .polyring import (MPoly, Namespace, _check_exponents, _mul_acc, _nonzero,
@@ -148,6 +148,8 @@ def truncated_det(pq: PQMatrices, max_degree: int) -> MPoly:
     Fraction parts: about 7 times slower than on Gaussian integers for theta
     with a complex SL(2) holonomy at degree 16.  series_Z scales Q to
     Gaussian integers first."""
+    if max_degree < 0:
+        raise InputError(f"truncated_det needs a degree >= 0, got {max_degree}")
     ns = pq.ns
     max_degree = min(max_degree, 4 * len(ns) // 3)  # three angles per vertex
     # B = P·Q as sparse dict-of-dicts of term dicts, on the narrowest ring:

@@ -10,9 +10,8 @@ from conftest import rand_sl2, random_holonomy, shear_gauge, shear_gauges
 from oracles import tet_value_oracle
 from spinnets import evaluator as evaluator_module
 from spinnets.errors import AdmissibilityError, InputError, RegimeError
-from spinnets.evaluator import (bracket_square, eval_spin_network, gauge_transform,
-                                renormalize, theta_value)
-from spinnets.graphs import Graph, Holonomy, admissible_colorings
+from spinnets.evaluator import bracket_square, eval_spin_network, renormalize, theta_value
+from spinnets.graphs import Graph, Holonomy, admissible_colorings, gauge_transform
 from spinnets.polyring import apply_edge_operator
 from spinnets.rational import QQi
 
@@ -176,6 +175,33 @@ def test_gauge_rejects_non_unimodular(theta):
     bad = ((QQi(2), QQi(0)), (QQi(0), QQi(1)))
     with pytest.raises(InputError):
         gauge_transform(theta, hol, {k: bad for k in ["u", "v", "e1", "e2", "e3"]})
+
+
+@pytest.mark.parametrize("m", [((0.5, 0), (0, 2.0)), ((2.0, 0), (0, "1/2")),
+                               ((True, 0), (0, 1)), ((None, 0), (0, 1)), (([1, 0], 0), (0, 1))])
+def test_gauge_rejects_inexact_entries(theta, m):
+    # a float or a bool was read as a number: ((0.5, 0), (0, 2.0)) passed
+    g = {k: ((1, 0), (0, 1)) for k in ["u", "v", "e1", "e2", "e3"]}
+    g["e2"] = m
+    with pytest.raises(InputError, match="bad scalar .* in gauge element at 'e2'"):
+        gauge_transform(theta, Holonomy.trivial(theta), g)
+
+
+def test_gauge_rejects_non_2x2(theta):
+    g = dict.fromkeys(["u", "v", "e1", "e2", "e3"], ((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(InputError, match="gauge element at 'u' is not a 2x2 matrix"):
+        gauge_transform(theta, Holonomy.trivial(theta), g)
+
+
+def test_gauge_accepts_exact_scalars(theta):
+    hol = random_holonomy(theta, seed=6)
+    keys = ["u", "v", "e1", "e2", "e3"]
+    half = Fraction(1, 2)
+    forms = [((QQi(2), QQi(0)), (QQi(0), QQi(half))),
+             ((2, 0), (0, half)),
+             (("2", 0), ("0", "1/2"))]
+    gauged = [gauge_transform(theta, hol, dict.fromkeys(keys, m)).entries for m in forms]
+    assert gauged[0] == gauged[1] == gauged[2]
 
 
 def eval_both_rings(graph, col, seed):

@@ -85,6 +85,60 @@ def test_disconnected_rejected():
         Graph.from_obj(obj)
 
 
+def _set(path, value):
+    """A mutation of theta_obj() that sets the entry at path to value."""
+    def mutate(obj):
+        *keys, last = path
+        for k in keys:
+            obj = obj[k]
+        obj[last] = value
+    return mutate
+
+
+def _two_thetas(obj):
+    obj["vertices"] += [{"id": a, "halfedges": [f"{a}1", f"{a}2", f"{a}3"]} for a in "pq"]
+    obj["edges"] += [{"id": f"f{i}", "left": f"p{i}", "right": f"q{i}"} for i in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("mutate,match", [
+    (_set(("vertices", 1, "id"), "u"), "duplicate vertex id 'u'"),
+    (_set(("vertices", 0, "halfedges"), ["u1", "u2"]), "'u' must carry exactly 3 half-edges"),
+    (_set(("vertices", 1, "halfedges", 2), "u1"), "'u1' appears at two vertex slots"),
+    (_set(("edges", 1, "id"), "e1"), "duplicate edge id 'e1'"),
+    (_set(("edges", 0, "left"), "zz"), "edge 'e1' references unknown half-edge 'zz'"),
+    (_set(("edges", 1, "left"), "u1"), "'u1' appears in two edges"),
+    (lambda obj: obj["edges"].pop(), r"not covered by edges: \['u3', 'v1'\]"),
+    (_set(("crossings",), [["e1", "nope"]]), r"bad crossing pair \['e1', 'nope'\]"),
+    (_set(("crossings",), [["e1", "e1"]]), r"bad crossing pair \['e1'\]"),
+    (_set(("edges", 0), {"id": "e1", "left": "v3", "right": "u1"}),
+     "edge 'e1': left half-edge is right of its partner"),
+    (_two_thetas, "graph is not connected"),
+], ids=["dup-vertex", "two-halfedges", "two-slots", "dup-edge", "unknown-halfedge",
+        "two-edges", "uncovered", "crossing-unknown-edge", "crossing-one-edge",
+        "left-after-right", "disconnected"])
+def test_each_construction_fault(mutate, match):
+    """One fault per graph, each refused with its own message.  The counts
+    #V = 2N, #E = 3N need no check of their own: edges that cover the 3V
+    half-edges two at a time make 2E = 3V."""
+    obj = theta_obj()
+    mutate(obj)
+    with pytest.raises(InputError, match=match):
+        Graph.from_obj(obj)
+
+
+def test_one_pass_maps(theta, tet, prism, dumbbell):
+    """The construction pass keeps the presentation's orders."""
+    for g in (theta, tet, prism, dumbbell):
+        assert g.halfedges == tuple(h for _, hs in g.vertices for h in hs)
+        assert g.edge_ids == tuple(e for e, _, _ in g.edges)
+        assert g.vertex_index == {v: i for i, (v, _) in enumerate(g.vertices)}
+        assert g.edge_index == {e: i for i, e in enumerate(g.edge_ids)}
+        assert all(g.halfedge_slot[h] == 3 * g.vertex_index[g.vertex_of[h]] + hs.index(h)
+                   for _, hs in g.vertices for h in hs)
+        assert all(g.edge_of[l] == (e, "left") and g.edge_of[r] == (e, "right")
+                   and g.edge_by_id[e] == (l, r) for e, l, r in g.edges)
+
+
 @pytest.mark.parametrize("coloring,expect", [
     ({"e1": 0, "e2": 0, "e3": 0}, True),
     ({"e1": 1, "e2": 1, "e3": 1}, False),

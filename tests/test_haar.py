@@ -163,6 +163,36 @@ def test_mc_orthogonality_missing_edge(theta):
         mc_orthogonality(theta, {"e1": 2, "e2": 2}, samples=10_000)
 
 
+_TH = {"e1": 2, "e2": 2, "e3": 2}
+_Y = {"e1": 0.1, "e2": 0.1, "e3": 0.1}
+
+
+@pytest.mark.parametrize("call,match", [
+    # True was read as 1, an unknown edge was ignored, 2.0 was a TypeError
+    (lambda g: mc_bracket(g, {**_TH, "e1": True}), "color of 'e1' must be"),
+    (lambda g: mc_bracket(g, {**_TH, "e9": 2}), "names unknown edge 'e9'"),
+    (lambda g: mc_bracket(g, {**_TH, "e1": 2.0}), "color of 'e1' must be"),
+    (lambda g: mc_orthogonality(g, {**_TH, "e1": 2.0}), "color of 'e1' must be"),
+    (lambda g: mc_orthogonality(g, {**_TH, "e9": 2}), "names unknown edge 'e9'"),
+    # an unknown edge was ignored, nan gave mean nan, "0.1" was a TypeError
+    (lambda g: mc_W_point(g, {**_Y, "e9": 0.1}), "y names unknown edge 'e9'"),
+    (lambda g: mc_W_point(g, {"e1": 0.1, "e2": 0.1}), "y misses edge 'e3'"),
+    (lambda g: mc_W_point(g, {**_Y, "e1": math.nan}), r"y\['e1'\] must be a finite"),
+    (lambda g: mc_W_point(g, {**_Y, "e1": -math.inf}), r"y\['e1'\] must be a finite"),
+    (lambda g: mc_W_point(g, {**_Y, "e1": "0.1"}), r"y\['e1'\] must be a finite"),
+    (lambda g: mc_W_point(g, {**_Y, "e1": False}), r"y\['e1'\] must be a finite"),
+    (lambda g: mc_W_point(g, [0.1, 0.1, 0.1]), "y must be a dict"),
+], ids=["bracket-bool", "bracket-unknown", "bracket-float", "orth-float", "orth-unknown",
+        "W-unknown", "W-missing", "W-nan", "W-inf", "W-str", "W-bool", "W-list"])
+def test_mc_inputs_are_checked(theta, call, match, monkeypatch):
+    def sample(*args):
+        raise AssertionError("sampled before the inputs were checked")
+
+    monkeypatch.setattr(haar, "_estimate", sample)
+    with pytest.raises(InputError, match=match):
+        call(theta)
+
+
 def test_mc_orthogonality_weight_underflow(theta):
     # prod_v <v> prod_e (c_e + 1) is about 4e-357 here: 0.0 as a float
     with pytest.raises(DomainError, match="weight"):

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from conftest import random_holonomy, shear_gauge, shear_gauges
 from spinnets import series as series_module
 from spinnets.errors import InputError
-from spinnets.evaluator import gauge_transform
-from spinnets.graphs import Graph, Holonomy
+from spinnets.graphs import Graph, Holonomy, gauge_transform
 from spinnets.polyring import MPoly, Namespace, det_poly, inverse_series
 from spinnets.rational import QQi, denominator, div_exact
 from spinnets.series import (abelian_curve_sum, build_pq, compare_with_evaluations,
@@ -68,6 +67,20 @@ def test_truncated_det_matches_bareiss(theta, tet):
     hol = random_holonomy(theta, seed=9)
     pq = build_pq(theta, hol)
     assert truncated_det(pq, 6) == det_poly(pq.full()).truncated(6)
+
+
+def test_negative_degree_is_refused(theta):
+    # series_Z and inverse_series raised IndexError; truncated_det returned 1
+    from spinnets.polyring import inv_sqrt_series
+
+    d = westbury_polynomial(theta)
+    for call, name in ((lambda: series_Z(theta, degree=-1), "truncated_det"),
+                       (lambda: truncated_det(build_pq(theta), -1), "truncated_det"),
+                       (lambda: inverse_series(d, -1), "inverse_series"),
+                       (lambda: inv_sqrt_series(d, -2), "inv_sqrt_series")):
+        with pytest.raises(InputError, match=f"{name} needs a degree >= 0"):
+            call()
+    assert series_Z(theta, degree=0).terms == {0: 1}
 
 
 def test_series_constant_coefficient(theta):
