@@ -24,7 +24,7 @@ from .errors import (AdmissibilityError, DomainError, HypothesisError, InputErro
                      NumericalError, PreconditionError, RegimeError, SpinnetError)
 from .evaluator import bracket_square, eval_spin_network, theta_value
 from .graphs import (Graph, check_coloring, is_admissible, load_coloring, load_graph,
-                     load_holonomy, vertex_colors)
+                     load_holonomy, read_input, vertex_colors)
 from .haar import mc_bracket, mc_orthogonality, mc_W_point
 from .polyring import MAX_EXPONENT, inverse_series
 from .rational import format_exact
@@ -33,14 +33,6 @@ from .series import (abelian_curve_sum, compare_with_evaluations, nonplanar_fix,
 
 DEFAULT_SEED = 20120712
 _BUNDLED = ("theta", "tetrahedron", "prism3", "tetrahedron_nonplanar")
-
-
-def _digest(path) -> str:
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()[:16]
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _report(args, inputs, results, seed=None):
@@ -71,16 +63,35 @@ def _emit(obj):
     print(json.dumps(_sanitize(obj), sort_keys=True, indent=2))
 
 
+def _read(path) -> tuple[bytes, str]:
+    """A file's bytes and the digest reported for them."""
+    data = read_input(path)
+    return data, hashlib.sha256(data).hexdigest()[:16]
+
+
+@cache
+def _bundled(name: str) -> tuple[Graph, str]:
+    """A bundled graph and its digest, parsed once per process: commands
+    only read a Graph, so every dispatch can share it."""
+    path = bundled_graph_path(name)
+    data, digest = _read(path)
+    return load_graph(path, data), digest
+
+
 def _load_inputs(args):
-    """Graph (file or bundled name) and optional -H holonomy, with the
-    digests of the files they came from."""
-    gpath = bundled_graph_path(args.graph) if args.graph in _BUNDLED else args.graph
-    graph = load_graph(gpath)
-    inputs = {"graph": _digest(gpath)}
+    """Graph (bundled name or file) and optional -H holonomy, with the
+    digests of the bytes they were parsed from.  A file is read once per
+    call and never kept."""
+    if args.graph in _BUNDLED:
+        graph, digest = _bundled(args.graph)
+    else:
+        data, digest = _read(args.graph)
+        graph = load_graph(args.graph, data)
+    inputs = {"graph": digest}
     holonomy = None
     if getattr(args, "holonomy", None):
-        holonomy = load_holonomy(args.holonomy, graph)
-        inputs["holonomy"] = _digest(args.holonomy)
+        data, inputs["holonomy"] = _read(args.holonomy)
+        holonomy = load_holonomy(args.holonomy, graph, data)
     return graph, holonomy, inputs
 
 

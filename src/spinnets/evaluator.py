@@ -87,12 +87,13 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
     for h, (_, _, den) in forms.items():
         scale *= den ** coloring[graph.edge_of[h][0]]
     internal = internal_coloring(graph, coloring)
-    factors = []
+    factors = []  # (half-edges it touches, polynomial, its number of terms)
     for aid, _, _, (g, h) in graph.angles:
         if internal[aid]:
             zg, wg, _ = forms[g]
             zh, wh, _ = forms[h]
-            factors.append(((g, h), (zg * wh - zh * wg).pow(internal[aid])))
+            p = (zg * wh - zh * wg).pow(internal[aid])
+            factors.append(((g, h), p, len(p.terms)))
 
     # a color-0 edge touches no factor; an edge of color c_e > 0 touches a
     # factor at each half-edge, whose two angles' colors sum to c_e
@@ -100,7 +101,7 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
 
     def cost(edge):
         _, l, r = edge
-        return sum(len(p.terms) for hh, p in factors if l in hh or r in hh)
+        return sum(n for hh, _, n in factors if l in hh or r in hh)
 
     while remaining:
         best = min(range(len(remaining)), key=lambda i: (cost(remaining[i]), i))
@@ -108,15 +109,15 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
         touch = {l, r}
         gathered = [f for f in factors if l in f[0] or r in f[0]]
         factors = [f for f in factors if not (l in f[0] or r in f[0])]
-        involved = touch.union(*(hh for hh, _ in gathered))
-        contracted = apply_edge_operator([p for _, p in gathered], _zvar(l), _wvar(l),
+        involved = touch.union(*(hh for hh, _, _ in gathered))
+        contracted = apply_edge_operator([p for _, p, _ in gathered], _zvar(l), _wvar(l),
                                          _zvar(r), _wvar(r), coloring[e])
         if contracted.is_zero():
             return QQi(0)
-        factors.append((tuple(involved - touch), contracted))
+        factors.append((tuple(involved - touch), contracted, len(contracted.terms)))
 
     value = QQi(1)
-    for hh, p in factors:
+    for _, p, _ in factors:
         value = value * p.constant_term()
     value = div_exact(value, scale)
     total = sum(coloring[e] for e in graph.edge_ids)

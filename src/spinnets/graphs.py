@@ -21,6 +21,7 @@ __all__ = [
     "Graph",
     "Holonomy",
     "load_graph",
+    "read_input",
     "load_coloring",
     "check_coloring",
     "check_diagonal_t",
@@ -109,6 +110,9 @@ class Graph:
         for e, l, r in self.edges:
             if e in self.edge_index:
                 raise InputError(f"duplicate edge id {e!r}")
+            # one gauge map keys both, so an id may name one or the other
+            if e in self.vertex_index:
+                raise InputError(f"edge id {e!r} is also a vertex id")
             self.edge_index[e] = len(self.edge_index)
             self.edge_by_id[e] = (l, r)
             for h, side in ((l, "left"), (r, "right")):
@@ -388,12 +392,14 @@ class Holonomy:
 def gauge_transform(graph: Graph, holonomy: Holonomy, g: dict) -> Holonomy:
     """Transformed connection: half-edge (e, v) maps to g_e psi_h g_v^{-1}.
 
-    g maps every edge and vertex id to a determinant-1 matrix of exact
-    scalars, read by the rule of exact holonomy entries."""
+    g maps every edge and vertex id, and nothing else, to a determinant-1
+    matrix of exact scalars, read by the rule of exact holonomy entries."""
     if not holonomy.exact:
         raise RegimeError("gauge_transform needs an exact-regime holonomy")
     mats = {}
     for key, m in g.items():
+        if key not in graph.vertex_index and key not in graph.edge_index:
+            raise InputError(f"gauge map names {key!r}, which is no vertex or edge id")
         where = f"gauge element at {key!r}"
         rows = tuple(tuple(_exact_scalar(x, where) for x in row) for row in _rows2(m, where))
         det = _det2(rows)
@@ -416,18 +422,33 @@ def gauge_transform(graph: Graph, holonomy: Holonomy, g: dict) -> Holonomy:
 # file loading
 # ---------------------------------------------------------------------------
 
-def _load_json(path):
+def read_input(path) -> bytes:
+    """The bytes of an input file."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json(path, data: bytes | None = None):
+    """The JSON value in the file at path, parsed from `data` when the caller
+    has read its bytes already.  The text must be UTF-8 with no byte-order
+    mark."""
+    if data is None:
+        data = read_input(path)
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def load_graph(path) -> Graph:
-    return Graph.from_obj(_load_json(path))
+def load_graph(path, data: bytes | None = None) -> Graph:
+    """The graph in the file at path; `data`, when given, is that file's
+    bytes, so a caller that also digests them reads the file once."""
+    return Graph.from_obj(_load_json(path, data))
 
 
 def check_edge_keys(obj, graph: Graph, what: str):
@@ -474,5 +495,6 @@ def load_coloring(path, graph: Graph) -> dict:
     return check_coloring(_load_json(path), graph, path)
 
 
-def load_holonomy(path, graph: Graph) -> Holonomy:
-    return Holonomy.from_obj(graph, _load_json(path))
+def load_holonomy(path, graph: Graph, data: bytes | None = None) -> Holonomy:
+    """The holonomy in the file at path; `data` as for `load_graph`."""
+    return Holonomy.from_obj(graph, _load_json(path, data))

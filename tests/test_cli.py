@@ -426,3 +426,118 @@ def test_reports_are_deterministic():
     out1 = run_cli(*args)[1]
     out2 = run_cli(*args)[1]
     assert out1 == out2
+
+
+@pytest.mark.parametrize("content", [b'{"e1": 2\xff}', b'\xef\xbb\xbf{}'], ids=["0xff", "bom"])
+@pytest.mark.parametrize("flag", ["-g", "-H", "-c"])
+def test_input_file_not_utf8_exits_2(tmp_path, capsys, flag, content):
+    # a 0xff byte was a UnicodeDecodeError traceback; a UTF-8 byte-order
+    # mark is refused too
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    args = {"-g": "theta", "-c": '{"e1":2,"e2":2,"e3":2}', "-H": None, flag: str(bad)}
+    argv = ["eval"] + [x for f, v in args.items() if v for x in (f, v)]
+    rc, out = run_cli(*argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and out == ""
+    assert len(err) == 1 and err[0].startswith(f"input error: {bad} is not"), err
+
+
+def _theta_file(path, name):
+    obj = json.loads(bundled_graph_path("theta").read_text())
+    path.write_text(json.dumps({**obj, "name": name}))
+    return str(path)
+
+
+def test_user_graph_file_read_again_each_dispatch(tmp_path):
+    reports = []
+    for name in ("first", "second"):
+        gpath = _theta_file(tmp_path / "g.json", name)
+        rc, out = run_cli("eval", "-g", gpath, "-c", '{"e1":2,"e2":2,"e3":2}')
+        assert rc == 0
+        reports.append(json.loads(out))
+    assert [r["results"]["graph"] for r in reports] == ["first", "second"]
+    assert reports[0]["inputs"]["graph"] != reports[1]["inputs"]["graph"]
+
+
+def _graph_state(graph):
+    maps = ("vertex_index", "vertex_of", "halfedge_slot", "edge_index", "edge_by_id",
+            "edge_of", "_angles_at")
+    return graph.to_obj(), {m: dict(getattr(graph, m)) for m in maps}
+
+
+def test_commands_leave_the_bundled_graph_unchanged():
+    import spinnets.cli
+
+    graph = spinnets.cli._bundled("tetrahedron")[0]
+    before = _graph_state(graph)
+    col = '{"ab":2,"ac":2,"ad":2,"bc":2,"bd":2,"cd":2}'
+    tet = ("-g", "tetrahedron")
+    for argv in (("eval", *tet, "-c", col),
+                 ("series", *tet, "--degree", "4", "--check-against-eval"),
+                 ("series", *tet, "--degree", "4", "--method", "curves"),
+                 ("integrate", *tet, "-c", col, "--samples", "10000"),
+                 ("integrate", *tet, "-c", col, "--samples", "10000",
+                  "--target", "orthogonality"),
+                 ("integrate", *tet, "--target", "W", "--samples", "10000",
+                  *(x for e in ("ab", "ac", "ad", "bc", "bd", "cd") for x in ("--y", f"{e}=0.1"))),
+                 ("check", *tet, "-c", col, "--restarts", "40"),
+                 ("asymptote", *tet, "-c", col, "--restarts", "40")):
+        rc, _ = run_cli(*argv)
+        assert rc == 0, argv
+        assert spinnets.cli._bundled("tetrahedron")[0] is graph
+        assert _graph_state(graph) == before, argv
+
+
+def test_each_input_file_opened_once_per_dispatch(tmp_path, monkeypatch):
+    import builtins
+
+    gpath = _theta_file(tmp_path / "g.json", "theta")
+    hpath = tmp_path / "h.json"
+    hpath.write_text(json.dumps({h: [[1, 0], [0, 1]]
+                                 for h in ("u1", "u2", "u3", "v1", "v2", "v3")}))
+    cpath = tmp_path / "c.json"
+    cpath.write_text('{"e1":2,"e2":2,"e3":2}')
+    opened = []
+    real_open = builtins.open
+
+    def counting(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    for n in (1, 2):
+        rc, _ = run_cli("eval", "-g", gpath, "-H", str(hpath), "-c", str(cpath))
+        assert rc == 0
+        assert [opened.count(str(p)) for p in (gpath, hpath, cpath)] == [n, n, n]
+
+
+def test_digest_is_of_the_parsed_bytes(tmp_path, monkeypatch):
+    # a graph file that changes between two reads: the reported digest must
+    # be of the bytes the graph was parsed from
+    import builtins
+    import hashlib
+
+    versions = []
+    for name in ("one", "two"):
+        _theta_file(tmp_path / "g.json", name)
+        versions.append((tmp_path / "g.json").read_bytes())
+    gpath = str(tmp_path / "g.json")
+    real_open = builtins.open
+    reads = []
+
+    def changing(file, mode="r", *args, **kwargs):
+        if str(file) != gpath:
+            return real_open(file, mode, *args, **kwargs)
+        data = versions[min(len(reads), 1)]
+        reads.append(data)
+        return io.BytesIO(data) if "b" in mode else io.StringIO(data.decode())
+
+    monkeypatch.setattr(builtins, "open", changing)
+    col = '{"e1":2,"e2":2,"e3":2}'
+    rep = json.loads(run_cli("eval", "-g", gpath, "-c", col)[1])
+    parsed = versions[["one", "two"].index(rep["results"]["graph"])]
+    assert rep["inputs"]["graph"] == hashlib.sha256(parsed).hexdigest()[:16]
+    rep = json.loads(run_cli("eval", "-g", "theta", "-c", col)[1])
+    bundled = bundled_graph_path("theta").read_bytes()
+    assert rep["inputs"]["graph"] == hashlib.sha256(bundled).hexdigest()[:16]

@@ -187,6 +187,14 @@ def test_gauge_rejects_inexact_entries(theta, m):
         gauge_transform(theta, Holonomy.trivial(theta), g)
 
 
+def test_gauge_rejects_unknown_key(theta):
+    # the key was ignored: the identities plus "zz" returned the trivial holonomy
+    g = {k: ((1, 0), (0, 1)) for k in ["u", "v", "e1", "e2", "e3"]}
+    g["zz"] = ((2, 0), (0, "1/2"))
+    with pytest.raises(InputError, match="gauge map names 'zz', which is no vertex or edge id"):
+        gauge_transform(theta, Holonomy.trivial(theta), g)
+
+
 def test_gauge_rejects_non_2x2(theta):
     g = dict.fromkeys(["u", "v", "e1", "e2", "e3"], ((1, 0, 0), (0, 1, 0)))
     with pytest.raises(InputError, match="gauge element at 'u' is not a 2x2 matrix"):

@@ -113,9 +113,11 @@ def _two_thetas(obj):
     (_set(("edges", 0), {"id": "e1", "left": "v3", "right": "u1"}),
      "edge 'e1': left half-edge is right of its partner"),
     (_two_thetas, "graph is not connected"),
+    # a gauge map keys vertices and edges in one dict
+    (_set(("edges", 0, "id"), "u"), "edge id 'u' is also a vertex id"),
 ], ids=["dup-vertex", "two-halfedges", "two-slots", "dup-edge", "unknown-halfedge",
         "two-edges", "uncovered", "crossing-unknown-edge", "crossing-one-edge",
-        "left-after-right", "disconnected"])
+        "left-after-right", "disconnected", "edge-is-vertex"])
 def test_each_construction_fault(mutate, match):
     """One fault per graph, each refused with its own message.  The counts
     #V = 2N, #E = 3N need no check of their own: edges that cover the 3V
