@@ -8,25 +8,25 @@ factors contribute a global scalar i^(2*sum c_e) = (-1)^(sum c_e), which is
 tracked outside the polynomial arithmetic.
 
 The contraction runs on Gaussian integers for every exact holonomy, and the
-value is divided once.  Each half-edge form is scaled by the common
-denominator d_h of the entries of psi_h^{-1}, so its coefficients are ints
-(real integer entries, as for the trivial holonomy) or QQi with int parts,
+value is divided once.  The bracket factor of each angle a is its angle
+form, scaled by the common denominator d_a of its coefficients, so these are
+ints (real integer ones, as for the trivial holonomy) or QQi with int parts,
 and `apply_edge_operator` contracts each edge e with c_e! times its
 operator, on integer weights and without dividing.  The value is
-homogeneous of degree c_e(h) in the forms of each half-edge h, so the final
-constant is divided once by prod_e c_e! * prod_h d_h^{c_e(h)}.
+homogeneous of degree c_a in the bracket of each angle a, so the final
+constant is divided once by prod_e c_e! * prod_a d_a^{c_a}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from .errors import AdmissibilityError, InputError, RegimeError
 from .graphs import (Graph, Holonomy, admissible_triple, check_coloring, crossing_sign,
                      internal_coloring, is_admissible, vertex_colors)
 from .polyring import MPoly, Namespace, apply_edge_operator
-from .rational import QQi, denominator, div_exact, narrow
+from .rational import QQi, div_exact
 
 __all__ = [
     "eval_spin_network",
@@ -46,19 +46,8 @@ def _wvar(h):
     return "w@" + h
 
 
-def _halfedge_forms(ns, holonomy, h):
-    """Linear forms (Z_h, W_h) = d_h psi_h^{-1} (z_h, w_h) on Gaussian
-    integers, and d_h, the common denominator of psi_h^{-1}'s entries;
-    holonomy None is the trivial one."""
-    kz = 1 << ns.shift(_zvar(h))
-    kw = 1 << ns.shift(_wvar(h))
-    if holonomy is None:
-        return MPoly(ns, {kz: 1}), MPoly(ns, {kw: 1}), 1
-    inv = holonomy.inverse_matrix(h)
-    den = lcm(*(denominator(x) for row in inv for x in row))
-    (a, b), (c, d) = ((narrow(x * den) for x in row) for row in inv)
-    return (MPoly(ns, {k: x for k, x in ((kz, a), (kw, b)) if x}),
-            MPoly(ns, {k: x for k, x in ((kz, c), (kw, d)) if x}), den)
+# the angle form of the trivial holonomy, z_g w_h - z_h w_g
+_TRIVIAL_FORM = ((0, 1, -1, 0), 1)
 
 
 def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = None) -> QQi:
@@ -78,21 +67,21 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
         names.append(_wvar(h))
     ns = Namespace(names)
 
-    # one bracket factor (Z_g W_h - Z_h W_g)^n per angle (g, h) of color n,
-    # tagged with the half-edges it touches; the value is divided once by
-    # scale: prod_e c_e!, as each edge contraction is c_e! times the edge's
-    # operator, and prod_h d_h^{c_e(h)} for the scaled half-edge forms
-    forms = {h: _halfedge_forms(ns, holonomy, h) for h in graph.halfedges}
+    # one bracket factor (d_a (Z_g W_h - Z_h W_g))^n per angle a = (g, h) of
+    # color n, tagged with the half-edges it touches; the value is divided
+    # once by scale: prod_e c_e!, as each edge contraction is c_e! times the
+    # edge's operator, and prod_a d_a^n for the scaled angle forms
     scale = prod(factorial(coloring[e]) for e in graph.edge_ids)
-    for h, (_, _, den) in forms.items():
-        scale *= den ** coloring[graph.edge_of[h][0]]
     internal = internal_coloring(graph, coloring)
     factors = []  # (half-edges it touches, polynomial, its number of terms)
     for aid, _, _, (g, h) in graph.angles:
-        if internal[aid]:
-            zg, wg, _ = forms[g]
-            zh, wh, _ = forms[h]
-            p = (zg * wh - zh * wg).pow(internal[aid])
+        n = internal[aid]
+        if n:
+            coeffs, den = _TRIVIAL_FORM if holonomy is None else holonomy.angle_form(g, h)
+            zg, wg, zh, wh = (1 << ns.shift(x) for x in (_zvar(g), _wvar(g), _zvar(h), _wvar(h)))
+            keys = (zg + zh, zg + wh, wg + zh, wg + wh)
+            p = MPoly(ns, {k: x for k, x in zip(keys, coeffs) if x}).pow(n)
+            scale *= den ** n
             factors.append(((g, h), p, len(p.terms)))
 
     # a color-0 edge touches no factor; an edge of color c_e > 0 touches a

@@ -13,9 +13,10 @@ from __future__ import annotations
 import cmath
 import json
 from fractions import Fraction
+from math import lcm
 
 from .errors import AdmissibilityError, InputError, RegimeError
-from .rational import QQi, parse_exact
+from .rational import QQi, denominator, narrow, parse_exact
 
 __all__ = [
     "Graph",
@@ -164,6 +165,19 @@ class Graph:
         self.angles = tuple(angles)
         self.angle_ids = tuple(a[0] for a in angles)
         self.N = len(self.edges) - len(self.vertices)
+        # genus of the rotation system, (2 - V + E - F) / 2: its F faces are
+        # the orbits of "follow the edge, then turn to the next slot"
+        partner = {}
+        for l, r in self.edge_by_id.values():
+            partner[l], partner[r] = r, l
+        seen, faces = set(), 0
+        for h in self.halfedges:
+            faces += h not in seen
+            while h not in seen:
+                seen.add(h)
+                s = self.halfedge_slot[partner[h]]
+                h = self.halfedges[s - s % 3 + (s + 1) % 3]
+        self.genus = (2 - len(self.vertices) + len(self.edges) - faces) // 2
 
     # -- queries -----------------------------------------------------------
     def angles_at_halfedge(self, h):
@@ -301,10 +315,13 @@ def _exact_scalar(s, where: str) -> QQi:
 
 
 class Holonomy:
-    """Per-half-edge 2x2 determinant-1 matrices, exact or floating."""
+    """Per-half-edge 2x2 determinant-1 matrices, exact or floating.  A value
+    object: its angle forms are derived from `entries` and kept, so `entries`
+    must not change after construction."""
 
     def __init__(self, graph: Graph, entries: dict, exact: bool):
         self.exact = exact
+        self._forms = {}  # (g, h) -> angle_form(g, h)
         mats = {}
         for h in graph.halfedges:
             if h not in entries:
@@ -372,8 +389,19 @@ class Holonomy:
     def matrix(self, h):
         return self.entries[h]
 
-    def inverse_matrix(self, h):
-        return _adj2(self.entries[h])
+    def angle_form(self, g, h):
+        """(coefficients, d) of Z_g W_h - Z_h W_g, (Z, W) = psi^{-1}(z, w), on
+        z_g z_h, z_g w_h, w_g z_h and w_g w_h, times their common denominator d:
+        Gaussian integers, int when real.  Exact holonomies only; kept per
+        half-edge pair, so it holds on any presentation sharing the ids."""
+        form = self._forms.get((g, h))
+        if form is None:
+            (a, b), (c, d) = _adj2(self.entries[g])
+            (a2, b2), (c2, d2) = _adj2(self.entries[h])
+            coeffs = (a * c2 - a2 * c, a * d2 - b2 * c, b * c2 - a2 * d, b * d2 - b2 * d)
+            den = lcm(*(denominator(x) for x in coeffs))
+            form = self._forms[g, h] = (tuple(narrow(x * den) for x in coeffs), den)
+        return form
 
     def is_trivial(self):
         if not self.exact:

@@ -79,17 +79,12 @@ def build_pq(graph: Graph, holonomy: Holonomy | None = None) -> PQMatrices:
 
     q: dict = {b: {} for b in basis}
     for aid, v, (i, j), (g, h) in graph.angles:
-        (a, b), (c, d) = holonomy.inverse_matrix(g)
-        (a2, b2), (c2, d2) = holonomy.inverse_matrix(h)
-        coeffs = {
-            (_zvar(g), _zvar(h)): _I * (a * c2 - a2 * c),
-            (_zvar(g), _wvar(h)): _I * (a * d2 - b2 * c),
-            (_wvar(g), _zvar(h)): _I * (b * c2 - a2 * d),
-            (_wvar(g), _wvar(h)): _I * (b * d2 - b2 * d),
-        }
-        for (rr, cc), val in coeffs.items():
-            if val:
-                q[rr][cc] = q[cc][rr] = MPoly.var(ns, aid, val)
+        coeffs, den = holonomy.angle_form(g, h)
+        pairs = ((_zvar(g), _zvar(h)), (_zvar(g), _wvar(h)),
+                 (_wvar(g), _zvar(h)), (_wvar(g), _wvar(h)))
+        for (rr, cc), c in zip(pairs, coeffs):
+            if c:
+                q[rr][cc] = q[cc][rr] = MPoly.var(ns, aid, _I * c / den)
     return PQMatrices(ns, tuple(basis), p, q)
 
 
@@ -202,9 +197,17 @@ def series_Z(graph: Graph, holonomy: Holonomy | None = None, degree: int = 8) ->
 # cycle polynomial
 # ---------------------------------------------------------------------------
 
+def _check_genus_zero(graph: Graph, route: str):
+    if graph.genus:
+        raise RegimeError(f"{route} is a planar formula and needs a genus-0 rotation "
+                          f"system; {graph.name!r} has genus {graph.genus}")
+
+
 def westbury_polynomial(graph: Graph) -> MPoly:
     """Sum over subgraphs that are disjoint unions of cycles of the product
-    of the angle variables covered twice (the empty subgraph contributes 1)."""
+    of the angle variables covered twice (the empty subgraph contributes 1).
+    It is the planar formula, so a rotation system of genus > 0 is refused."""
+    _check_genus_zero(graph, "westbury_polynomial")
     ns = Namespace(graph.angle_ids)
     angle_at = {(v, ij): aid for aid, v, ij, _ in graph.angles}
     # per vertex: (vertex id, [edge index per slot])
@@ -315,7 +318,9 @@ def abelian_curve_sum(graph: Graph, t: dict | None = None) -> MPoly:
 
 def pfaffian_dimer_sum(graph: Graph) -> MPoly:
     """Sum over dimer configurations of the blown-up graph of the product of
-    covered angle variables, all signs +1; equals westbury_polynomial."""
+    covered angle variables, all signs +1; equals westbury_polynomial, and
+    like it refuses a rotation system of genus > 0."""
+    _check_genus_zero(graph, "pfaffian_dimer_sum")
     ns, links = _blown_up(graph)
     adj = [[(u, [k for k, _ in ls]) for u, ls in sorted(row.items())] for row in links]
     acc: dict = {}

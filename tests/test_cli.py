@@ -54,6 +54,28 @@ def test_series_westbury_matches_det():
     assert s1 == s2
 
 
+def test_series_cycle_routes_refuse_genus_one(tmp_path, capsys):
+    # the right vertex lists its half-edges in the left vertex's order, so the
+    # rotation system has one face and genus 1; westbury and pfaffian printed
+    # a wrong series there with exit 0, while det agrees with the evaluator
+    path = tmp_path / "theta_genus1.json"
+    path.write_text(json.dumps({
+        "name": "theta_genus1",
+        "vertices": [{"id": "u", "halfedges": ["u1", "u2", "u3"]},
+                     {"id": "v", "halfedges": ["v1", "v2", "v3"]}],
+        "edges": [{"id": f"e{i}", "left": f"u{i}", "right": f"v{i}"} for i in (1, 2, 3)],
+    }))
+    for method in ("westbury", "pfaffian"):
+        capsys.readouterr()
+        rc, out = run_cli("series", "-g", str(path), "--method", method, "--degree", "4")
+        assert rc == 2 and out == "", method
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:"), (method, err)
+    rc, out = run_cli("series", "-g", str(path), "--method", "det", "--degree", "4",
+                      "--check-against-eval")
+    assert rc == 0 and json.loads(out)["results"]["check_all_equal"] is True
+
+
 def test_series_check_against_eval():
     # curves expands det(W1), which carries the crossing signs, so with
     # crossings it is sign-fixed like det

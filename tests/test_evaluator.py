@@ -83,19 +83,36 @@ def test_presentations_agree(tet, tetnp):
         assert eval_spin_network(tet, col) == eval_spin_network(tetnp, col)
 
 
+# theta with its left vertex's half-edges rotated: the same ids, other angles
+THETA_ROT = {
+    "name": "theta_rot",
+    "vertices": [{"id": "u", "halfedges": ["u2", "u3", "u1"]},
+                 {"id": "v", "halfedges": ["v1", "v2", "v3"]}],
+    "edges": [{"id": "e1", "left": "u1", "right": "v3"},
+              {"id": "e2", "left": "u2", "right": "v2"},
+              {"id": "e3", "left": "u3", "right": "v1"}],
+    "crossings": [["e1", "e2"], ["e1", "e3"]],
+}
+
+
 def test_rotated_vertex_presentation_agrees(theta):
-    rotated = Graph.from_obj({
-        "name": "theta_rot",
-        "vertices": [{"id": "u", "halfedges": ["u2", "u3", "u1"]},
-                     {"id": "v", "halfedges": ["v1", "v2", "v3"]}],
-        "edges": [{"id": "e1", "left": "u1", "right": "v3"},
-                  {"id": "e2", "left": "u2", "right": "v2"},
-                  {"id": "e3", "left": "u3", "right": "v1"}],
-        "crossings": [["e1", "e2"], ["e1", "e3"]],
-    })
+    rotated = Graph.from_obj(THETA_ROT)
     assert rotated.crossings == rotated.interleaving_crossings()
     for col in admissible_colorings(theta, max_color=4):
         assert eval_spin_network(theta, col) == eval_spin_network(rotated, col)
+
+
+def test_holonomy_reused_on_another_presentation(theta):
+    # angle u:01 pairs u1 with u2 on theta and u2 with u3 on theta_rot, so
+    # the forms a holonomy keeps from theta must not be read by angle id
+    rotated = Graph.from_obj(THETA_ROT)
+    hol = random_holonomy(theta, seed=5)
+    cols = list(admissible_colorings(theta, max_color=4))
+    for col in cols:
+        eval_spin_network(theta, col, hol)
+    fresh = Holonomy(rotated, hol.entries, True)
+    for col in cols:
+        assert eval_spin_network(rotated, col, hol) == eval_spin_network(rotated, col, fresh)
 
 
 def test_renormalize(theta):

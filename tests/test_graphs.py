@@ -1,10 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_holonomy, shear_gauges
 from spinnets.errors import AdmissibilityError, InputError
+from spinnets.evaluator import _TRIVIAL_FORM
 from spinnets.graphs import (Graph, Holonomy, admissible_colorings, crossing_sign,
-                             internal_coloring, is_admissible)
+                             gauge_transform, internal_coloring, is_admissible)
+from spinnets.rational import QQi
 
 
 def theta_obj(edges=None, crossings=()):
@@ -256,11 +261,54 @@ def test_holonomy_regimes(theta):
         Holonomy.from_obj(theta, bad)
 
 
-def test_holonomy_inverse(theta):
+def _exactly(form):
+    """An angle form with the type of each coefficient, so == is exact."""
+    coeffs, den = form
+    return [(type(c), c) for c in coeffs], den
+
+
+def test_holonomy_angle_form(theta):
     obj = {h: [["1", "1/2"], ["0", "1"]] for h in theta.halfedges}
-    hol = Holonomy.from_obj(theta, obj)
-    (a, b), (c, d) = hol.inverse_matrix("u1")
-    assert (str(a.re), str(b.re), str(c.re), str(d.re)) == ("1", "-1/2", "0", "1")
+    # psi^{-1} = ((1, -1/2), (0, 1)) at both half-edges cancels: the bracket
+    # stays z_g w_h - z_h w_g
+    assert _exactly(Holonomy.from_obj(theta, obj).angle_form("u1", "u2")) == \
+        _exactly(((0, 1, -1, 0), 1))
+    # with psi_u2 = 1 it is (z_1 - w_1/2) w_2 - z_2 w_1, scaled by 2
+    obj["u2"] = [["1", "0"], ["0", "1"]]
+    assert _exactly(Holonomy.from_obj(theta, obj).angle_form("u1", "u2")) == \
+        _exactly(((0, 2, -2, -1), 2))
+
+
+def test_trivial_angle_form_is_the_evaluator_constant(theta, tet, tetnp, prism, dumbbell):
+    # the evaluator's holonomy-None fast path must follow the general rule
+    for g in (theta, tet, tetnp, prism, dumbbell):
+        triv = Holonomy.trivial(g)
+        for _, _, _, (h1, h2) in g.angles:
+            assert _exactly(triv.angle_form(h1, h2)) == _exactly(_TRIVIAL_FORM)
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=st.sampled_from(("theta", "tet", "prism", "dumbbell")),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_vertex_gauge_keeps_angle_forms(theta, tet, prism, dumbbell, name, seed, data):
+    # psi_h -> psi_h g_v^{-1} maps the form psi_g^{-T} eps psi_h^{-1} to
+    # psi_g^{-T} g_v^T eps g_v psi_h^{-1}, and g^T eps g = eps for det g = 1
+    g = {"theta": theta, "tet": tet, "prism": prism, "dumbbell": dumbbell}[name]
+    hol = random_holonomy(g, seed=seed)
+    gauge = data.draw(shear_gauges(g))
+    one, zero = QQi(1), QQi(0)
+    gauge.update(dict.fromkeys(g.edge_ids, ((one, zero), (zero, one))))
+    gauged = gauge_transform(g, hol, gauge)
+    for _, _, _, (h1, h2) in g.angles:
+        assert _exactly(gauged.angle_form(h1, h2)) == _exactly(hol.angle_form(h1, h2))
+
+
+def test_genus(theta, tet, tetnp, prism, dumbbell):
+    for g in (theta, tet, tetnp, prism, dumbbell):
+        assert g.genus == 0, g.name
+    # the right vertex lists its half-edges in the left vertex's order: one face
+    edges = [{"id": f"e{i}", "left": f"u{i}", "right": f"v{i}"} for i in (1, 2, 3)]
+    assert Graph.from_obj(theta_obj(edges)).genus == 1
 
 
 def test_graph_json_round_trip(tet):
