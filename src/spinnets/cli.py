@@ -24,7 +24,7 @@ from .errors import (AdmissibilityError, DomainError, HypothesisError, InputErro
                      NumericalError, PreconditionError, RegimeError, SpinnetError)
 from .evaluator import bracket_square, eval_spin_network, theta_value
 from .graphs import (Graph, check_coloring, is_admissible, load_coloring, load_graph,
-                     load_holonomy, read_input, vertex_colors)
+                     load_holonomy, parse_json, read_input, vertex_colors)
 from .haar import mc_bracket, mc_orthogonality, mc_W_point
 from .polyring import MAX_EXPONENT, inverse_series
 from .rational import format_exact
@@ -47,20 +47,73 @@ def _report(args, inputs, results, seed=None):
     return out
 
 
-def _sanitize(obj):
-    """Round floats to 10 significant digits so reports only carry digits
-    that are reproducible across runs (BLAS rounding is not bit-stable)."""
-    if isinstance(obj, float):
-        return float(f"{obj:.10g}") + 0.0  # also folds -0.0 into 0.0
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
+_INF = float("inf")
+_escape = json.encoder.encode_basestring_ascii  # json's own C escaper
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it, rounded to 10 significant digits so reports
+    only carry digits that are reproducible across runs (BLAS rounding is not
+    bit-stable)."""
+    x = float(f"{x:.10g}") + 0.0  # also folds -0.0 into 0.0
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write(obj, put, nl: str):
+    """Write obj through put() as `json.dumps(obj, sort_keys=True, indent=2)`
+    would, with floats by _float_text; nl is the newline and indent of the
+    line obj starts on."""
+    if isinstance(obj, str):
+        put(_escape(obj))
+    elif obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    elif isinstance(obj, float):
+        put(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            put("[]")
+            return
+        inner, sep = nl + "  ", "["
+        for v in obj:
+            put(sep + inner)
+            _write(v, put, inner)
+            sep = ","
+        put(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        for k in obj:
+            if not isinstance(k, str):
+                raise TypeError(f"report key {k!r} is not a str")
+        inner, sep = nl + "  ", "{"
+        for k in sorted(obj):
+            put(sep + inner + _escape(k) + ": ")
+            _write(obj[k], put, inner)
+            sep = ","
+        put(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(obj):
-    print(json.dumps(_sanitize(obj), sort_keys=True, indent=2))
+    """Print a report: sorted keys, 2-space indent, ASCII escapes, floats to
+    10 significant digits."""
+    parts = []
+    _write(obj, parts.append, "\n")
+    print("".join(parts))
 
 
 def _read(path) -> tuple[bytes, str]:
@@ -101,11 +154,7 @@ def _load_coloring_arg(spec: str | None, graph: Graph) -> dict:
         raise InputError("a coloring (-c) is required")
     if not spec.strip().startswith("{"):
         return load_coloring(spec, graph)
-    try:
-        obj = json.loads(spec)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"inline coloring is not valid JSON: {exc}") from exc
-    return check_coloring(obj, graph, "inline coloring")
+    return check_coloring(parse_json(spec, "inline coloring"), graph, "inline coloring")
 
 
 # ---------------------------------------------------------------------------

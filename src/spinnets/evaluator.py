@@ -50,6 +50,35 @@ def _wvar(h):
 _TRIVIAL_FORM = ((0, 1, -1, 0), 1)
 
 
+class _Plan:
+    """What a contraction needs of a graph and no coloring: the namespace
+    of the z and w variables, each angle's half-edges with the keys of its
+    four monomials z_g z_h, z_g w_h, w_g z_h and w_g w_h, and each edge's
+    variable names.  A factor or an edge carries a bitmask of the half-edges
+    it touches (bit i for graph.halfedges[i]).  Built once per graph and kept
+    on it: it depends only on the graph's half-edges, angles and edges."""
+
+    __slots__ = ("ns", "angles", "edges")
+
+    def __init__(self, graph: Graph):
+        bit = {h: 1 << i for i, h in enumerate(graph.halfedges)}
+        self.ns = ns = Namespace(x for h in graph.halfedges for x in (_zvar(h), _wvar(h)))
+        angles = []
+        for aid, _, _, (g, h) in graph.angles:
+            zg, wg, zh, wh = (1 << ns.shift(x) for x in (_zvar(g), _wvar(g), _zvar(h), _wvar(h)))
+            angles.append((aid, g, h, bit[g] | bit[h], (zg + zh, zg + wh, wg + zh, wg + wh)))
+        self.angles = tuple(angles)
+        self.edges = tuple((e, bit[l] | bit[r], (_zvar(l), _wvar(l), _zvar(r), _wvar(r)))
+                           for e, l, r in graph.edges)
+
+
+def _plan(graph: Graph) -> _Plan:
+    plan = graph._contraction_plan
+    if plan is None:
+        plan = graph._contraction_plan = _Plan(graph)
+    return plan
+
+
 def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = None) -> QQi:
     """Exact value of the spin network (0 for non-admissible colorings)."""
     check_coloring(coloring, graph, "coloring")
@@ -60,50 +89,48 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
         raise RegimeError("exact evaluation needs an exact-regime holonomy")
     if not is_admissible(graph, coloring):
         return QQi(0)
-
-    names = []
-    for h in graph.halfedges:
-        names.append(_zvar(h))
-        names.append(_wvar(h))
-    ns = Namespace(names)
+    plan = _plan(graph)
+    ns = plan.ns
 
     # one bracket factor (d_a (Z_g W_h - Z_h W_g))^n per angle a = (g, h) of
-    # color n, tagged with the half-edges it touches; the value is divided
-    # once by scale: prod_e c_e!, as each edge contraction is c_e! times the
-    # edge's operator, and prod_a d_a^n for the scaled angle forms
+    # color n, with the mask of the half-edges it touches; the value is
+    # divided once by scale: prod_e c_e!, as each edge contraction is c_e!
+    # times the edge's operator, and prod_a d_a^n for the scaled angle forms
     scale = prod(factorial(coloring[e]) for e in graph.edge_ids)
     internal = internal_coloring(graph, coloring)
-    factors = []  # (half-edges it touches, polynomial, its number of terms)
-    for aid, _, _, (g, h) in graph.angles:
+    factors = []  # (half-edge mask, polynomial, its number of terms)
+    for aid, g, h, mask, keys in plan.angles:
         n = internal[aid]
         if n:
             coeffs, den = _TRIVIAL_FORM if holonomy is None else holonomy.angle_form(g, h)
-            zg, wg, zh, wh = (1 << ns.shift(x) for x in (_zvar(g), _wvar(g), _zvar(h), _wvar(h)))
-            keys = (zg + zh, zg + wh, wg + zh, wg + wh)
             p = MPoly(ns, {k: x for k, x in zip(keys, coeffs) if x}).pow(n)
             scale *= den ** n
-            factors.append(((g, h), p, len(p.terms)))
+            factors.append((mask, p, len(p.terms)))
 
     # a color-0 edge touches no factor; an edge of color c_e > 0 touches a
-    # factor at each half-edge, whose two angles' colors sum to c_e
-    remaining = [edge for edge in graph.edges if coloring[edge[0]]]
-
-    def cost(edge):
-        _, l, r = edge
-        return sum(n for hh, _, n in factors if l in hh or r in hh)
-
+    # factor at each half-edge, whose two angles' colors sum to c_e.  Each
+    # step contracts the edge whose factors have the fewest terms in all,
+    # the earliest such edge on a tie.
+    remaining = [edge for edge in plan.edges if coloring[edge[0]]]
     while remaining:
-        best = min(range(len(remaining)), key=lambda i: (cost(remaining[i]), i))
-        e, l, r = remaining.pop(best)
-        touch = {l, r}
-        gathered = [f for f in factors if l in f[0] or r in f[0]]
-        factors = [f for f in factors if not (l in f[0] or r in f[0])]
-        involved = touch.union(*(hh for hh, _, _ in gathered))
-        contracted = apply_edge_operator([p for _, p, _ in gathered], _zvar(l), _wvar(l),
-                                         _zvar(r), _wvar(r), coloring[e])
+        best, least = 0, None
+        for i, (_, em, _) in enumerate(remaining):
+            cost = 0
+            for m, _, n in factors:
+                if m & em:
+                    cost += n
+            if least is None or cost < least:
+                best, least = i, cost
+        e, em, names = remaining.pop(best)
+        gathered = [f for f in factors if f[0] & em]
+        factors = [f for f in factors if not f[0] & em]
+        involved = 0
+        for m, _, _ in gathered:
+            involved |= m
+        contracted = apply_edge_operator([p for _, p, _ in gathered], *names, coloring[e])
         if contracted.is_zero():
             return QQi(0)
-        factors.append((tuple(involved - touch), contracted, len(contracted.terms)))
+        factors.append((involved & ~em, contracted, len(contracted.terms)))
 
     value = QQi(1)
     for _, p, _ in factors:

@@ -23,6 +23,7 @@ __all__ = [
     "Holonomy",
     "load_graph",
     "read_input",
+    "parse_json",
     "load_coloring",
     "check_coloring",
     "check_diagonal_t",
@@ -50,6 +51,7 @@ class Graph:
         self.edges = tuple((e, l, r) for e, l, r in edges)
         self.crossings = frozenset(frozenset(p) for p in crossings)
         self._index()
+        self._contraction_plan = None  # the evaluator's, built on first use
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -66,6 +68,9 @@ class Graph:
         except TypeError as exc:
             # an entry that is not an object, or vertices or edges not a list
             raise InputError(f"malformed graph object: wrong type ({exc})") from exc
+        # the name is echoed in reports, so it must be a string
+        if not isinstance(name, str):
+            raise InputError(f"graph name {name!r} is not a string")
         for v, hs in vertices:
             if not isinstance(hs, list):
                 raise InputError(f"half-edges of vertex {v!r} must be a list, got {hs!r}")
@@ -466,11 +471,22 @@ def _load_json(path, data: bytes | None = None):
     if data is None:
         data = read_input(path)
     try:
-        return json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_json(text, str(path))
+
+
+def parse_json(text: str, source: str):
+    """The JSON value in text; `source` names it in the error."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise InputError(f"{source} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise InputError(f"{source}: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{source} nests arrays or objects too deeply") from None
 
 
 def load_graph(path, data: bytes | None = None) -> Graph:

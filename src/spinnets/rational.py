@@ -172,6 +172,8 @@ def _fraction(text, s) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise InputError(f"zero denominator in exact scalar {s!r}") from None
+    except ValueError as exc:  # the regex admits the text: it has too many digits
+        raise InputError(f"exact scalar of {len(s)} characters: {exc}") from None
 
 
 def parse_exact(s) -> QQi:

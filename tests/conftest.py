@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from spinnets import bundled_graph_path, load_graph
@@ -114,6 +115,26 @@ def shear_gauges(draw, graph):
     """Shear gauge with Gaussian-rational shears whose parts have
     denominators up to 12."""
     return _gauge_of_shears(graph, lambda: QQi(draw(_PART), draw(_PART)))
+
+
+@st.composite
+def presentations(draw, max_vertices):
+    """A connected trivalent presentation on an even V <= max_vertices
+    vertices: a random perfect matching of the 3V slots (loops and
+    multi-edges allowed), each edge's left half-edge at the earlier slot,
+    and as crossings the pairs of edges whose slot arcs interleave."""
+    n = 3 * draw(st.sampled_from(range(2, max_vertices + 1, 2)))
+    order = draw(st.permutations(range(n)))
+    arcs = sorted(tuple(sorted(order[i:i + 2])) for i in range(0, n, 2))
+    vertices = [(f"v{i}", tuple(f"h{s}" for s in range(3 * i, 3 * i + 3)))
+                for i in range(n // 3)]
+    edges = [(f"e{i}", f"h{a}", f"h{b}") for i, (a, b) in enumerate(arcs)]
+    reached = {0}
+    for _ in vertices:
+        reached |= {s // 3 for arc in arcs if {s // 3 for s in arc} & reached for s in arc}
+    assume(len(reached) == len(vertices))
+    draft = Graph("draft", vertices, edges, [])
+    return Graph("presentation", vertices, edges, draft.interleaving_crossings())
 
 
 # rational unit quaternions (w, x, y, z): exact points of SU(2)

@@ -3,10 +3,13 @@
 These deliberately avoid the library's contraction path: the tetrahedron
 oracle is the classical single-sum factorial formula, the naive edge
 operator applies first-order derivatives one at a time, the naive
-determinant is cofactor expansion, and the spinor phase pairs 2x2 SU(2)
-matrices with a Hopf spinor instead of multiplying quaternions.
+determinant is cofactor expansion, the spinor phase pairs 2x2 SU(2)
+matrices with a Hopf spinor instead of multiplying quaternions, and the
+report text is json.dumps of a rounded copy instead of the CLI's one-pass
+writer.
 """
 
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -114,3 +117,20 @@ def spinor_phase(gv, gw, n) -> complex:
     """<gv u, gw u> for SU(2) matrices gv, gw and the Hopf spinor u over n."""
     u = hopf_section(n)
     return complex(np.vdot(gv @ u, gw @ u))
+
+
+def _sanitize(obj):
+    """Round floats to 10 significant digits, folding -0.0 into 0.0, and
+    turn tuples into lists."""
+    if isinstance(obj, float):
+        return float(f"{obj:.10g}") + 0.0
+    if isinstance(obj, dict):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    return obj
+
+
+def report_text(obj) -> str:
+    """The text of a CLI report object, without its final newline."""
+    return json.dumps(_sanitize(obj), sort_keys=True, indent=2)

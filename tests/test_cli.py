@@ -7,9 +7,11 @@ from functools import reduce
 from operator import getitem
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import report_text
 
 from spinnets import bundled_graph_path
 from spinnets.cli import dispatch
@@ -563,3 +565,112 @@ def test_digest_is_of_the_parsed_bytes(tmp_path, monkeypatch):
     rep = json.loads(run_cli("eval", "-g", "theta", "-c", col)[1])
     bundled = bundled_graph_path("theta").read_bytes()
     assert rep["inputs"]["graph"] == hashlib.sha256(bundled).hexdigest()[:16]
+
+
+_LONG_INT = "1" * 5000  # past the 4300 digits that int() converts
+
+
+@pytest.mark.parametrize("where", ["file", "inline"])
+@pytest.mark.parametrize("text", [
+    # each was a ValueError or RecursionError traceback
+    '{"e1":' + _LONG_INT + ',"e2":2,"e3":2}',
+    '{"e1":' + "[" * 100_000,
+], ids=["long-int", "deep"])
+def test_unreadable_json_value_exits_2(tmp_path, capsys, where, text):
+    spec = text
+    if where == "file":
+        spec = str(tmp_path / "c.json")
+        (tmp_path / "c.json").write_text(text)
+    rc, out = run_cli("eval", "-g", "theta", "-c", spec)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and out == ""
+    assert len(err) == 1 and err[0].startswith("input error:"), err
+
+
+def test_long_holonomy_scalar_exits_2(tmp_path, capsys):
+    # an exact scalar string with more digits than int() converts
+    hpath = tmp_path / "h.json"
+    hpath.write_text(json.dumps({h: [[1, 0], [0, 1]] for h in ("u2", "u3", "v1", "v2", "v3")}
+                                | {"u1": [[_LONG_INT, 0], [0, 1]]}))
+    rc, out = run_cli("eval", "-g", "theta", "-c", '{"e1":2,"e2":2,"e3":2}', "-H", str(hpath))
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and out == ""
+    assert len(err) == 1 and err[0].startswith("input error: exact scalar"), err
+
+
+@pytest.mark.parametrize("name", [[float("nan"), 1e400], None, 7, {"a": "b"}])
+def test_graph_name_must_be_a_string(tmp_path, capsys, name):
+    # the report echoes the name: [NaN, 1e400] printed NaN and Infinity,
+    # which are not JSON, with exit 0
+    gpath = _theta_file(tmp_path / "g.json", name)
+    rc, out = run_cli("eval", "-g", gpath, "-c", '{"e1":2,"e2":2,"e3":2}')
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and out == ""
+    assert len(err) == 1 and err[0].startswith("input error: graph name"), err
+
+
+def _emitted(obj) -> str:
+    """The text _emit prints for obj."""
+    from spinnets.cli import _emit
+
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        _emit(obj)
+    return buf.getvalue()
+
+
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('\x00\x1f\x7f"\\/  é€😀')),
+                max_size=6)
+_REPORT_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**60, 10**60), _TEXT,
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.2e-308,
+                     np.float64(-0.0), np.float64("nan"), 1e16, 123456789.0123]))
+_REPORTS = st.recursive(
+    _REPORT_LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_TEXT, kids, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_REPORTS)
+def test_report_writer_matches_json(obj):
+    assert _emitted(obj) == report_text(obj) + "\n"
+
+
+def test_report_writer_raises_type_error():
+    # json.dumps would coerce a non-str key; no report has one
+    for obj in ({1: 2}, {"a": {None: 1}}, {"a": object()}, [np.int64(3)]):
+        with pytest.raises(TypeError):
+            _emitted(obj)
+
+
+def test_report_text_of_every_subcommand(monkeypatch):
+    import spinnets.cli
+
+    emitted = []
+    emit = spinnets.cli._emit
+
+    def recording(obj):
+        emitted.append(obj)
+        emit(obj)
+
+    monkeypatch.setattr(spinnets.cli, "_emit", recording)
+    th = ("-g", "theta", "-c", '{"e1":2,"e2":2,"e3":2}')
+    tet = ("-g", "tetrahedron", "-c", '{"ab":2,"ac":2,"ad":2,"bc":2,"bd":2,"cd":2}')
+    runs = [("eval", *th),
+            *(("series", "-g", "tetrahedron_nonplanar", "--degree", "4", "--method", m)
+              for m in ("det", "westbury", "curves", "pfaffian")),
+            ("series", "-g", "tetrahedron", "--degree", "4", "--check-against-eval"),
+            ("integrate", *th, "--samples", "10000"),
+            ("integrate", *th, "--samples", "10000", "--target", "orthogonality"),
+            ("integrate", "-g", "theta", "--samples", "10000", "--target", "W",
+             "--y", "e1=0.3", "--y", "e2=0.2", "--y", "e3=0.1"),
+            ("check", *tet, "--restarts", "40"),
+            ("asymptote", *tet, "--restarts", "40")]
+    for argv in runs:
+        rc, out = run_cli(*argv)
+        assert rc == 0, argv
+        assert len(emitted) == 1, argv
+        assert out == report_text(emitted.pop()) + "\n", argv

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_holonomy, shear_gauge, shear_gauges
+from conftest import presentations, random_holonomy, shear_gauge, shear_gauges
 from spinnets import series as series_module
-from spinnets.errors import InputError
+from spinnets.errors import InputError, RegimeError
 from spinnets.graphs import Graph, Holonomy, gauge_transform
 from spinnets.polyring import MPoly, Namespace, det_poly, inverse_series
 from spinnets.rational import QQi, denominator, div_exact
@@ -348,3 +348,26 @@ def test_series_float_holonomy_rejected(theta):
     hol = Holonomy(theta, {h: ((1.0, 0.0), (0.0, 1.0)) for h in theta.halfedges}, False)
     with pytest.raises(Exception):
         build_pq(theta, hol)
+
+
+@settings(max_examples=50, deadline=None)
+@given(g=presentations(4), seed=st.integers(0, 2**16))
+def test_routes_agree_on_random_presentations(g, seed):
+    # loops, multi-edges, crossings and genus-1 rotation systems; det and
+    # curves carry the crossing signs that nonplanar_fix turns into the
+    # true series, and westbury counts cycles, which is the series only on
+    # genus 0
+    degree = 6
+    hol = random_holonomy(g, seed=seed)
+    det = nonplanar_fix(series_Z(g, None, degree), g)
+    for h, series in ((None, det), (hol, nonplanar_fix(series_Z(g, hol, degree), g))):
+        rows = compare_with_evaluations(g, h, series, degree)
+        assert all(ok for _, _, _, ok in rows), [r for r in rows if not r[3]]
+    assert nonplanar_fix(inverse_series(abelian_curve_sum(g), degree), g) == det
+    if g.genus:
+        with pytest.raises(RegimeError):
+            westbury_polynomial(g)
+    else:
+        w = westbury_polynomial(g)
+        assert pfaffian_dimer_sum(g) == w
+        assert inverse_series(w * w, degree) == det
