@@ -26,8 +26,8 @@ from .evaluator import bracket_square, eval_spin_network, theta_value
 from .graphs import (Graph, check_coloring, is_admissible, load_coloring, load_graph,
                      load_holonomy, parse_json, read_input, vertex_colors)
 from .haar import mc_bracket, mc_orthogonality, mc_W_point
-from .polyring import MAX_EXPONENT, inverse_series
-from .rational import format_exact
+from .polyring import MAX_EXPONENT, MPoly, inverse_series
+from .rational import QQi, format_exact
 from .series import (abelian_curve_sum, compare_with_evaluations, nonplanar_fix,
                      pfaffian_dimer_sum, series_Z, westbury_polynomial)
 
@@ -67,8 +67,8 @@ def _float_text(x: float) -> str:
 
 def _write(obj, put, nl: str):
     """Write obj through put() as `json.dumps(obj, sort_keys=True, indent=2)`
-    would, with floats by _float_text; nl is the newline and indent of the
-    line obj starts on."""
+    would, with floats by _float_text and an MPoly as its term list; nl is
+    the newline and indent of the line obj starts on."""
     if isinstance(obj, str):
         put(_escape(obj))
     elif obj is None:
@@ -104,8 +104,35 @@ def _write(obj, put, nl: str):
             _write(obj[k], put, inner)
             sep = ","
         put(nl + "}")
+    elif isinstance(obj, MPoly):
+        _write_terms(obj, put, nl)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_terms(poly: MPoly, put, nl: str):
+    """Write poly's term list, each term {"exponents": {name: e}, "im": im,
+    "re": re} in key order, straight from its packed keys."""
+    if not poly.terms:
+        put("[]")
+        return
+    term_nl = nl + "  "
+    field_nl = term_nl + "  "
+    exp_nl = field_nl + "  "
+    ns = poly.ns
+    # json sorts keys before it escapes them, so sort the raw names
+    fields = [(ns.shift(name), f"{exp_nl}{_escape(name)}: ") for name in sorted(ns.names)]
+    sep = "["
+    for key in sorted(poly.terms):
+        c = poly.terms[key]
+        re, im = (c.re, c.im) if isinstance(c, QQi) else (c, 0)
+        exps = ",".join(f"{label}{e}" for s, label in fields
+                        if (e := key >> s & MAX_EXPONENT))
+        exps = f"{{{exps}{field_nl}}}" if exps else "{}"
+        put(f'{sep}{term_nl}{{{field_nl}"exponents": {exps},{field_nl}"im": "{im}",'
+            f'{field_nl}"re": "{re}"{term_nl}}}')
+        sep = ","
+    put(nl + "]")
 
 
 def _emit(obj):
@@ -204,7 +231,7 @@ def _cmd_series(args):
         "method": args.method,
         "degree": degree,
         "sign_fixed": sign_fixed,
-        "series": {"degree": degree, "terms": series.to_obj()},
+        "series": {"degree": degree, "terms": series},
     }
     if args.check_against_eval:
         rows = compare_with_evaluations(graph, holonomy, series, degree)

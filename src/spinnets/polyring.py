@@ -284,15 +284,6 @@ class MPoly:
             bits.append(f"({c.re}{'+' if c.im >= 0 else ''}{c.im}i){'*' + mono if mono else ''}")
         return " + ".join(bits)
 
-    # -- serialization ---------------------------------------------------
-    def to_obj(self):
-        out = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            c = c if isinstance(c, QQi) else QQi(c)
-            out.append({"exponents": self.ns.decode(k), "re": str(c.re), "im": str(c.im)})
-        return out
-
 
 # ---------------------------------------------------------------------------
 # edge-contraction operator

@@ -278,42 +278,56 @@ def abelian_curve_sum(graph: Graph, t: dict | None = None) -> MPoly:
     the blown-up graph; equals det(W1) and, inverted, the generating series
     for the diagonal holonomy diag(t_h, t_h^{-1})."""
     ns, links = _blown_up(graph, t)
-    n = len(links)
     adj = [sorted(row.items()) for row in links]
     # per node v, the dimers {v, u} with u > v: every product of a link from
     # v to u with a link back
     dimers = [[(u, [(k1 + k2, c1 * c2) for k1, c1 in ls for k2, c2 in links[u][v]])
                for u, ls in row if u > v] for v, row in enumerate(adj)]
-    acc: dict = {}
+    memo = {0: {0: 1}}
 
-    def cover(mask, key, coeff, parity):
-        if not mask:
-            acc[key] = acc.get(key, 0) + (-coeff if parity & 1 else coeff)
-            return
+    def cover(mask) -> dict:
+        """{key: coeff} summed over the covers of the nodes in mask, each
+        dimer or cycle flipping the sign; the first piece covers the lowest
+        node v, and the covers of what it leaves are looked up by mask."""
+        got = memo.get(mask)
+        if got is not None:
+            return got
         v = (mask & -mask).bit_length() - 1
         mask_v = mask & ~(1 << v)
+        # the first pieces, grouped by the nodes they leave uncovered
+        first: dict = {}
         for u, products in dimers[v]:
             if (mask_v >> u) & 1:
+                piece = first.setdefault(mask_v & ~(1 << u), {})
                 for kd, cd in products:
-                    cover(mask_v & ~(1 << u), key + kd, coeff * cd, parity + 1)
+                    piece[kd] = piece.get(kd, 0) + cd
 
         # oriented cycles of length >= 3 through v (v is the minimum node)
         def walk(cur, mask2, key2, coeff2, length):
             for u, ls in adj[cur]:
                 if u == v:
                     if length >= 3:
+                        piece = first.setdefault(mask2, {})
                         for ke, ce in ls:
-                            cover(mask2, key2 + ke, coeff2 * ce, parity + 1)
+                            piece[key2 + ke] = piece.get(key2 + ke, 0) + coeff2 * ce
                     continue
                 if not (mask2 >> u) & 1:
                     continue
                 for ke, ce in ls:
                     walk(u, mask2 & ~(1 << u), key2 + ke, coeff2 * ce, length + 1)
 
-        walk(v, mask_v, key, coeff, 1)
+        walk(v, mask_v, 0, 1, 1)
+        # zeros are kept until the end, so each coefficient's ring is the one
+        # its products give; a cover uses each angle link at most twice, so
+        # no exponent passes 2 and the keys need no overflow check
+        acc: dict = {}
+        for rest, piece in first.items():
+            _mul_acc(acc, piece, cover(rest), -1)
+        memo[mask] = acc
+        return acc
 
-    cover((1 << n) - 1, 0, 1, n)  # global factor (-1)^n via start parity
-    return MPoly(ns, _nonzero(acc))
+    # the global sign (-1)^n is 1, as the n = 2E nodes come in edge pairs
+    return MPoly(ns, _nonzero(cover((1 << len(links)) - 1)))
 
 
 def pfaffian_dimer_sum(graph: Graph) -> MPoly:

@@ -4,9 +4,10 @@ These deliberately avoid the library's contraction path: the tetrahedron
 oracle is the classical single-sum factorial formula, the naive edge
 operator applies first-order derivatives one at a time, the naive
 determinant is cofactor expansion, the spinor phase pairs 2x2 SU(2)
-matrices with a Hopf spinor instead of multiplying quaternions, and the
-report text is json.dumps of a rounded copy instead of the CLI's one-pass
-writer.
+matrices with a Hopf spinor instead of multiplying quaternions, the
+report text is json.dumps of a rounded copy (a polynomial expanded into its
+term list) instead of the CLI's one-pass writer, and the curve sum walks
+every cover of the blown-up graph instead of memoising by uncovered nodes.
 """
 
 import json
@@ -16,7 +17,9 @@ from math import factorial
 import numpy as np
 
 from spinnets.evaluator import theta_value
-from spinnets.polyring import MPoly
+from spinnets.polyring import MPoly, _nonzero
+from spinnets.rational import QQi
+from spinnets.series import _blown_up
 
 # bundled tetrahedron edge ids in the single-sum formula's positions:
 # triples (A,B,E), (C,D,E), (A,D,F), (B,C,F) match vertices a, b, c, d
@@ -119,11 +122,24 @@ def spinor_phase(gv, gw, n) -> complex:
     return complex(np.vdot(gv @ u, gw @ u))
 
 
+def mpoly_obj(p: MPoly) -> list:
+    """The term list a report gives for p: per key in order, its exponents
+    by name and its coefficient's real and imaginary parts as text."""
+    out = []
+    for k in sorted(p.terms):
+        c = p.terms[k]
+        c = c if isinstance(c, QQi) else QQi(c)
+        out.append({"exponents": p.ns.decode(k), "re": str(c.re), "im": str(c.im)})
+    return out
+
+
 def _sanitize(obj):
-    """Round floats to 10 significant digits, folding -0.0 into 0.0, and
-    turn tuples into lists."""
+    """Round floats to 10 significant digits, folding -0.0 into 0.0, turn
+    tuples into lists and polynomials into their term lists."""
     if isinstance(obj, float):
         return float(f"{obj:.10g}") + 0.0
+    if isinstance(obj, MPoly):
+        return mpoly_obj(obj)
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -134,3 +150,43 @@ def _sanitize(obj):
 def report_text(obj) -> str:
     """The text of a CLI report object, without its final newline."""
     return json.dumps(_sanitize(obj), sort_keys=True, indent=2)
+
+
+def curve_sum_walk(graph, t=None) -> MPoly:
+    """series.abelian_curve_sum by walking every cover of the blown-up graph
+    once: each dimer or oriented cycle through the lowest uncovered node in
+    turn, the sign kept as a running parity."""
+    ns, links = _blown_up(graph, t)
+    n = len(links)
+    adj = [sorted(row.items()) for row in links]
+    dimers = [[(u, [(k1 + k2, c1 * c2) for k1, c1 in ls for k2, c2 in links[u][v]])
+               for u, ls in row if u > v] for v, row in enumerate(adj)]
+    acc: dict = {}
+
+    def cover(mask, key, coeff, parity):
+        if not mask:
+            acc[key] = acc.get(key, 0) + (-coeff if parity & 1 else coeff)
+            return
+        v = (mask & -mask).bit_length() - 1
+        mask_v = mask & ~(1 << v)
+        for u, products in dimers[v]:
+            if (mask_v >> u) & 1:
+                for kd, cd in products:
+                    cover(mask_v & ~(1 << u), key + kd, coeff * cd, parity + 1)
+
+        def walk(cur, mask2, key2, coeff2, length):
+            for u, ls in adj[cur]:
+                if u == v:
+                    if length >= 3:
+                        for ke, ce in ls:
+                            cover(mask2, key2 + ke, coeff2 * ce, parity + 1)
+                    continue
+                if not (mask2 >> u) & 1:
+                    continue
+                for ke, ce in ls:
+                    walk(u, mask2 & ~(1 << u), key2 + ke, coeff2 * ce, length + 1)
+
+        walk(v, mask_v, key, coeff, 1)
+
+    cover((1 << n) - 1, 0, 1, n)  # global factor (-1)^n via start parity
+    return MPoly(ns, _nonzero(acc))

@@ -15,6 +15,8 @@ from oracles import report_text
 
 from spinnets import bundled_graph_path
 from spinnets.cli import dispatch
+from spinnets.polyring import MAX_EXPONENT, MPoly, Namespace
+from spinnets.rational import QQi
 
 
 def run_cli(*argv):
@@ -637,6 +639,46 @@ _REPORTS = st.recursive(
 @given(_REPORTS)
 def test_report_writer_matches_json(obj):
     assert _emitted(obj) == report_text(obj) + "\n"
+
+
+_NAMES = st.text(st.one_of(st.characters(), st.sampled_from('az"\\é\x7f\x01€😀')), max_size=4)
+_PARTS = st.integers(-10**30, 10**30) | st.fractions()
+_COEFFS = st.one_of(
+    st.integers(-10**30, 10**30), st.fractions(),
+    st.builds(QQi, _PARTS, _PARTS)).filter(bool)
+
+
+@st.composite
+def _mpolys(draw):
+    ns = Namespace(draw(st.lists(_NAMES, max_size=4, unique=True)))
+    exps = st.fixed_dictionaries({n: st.integers(0, MAX_EXPONENT) for n in ns.names})
+    keys = st.one_of(st.just(0), exps.map(ns.encode))
+    return MPoly(ns, draw(st.dictionaries(keys, _COEFFS, max_size=5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(
+    st.one_of(_mpolys(), _REPORT_LEAVES),
+    lambda kids: st.one_of(st.lists(kids, max_size=3), st.dictionaries(_TEXT, kids, max_size=3)),
+    max_leaves=8))
+def test_polynomial_writer_matches_term_list(obj):
+    assert _emitted(obj) == report_text(obj) + "\n"
+
+
+def test_series_names_sort_by_raw_text(tmp_path):
+    # raw, "z:01" sorts before 'é"x:01'; escaped, '\u00e9\"x:01' sorts first
+    rename = {"u": 'é"x', "v": "z"}
+    obj = json.loads(bundled_graph_path("theta").read_text())
+    obj["vertices"] = [{**v, "id": rename[v["id"]]} for v in obj["vertices"]]
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(obj))
+    rc, out = run_cli("series", "-g", str(gpath), "--degree", "4")
+    assert rc == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    _, plain = run_cli("series", "-g", "theta", "--degree", "4")
+    renamed = [{**t, "exponents": {rename[a[0]] + a[1:]: e for a, e in t["exponents"].items()}}
+               for t in json.loads(plain)["results"]["series"]["terms"]]
+    assert json.loads(out)["results"]["series"]["terms"] == renamed
 
 
 def test_report_writer_raises_type_error():

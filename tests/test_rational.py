@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from spinnets.cli import _write
 from spinnets.errors import InputError
 from spinnets.polyring import MPoly, Namespace
 from spinnets.rational import (QQi, denominator, div_exact, format_exact, narrow,
@@ -96,6 +97,13 @@ def test_int_parts_division_never_floats():
         assert type(got.re) is int and type(got.im) is int, got
 
 
+def _report_text(p: MPoly) -> str:
+    """The text a report gives for p."""
+    parts = []
+    _write(p, parts.append, "\n")
+    return "".join(parts)
+
+
 def test_int_and_fraction_parts_agree():
     pairs = [(QQi(3, -4), QQi(Fraction(3), Fraction(-4))),
              (QQi(0, 1), QQi(Fraction(0), Fraction(1))),
@@ -107,9 +115,10 @@ def test_int_and_fraction_parts_agree():
         assert i == f and hash(i) == hash(f)
         assert format_exact(i) == format_exact(f)
         assert repr(i) == repr(f)
-        assert MPoly.var(ns, "x", i).to_obj() == MPoly.var(ns, "x", f).to_obj()
-    assert MPoly.var(ns, "x", 7).to_obj() == MPoly.var(ns, "x", Fraction(7)).to_obj() == [
-        {"exponents": {"x": 1}, "re": "7", "im": "0"}]
+        assert _report_text(MPoly.var(ns, "x", i)) == _report_text(MPoly.var(ns, "x", f))
+    assert (_report_text(MPoly.var(ns, "x", 7)) == _report_text(MPoly.var(ns, "x", Fraction(7)))
+            == '[\n  {\n    "exponents": {\n      "x": 1\n    },\n    "im": "0",\n'
+               '    "re": "7"\n  }\n]')
     assert QQi(7) == 7 == QQi(Fraction(7)) and hash(QQi(7)) == hash(7)
     assert {QQi(2, 1): "a"}[QQi(Fraction(2), Fraction(1))] == "a"
 

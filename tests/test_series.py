@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import presentations, random_holonomy, shear_gauge, shear_gauges
+from oracles import curve_sum_walk
 from spinnets import series as series_module
 from spinnets.errors import InputError, RegimeError
 from spinnets.graphs import Graph, Holonomy, gauge_transform
@@ -267,6 +268,28 @@ def test_w1_determinant_stays_off_qqi(theta, prism):
         d = det_poly(w1_matrix(g, tt)[1])
         assert not any(isinstance(c, QQi) for c in d.terms.values())
         assert d == abelian_curve_sum(g, tt)
+
+
+def _assert_same_terms(got: MPoly, want: MPoly):
+    assert got == want
+    assert {k: type(c) for k, c in got.terms.items()} == {
+        k: type(c) for k, c in want.terms.items()}
+
+
+def test_curve_sum_matches_walk_oracle(theta, tet, prism, tetnp):
+    rng = random.Random(29)
+    for g in (theta, tet, prism, tetnp):
+        for t in (None, {h: Fraction(rng.randint(1, 5), rng.randint(1, 5))
+                         for h in g.halfedges}):
+            _assert_same_terms(abelian_curve_sum(g, t), curve_sum_walk(g, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=presentations(4), data=st.data())
+def test_curve_sum_matches_walk_oracle_on_random_presentations(g, data):
+    t = data.draw(st.none() | st.fixed_dictionaries(
+        {h: st.fractions(-4, 4, max_denominator=4).filter(bool) for h in g.halfedges}))
+    _assert_same_terms(abelian_curve_sum(g, t), curve_sum_walk(g, t))
 
 
 def test_curves_constant_term_and_zero_t(theta):
