@@ -4,7 +4,9 @@ asymptotics of the squared-evaluation bracket under color rescaling.
 A configuration assigns a unit vector to every oriented edge so that the
 color-weighted vectors close at each vertex.  Configurations are found by
 multistart least squares (a numpy Levenberg-Marquardt with an analytic
-Jacobian), deduplicated modulo simultaneous rotation, and kept in +/- pairs.
+Jacobian, run once per chunk of restarts on stacked arrays, every restart
+on the path and the bits of a solve from its start alone), deduplicated
+modulo simultaneous rotation, and kept in +/- pairs.
 Every rotation is an orthonormal frame built from two edge vectors.  For a
 pair of configurations the per-edge phases come from the unique per-vertex
 rotations carrying one onto the other, as quaternion lifts (the unit
@@ -38,10 +40,12 @@ __all__ = [
     "detprime",
     "detprime_limit",
     "asymptotic_estimate",
+    "scale_prefactor",
 ]
 
 _KERNEL_THRESHOLD = 1e-8
 _PHASE_THRESHOLD = 1e-6
+_CHUNK = 64  # restarts per batched least-squares call; bounds the search's memory
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +99,14 @@ def _signed_colors(graph: Graph, coloring: dict):
 
 
 def _closure(graph: Graph, coloring: dict):
-    """The closure map: unit vectors (E, 3) -> (V, 3), each row the sum over
-    the vertex's three half-edges of color x orientation sign x edge vector,
-    added left to right."""
+    """The closure map: unit vectors (..., E, 3) -> (..., V, 3), each row the
+    sum over the vertex's three half-edges of color x orientation sign x edge
+    vector, added left to right."""
     idx, coef = _signed_colors(graph, coloring)
 
     def closure(p):
-        t = coef[:, :, None] * p[idx]
-        return t[:, 0] + t[:, 1] + t[:, 2]
+        t = coef[:, :, None] * p[..., idx, :]
+        return t[..., 0, :] + t[..., 1, :] + t[..., 2, :]
     return closure
 
 
@@ -111,7 +115,7 @@ def _search_system(graph: Graph, coloring: dict):
     in the flattened edge vectors m (E, 3), and its Jacobian: the block of
     vertex v and edge e is sum_j coef[v, j] (I - u_e u_e^T)/|m_e| over the
     half-edges j of v on e (u = m/|m|), and the norm row of edge e is
-    2 m_e^T."""
+    2 m_e^T.  Both maps take x of shape (..., 3E), one start per row."""
     closure = _closure(graph, coloring)
     idx, coef = _signed_colors(graph, coloring)
     nv, ne = len(idx), len(graph.edge_ids)
@@ -120,64 +124,122 @@ def _search_system(graph: Graph, coloring: dict):
     diag = np.eye(ne)[:, :, None]
 
     def residuals(x):
-        m = x.reshape(ne, 3)
-        norms = np.linalg.norm(m, axis=1)
-        return np.concatenate([closure(m / norms[:, None]).ravel(), norms * norms - 1.0])
+        m = x.reshape(x.shape[:-1] + (ne, 3))
+        norms = np.linalg.norm(m, axis=-1)
+        r = closure(m / norms[..., None]).reshape(x.shape[:-1] + (3 * nv,))
+        return np.concatenate([r, norms * norms - 1.0], axis=-1)
 
     def jac(x):
-        m = x.reshape(ne, 3)
-        norms = np.linalg.norm(m, axis=1)
-        u = m / norms[:, None]
-        proj = (np.eye(3) - u[:, :, None] * u[:, None, :]) / norms[:, None, None]
-        blocks = (c[:, :, None, None] * proj).transpose(0, 2, 1, 3).reshape(3 * nv, 3 * ne)
-        return np.vstack([blocks, (2.0 * diag * m).reshape(ne, 3 * ne)])
+        lead = x.shape[:-1]
+        m = x.reshape(lead + (ne, 3))
+        norms = np.linalg.norm(m, axis=-1)
+        u = m / norms[..., None]
+        proj = (np.eye(3) - u[..., :, None] * u[..., None, :]) / norms[..., None, None]
+        blocks = (c[:, :, None, None] * proj[..., None, :, :, :]).swapaxes(-3, -2)
+        return np.concatenate([blocks.reshape(lead + (3 * nv, 3 * ne)),
+                               (2.0 * diag * m[..., None, :, :]).reshape(lead + (ne, 3 * ne))],
+                              axis=-2)
     return closure, residuals, jac
 
 
 @dataclass
 class _LMResult:
-    x: np.ndarray
-    nfev: int
+    x: np.ndarray        # (B, n), the last accepted point of every row
+    nfevs: np.ndarray    # (B,) evaluations of fun per row
+    errors: list         # per row, the exception that stopped it, or None
+    nfev: int            # evaluations over the whole batch
+
+
+def _row_dot(a, b):
+    """Per-row dot products of two (B, n) stacks.  matmul forms each as one
+    dot of two vectors, the same bits as a 1-D a @ b."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _normal_equations(J, f):
+    """J^T J and J^T f of every row of a (B, m, n) stack and a (B, m) one."""
+    Jt = J.transpose(0, 2, 1)
+    return Jt @ J, (Jt @ f[:, :, None])[:, :, 0]
+
+
+def _solve_rows(M, b):
+    """Solutions of M x = b for a (B, n, n) and a (B, n) stack, and the
+    indices of the rows whose matrix is singular with their LinAlgErrors.  A
+    stacked solve raises for the whole stack, so the rows are then solved
+    one by one."""
+    try:
+        return np.linalg.solve(M, b[:, :, None])[:, :, 0], {}
+    except np.linalg.LinAlgError:
+        pass
+    h = np.zeros_like(b)
+    singular = {}
+    for i in range(len(b)):
+        try:
+            h[i] = np.linalg.solve(M[i:i + 1], b[i:i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError as exc:
+            singular[i] = exc
+    return h, singular
 
 
 def least_squares(fun, x0, *, jac, xtol, ftol, gtol, max_nfev):
-    """Levenberg-Marquardt minimum of |fun(x)|^2 / 2 with Nielsen's damping
-    update, starting from mu = 1e-3 max diag(J^T J) (Madsen, Nielsen &
-    Tingleff 2004, algorithm 3.16).  Stops when no gradient entry exceeds
-    gtol, when a step is at most xtol (|x| + xtol) long, when an accepted
-    step lowers the cost by at most ftol times it, or after max_nfev
-    evaluations of fun.  A trial point with non-finite residuals is
-    rejected like any other uphill step; a non-finite start raises
-    ValueError."""
-    x = np.asarray(x0, dtype=float)
+    """Levenberg-Marquardt minima of |fun(x)|^2 / 2 from every row of x0
+    (B, n), with Nielsen's damping update, starting from
+    mu = 1e-3 max diag(J^T J) (Madsen, Nielsen & Tingleff 2004, algorithm
+    3.16).  fun maps (B', n) rows to (B', m) residuals and jac maps them to
+    (B', m, n) Jacobians.  All rows step together; each takes exactly the
+    path, and the floating-point operations, of a solve from its start alone.
+
+    A row stops when no gradient entry exceeds gtol, when a step is at most
+    xtol (|x| + xtol) long, when an accepted step lowers the cost by at most
+    ftol times it, or after max_nfev evaluations of fun.  A trial point with
+    non-finite residuals is rejected like any other uphill step.  A row whose
+    start has non-finite residuals gets a ValueError, and one whose damped
+    normal matrix is singular gets the solver's LinAlgError; the other rows
+    go on."""
+    x = np.array(x0, dtype=float)
+    nb, n = x.shape
     f = fun(x)
-    nfev = 1
-    if not np.all(np.isfinite(f)):
-        raise ValueError("residuals are not finite at the starting point")
-    cost = 0.5 * float(f @ f)
-    J = jac(x)
-    A, g = J.T @ J, J.T @ f
-    mu, nu = 1e-3 * float(np.max(np.diag(A))), 2.0
-    eye = np.eye(len(x))
-    while nfev < max_nfev and np.max(np.abs(g)) > gtol:
-        h = np.linalg.solve(A + mu * eye, -g)
-        if np.linalg.norm(h) <= xtol * (np.linalg.norm(x) + xtol):
-            break
-        f_new = fun(x + h)
-        nfev += 1
-        cost_new = 0.5 * float(f_new @ f_new)
-        rho = (cost - cost_new) / (0.5 * float(h @ (mu * h - g)))
-        if not rho > 0:  # uphill, or residuals not finite
-            mu, nu = mu * nu, 2.0 * nu
-            continue
-        small_drop = cost - cost_new <= ftol * cost
-        x, f, cost = x + h, f_new, cost_new
-        J = jac(x)
-        A, g = J.T @ J, J.T @ f
-        mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
-        if small_drop:
-            break
-    return _LMResult(x, nfev)
+    nfevs = np.ones(nb, dtype=int)
+    errors = [None] * nb
+    finite = np.all(np.isfinite(f), axis=1)
+    for i in np.flatnonzero(~finite):
+        errors[i] = ValueError("residuals are not finite at the starting point")
+    act = np.flatnonzero(finite)  # the rows still stepping
+    cost = np.zeros(nb)
+    A, g = np.zeros((nb, n, n)), np.zeros((nb, n))
+    mu, nu = np.zeros(nb), np.full(nb, 2.0)
+    cost[act] = 0.5 * _row_dot(f[act], f[act])
+    A[act], g[act] = _normal_equations(jac(x[act]), f[act])
+    mu[act] = 1e-3 * np.max(np.diagonal(A[act], axis1=1, axis2=2), axis=1)
+    eye = np.eye(n)
+    while act.size:
+        act = act[(nfevs[act] < max_nfev) & (np.max(np.abs(g[act]), axis=1) > gtol)]
+        h, singular = _solve_rows(A[act] + mu[act, None, None] * eye, -g[act])
+        go = ~(np.sqrt(_row_dot(h, h)) <= xtol * (np.sqrt(_row_dot(x[act], x[act])) + xtol))
+        for i, exc in singular.items():
+            errors[act[i]] = exc
+            go[i] = False
+        act, h = act[go], h[go]
+        x_new = x[act] + h
+        f_new = fun(x_new)
+        nfevs[act] += 1
+        cost_new = 0.5 * _row_dot(f_new, f_new)
+        rho = (cost[act] - cost_new) / (0.5 * _row_dot(h, mu[act, None] * h - g[act]))
+        keep = ~(rho > 0)  # uphill, or residuals not finite: damp more
+        rows = act[keep]
+        mu[rows], nu[rows] = mu[rows] * nu[rows], 2.0 * nu[rows]
+        down = rho > 0
+        rows = act[down]
+        small_drop = cost[rows] - cost_new[down] <= ftol * cost[rows]
+        x[rows], f[rows], cost[rows] = x_new[down], f_new[down], cost_new[down]
+        A[rows], g[rows] = _normal_equations(jac(x[rows]), f[rows])
+        # Python floats, row by row: numpy's vectorised ** is not libm's pow
+        for i, r in zip(rows, rho[down].tolist()):
+            mu[i] = mu[i] * max(1.0 / 3.0, 1.0 - (2.0 * r - 1.0) ** 3)
+        nu[rows] = 2.0
+        keep[down] = ~small_drop
+        act = act[keep]
+    return _LMResult(x, nfevs, errors, int(nfevs.sum()))
 
 
 def _frame(p1, p2):
@@ -210,8 +272,10 @@ def find_configs(graph: Graph, coloring: dict, restarts: int = 200,
     Returns rotation-class representatives (canonically rotated), with -P
     included for every P found.  Completeness is not certified; hit counts
     per class are recorded and a warning is emitted when the restart budget
-    looks thin.  A restart whose solve raises ValueError or LinAlgError is
-    skipped; the count and the first error go into one warning per call."""
+    looks thin.  The restarts are solved _CHUNK at a time by one batched
+    least_squares call.  A restart whose solve stops on a ValueError or a
+    LinAlgError is skipped; the count and the error of the lowest-numbered
+    such restart go into one warning per call."""
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
     if not (math.isfinite(tol) and tol > 0):
@@ -228,27 +292,28 @@ def find_configs(graph: Graph, coloring: dict, restarts: int = 200,
                 and float(np.max(np.abs(cfg.gram - other.gram))) < 1e-6)
 
     raised = []
-    for _ in range(restarts):
-        x0 = rng.standard_normal((ne, 3))
-        x0 /= np.linalg.norm(x0, axis=1, keepdims=True)
-        try:
-            sol = least_squares(residuals, x0.ravel(), jac=jac,
-                                xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=4000)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raised.append(exc)
-            continue
-        p = sol.x.reshape(ne, 3)
-        p /= np.linalg.norm(p, axis=1, keepdims=True)
-        res = float(np.max(np.linalg.norm(closure(p), axis=1)))
-        if res > tol:
-            continue
-        cfg = _make_config(_canonical_rotation(p), res)
-        for other in found:
-            if same_class(cfg, other):
-                other.hits += 1
-                break
-        else:
-            found.append(cfg)
+    for start in range(0, restarts, _CHUNK):
+        # one draw per chunk gives the numbers of one draw per restart
+        x0 = rng.standard_normal((min(_CHUNK, restarts - start), ne, 3))
+        x0 /= np.linalg.norm(x0, axis=-1, keepdims=True)
+        sol = least_squares(residuals, x0.reshape(len(x0), 3 * ne), jac=jac,
+                            xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=4000)
+        for x, exc in zip(sol.x, sol.errors):
+            if exc is not None:
+                raised.append(exc)
+                continue
+            p = x.reshape(ne, 3)
+            p /= np.linalg.norm(p, axis=1, keepdims=True)
+            res = float(np.max(np.linalg.norm(closure(p), axis=1)))
+            if res > tol:
+                continue
+            cfg = _make_config(_canonical_rotation(p), res)
+            for other in found:
+                if same_class(cfg, other):
+                    other.hits += 1
+                    break
+            else:
+                found.append(cfg)
 
     # closure under negation (always a solution; a distinct class unless planar)
     for cfg in list(found):
@@ -569,6 +634,21 @@ def check_hypotheses(graph: Graph, coloring: dict, configs) -> HypothesesReport:
 # leading-order estimate
 # ---------------------------------------------------------------------------
 
+def scale_prefactor(graph: Graph, k) -> float:
+    """(2N)^{3/2} / (pi k^3)^{N-1} at the scale k, N = E - V; a k at which
+    this is not a finite positive float raises DomainError."""
+    n_exc = graph.N
+    try:
+        prefactor = (2.0 * n_exc) ** 1.5 / (np.pi * k ** 3) ** (n_exc - 1)
+    except OverflowError:
+        prefactor = 0.0
+    if not (math.isfinite(prefactor) and prefactor > 0):
+        shown = k if k < 10 ** 15 else f"~1e{len(str(k)) - 1}"
+        raise DomainError(f"scale k = {shown} is out of floating-point range: the prefactor "
+                          "(2N)^(3/2) / (pi k^3)^(N-1) is not a finite positive float")
+    return prefactor
+
+
 def asymptotic_estimate(graph: Graph, coloring: dict, report: HypothesesReport,
                         ks) -> list[dict]:
     """Two-sum leading-order value of the rescaled bracket at every scale k
@@ -579,7 +659,9 @@ def asymptotic_estimate(graph: Graph, coloring: dict, report: HypothesesReport,
     configurations (each +/- class contributes twice the real part, realized
     as the sum over both ordered representatives).  The determinants, the
     critical pairs and their extrapolated limits are computed once; only the
-    pair phases and the prefactor depend on k."""
+    pair phases and the prefactor depend on k.  A k whose prefactor is not a
+    finite positive float raises DomainError before any work."""
+    prefactors = [scale_prefactor(graph, k) for k in ks]
     configs = report.configs
     eids = graph.edge_ids
     n_exc = graph.N
@@ -601,7 +683,7 @@ def asymptotic_estimate(graph: Graph, coloring: dict, report: HypothesesReport,
         pairs.append(((i, j), pair.thetas, (1j ** n_exc) * root_det_r[i],
                       sqrt_lim * sin_prod))
     rows = []
-    for k in ks:
+    for k, prefactor in zip(ks, prefactors):
         second = 0.0
         pair_terms = []
         for ij, thetas, amp, den in pairs:
@@ -610,7 +692,6 @@ def asymptotic_estimate(graph: Graph, coloring: dict, report: HypothesesReport,
             second += z.real
             pair_terms.append({"pair": ij, "contribution": z.real,
                                "thetas": {e: thetas[e] for e in eids}})
-        prefactor = (2.0 * n_exc) ** 1.5 / (np.pi * k ** 3) ** (n_exc - 1)
         rows.append({
             "k": k,
             "value": prefactor * (first + second),

@@ -324,13 +324,16 @@ def _cmd_integrate(args):
     return 0
 
 
-def _configs_and_report(args):
+def _configs_and_report(args, ks=()):
     """Graph, coloring, input digests, critical configurations and their
-    hypothesis report, shared by check and asymptote."""
-    from .asymptotics import check_hypotheses, find_configs
+    hypothesis report, shared by check and asymptote; asymptote's scales ks
+    are checked against the graph before the search."""
+    from .asymptotics import check_hypotheses, find_configs, scale_prefactor
 
     graph, _, inputs = _load_inputs(args)
     coloring = _load_coloring_arg(args.coloring, graph)
+    for k in ks:
+        scale_prefactor(graph, k)
     configs = find_configs(graph, coloring, restarts=args.restarts, tol=args.tol,
                            seed=args.seed)
     return graph, coloring, inputs, configs, check_hypotheses(graph, coloring, configs)
@@ -366,7 +369,7 @@ def _cmd_asymptote(args):
         raise InputError("--k-list is empty")
     if min(ks) < 1:
         raise InputError(f"--k-list values must be >= 1, got {args.k_list!r}")
-    graph, coloring, inputs, configs, report = _configs_and_report(args)
+    graph, coloring, inputs, configs, report = _configs_and_report(args, ks)
     if not configs:
         raise HypothesisError("no critical configurations found")
     if not report.passed:

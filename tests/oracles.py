@@ -6,16 +6,20 @@ operator applies first-order derivatives one at a time, the naive
 determinant is cofactor expansion, the spinor phase pairs 2x2 SU(2)
 matrices with a Hopf spinor instead of multiplying quaternions, the
 report text is json.dumps of a rounded copy (a polynomial expanded into its
-term list) instead of the CLI's one-pass writer, and the curve sum walks
-every cover of the blown-up graph instead of memoising by uncovered nodes.
+term list) instead of the CLI's one-pass writer, the curve sum walks
+every cover of the blown-up graph instead of memoising by uncovered nodes,
+and the configuration search solves one restart at a time with a
+single-start Levenberg-Marquardt instead of stepping a batch of them.
 """
 
 import json
+import warnings
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
+from spinnets import asymptotics
 from spinnets.evaluator import theta_value
 from spinnets.polyring import MPoly, _nonzero
 from spinnets.rational import QQi
@@ -190,3 +194,100 @@ def curve_sum_walk(graph, t=None) -> MPoly:
 
     cover((1 << n) - 1, 0, 1, n)  # global factor (-1)^n via start parity
     return MPoly(ns, _nonzero(acc))
+
+
+def lm_single(fun, x0, *, jac, xtol, ftol, gtol, max_nfev):
+    """Levenberg-Marquardt from one start x0 (n,), fun and jac on 1-D x,
+    with Nielsen's damping update (Madsen, Nielsen & Tingleff 2004,
+    algorithm 3.16): the solver asymptotics.least_squares must reproduce
+    row by row.  Returns (x, nfev); a non-finite start raises ValueError and
+    a singular damped normal matrix raises LinAlgError."""
+    x = np.asarray(x0, dtype=float)
+    f = fun(x)
+    nfev = 1
+    if not np.all(np.isfinite(f)):
+        raise ValueError("residuals are not finite at the starting point")
+    cost = 0.5 * float(f @ f)
+    J = jac(x)
+    A, g = J.T @ J, J.T @ f
+    mu, nu = 1e-3 * float(np.max(np.diag(A))), 2.0
+    eye = np.eye(len(x))
+    while nfev < max_nfev and np.max(np.abs(g)) > gtol:
+        h = np.linalg.solve(A + mu * eye, -g)
+        if np.linalg.norm(h) <= xtol * (np.linalg.norm(x) + xtol):
+            break
+        f_new = fun(x + h)
+        nfev += 1
+        cost_new = 0.5 * float(f_new @ f_new)
+        rho = (cost - cost_new) / (0.5 * float(h @ (mu * h - g)))
+        if not rho > 0:  # uphill, or residuals not finite
+            mu, nu = mu * nu, 2.0 * nu
+            continue
+        small_drop = cost - cost_new <= ftol * cost
+        x, f, cost = x + h, f_new, cost_new
+        J = jac(x)
+        A, g = J.T @ J, J.T @ f
+        mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+        if small_drop:
+            break
+    return x, nfev
+
+
+def find_configs_per_restart(graph, coloring, restarts=200, tol=1e-10, seed=7):
+    """asymptotics.find_configs with one lm_single solve per restart, each
+    start drawn on its own: (configurations, per-restart nfev with None for
+    a restart that raised).  The search system is read from the module at
+    call time, so a test's patch of it reaches both searches."""
+    asymptotics._strict_triangles(graph, coloring)
+    ne = len(graph.edge_ids)
+    closure, residuals, jac = asymptotics._search_system(graph, coloring)
+    rng = np.random.default_rng(seed)
+    found = []
+    nfevs = []
+
+    def same_class(cfg, other):
+        return (cfg.triple_sign == other.triple_sign
+                and float(np.max(np.abs(cfg.gram - other.gram))) < 1e-6)
+
+    raised = []
+    for _ in range(restarts):
+        x0 = rng.standard_normal((ne, 3))
+        x0 /= np.linalg.norm(x0, axis=1, keepdims=True)
+        try:
+            x, nfev = lm_single(residuals, x0.ravel(), jac=jac,
+                                xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=4000)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            raised.append(exc)
+            nfevs.append(None)
+            continue
+        nfevs.append(nfev)
+        p = x.reshape(ne, 3)
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+        res = float(np.max(np.linalg.norm(closure(p), axis=1)))
+        if res > tol:
+            continue
+        cfg = asymptotics._make_config(asymptotics._canonical_rotation(p), res)
+        for other in found:
+            if same_class(cfg, other):
+                other.hits += 1
+                break
+        else:
+            found.append(cfg)
+
+    for cfg in list(found):
+        neg = asymptotics._make_config(asymptotics._canonical_rotation(-cfg.vectors),
+                                       cfg.residual, hits=0)
+        if not any(same_class(neg, other) for other in found):
+            found.append(neg)
+
+    if raised:
+        warnings.warn(f"find_configs: {len(raised)} of {restarts} restarts raised; "
+                      f"first: {raised[0]!r}", stacklevel=2)
+    if not found:
+        warnings.warn("find_configs: no restart converged below tol; "
+                      "empty configuration set", stacklevel=2)
+    elif restarts < 10 * len(found):
+        warnings.warn(f"find_configs: {len(found)} classes from {restarts} restarts; "
+                      "components may have been missed", stacklevel=2)
+    found.sort(key=lambda c: (c.triple_sign, np.round(c.gram, 8).tobytes()))
+    return found, nfevs

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +14,8 @@ import pytest
 
 import spinnets.asymptotics as asymptotics
 from conftest import build_cube_config
-from oracles import hopf_section, spinor_phase, tet_bracket_oracle
+from oracles import (find_configs_per_restart, hopf_section, lm_single, spinor_phase,
+                     tet_bracket_oracle)
 from spinnets.asymptotics import (Configuration, _canonical_rotation, _closure, _eigs,
                                   _frame, _make_config, _quaternion_from_rotation,
                                   _search_system, asymptotic_estimate, check_hypotheses,
@@ -21,6 +23,7 @@ from spinnets.asymptotics import (Configuration, _canonical_rotation, _closure, 
                                   form_qP, form_qpp, form_qkappa, form_r, least_squares)
 from spinnets.cli import dispatch
 from spinnets.errors import DomainError, HypothesisError, InputError
+from spinnets.graphs import vertex_colors
 from spinnets.haar import su2_matrix
 
 
@@ -93,18 +96,48 @@ def test_find_configs_tet(tet, tet_configs):
     assert len(few) == 2
 
 
+def _singular_at(system, x_bad):
+    """The search system with the start x_bad made singular: there its
+    residuals are 1e152 and its Jacobian entries 1e-165, so J^T J underflows
+    to the zero matrix (and mu to 0) while the gradient J^T f stays above
+    gtol, and the first damped solve of that start meets a zero matrix."""
+    closure, residuals, jac = system
+
+    def res(x):
+        f = residuals(x)
+        f[np.all(x == x_bad, axis=-1)] = 1e152
+        return f
+
+    def jac_(x):
+        J = jac(x)
+        J[np.all(x == x_bad, axis=-1)] = 1e-165
+        return J
+    return closure, res, jac_
+
+
+def _make_singular(graph, restarts, seed, row, monkeypatch):
+    """Patch the search system so that restart `row` of find_configs(graph,
+    ..., restarts, seed=seed) meets a singular damped normal matrix."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal((restarts, len(graph.edge_ids), 3))
+    x0 /= np.linalg.norm(x0, axis=-1, keepdims=True)
+    real = asymptotics._search_system
+    monkeypatch.setattr(asymptotics, "_search_system",
+                        lambda *a: _singular_at(real(*a), x0[row].ravel()))
+
+
 def test_find_configs_reports_raised_restarts(tet, monkeypatch):
-    # a restart that raises is skipped, counted and reported in one warning
+    # a restart that raises inside the batch is skipped, counted and
+    # reported in one warning; the other restarts of its batch go on
     real = asymptotics.least_squares
     calls = []
 
-    def flaky(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 1:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return real(*args, **kwargs)
+    def rows_seen(fun, x0, **kwargs):
+        calls.extend([1] * len(x0))
+        return real(fun, x0, **kwargs)
 
-    monkeypatch.setattr(asymptotics, "least_squares", flaky)
+    monkeypatch.setattr(asymptotics, "least_squares", rows_seen)
+    _make_singular(tet, 20, 7, 6, monkeypatch)
     with pytest.warns(UserWarning, match=r"1 of 20 restarts raised; first: LinAlgError"):
         configs = find_configs(tet, {e: 2 for e in tet.edge_ids}, restarts=20, seed=7)
     assert len(calls) == 20 and len(configs) == 2
@@ -120,16 +153,106 @@ def test_find_configs_reports_raised_restarts(tet, monkeypatch):
 
 
 def test_find_configs_refuses_bad_tol(tet, monkeypatch):
-    # a solver that returns its starting point converges nowhere; with
+    # a solver that returns its starting points converges nowhere; with
     # tol = nan, `res > tol` is never true and every restart would be kept
     monkeypatch.setattr(asymptotics, "least_squares",
-                        lambda fun, x0, **kwargs: SimpleNamespace(x=x0, nfev=0))
+                        lambda fun, x0, **kwargs: SimpleNamespace(
+                            x=x0, nfev=0, nfevs=np.zeros(len(x0), dtype=int),
+                            errors=[None] * len(x0)))
     col = {e: 2 for e in tet.edge_ids}
     for tol in (float("nan"), float("inf"), 0.0, -1e-10):
         with pytest.raises(DomainError, match="tol"):
             find_configs(tet, col, restarts=5, tol=tol)
     with pytest.warns(UserWarning, match="empty configuration set"):
         assert find_configs(tet, col, restarts=5) == []
+
+
+def _strict_admissible(graph, rng, top=8):
+    """A random coloring with even vertex sums and strict triangles."""
+    while True:
+        col = {e: int(c) for e, c in zip(graph.edge_ids,
+                                         rng.integers(1, top, len(graph.edge_ids)))}
+        if all((a + b + c) % 2 == 0 and a < b + c and b < a + c and c < a + b
+               for a, b, c in vertex_colors(graph, col)):
+            return col
+
+
+def _config_bits(configs):
+    return [(c.vectors.tobytes(), c.residual, c.gram.tobytes(), c.triple_sign, c.hits)
+            for c in configs]
+
+
+def _check_against_oracle(graph, col, restarts, seed, monkeypatch):
+    """find_configs against the per-restart oracle on one input: equal
+    configuration bits, per-restart nfev (None for a restart that raised)
+    and warning texts.  Returns the batched search's configurations, nfev
+    list and warning texts."""
+    real = asymptotics.least_squares
+    rows = []
+
+    def recorded(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        assert isinstance(sol.nfev, int) and sol.nfev == sum(sol.nfevs.tolist())
+        rows.extend(None if exc else int(n) for n, exc in zip(sol.nfevs, sol.errors))
+        return sol
+
+    monkeypatch.setattr(asymptotics, "least_squares", recorded)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        configs = find_configs(graph, col, restarts=restarts, seed=seed)
+        n = len(caught)
+        oracle, oracle_rows = find_configs_per_restart(graph, col, restarts, seed=seed)
+    monkeypatch.setattr(asymptotics, "least_squares", real)
+    texts = [str(w.message) for w in caught]
+    assert len(rows) == restarts
+    assert _config_bits(configs) == _config_bits(oracle)
+    assert rows == oracle_rows and texts[:n] == texts[n:]
+    return configs, rows, texts[:n]
+
+
+def test_batched_search_matches_per_restart_oracle(theta, tet, tetnp, prism, monkeypatch):
+    # every configuration and every restart's evaluation count, bit for bit,
+    # against one single-start solve per restart
+    rng = np.random.default_rng(2025)
+    cases = [(tet, {e: 2 for e in tet.edge_ids}, 30, 3)]
+    for graph in (theta, tet, tetnp, prism):
+        for restarts in (6, 17, 40):
+            cases.append((graph, _strict_admissible(graph, rng), restarts,
+                          int(rng.integers(0, 1000))))
+    for graph, col, restarts, seed in cases:
+        configs, _, _ = _check_against_oracle(graph, col, restarts, seed, monkeypatch)
+        assert configs or graph is prism
+
+
+def test_batched_search_across_chunks(tet, prism, monkeypatch):
+    # restarts beyond one chunk are drawn and solved chunk by chunk with
+    # the numbers of one draw per restart
+    monkeypatch.setattr(asymptotics, "_CHUNK", 7)
+    rng = np.random.default_rng(31)
+    real = asymptotics.least_squares
+    calls = []
+
+    def counted(fun, x0, **kwargs):
+        calls.append(len(x0))
+        return real(fun, x0, **kwargs)
+    for graph, chunks in ((tet, [7, 7, 6]), (prism, [7, 7, 1]), (tet, [7, 7])):
+        col = _strict_admissible(graph, rng)
+        calls.clear()
+        monkeypatch.setattr(asymptotics, "least_squares", counted)
+        _check_against_oracle(graph, col, sum(chunks), 5, monkeypatch)
+        assert calls == chunks
+
+
+def test_batched_search_with_a_singular_row(tet, monkeypatch):
+    # a row whose damped normal matrix is singular in the middle of a batch
+    # raises for itself alone; the warning names it as the oracle does
+    monkeypatch.setattr(asymptotics, "_CHUNK", 8)
+    _make_singular(tet, 20, 11, 10, monkeypatch)
+    col = {e: 2 for e in tet.edge_ids}
+    _, rows, texts = _check_against_oracle(tet, col, 20, 11, monkeypatch)
+    assert rows[10] is None and None not in rows[:10] + rows[11:]
+    assert any("1 of 20 restarts raised; first: LinAlgError('Singular matrix')" in t
+               for t in texts)
 
 
 def test_search_jacobian_matches_finite_differences(theta, tet, prism):
@@ -152,26 +275,60 @@ def test_search_jacobian_matches_finite_differences(theta, tet, prism):
             assert np.max(np.abs(J - fd)) < 1e-6
 
 
+def _rosen(x):
+    return np.stack([10 * (x[..., 1] - x[..., 0] ** 2), 1 - x[..., 0]], axis=-1)
+
+
+def _rosen_jac(x):
+    one = np.ones(x.shape[:-1])
+    return np.stack([np.stack([-20 * x[..., 0], 10.0 * one], axis=-1),
+                     np.stack([-1.0 * one, 0.0 * one], axis=-1)], axis=-2)
+
+
 def test_least_squares_linear_and_budget():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((7, 4))
     x_true = rng.standard_normal(4)
     b = a @ x_true
     tols = dict(xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    sol = least_squares(lambda x: a @ x - b, np.zeros(4), jac=lambda x: a,
+    sol = least_squares(lambda x: x @ a.T - b, np.zeros((1, 4)),
+                        jac=lambda x: np.broadcast_to(a, (len(x),) + a.shape),
                         max_nfev=200, **tols)
-    assert np.allclose(sol.x, x_true, rtol=0, atol=1e-12)
+    assert np.allclose(sol.x[0], x_true, rtol=0, atol=1e-12)
     assert 1 < sol.nfev <= 200
     # Rosenbrock from its usual start needs more than five evaluations
-    rosen = (lambda x: np.array([10 * (x[1] - x[0] ** 2), 1 - x[0]]),
-             lambda x: np.array([[-20 * x[0], 10.0], [-1.0, 0.0]]))
-    sol = least_squares(rosen[0], np.array([-1.2, 1.0]), jac=rosen[1], max_nfev=5, **tols)
-    assert sol.nfev == 5 and np.linalg.norm(sol.x - 1.0) > 1e-3
-    sol = least_squares(rosen[0], np.array([-1.2, 1.0]), jac=rosen[1], max_nfev=4000, **tols)
-    assert np.allclose(sol.x, 1.0, rtol=0, atol=1e-12) and sol.nfev < 4000
-    with pytest.raises(ValueError, match="not finite"):
-        least_squares(lambda x: x + np.inf, np.zeros(2), jac=lambda x: np.eye(2),
-                      max_nfev=10, **tols)
+    start = np.array([[-1.2, 1.0]])
+    sol = least_squares(_rosen, start, jac=_rosen_jac, max_nfev=5, **tols)
+    assert sol.nfev == 5 and np.linalg.norm(sol.x[0] - 1.0) > 1e-3
+    sol = least_squares(_rosen, start, jac=_rosen_jac, max_nfev=4000, **tols)
+    assert np.allclose(sol.x[0], 1.0, rtol=0, atol=1e-12) and sol.nfev < 4000
+    sol = least_squares(lambda x: x + np.inf, np.zeros((1, 2)),
+                        jac=lambda x: np.broadcast_to(np.eye(2), (len(x), 2, 2)),
+                        max_nfev=10, **tols)
+    assert isinstance(sol.errors[0], ValueError)
+    assert re.search("not finite", str(sol.errors[0]))
+
+
+def test_least_squares_batch_follows_each_start():
+    # one batch of several starts, a non-finite one and a tight budget among
+    # them: each row ends where a solve from its start alone ends, bit for bit
+    starts = np.array([[-1.2, 1.0], [0.0, 0.0], [2.0, -3.0], [60.0, 1.0], [1.0, 1.0],
+                       [-0.5, 4.0], [3.0, 9.0]])
+
+    def fun(x):
+        return _rosen(x) + np.where(x[..., :1] > 50, np.inf, 0.0)
+
+    tols = dict(xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    for max_nfev in (4000, 7):
+        sol = least_squares(fun, starts, jac=_rosen_jac, max_nfev=max_nfev, **tols)
+        assert sol.x.shape == starts.shape and sol.nfev == sum(sol.nfevs.tolist())
+        for i, x0 in enumerate(starts):
+            if x0[0] > 50:
+                assert isinstance(sol.errors[i], ValueError) and sol.nfevs[i] == 1
+                continue
+            x, nfev = lm_single(fun, x0, jac=_rosen_jac, max_nfev=max_nfev, **tols)
+            assert sol.errors[i] is None
+            assert sol.x[i].tobytes() == x.tobytes() and sol.nfevs[i] == nfev
 
 
 def test_asymptotics_imports_no_scipy():
@@ -198,7 +355,8 @@ def test_search_repeats_after_monte_carlo(monkeypatch):
 
     def counted(*args, **kwargs):
         sol = real(*args, **kwargs)
-        nfev.append(sol.nfev)
+        nfev.extend(sol.nfevs.tolist())
+        assert sol.nfev == sum(sol.nfevs.tolist())
         return sol
 
     monkeypatch.setattr(asymptotics, "least_squares", counted)

@@ -218,6 +218,28 @@ def test_asymptote_csv_matches_json():
         assert all(float(cell) == est[key] for key, cell in cells.items())
 
 
+def test_asymptote_refuses_a_scale_beyond_floating_point(capsys):
+    # a k whose prefactor (2N)^1.5 / (pi k^3)^(N-1) is not a finite positive
+    # float was an OverflowError traceback (exit 1); it is refused with the
+    # other --k-list checks, before the configuration search
+    tet_c = '{"ab":2,"ac":2,"ad":2,"bc":2,"bd":2,"cd":2}'
+    prism_c = json.dumps({e: 2 for e in ("t12", "t23", "t13", "b12", "b23", "b13",
+                                         "s1", "s2", "s3")})
+    with mock.patch("spinnets.asymptotics.find_configs", side_effect=AssertionError):
+        for graph, coloring, k in (("tetrahedron", tet_c, 10 ** 103),
+                                   ("tetrahedron", tet_c, 10 ** 400),
+                                   ("prism3", prism_c, 10 ** 60)):
+            rc, out = run_cli("asymptote", "-g", graph, "-c", coloring,
+                              "--k-list", f"10,{k}", "--restarts", "30", "--seed", "3")
+            err = capsys.readouterr().err
+            assert rc == 2 and out == ""
+            assert err.startswith("input error: scale k = ~1e") and err.count("\n") == 1
+    # the largest power of ten the tetrahedron's prefactor takes
+    rc, out = run_cli("asymptote", "-g", "tetrahedron", "-c", tet_c, "--k-list",
+                      f"{10 ** 102}", "--restarts", "30", "--seed", "3", "--report", "csv")
+    assert rc == 0 and 0 < float(out.splitlines()[1].split(",")[1]) < 1e-300
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     rc, _ = run_cli("eval", "-g", "no_such_file.json", "-c", "{}")
     assert rc == 2
