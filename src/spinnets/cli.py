@@ -188,6 +188,14 @@ def _load_coloring_arg(spec: str | None, graph: Graph) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _float(x, what: str) -> float:
+    """An exact rational as a float; a huge holonomy can put it past the range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"{what} is beyond floating-point range") from None
+
+
 def _cmd_eval(args):
     graph, holonomy, inputs = _load_inputs(args)
     coloring = _load_coloring_arg(args.coloring, graph)
@@ -197,7 +205,7 @@ def _cmd_eval(args):
         "coloring": coloring,
         "admissible": is_admissible(graph, coloring),
         "value": format_exact(value),
-        "abs": float(value.norm2()) ** 0.5,
+        "abs": _float(value.norm2(), "the squared modulus of the value") ** 0.5,
         "bracket_square": str(bracket_square(graph, coloring, value=value)),
     }
     _emit(_report(args, inputs, results))
@@ -299,7 +307,8 @@ def _cmd_integrate(args):
         results["coloring"] = coloring
         if args.target == "bracket":
             # the exact target checks the colors' bound, so it comes first
-            target = float(bracket_square(graph, coloring, holonomy))
+            target = _float(bracket_square(graph, coloring, holonomy),
+                            "the target bracket square")
             est = mc_bracket(graph, coloring, holonomy, args.samples, args.seed, workers)
         else:
             # a target that underflows is an input error, refused before sampling

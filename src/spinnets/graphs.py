@@ -288,11 +288,11 @@ def admissible_colorings(graph: Graph, max_color=None, max_total=None):
 # ---------------------------------------------------------------------------
 
 def _rows2(m, where: str) -> tuple:
-    """The rows of a 2x2 matrix as tuples; `where` names it in the error."""
-    rows = tuple(tuple(row) for row in m)
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
+    """The rows, as tuples, of a list or tuple of two 2-item lists or tuples."""
+    if not (isinstance(m, (list, tuple)) and len(m) == 2
+            and all(isinstance(row, (list, tuple)) and len(row) == 2 for row in m)):
         raise InputError(f"{where} is not a 2x2 matrix")
-    return rows
+    return tuple(tuple(row) for row in m)
 
 
 def _det2(m):
@@ -311,88 +311,85 @@ def _mul2(m, n):
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def _exact_scalar(s, where: str) -> QQi:
-    """An exact scalar (QQi, int, Fraction or exact string) as a QQi; a bool
-    or a float is refused rather than read as a number."""
-    if isinstance(s, bool) or not isinstance(s, (QQi, int, Fraction, str)):
+def _complex(where: str, *parts) -> complex:
+    """complex(*parts), whose parts may be too large for a float."""
+    try:
+        return complex(*parts)
+    except OverflowError:
+        raise InputError(f"a scalar in {where} is beyond floating-point range") from None
+
+
+def _scalar(s, where: str):
+    """A matrix cell: an exact scalar (QQi, int, Fraction or exact string) as
+    a QQi; a float, complex or [re, im] pair of real numbers as a finite
+    complex.  A bool, or anything else, is refused rather than read as a
+    number."""
+    if isinstance(s, (float, complex)):
+        z = complex(s)
+    elif isinstance(s, (list, tuple)) and len(s) == 2 and all(
+            isinstance(t, (int, float)) and not isinstance(t, bool) for t in s):
+        z = _complex(where, *s)
+    elif isinstance(s, bool) or not isinstance(s, (QQi, int, Fraction, str)):
         raise InputError(f"bad scalar {s!r} in {where}")
-    return parse_exact(s)
+    else:
+        return parse_exact(s)
+    if not cmath.isfinite(z):
+        raise InputError(f"non-finite scalar {s!r} in {where}")
+    return z
+
+
+def _exact_scalar(s, where: str) -> QQi:
+    """A cell that `_scalar` reads as exact, as a QQi."""
+    x = _scalar(s, where)
+    if type(x) is not QQi:
+        raise InputError(f"bad scalar {s!r} in {where}")
+    return x
 
 
 class Holonomy:
-    """Per-half-edge 2x2 determinant-1 matrices, exact or floating.  A value
-    object: its angle forms are derived from `entries` and kept, so `entries`
-    must not change after construction."""
+    """Per-half-edge 2x2 determinant-1 matrices.  The regime is read from
+    the cells: a holonomy is exact when every cell is an exact scalar, each
+    held as a QQi, and floating otherwise, each cell held as a complex.  A
+    value object: its angle forms are derived from `entries` and kept, so
+    `entries` must not change after construction."""
 
-    def __init__(self, graph: Graph, entries: dict, exact: bool):
-        self.exact = exact
+    def __init__(self, graph: Graph, entries: dict):
+        unknown = entries.keys() - graph.vertex_of.keys()
+        if unknown:
+            raise InputError(f"holonomy names unknown half-edges {sorted(unknown, key=str)}")
+        cells = {h: tuple(tuple(_scalar(s, f"holonomy at {h!r}") for s in row)
+                          for row in _rows2(m, f"holonomy at {h!r}")) for h, m in entries.items()}
+        self.exact = all(type(x) is QQi for m in cells.values() for row in m for x in row)
         self._forms = {}  # (g, h) -> angle_form(g, h)
-        mats = {}
+        self.entries = {}
         for h in graph.halfedges:
-            if h not in entries:
+            if h not in cells:
                 raise InputError(f"holonomy misses half-edge {h!r}")
-            rows = _rows2(entries[h], f"holonomy at {h!r}")
+            rows = cells[h] if self.exact else tuple(
+                tuple(_complex(f"holonomy at {h!r}", x) for x in row) for row in cells[h])
             d = _det2(rows)
-            if exact:
-                if d != QQi(1):
-                    raise InputError(f"holonomy at {h!r} has determinant {d!r}, not 1")
-            else:
-                if abs(complex(d) - 1.0) > 1e-12:
-                    raise InputError(f"holonomy at {h!r} has |det-1| > 1e-12")
-            mats[h] = rows
-        self.entries = mats
+            if self.exact and d != 1:
+                raise InputError(f"holonomy at {h!r} has determinant {d!r}, not 1")
+            # not <=, so that a determinant that overflows to nan is refused
+            if not (self.exact or abs(d - 1.0) <= 1e-12):
+                raise InputError(f"holonomy at {h!r} has |det-1| > 1e-12")
+            self.entries[h] = rows
 
     @classmethod
     def trivial(cls, graph: Graph):
-        one, zero = QQi(1), QQi(0)
-        return cls(graph, {h: ((one, zero), (zero, one)) for h in graph.halfedges}, True)
+        return cls(graph, dict.fromkeys(graph.halfedges, ((1, 0), (0, 1))))
 
     @classmethod
     def diagonal(cls, graph: Graph, t: dict):
         """Diagonal exact holonomy diag(t_h, 1/t_h) from nonzero rationals."""
-        zero = QQi(0)
-        return cls(graph, {h: ((QQi(th), zero), (zero, QQi(1 / th)))
-                           for h, th in check_diagonal_t(graph, t).items()}, True)
+        return cls(graph, {h: ((th, 0), (0, 1 / th))
+                           for h, th in check_diagonal_t(graph, t).items()})
 
     @classmethod
     def from_obj(cls, graph: Graph, obj):
         if not isinstance(obj, dict):
             raise InputError("holonomy must be a JSON object {half-edge: 2x2 matrix}")
-        unknown = set(obj) - set(graph.halfedges)
-        if unknown:
-            raise InputError(f"holonomy names unknown half-edges {sorted(unknown)}")
-        exact = True
-        parsed = {}
-        for h, m in obj.items():
-            if not (isinstance(m, (list, tuple)) and len(m) == 2
-                    and all(isinstance(row, (list, tuple)) and len(row) == 2 for row in m)):
-                raise InputError(f"holonomy at {h!r} is not a 2x2 matrix")
-            rows = []
-            for row in m:
-                cells = []
-                for s in row:
-                    if not isinstance(s, (float, list, tuple)):
-                        cells.append(_exact_scalar(s, f"holonomy at {h!r}"))
-                        continue
-                    # a float, or a [re, im] pair of real numbers
-                    parts = s if isinstance(s, (list, tuple)) else (s, 0.0)
-                    if len(parts) != 2 or not all(
-                            isinstance(t, (int, float)) and not isinstance(t, bool) for t in parts):
-                        raise InputError(f"bad scalar {s!r} in holonomy at {h!r}")
-                    z = complex(float(parts[0]), float(parts[1]))
-                    if not cmath.isfinite(z):
-                        raise InputError(f"non-finite scalar {s!r} in holonomy at {h!r}")
-                    exact = False
-                    cells.append(z)
-                rows.append(tuple(cells))
-            parsed[h] = tuple(rows)
-        if not exact:
-            parsed = {h: tuple(tuple(complex(x) for x in row) for row in m)
-                      for h, m in parsed.items()}
-        return cls(graph, parsed, exact)
-
-    def matrix(self, h):
-        return self.entries[h]
+        return cls(graph, obj)
 
     def angle_form(self, g, h):
         """(coefficients, d) of Z_g W_h - Z_h W_g, (Z, W) = psi^{-1}(z, w), on
@@ -409,26 +406,18 @@ class Holonomy:
         return form
 
     def is_trivial(self):
-        if not self.exact:
-            return False
-        one, zero = QQi(1), QQi(0)
-        return all(m == ((one, zero), (zero, one)) for m in self.entries.values())
-
-    def to_float(self, graph: Graph):
-        if not self.exact:
-            return self
-        ent = {h: tuple(tuple(complex(x) for x in row) for row in m)
-               for h, m in self.entries.items()}
-        return Holonomy(graph, ent, False)
+        return self.exact and all(m == ((1, 0), (0, 1)) for m in self.entries.values())
 
 
 def gauge_transform(graph: Graph, holonomy: Holonomy, g: dict) -> Holonomy:
     """Transformed connection: half-edge (e, v) maps to g_e psi_h g_v^{-1}.
 
     g maps every edge and vertex id, and nothing else, to a determinant-1
-    matrix of exact scalars, read by the rule of exact holonomy entries."""
+    matrix of exact scalars, read by the rule of exact holonomy cells."""
     if not holonomy.exact:
         raise RegimeError("gauge_transform needs an exact-regime holonomy")
+    if not isinstance(g, dict):
+        raise InputError("gauge map must be a dict {vertex or edge id: 2x2 matrix}")
     mats = {}
     for key, m in g.items():
         if key not in graph.vertex_index and key not in graph.edge_index:
@@ -441,14 +430,12 @@ def gauge_transform(graph: Graph, holonomy: Holonomy, g: dict) -> Holonomy:
         mats[key] = rows
     entries = {}
     for h in graph.halfedges:
-        e = graph.edge_of[h][0]
-        v = graph.vertex_of[h]
-        ge = mats.get(e)
-        gv = mats.get(v)
-        if ge is None or gv is None:
-            raise InputError(f"gauge map misses {'edge ' + repr(e) if ge is None else 'vertex ' + repr(v)}")
-        entries[h] = _mul2(_mul2(ge, holonomy.matrix(h)), _adj2(gv))
-    return Holonomy(graph, entries, True)
+        e, v = graph.edge_of[h][0], graph.vertex_of[h]
+        if e not in mats or v not in mats:
+            missing = f"edge {e!r}" if e not in mats else f"vertex {v!r}"
+            raise InputError(f"gauge map misses {missing}")
+        entries[h] = _mul2(_mul2(mats[e], holonomy.entries[h]), _adj2(mats[v]))
+    return Holonomy(graph, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +509,8 @@ def check_diagonal_t(graph: Graph, t: dict) -> dict:
     """{half-edge: Fraction} from the values t_h of a diagonal holonomy
     diag(t_h, 1/t_h): one per half-edge, each a nonzero int (not bool) or
     Fraction."""
+    if not isinstance(t, dict):
+        raise InputError(f"t must be a dict {{half-edge: nonzero rational}}, got {t!r}")
     out = {}
     for h in graph.halfedges:
         if h not in t:

@@ -320,16 +320,19 @@ def _estimate(integrand, draws, samples: int, seed: int, workers: int) -> MCEsti
 
 def _prepared_holonomy(graph: Graph, holonomy):
     """Per-edge unit quaternion c_e = psi_l^-1 psi_r (psi at the left and the
-    right half-edge), or None for the trivial case."""
-    if holonomy is None or (holonomy.exact and holonomy.is_trivial()):
+    right half-edge), or None for the trivial case.  Exact and floating
+    holonomies are read alike: each cell as complex(cell)."""
+    if holonomy is None or holonomy.is_trivial():
         return None
-    hol = holonomy.to_float(graph)
 
     def quaternion(h):
         # det 1 and unitary: m = su2_matrix(q) for q read off its first row
-        m = np.array(hol.matrix(h), dtype=complex)
+        try:
+            m = np.array(holonomy.entries[h], dtype=complex)
+        except OverflowError:  # an exact cell beyond floating point: nan, refused below
+            m = np.full((2, 2), np.nan)
         q = np.array([m[0, 0].real, -m[0, 1].imag, -m[0, 1].real, -m[0, 0].imag])
-        if np.max(np.abs(su2_matrix(q) - m)) > 1e-9:
+        if not np.max(np.abs(su2_matrix(q) - m)) <= 1e-9:
             raise InputError("Monte-Carlo integrands need a (numerically) unitary holonomy")
         return q
 

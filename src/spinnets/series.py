@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from math import lcm
 
 from .errors import InputError, RegimeError
-from .evaluator import _wvar, _zvar, eval_spin_network, renormalize
+from .evaluator import _TRIVIAL_FORM, _wvar, _zvar, eval_spin_network, renormalize
 from .graphs import Graph, Holonomy, admissible_colorings, check_diagonal_t, internal_coloring
 from .polyring import (MPoly, Namespace, _check_exponents, _mul_acc, _nonzero,
                        _series_recurrence, inv_sqrt_series)
@@ -63,9 +63,7 @@ class PQMatrices:
 
 
 def build_pq(graph: Graph, holonomy: Holonomy | None = None) -> PQMatrices:
-    if holonomy is None:
-        holonomy = Holonomy.trivial(graph)
-    if not holonomy.exact:
+    if holonomy is not None and not holonomy.exact:
         raise RegimeError("build_pq needs an exact-regime holonomy")
     ns = Namespace(graph.angle_ids)
     basis = [x for h in graph.halfedges for x in (_zvar(h), _wvar(h))]
@@ -79,7 +77,7 @@ def build_pq(graph: Graph, holonomy: Holonomy | None = None) -> PQMatrices:
 
     q: dict = {b: {} for b in basis}
     for aid, v, (i, j), (g, h) in graph.angles:
-        coeffs, den = holonomy.angle_form(g, h)
+        coeffs, den = _TRIVIAL_FORM if holonomy is None else holonomy.angle_form(g, h)
         pairs = ((_zvar(g), _zvar(h)), (_zvar(g), _wvar(h)),
                  (_wvar(g), _zvar(h)), (_wvar(g), _wvar(h)))
         for (rr, cc), c in zip(pairs, coeffs):

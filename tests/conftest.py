@@ -62,6 +62,14 @@ def rand_qqi(rng, lim=2):
                Fraction(rng.randint(-lim, lim), rng.randint(1, 3)))
 
 
+def exact_text(x: QQi) -> str:
+    """x in the exact-string form of holonomy files, "p/q", "r/s i" or
+    "p/q+r/s i"."""
+    if not x.im:
+        return str(x.re)
+    return f"{x.re}{'+' if x.im >= 0 else '-'}{abs(x.im)} i"
+
+
 def mat2_mul(a, b):
     (p, q), (r, s) = a
     (t, u), (v, w) = b
@@ -85,7 +93,7 @@ def random_holonomy(graph, seed=0, steps=3):
     from spinnets.graphs import Holonomy
 
     rng = random.Random(seed)
-    return Holonomy(graph, {h: rand_sl2(rng, steps) for h in graph.halfedges}, True)
+    return Holonomy(graph, {h: rand_sl2(rng, steps) for h in graph.halfedges})
 
 
 def _gauge_of_shears(graph, shear):
@@ -173,7 +181,7 @@ def random_unitary_holonomy(graph, seed=0):
     from spinnets.graphs import Holonomy
 
     rng = random.Random(seed)
-    return Holonomy(graph, {h: rand_su2_exact(rng) for h in graph.halfedges}, True)
+    return Holonomy(graph, {h: rand_su2_exact(rng) for h in graph.halfedges})
 
 
 def build_cube_config(pos):

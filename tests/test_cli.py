@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import exact_text, random_holonomy, random_unitary_holonomy
 from oracles import report_text
 
-from spinnets import bundled_graph_path
+from spinnets import bundled_graph_path, load_graph
 from spinnets.cli import dispatch
 from spinnets.polyring import MAX_EXPONENT, MPoly, Namespace
 from spinnets.rational import QQi
@@ -392,6 +393,82 @@ def test_integrate_argument_boundary(target, colors, samples, seed, workers, env
         assert len(lines) == 1 and lines[0].startswith("input error:"), (argv, lines)
     else:
         assert json.loads(out.getvalue())["results"]["estimate"]["samples"] == int(samples)
+
+
+_THETA_HALFEDGES = ("u1", "u2", "u3", "v1", "v2", "v3")
+_BIG = 10 ** 400  # past the largest float
+_BAD_CELLS = (True, None, {}, float("nan"), float("inf"), [float("nan"), 0], [1], [1, 2, 3],
+              ["a", 1], [True, 0], _BIG, -_BIG, [_BIG, 0], "1/0", "abc", "1" * 5000, 1e308,
+              2, 0.5)
+_BAD_MATRICES = (5, "ab", [], [[1, 0]], [[1, 0, 0], [0, 1]], [[1, 0], [0]], {"a": 1}, None,
+                 ["10", "01"], [[2, 0], [0, 1]], [[2.0, 0], [0, 1]], [[1.0, 0.0], [0.0, 1.0]],
+                 # det 1 with a cell beyond floating point; det inf - inf = nan
+                 [[_BIG, 0], [0, f"1/{_BIG}"]], [[_BIG, 0.5], [0, 1]],
+                 [[1e300, 1e300], [1e300, 1e300]])
+_HOLONOMY_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(_THETA_HALFEDGES)),
+    st.tuples(st.just("unknown"), st.sampled_from(("zz", "u", "e1", ""))),
+    st.tuples(st.just("matrix"), st.sampled_from(_THETA_HALFEDGES), st.sampled_from(_BAD_MATRICES)),
+    st.tuples(st.just("cell"), st.sampled_from(_THETA_HALFEDGES), st.integers(0, 1),
+              st.integers(0, 1), st.sampled_from(_BAD_CELLS)))
+_HOLONOMY_COMMANDS = st.one_of(
+    st.just(("eval", "-g", "theta", "-c", '{"e1":2,"e2":2,"e3":2}')),
+    st.builds(lambda d, check: ("series", "-g", "theta", "--degree", str(d)) + check,
+              st.integers(0, 4), st.sampled_from(((), ("--check-against-eval",)))),
+    st.just(("integrate", "-g", "theta", "--target", "W", "--samples", "10000",
+             "--y", "e1=0.1", "--y", "e2=0.2", "--y", "e3=0.15")),
+    st.just(("integrate", "-g", "theta", "-c", '{"e1":2,"e2":2,"e3":2}', "--samples", "10000")))
+
+
+def _theta_holonomy(kind, seed):
+    """A valid holonomy file's object on theta: Gaussian-rational exact,
+    unitary exact, or the unitary one as [re, im] pairs."""
+    graph = load_graph(bundled_graph_path("theta"))
+    hol = (random_holonomy if kind == "gaussian" else random_unitary_holonomy)(graph, seed=seed)
+    cell = exact_text if kind != "float" else lambda x: [complex(x).real, complex(x).imag]
+    return {h: [[cell(x) for x in row] for row in m] for h, m in hol.entries.items()}
+
+
+@settings(max_examples=100, deadline=None)
+# each was an OverflowError traceback: a cell beyond floating point in a
+# floating holonomy, and in an exact one that integrate converts; an exact
+# holonomy whose value (eval's abs) or bracket square (integrate's target) is
+# beyond floating point
+@example(kind="float", seed=0, mutations=[("matrix", "u2", [[_BIG, 0.5], [0, 1]])], top=None,
+         argv=("eval", "-g", "theta", "-c", '{"e1":2,"e2":2,"e3":2}'))
+@example(kind="unitary", seed=0, mutations=[("matrix", "u2", [[_BIG, 0], [0, f"1/{_BIG}"]])],
+         top=None, argv=("integrate", "-g", "theta", "--target", "W", "--samples", "10000",
+                         "--y", "e1=0.1", "--y", "e2=0.2", "--y", "e3=0.15"))
+@example(kind="gaussian", seed=0, mutations=[("matrix", "u2", [[1, _BIG], [0, 1]])], top=None,
+         argv=("eval", "-g", "theta", "-c", '{"e1":2,"e2":2,"e3":2}'))
+@example(kind="gaussian", seed=0, mutations=[("matrix", "u2", [[1, _BIG], [0, 1]])], top=None,
+         argv=("integrate", "-g", "theta", "-c", '{"e1":2,"e2":2,"e3":2}', "--samples", "10000"))
+@given(kind=st.sampled_from(("gaussian", "unitary", "float")), seed=st.integers(0, 2**16),
+       mutations=st.lists(_HOLONOMY_MUTATIONS, min_size=1, max_size=3),
+       top=st.one_of(st.none(), st.none(), st.sampled_from(([], 5, "x", None))),
+       argv=_HOLONOMY_COMMANDS)
+def test_mutated_holonomy_files(tmp_path_factory, kind, seed, mutations, top, argv):
+    obj = _theta_holonomy(kind, seed)
+    for op, h, *rest in mutations:
+        if op == "drop":
+            obj.pop(h, None)
+        elif op == "unknown":
+            obj[h] = [[1, 0], [0, 1]]
+        elif op == "matrix":
+            obj[h] = rest[0]
+        elif isinstance(obj.get(h), list) and len(obj[h]) == 2 and isinstance(obj[h][rest[0]], list):
+            row = obj[h][rest[0]]
+            row[rest[1] % len(row)] = rest[2]
+    path = tmp_path_factory.mktemp("holonomy") / "h.json"
+    path.write_text(json.dumps(obj if top is None else top))
+    argv = (*argv, "-H", str(path))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = dispatch(list(argv))
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 1, 2), (argv, rc)
+    if rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("input error:"), (obj, argv, lines)
 
 
 def test_integrate_checks_bracket_target_before_sampling(monkeypatch, capsys):

@@ -110,7 +110,7 @@ def test_holonomy_reused_on_another_presentation(theta):
     cols = list(admissible_colorings(theta, max_color=4))
     for col in cols:
         eval_spin_network(theta, col, hol)
-    fresh = Holonomy(rotated, hol.entries, True)
+    fresh = Holonomy(rotated, hol.entries)
     for col in cols:
         assert eval_spin_network(rotated, col, hol) == eval_spin_network(rotated, col, fresh)
 
@@ -135,7 +135,7 @@ def test_bracket_square(theta, tet):
 
 
 def test_float_holonomy_rejected(theta):
-    hol = Holonomy(theta, {h: ((1.0, 0.0), (0.0, 1.0)) for h in theta.halfedges}, False)
+    hol = Holonomy(theta, {h: ((1.0, 0.0), (0.0, 1.0)) for h in theta.halfedges})
     with pytest.raises(RegimeError):
         eval_spin_network(theta, {"e1": 0, "e2": 0, "e3": 0}, hol)
 
@@ -215,6 +215,19 @@ def test_gauge_rejects_unknown_key(theta):
 def test_gauge_rejects_non_2x2(theta):
     g = dict.fromkeys(["u", "v", "e1", "e2", "e3"], ((1, 0, 0), (0, 1, 0)))
     with pytest.raises(InputError, match="gauge element at 'u' is not a 2x2 matrix"):
+        gauge_transform(theta, Holonomy.trivial(theta), g)
+
+
+_EYE_GAUGE = dict.fromkeys(["u", "v", "e1", "e2", "e3"], ((1, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("g", [5, {**_EYE_GAUGE, "u": 5}, {**_EYE_GAUGE, "u": None},
+                               {**_EYE_GAUGE, "u": ["10", "01"]}],
+                         ids=["map", "int", "none", "strings"])
+def test_gauge_rejects_a_map_or_element_of_another_type(theta, g):
+    # the map 5 was an AttributeError, the int and None elements TypeErrors;
+    # the two strings were read as the rows (1, 0) and (0, 1)
+    with pytest.raises(InputError, match="gauge map must be a dict|gauge element at 'u' is not"):
         gauge_transform(theta, Holonomy.trivial(theta), g)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_holonomy, shear_gauges
+from conftest import exact_text, random_holonomy, shear_gauges
 from spinnets.errors import AdmissibilityError, InputError
 from spinnets.evaluator import _TRIVIAL_FORM
 from spinnets.graphs import (Graph, Holonomy, admissible_colorings, crossing_sign,
@@ -259,6 +259,51 @@ def test_holonomy_regimes(theta):
     bad = {h: [["2", "0"], ["0", "1"]] for h in theta.halfedges}
     with pytest.raises(InputError):
         Holonomy.from_obj(theta, bad)
+
+
+# the ways one cell of a holonomy can be written: exact ones read as the QQi,
+# floating ones as complex(QQi)
+_EXACT_FORMS = {"qqi": lambda x: x, "text": exact_text,
+                "number": lambda x: x.re if not x.im else x}
+_FLOAT_FORMS = {"complex": complex, "pair": lambda x: [complex(x).real, complex(x).imag],
+                "float": lambda x: complex(x).real if not x.im else complex(x)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       forms=st.lists(st.sampled_from(sorted(_EXACT_FORMS) + sorted(_FLOAT_FORMS)),
+                      min_size=24, max_size=24))
+def test_holonomy_regime_is_read_from_the_cells(theta, seed, forms):
+    base = random_holonomy(theta, seed=seed).entries
+    it = iter(forms)
+    written = {h: [[{**_EXACT_FORMS, **_FLOAT_FORMS}[next(it)](x) for x in row] for row in m]
+               for h, m in base.items()}
+    hol = Holonomy(theta, written)
+    assert hol.exact == all(f in _EXACT_FORMS for f in forms)
+    for h, m in base.items():
+        for row, hrow in zip(m, hol.entries[h]):
+            for x, y in zip(row, hrow):
+                if hol.exact:
+                    assert type(y) is QQi and y == x
+                else:
+                    assert type(y) is complex and y == complex(x)
+
+
+def test_float_identity_is_a_floating_holonomy(theta):
+    # with the regime a flag, exact=True raised "determinant 1.0, not 1" here
+    hol = Holonomy(theta, {h: ((1.0, 0.0), (0.0, 1.0)) for h in theta.halfedges})
+    assert not hol.exact and not hol.is_trivial()
+    assert set(hol.entries.values()) == {((1 + 0j, 0j), (0j, 1 + 0j))}
+
+
+@pytest.mark.parametrize("m", [((1e300, 1e300), (1e300, 1e300)), ((10 ** 400, 0.5), (0, 1))],
+                         ids=["nan-det", "big-int"])
+def test_floating_holonomy_refuses_cells_past_floating_point(theta, m):
+    # the determinant inf - inf = nan passed the |det - 1| check; the int
+    # beyond floating point was an OverflowError
+    entries = dict.fromkeys(theta.halfedges, ((1.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(InputError, match="'u2'"):
+        Holonomy(theta, {**entries, "u2": m})
 
 
 def _exactly(form):

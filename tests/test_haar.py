@@ -128,7 +128,7 @@ def test_mc_bracket_with_unitary_holonomy(theta):
 def test_mc_bracket_rejects_nonunitary(theta):
     from spinnets.graphs import Holonomy
     m = ((2.0, 0.0), (0.0, 0.5))
-    hol = Holonomy(theta, {h: m for h in theta.halfedges}, False)
+    hol = Holonomy(theta, {h: m for h in theta.halfedges})
     with pytest.raises(InputError):
         mc_bracket(theta, {"e1": 2, "e2": 2, "e3": 2}, hol, samples=10_000, seed=0)
 
@@ -450,6 +450,34 @@ def test_qmul_is_the_matrix_product():
     assert np.allclose(su2_matrix(_qmul(a[0], b)), su2_matrix(a[0]) @ su2_matrix(b))
 
 
+@pytest.mark.parametrize("seed", [0, 9, 31])
+def test_prepared_holonomy_reads_exact_cells_as_their_floats(tet, seed):
+    # an exact unitary holonomy and the same one written as floats give the
+    # same edge quaternions, bit for bit
+    from conftest import random_unitary_holonomy
+    from spinnets.graphs import Holonomy
+
+    hol = random_unitary_holonomy(tet, seed=seed)
+    floats = Holonomy(tet, {h: [[complex(x) for x in row] for row in m]
+                            for h, m in hol.entries.items()})
+    assert hol.exact and not floats.exact
+    exact_q, float_q = _prepared_holonomy(tet, hol), _prepared_holonomy(tet, floats)
+    assert exact_q.keys() == float_q.keys() == set(tet.edge_ids)
+    for e in tet.edge_ids:
+        assert exact_q[e].tobytes() == float_q[e].tobytes(), e
+
+
+def test_prepared_holonomy_refuses_a_cell_beyond_floating_point(theta):
+    # an exact det-1 holonomy whose cell converts to no float was an
+    # OverflowError
+    from spinnets.graphs import Holonomy
+
+    big = 10 ** 400
+    hol = Holonomy(theta, {h: ((big, 0), (0, f"1/{big}")) for h in theta.halfedges})
+    with pytest.raises(InputError, match="unitary"):
+        _prepared_holonomy(theta, hol)
+
+
 def test_edge_half_traces_match_matrix_formula(tet):
     from conftest import random_unitary_holonomy
 
@@ -461,9 +489,8 @@ def test_edge_half_traces_match_matrix_formula(tet):
     # matrices at the left and the right half-edge
     mats = su2_matrix(g)
     vidx = {v: i for i, (v, _) in enumerate(tet.vertices)}
-    fl = hol.to_float(tet)
     for e, l, r in tet.edges:
-        A, B = (np.array(fl.matrix(h), dtype=complex) for h in (l, r))
+        A, B = (np.array(hol.entries[h], dtype=complex) for h in (l, r))
         gv = mats[:, vidx[tet.vertex_of[l]]]
         gw_inv = np.conj(np.swapaxes(mats[:, vidx[tet.vertex_of[r]]], -1, -2))
         m = A @ gv @ np.linalg.inv(A) @ B @ gw_inv @ np.linalg.inv(B)

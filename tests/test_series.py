@@ -312,6 +312,14 @@ def test_diagonal_t_is_checked(theta, route, bad):
         route(theta, t)
 
 
+@pytest.mark.parametrize("route", [Holonomy.diagonal, abelian_curve_sum],
+                         ids=["holonomy", "curves"])
+def test_diagonal_t_must_be_a_dict(theta, route):
+    # each was a TypeError
+    with pytest.raises(InputError, match="t must be a dict"):
+        route(theta, 5)
+
+
 def test_diagonal_holonomy_series_consistency(theta, dumbbell):
     rng = random.Random(23)
     for g in (theta, dumbbell):
@@ -368,7 +376,7 @@ def test_nonplanar_fix_matches_evaluations(tetnp):
 
 
 def test_series_float_holonomy_rejected(theta):
-    hol = Holonomy(theta, {h: ((1.0, 0.0), (0.0, 1.0)) for h in theta.halfedges}, False)
+    hol = Holonomy(theta, {h: ((1.0, 0.0), (0.0, 1.0)) for h in theta.halfedges})
     with pytest.raises(Exception):
         build_pq(theta, hol)
 
