@@ -11,6 +11,7 @@ from .errors import (
     NumericalError,
     PreconditionError,
     RegimeError,
+    ResourceError,
     SpinnetError,
 )
 from .graphs import (
@@ -38,6 +39,7 @@ __all__ = [
     "DomainError",
     "HypothesisError",
     "NumericalError",
+    "ResourceError",
     "admissible_colorings",
     "crossing_sign",
     "internal_coloring",

@@ -3,7 +3,8 @@
 Subcommands: eval, series, integrate, asymptote, check, selftest.  Reports
 are deterministic JSON on stdout (identical inputs + seed + workers give
 byte-identical output); timing and warnings go to stderr.  Exit codes:
-0 success, 1 hypothesis/numerical failure, 2 input error.
+0 success, 1 hypothesis/numerical failure or a contraction past its term
+budget, 2 input error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import __version__, bundled_graph_path
 from .errors import (AdmissibilityError, DomainError, HypothesisError, InputError,
-                     NumericalError, PreconditionError, RegimeError, SpinnetError)
+                     NumericalError, PreconditionError, RegimeError, ResourceError,
+                     SpinnetError)
 from .evaluator import bracket_square, eval_spin_network, theta_value
 from .graphs import (Graph, check_coloring, is_admissible, load_coloring, load_graph,
                      load_holonomy, parse_json, read_input, vertex_colors)
@@ -220,7 +222,7 @@ def _cmd_series(args):
     if args.method == "det":
         series = series_Z(graph, holonomy, degree)
     else:
-        if holonomy is not None:
+        if holonomy is not None and not holonomy.is_trivial():
             raise InputError(f"method {args.method!r} supports only the trivial holonomy")
         if args.method == "curves":
             d = abelian_curve_sum(graph)
@@ -515,7 +517,7 @@ def dispatch(argv) -> int:
             DomainError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (HypothesisError, NumericalError) as exc:
+    except (HypothesisError, NumericalError, ResourceError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
     except SpinnetError as exc:

@@ -31,3 +31,8 @@ class HypothesisError(SpinnetError):
 
 class NumericalError(SpinnetError):
     """Numerical procedure did not converge to the requested accuracy."""
+
+
+class ResourceError(SpinnetError):
+    """A computation would pass a documented bound on its size (the term
+    budget of a contraction)."""

@@ -10,11 +10,14 @@ tracked outside the polynomial arithmetic.
 The contraction runs on Gaussian integers for every exact holonomy, and the
 value is divided once.  The bracket factor of each angle a is its angle
 form, scaled by the common denominator d_a of its coefficients, so these are
-ints (real integer ones, as for the trivial holonomy) or QQi with int parts,
-and `apply_edge_operator` contracts each edge e with c_e! times its
-operator, on integer weights and without dividing.  The value is
-homogeneous of degree c_a in the bracket of each angle a, so the final
-constant is divided once by prod_e c_e! * prod_a d_a^{c_a}.
+ints (real integer ones, as for the trivial holonomy) or QQi with int parts;
+`form_power` raises it to the angle's color in one binomial pass, and
+`apply_edge_operator` contracts each edge e with c_e! times its operator,
+on integer weights and without dividing.  The value is homogeneous of
+degree c_a in the bracket of each angle a, so the final constant is divided
+once by prod_e c_e! * prod_a d_a^{c_a}.  The edges are contracted in a
+greedy order, cheapest first; a contraction whose term count could pass
+`polyring.TERM_BUDGET` raises ResourceError before it is formed.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from math import factorial, prod
 from .errors import AdmissibilityError, InputError, RegimeError
 from .graphs import (Graph, Holonomy, admissible_triple, check_coloring, crossing_sign,
                      internal_coloring, is_admissible, vertex_colors)
-from .polyring import MPoly, Namespace, apply_edge_operator
+from .polyring import MPoly, Namespace, apply_edge_operator, form_power
 from .rational import QQi, div_exact
 
 __all__ = [
@@ -52,11 +55,13 @@ _TRIVIAL_FORM = ((0, 1, -1, 0), 1)
 
 class _Plan:
     """What a contraction needs of a graph and no coloring: the namespace
-    of the z and w variables, each angle's half-edges with the keys of its
-    four monomials z_g z_h, z_g w_h, w_g z_h and w_g w_h, and each edge's
-    variable names.  A factor or an edge carries a bitmask of the half-edges
-    it touches (bit i for graph.halfedges[i]).  Built once per graph and kept
-    on it: it depends only on the graph's half-edges, angles and edges."""
+    of the z and w variables; each angle's two edges and the third edge at
+    its vertex, whose colors give the angle's color, its half-edges and the
+    keys of its four monomials z_g z_h, z_g w_h, w_g z_h and w_g w_h; and
+    each edge's variable names.  A factor or an edge carries a bitmask of
+    the half-edges it touches (bit i for graph.halfedges[i]).  Built once
+    per graph and kept on it: it depends only on the graph's half-edges,
+    angles and edges."""
 
     __slots__ = ("ns", "angles", "edges")
 
@@ -64,9 +69,11 @@ class _Plan:
         bit = {h: 1 << i for i, h in enumerate(graph.halfedges)}
         self.ns = ns = Namespace(x for h in graph.halfedges for x in (_zvar(h), _wvar(h)))
         angles = []
-        for aid, _, _, (g, h) in graph.angles:
+        for _, v, (i, j), (g, h) in graph.angles:
+            es = graph.vertex_edges[graph.vertex_index[v]]
             zg, wg, zh, wh = (1 << ns.shift(x) for x in (_zvar(g), _wvar(g), _zvar(h), _wvar(h)))
-            angles.append((aid, g, h, bit[g] | bit[h], (zg + zh, zg + wh, wg + zh, wg + wh)))
+            angles.append((es[i], es[j], es[3 - i - j], g, h, bit[g] | bit[h],
+                           (zg + zh, zg + wh, wg + zh, wg + wh)))
         self.angles = tuple(angles)
         self.edges = tuple((e, bit[l] | bit[r], (_zvar(l), _wvar(l), _zvar(r), _wvar(r)))
                            for e, l, r in graph.edges)
@@ -93,19 +100,19 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
     ns = plan.ns
 
     # one bracket factor (d_a (Z_g W_h - Z_h W_g))^n per angle a = (g, h) of
-    # color n, with the mask of the half-edges it touches; the value is
-    # divided once by scale: prod_e c_e!, as each edge contraction is c_e!
-    # times the edge's operator, and prod_a d_a^n for the scaled angle forms
-    scale = prod(factorial(coloring[e]) for e in graph.edge_ids)
-    internal = internal_coloring(graph, coloring)
+    # color n = (c_i + c_j - c_k) / 2, with the mask of the half-edges it
+    # touches; the value is divided once by scale: prod_e c_e!, as each edge
+    # contraction is c_e! times the edge's operator, and prod_a d_a^n for the
+    # scaled angle forms
+    scale = prod(map(factorial, coloring.values()))
     factors = []  # (half-edge mask, polynomial, its number of terms)
-    for aid, g, h, mask, keys in plan.angles:
-        n = internal[aid]
+    for ei, ej, ek, g, h, mask, keys in plan.angles:
+        n = (coloring[ei] + coloring[ej] - coloring[ek]) >> 1
         if n:
             coeffs, den = _TRIVIAL_FORM if holonomy is None else holonomy.angle_form(g, h)
-            p = MPoly(ns, {k: x for k, x in zip(keys, coeffs) if x}).pow(n)
+            terms = form_power(coeffs, keys, n)
             scale *= den ** n
-            factors.append((mask, p, len(p.terms)))
+            factors.append((mask, MPoly(ns, terms), len(terms)))
 
     # a color-0 edge touches no factor; an edge of color c_e > 0 touches a
     # factor at each half-edge, whose two angles' colors sum to c_e.  Each
@@ -136,8 +143,7 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
     for _, p, _ in factors:
         value = value * p.constant_term()
     value = div_exact(value, scale)
-    total = sum(coloring[e] for e in graph.edge_ids)
-    if total % 2:
+    if sum(coloring.values()) % 2:
         value = -value
     if crossing_sign(graph, coloring) < 0:
         value = -value
@@ -181,7 +187,11 @@ def bracket_square(graph: Graph, coloring: dict, holonomy: Holonomy | None = Non
     if not is_admissible(graph, coloring):
         return Fraction(0)
     v = eval_spin_network(graph, coloring, holonomy) if value is None else value
-    den = Fraction(1)
-    for cols in vertex_colors(graph, coloring):
-        den *= theta_value(*cols)
-    return v.norm2() / den
+    # prod over vertices of theta_value(a, b, c), as one fraction num / den
+    num = den = 1
+    for a, b, c in vertex_colors(graph, coloring):
+        s = (a + b + c) // 2
+        num *= factorial(s + 1) * factorial(s - c) * factorial(s - b) * factorial(s - a)
+        den *= factorial(a) * factorial(b) * factorial(c)
+    n2 = Fraction(v.norm2())
+    return Fraction(n2.numerator * den, n2.denominator * num)

@@ -215,7 +215,7 @@ class Graph:
 def vertex_colors(graph: Graph, coloring: dict) -> list:
     """Per vertex, the colors of the edges at its three slots."""
     try:
-        return [tuple(coloring[e] for e in es) for es in graph.vertex_edges]
+        return [(coloring[a], coloring[b], coloring[c]) for a, b, c in graph.vertex_edges]
     except KeyError as exc:
         raise InputError(f"coloring misses edge {exc.args[0]!r}") from None
 

@@ -13,9 +13,12 @@ Every sparse product runs on one multiply-accumulate kernel, _mul_acc,
 acc[ka + kb] += w·ca·cb over two term dicts: MPoly.__mul__, the series
 recurrence, the matrix powers and traces of `series`, and the integer
 edge contraction, which contracts the factors at an edge against the
-largest of them without forming their product.  Each consumer
-accumulates into its own destination and drops cancelled terms once at
-the end.
+largest of them on term dicts, without forming their product or any MPoly
+in between.  Each consumer accumulates into its own destination and drops
+cancelled terms once at the end.  A product or contraction of the edge
+contraction whose term count could pass TERM_BUDGET raises ResourceError
+before it is formed.  An angle's power, `form_power`, takes no product at
+all: it expands a four-term form by the binomial theorem in one pass.
 
 Monomials are packed into a single int key, 6 bits per variable (exponents
 must stay at or below MAX_EXPONENT = 63; products refuse to pass it).
@@ -26,20 +29,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import factorial
+from itertools import accumulate, repeat
+from math import comb, factorial
 from operator import mul, or_
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, ResourceError
 from .rational import QQi, div_exact
 
 _BITS = 6
 MAX_EXPONENT = (1 << _BITS) - 1
 
+# n! and the rows of Pascal's triangle for n <= MAX_EXPONENT: no power of a
+# variable, and so no edge weight or angle power, reaches past them
+_FACTORIAL = tuple(factorial(n) for n in range(MAX_EXPONENT + 1))
+_BINOMIAL = tuple(tuple(comb(n, k) for k in range(n + 1)) for n in range(MAX_EXPONENT + 1))
+
 
 class Namespace:
     """Ordered set of variable names with monomial packing helpers."""
 
-    __slots__ = ("names", "index", "high")
+    __slots__ = ("names", "index", "high", "_edges")
 
     def __init__(self, names):
         names = tuple(names)
@@ -49,6 +58,7 @@ class Namespace:
         self.index = {n: i for i, n in enumerate(names)}
         # the top bit of every field, set in a key where that exponent is >= 32
         self.high = sum(1 << (_BITS * i + _BITS - 1) for i in range(len(names)))
+        self._edges = {}  # (z1, w1, z2, w2, c) -> edge_patterns(z1, w1, z2, w2, c)
 
     def __len__(self):
         return len(self.names)
@@ -88,6 +98,24 @@ class Namespace:
 
     def shift(self, name: str) -> int:
         return _BITS * self.index[name]
+
+    def edge_patterns(self, z1: str, w1: str, z2: str, w2: str, c: int) -> tuple:
+        """(mask of the fields of z1, w1, z2 and w2, ((key, weight) of each
+        pattern z1^a1 w1^a2 z2^a2 w2^a1 with a1 + a2 = c)): what a contraction
+        of color c over these variables needs of the namespace, computed once
+        per edge and color.  The weight is (-1)^a2 a1! a2!."""
+        names = (z1, w1, z2, w2, c)
+        found = self._edges.get(names)
+        if found is None:
+            s_z1, s_w1, s_z2, s_w2 = (self.shift(v) for v in names[:4])
+            unit1, unit2 = (1 << s_z1) | (1 << s_w2), (1 << s_w1) | (1 << s_z2)
+            patterns = []
+            for a2 in range(max(0, c - MAX_EXPONENT), min(c, MAX_EXPONENT) + 1):
+                a1 = c - a2
+                w = _FACTORIAL[a1] * _FACTORIAL[a2]
+                patterns.append((a1 * unit1 + a2 * unit2, -w if a2 & 1 else w))
+            found = self._edges[names] = (MAX_EXPONENT * (unit1 | unit2), tuple(patterns))
+        return found
 
 
 def _check_exponents(ns: Namespace, a: dict, b: dict):
@@ -286,8 +314,70 @@ class MPoly:
 
 
 # ---------------------------------------------------------------------------
-# edge-contraction operator
+# angle powers and the edge-contraction operator
 # ---------------------------------------------------------------------------
+
+# A term of a contraction or factor product takes up to about 256 bytes,
+# measured with tracemalloc: 124 for an int coefficient on a 64-bit key, 256
+# for a Gaussian integer of 30 digits on a 300-bit key.  TERM_BUDGET bounds a
+# product's term count to about 1 GiB of such terms; the bound checked is the
+# number of coefficient products, at least the number of terms formed.
+_BYTES_PER_TERM = 256
+TERM_BUDGET = (1 << 30) // _BYTES_PER_TERM
+
+
+def _over_budget(bound: int, what: str) -> ResourceError:
+    return ResourceError(f"{what} would form up to {bound} terms, past the term "
+                         f"budget of {TERM_BUDGET}")
+
+
+def _binomial_power(terms: list, m: int, powers: list) -> list:
+    """The terms (key, coefficient) of (sum of terms)^m for one or two terms,
+    by the binomial theorem; powers[i][e] is the e-th power of term i's
+    coefficient."""
+    if len(terms) == 1:
+        return [(m * terms[0][0], powers[0][m])]
+    (k1, _), (k2, _) = terms
+    p1, p2 = powers
+    row, step, base = _BINOMIAL[m], k1 - k2, m * k2
+    return [(base + i * step, row[i] * p1[i] * p2[m - i]) for i in range(m + 1)]
+
+
+def form_power(coeffs, keys, n: int) -> dict:
+    """The terms of F^n for the nonzero form F = sum_i coeffs[i]·X^keys[i]
+    with four monomials in which no variable passes exponent 1 (an angle
+    form: z_g z_h, z_g w_h, w_g z_h and w_g w_h); the terms of MPoly.pow(n)
+    on F, in the same ring, for n <= MAX_EXPONENT.
+
+    One pass of the binomial theorem, with no polynomial product: the
+    nonzero terms of F split into A, the first two, and B, the rest, and
+    F^n = sum_j C(n, j) A^j B^(n-j), each power of A and of B expanded by
+    the binomial theorem too.  A form of two terms, such as the trivial
+    holonomy's z_g w_h - w_g z_h, is A alone and gives its n + 1 terms
+    directly; only a form of four terms has two products on one monomial
+    (z_g z_h·w_g w_h = z_g w_h·w_g z_h), and so a sum that may cancel.
+    """
+    if n > MAX_EXPONENT:
+        raise InputError(f"power {n} of a form passes the exponent bound {MAX_EXPONENT}")
+    terms = [(k, c) for k, c in zip(keys, coeffs) if c]
+    if n == 1:
+        return dict(terms)
+    powers = [list(accumulate(repeat(c, n), mul, initial=1)) for _, c in terms]
+    if len(terms) <= 2:
+        return dict(_binomial_power(terms, n, powers))
+    first, second = terms[:2], terms[2:]
+    out: dict = {}
+    get = out.get
+    for j, w in enumerate(_BINOMIAL[n]):
+        right = _binomial_power(second, n - j, powers[2:])
+        for ka, ca in _binomial_power(first, j, powers[:2]):
+            ca = w * ca
+            for kb, cb in right:
+                k = ka + kb
+                s = get(k)
+                out[k] = ca * cb if s is None else s + ca * cb
+    return _nonzero(out) if len(terms) == 4 else out
+
 
 def apply_edge_operator(factors: list, z1: str, w1: str, z2: str, w2: str,
                         c: int) -> MPoly:
@@ -300,48 +390,59 @@ def apply_edge_operator(factors: list, z1: str, w1: str, z2: str, w2: str,
     R, so nothing is divided and integer or Gaussian-integer coefficients
     stay in their ring.  The factors are sorted by term count and all but
     the largest, q, are multiplied out into p (the constant 1 when there is
-    one factor).  The terms of p and of q are grouped by their four-variable
-    edge part; for each group of p and each surviving pattern the one group
-    of q whose edge part completes it is found by one lookup, and only those
-    group pairs are multiplied, so the product p·q is never formed.
+    one factor), on term dicts.  The terms of p and of q are grouped by their
+    four-variable edge part; for each group of the side with fewer groups
+    and each surviving pattern, the one group of the other side whose edge
+    part completes it is found by one lookup, and only those group pairs
+    are multiplied, so the product p·q is never formed.  The edge's field
+    mask and patterns are kept on the namespace.  A product or contraction
+    whose term count could pass TERM_BUDGET raises ResourceError before it
+    is formed.
     """
     *rest, q = sorted(factors, key=lambda f: len(f.terms))
     ns = q.ns
-    p = reduce(mul, rest) if rest else MPoly.const(ns, 1)
-    _check_ns(p, q)
-    _check_exponents(ns, p.terms, q.terms)
-    s_z1, s_w1, s_z2, s_w2 = (ns.shift(v) for v in (z1, w1, z2, w2))
-    edge_part = ((MAX_EXPONENT << s_z1) | (MAX_EXPONENT << s_w1)
-                 | (MAX_EXPONENT << s_z2) | (MAX_EXPONENT << s_w2))
-    q_groups = _edge_groups(q.terms, edge_part)
-    weights = []
-    for a2 in range(max(0, c - MAX_EXPONENT), min(c, MAX_EXPONENT) + 1):
-        a1 = c - a2
-        w = factorial(a1) * factorial(a2)
-        weights.append(((a1 << s_z1) | (a2 << s_w1) | (a2 << s_z2) | (a1 << s_w2),
-                        -w if a2 & 1 else w))
-    out: dict = {}
+    for f in rest:
+        _check_ns(f, q)
+    p = rest[0].terms if rest else {0: 1}
+    for f in rest[1:]:
+        _check_exponents(ns, p, f.terms)
+        if len(p) * len(f.terms) > TERM_BUDGET:
+            raise _over_budget(len(p) * len(f.terms), "a factor product")
+        p = _nonzero(_mul_acc({}, p, f.terms))
+    _check_exponents(ns, p, q.terms)
+    edge_part, patterns = ns.edge_patterns(z1, w1, z2, w2, c)
+    p_groups, q_groups = _edge_groups(p, edge_part), _edge_groups(q.terms, edge_part)
     # with no exponent past MAX_EXPONENT, key addition is fieldwise, so the
-    # q edge part pattern - ep, when present, completes ep to the pattern
-    for ep, gp in _edge_groups(p.terms, edge_part).items():
-        for pattern, w in weights:
+    # edge part pattern - e of the other side, when present, completes the
+    # edge part e to the pattern; the side with fewer groups looks up
+    if len(p_groups) > len(q_groups):
+        p_groups, q_groups = q_groups, p_groups
+    pairs = []
+    bound = 0
+    for ep, gp in p_groups.items():
+        for pattern, w in patterns:
             gq = q_groups.get(pattern - ep)
             if gq is not None:
-                _mul_acc(out, gp, gq, w)
+                pairs.append((gp, gq, w))
+                bound += len(gp) * len(gq)
+    if bound > TERM_BUDGET:
+        raise _over_budget(bound, "an edge contraction")
+    out: dict = {}
+    for gp, gq, w in pairs:
+        _mul_acc(out, gp, gq, w)
     return MPoly(ns, _nonzero(out))
 
 
 def _edge_groups(terms: dict, edge_part: int) -> dict:
     """{edge part: {rest of the key: coefficient}} for the keys of terms."""
-    strip = ~edge_part
     groups: dict = {}
     for k, c in terms.items():
         e = k & edge_part
         g = groups.get(e)
         if g is None:
-            groups[e] = {k & strip: c}
+            groups[e] = {k - e: c}
         else:
-            g[k & strip] = c
+            g[k - e] = c
     return groups
 
 

@@ -9,20 +9,26 @@ report text is json.dumps of a rounded copy (a polynomial expanded into its
 term list) instead of the CLI's one-pass writer, the curve sum walks
 every cover of the blown-up graph instead of memoising by uncovered nodes,
 and the configuration search solves one restart at a time with a
-single-start Levenberg-Marquardt instead of stepping a batch of them.
+single-start Levenberg-Marquardt instead of stepping a batch of them.  The
+exact evaluation by squaring is the contraction as the library ran it
+before its one-pass angle powers and term-dict edge kernel: each angle
+power by MPoly.pow, each edge by one _mul_acc per matched group pair.
 """
 
 import json
 import warnings
 from fractions import Fraction
-from math import factorial
+from functools import reduce
+from math import factorial, prod
+from operator import mul
 
 import numpy as np
 
 from spinnets import asymptotics
 from spinnets.evaluator import theta_value
-from spinnets.polyring import MPoly, _nonzero
-from spinnets.rational import QQi
+from spinnets.graphs import crossing_sign, internal_coloring, is_admissible
+from spinnets.polyring import MAX_EXPONENT, MPoly, Namespace, _check_exponents, _mul_acc, _nonzero
+from spinnets.rational import QQi, div_exact
 from spinnets.series import _blown_up
 
 # bundled tetrahedron edge ids in the single-sum formula's positions:
@@ -94,6 +100,76 @@ def naive_edge_operator(p: MPoly, z1, w1, z2, w2, c: int) -> MPoly:
     shifts = [ns.shift(v) for v in (z1, w1, z2, w2)]
     kept = {k: v for k, v in cur.terms.items() if all(((k >> s) & 63) == 0 for s in shifts)}
     return MPoly(ns, kept).scalar_mul(Fraction(1, factorial(c) ** 2))
+
+
+def edge_operator_by_products(factors: list, z1, w1, z2, w2, c: int) -> MPoly:
+    """polyring.apply_edge_operator with the factors but the largest
+    multiplied as MPoly, both sides grouped by their edge part, and one
+    _mul_acc per matched group pair."""
+    *rest, q = sorted(factors, key=lambda f: len(f.terms))
+    ns = q.ns
+    p = reduce(mul, rest) if rest else MPoly.const(ns, 1)
+    _check_exponents(ns, p.terms, q.terms)
+    s_z1, s_w1, s_z2, s_w2 = (ns.shift(v) for v in (z1, w1, z2, w2))
+    edge_part = sum(MAX_EXPONENT << s for s in (s_z1, s_w1, s_z2, s_w2))
+
+    def groups(terms):
+        out = {}
+        for k, x in terms.items():
+            out.setdefault(k & edge_part, {})[k & ~edge_part] = x
+        return out
+
+    q_groups = groups(q.terms)
+    out: dict = {}
+    for ep, gp in groups(p.terms).items():
+        for a2 in range(max(0, c - MAX_EXPONENT), min(c, MAX_EXPONENT) + 1):
+            a1 = c - a2
+            pattern = (a1 << s_z1) | (a2 << s_w1) | (a2 << s_z2) | (a1 << s_w2)
+            gq = q_groups.get(pattern - ep)
+            if gq is not None:
+                _mul_acc(out, gp, gq, (-1) ** a2 * factorial(a1) * factorial(a2))
+    return MPoly(ns, _nonzero(out))
+
+
+def eval_by_squaring(graph, coloring: dict, holonomy=None, trace=None) -> QQi:
+    """evaluator.eval_spin_network for an admissible coloring, with each
+    angle power by MPoly.pow and each edge by edge_operator_by_products, in
+    the same greedy order.  When trace is a list, each step appends (the
+    edge's four variable names, the term counts of its factors, the term
+    count of the result)."""
+    if not is_admissible(graph, coloring):
+        return QQi(0)
+    ns = Namespace(x for h in graph.halfedges for x in ("z@" + h, "w@" + h))
+    bit = {h: 1 << i for i, h in enumerate(graph.halfedges)}
+    internal = internal_coloring(graph, coloring)
+    scale = prod(factorial(coloring[e]) for e in graph.edge_ids)
+    factors = []
+    for aid, _, _, (g, h) in graph.angles:
+        n = internal[aid]
+        if n:
+            coeffs, den = ((0, 1, -1, 0), 1) if holonomy is None else holonomy.angle_form(g, h)
+            monomials = ({"z@" + g: 1, "z@" + h: 1}, {"z@" + g: 1, "w@" + h: 1},
+                         {"w@" + g: 1, "z@" + h: 1}, {"w@" + g: 1, "w@" + h: 1})
+            form = MPoly(ns, {ns.encode(m): x for m, x in zip(monomials, coeffs) if x})
+            factors.append((bit[g] | bit[h], form.pow(n)))
+            scale *= den ** n
+    remaining = [(e, bit[l] | bit[r], ("z@" + l, "w@" + l, "z@" + r, "w@" + r))
+                 for e, l, r in graph.edges if coloring[e]]
+    while remaining:
+        costs = [sum(len(p.terms) for m, p in factors if m & em) for _, em, _ in remaining]
+        e, em, names = remaining.pop(costs.index(min(costs)))
+        gathered = [f for f in factors if f[0] & em]
+        factors = [f for f in factors if not f[0] & em]
+        contracted = edge_operator_by_products([p for _, p in gathered], *names, coloring[e])
+        if trace is not None:
+            trace.append((names, tuple(len(p.terms) for _, p in gathered), len(contracted.terms)))
+        if contracted.is_zero():
+            return QQi(0)
+        factors.append((reduce(int.__or__, (m for m, _ in gathered)) & ~em, contracted))
+    value = div_exact(QQi(1) * prod(p.constant_term() for _, p in factors), scale)
+    if sum(coloring.values()) % 2:
+        value = -value
+    return value if crossing_sign(graph, coloring) > 0 else -value
 
 
 def naive_det(m) -> MPoly:

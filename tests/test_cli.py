@@ -93,6 +93,33 @@ def test_series_check_against_eval():
         assert rep["results"]["check_all_equal"] is True
 
 
+@pytest.mark.parametrize("method", ["curves", "westbury", "pfaffian"])
+def test_series_routes_accept_an_identity_holonomy_file(tmp_path, method):
+    # a -H file of identities is the trivial holonomy: it exited 2 with
+    # "supports only the trivial holonomy"
+    path = tmp_path / "eye.json"
+    path.write_text(json.dumps({h: [[1, 0], [0, 1]] for h in ("u1", "u2", "u3", "v1", "v2", "v3")}))
+    argv = ("series", "-g", "theta", "--degree", "4", "--method", method, "--check-against-eval")
+    (rc, out), (rc0, out0) = run_cli(*argv, "-H", str(path)), run_cli(*argv)
+    with_h, plain = json.loads(out), json.loads(out0)
+    assert rc == rc0 == 0 and with_h["inputs"].pop("holonomy")
+    assert {**with_h, "command": None} == {**plain, "command": None}
+
+
+def test_contraction_past_the_term_budget_exits_1(monkeypatch, capsys):
+    import spinnets.polyring
+
+    argv = ("eval", "-g", "tetrahedron", "-c", '{"ab":4,"ac":4,"ad":4,"bc":4,"bd":4,"cd":4}')
+    monkeypatch.setattr(spinnets.polyring, "TERM_BUDGET", 20)
+    capsys.readouterr()
+    rc, out = run_cli(*argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and out == ""
+    assert len(err) == 1 and err[0].startswith("failure: ") and "term budget of 20" in err[0]
+    monkeypatch.undo()
+    assert run_cli(*argv)[0] == 0
+
+
 def test_series_loop_edges_match_evaluations(dumbbell_path):
     # the loop and the angle between its half-edges link the same pair of
     # nodes of the blown-up graph; dropping either link broke both routes

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from unittest import mock
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_sl2, random_holonomy, shear_gauge, shear_gauges
-from oracles import tet_value_oracle
+from conftest import presentations, rand_sl2, random_holonomy, shear_gauge, shear_gauges
+from oracles import eval_by_squaring, tet_value_oracle
 from spinnets import evaluator as evaluator_module
 from spinnets.errors import AdmissibilityError, InputError, RegimeError
 from spinnets.evaluator import bracket_square, eval_spin_network, renormalize, theta_value
@@ -158,13 +159,14 @@ def test_scaled_contraction_is_gauge_invariant(theta, tet, name, seed, data):
     Gaussian-rational gauge changes; every contraction runs on Gaussian
     integers and the value does not change."""
     g = {"theta": theta, "tet": tet}[name]
-    cols = list(admissible_colorings(g, max_color=3))
+    cols = [c for c in admissible_colorings(g, max_color=3) if any(c.values())]
     col = data.draw(st.sampled_from(cols))
     hol = random_holonomy(g, seed=seed)
     gauged = gauge_transform(g, hol, data.draw(shear_gauges(g)))
-    coeffs = []
+    coeffs, calls = [], []
 
     def spy(factors, *args):
+        calls.append(args)
         for poly in factors:
             coeffs.extend(poly.terms.values())
         out = apply_edge_operator(factors, *args)
@@ -173,6 +175,9 @@ def test_scaled_contraction_is_gauge_invariant(theta, tet, name, seed, data):
 
     with mock.patch.object(evaluator_module, "apply_edge_operator", spy):
         value = eval_spin_network(g, col, gauged)
+    # a drawn coloring has a nonzero color, so at least one edge is
+    # contracted; a spy that saw nothing would pass the check below vacuously
+    assert calls and coeffs
     assert all(type(c) is int or (type(c.re) is int and type(c.im) is int) for c in coeffs)
     assert value == eval_spin_network(g, col, hol)
 
@@ -273,3 +278,44 @@ def test_int_ring_matches_gaussian_ring_tet(tet, tet_colorings, data, seed):
 @given(data=st.data(), seed=st.integers(0, 2**16))
 def test_int_ring_matches_gaussian_ring_prism(prism, prism_colorings, data, seed):
     eval_both_rings(prism, data.draw(st.sampled_from(prism_colorings)), seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph=presentations(6), seed=st.integers(0, 2**16), data=st.data())
+def test_contraction_matches_evaluation_by_squaring(graph, seed, data):
+    """The one-pass angle powers and the term-dict edge kernel give the
+    value of the squaring oracle, contracting the same edges in the same
+    order into factors of the same term counts."""
+    col = data.draw(st.sampled_from(list(admissible_colorings(graph, max_color=2))))
+    hol = data.draw(st.sampled_from((None, random_holonomy(graph, seed=seed))))
+    expect_trace, trace = [], []
+
+    def spy(factors, z1, w1, z2, w2, c):
+        out = apply_edge_operator(factors, z1, w1, z2, w2, c)
+        trace.append(((z1, w1, z2, w2), tuple(len(f.terms) for f in factors), len(out.terms)))
+        return out
+
+    expect = eval_by_squaring(graph, col, hol, expect_trace)
+    with mock.patch.object(evaluator_module, "apply_edge_operator", spy):
+        assert eval_spin_network(graph, col, hol) == expect
+    assert trace == expect_trace
+
+
+# sha256 of the lines "<graph> <sorted (edge, color) pairs> <re> <im>" for
+# every admissible coloring of theta, tetrahedron and prism3 with colors <= 3,
+# each under the trivial holonomy and, for colors <= 3, 3 and 2, under
+# random_holonomy(graph, seed=27), as the evaluator gave them before its
+# one-pass angle powers and term-dict edge kernel
+GOLDEN_DIGEST = "9a65d5455094147f451b1dbf64965d7ce2e35810c3cc51137c25ee17d19ab42e"
+
+
+def test_values_match_the_recorded_digest(theta, tet, prism):
+    digest = hashlib.sha256()
+    for name, graph, holonomy_max in (("theta", theta, 3), ("tetrahedron", tet, 3),
+                                      ("prism3", prism, 2)):
+        hol = random_holonomy(graph, seed=27)
+        for col in admissible_colorings(graph, max_color=3):
+            for h in (None, hol) if max(col.values()) <= holonomy_max else (None,):
+                v = eval_spin_network(graph, col, h)
+                digest.update(f"{name} {sorted(col.items())} {v.re} {v.im}\n".encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_det, naive_edge_operator
-from spinnets.errors import InputError, PreconditionError
-from spinnets.polyring import (MPoly, Namespace, apply_edge_operator, det_poly, exact_div,
-                               inv_sqrt_series, inverse_series)
+from spinnets import polyring
+from spinnets.errors import InputError, PreconditionError, ResourceError
+from spinnets.polyring import (MAX_EXPONENT, MPoly, Namespace, apply_edge_operator, det_poly,
+                               exact_div, form_power, inv_sqrt_series, inverse_series)
 from spinnets.rational import QQi
 
 NS3 = Namespace(("x", "y", "z"))
@@ -187,6 +188,55 @@ def test_edge_operator_int_coefficients():
         assert got == naive_edge_operator(p, "z1", "w1", "z2", "w2", 2).scalar_mul(factorial(2))
         assert got.constant_term() == value
         assert type(got.constant_term()) is type(value)
+
+
+def test_edge_operator_refuses_a_product_past_the_term_budget(monkeypatch):
+    # the two smaller factors' product could have 3 * 3 terms, the
+    # contraction of the single factor 4 * 1
+    x, y = MPoly.var(NS6, "x"), MPoly.var(NS6, "y")
+    small = x + y + MPoly.const(NS6, 1)
+    large = poly(NS6, *(({"z1": 1, "w2": 1, "x": i}, 1) for i in range(4)))
+    monkeypatch.setattr(polyring, "TERM_BUDGET", 8)
+    with pytest.raises(ResourceError, match="a factor product would form up to 9 terms"):
+        apply_edge_operator([small, small, large], *EDGE, 1)
+    assert apply_edge_operator([large], *EDGE, 1).terms
+    monkeypatch.setattr(polyring, "TERM_BUDGET", 3)
+    with pytest.raises(ResourceError, match="an edge contraction would form up to 4 terms"):
+        apply_edge_operator([large], *EDGE, 1)
+
+
+# -- angle powers -------------------------------------------------------------
+
+# the monomials z1 z2, z1 w2, w1 z2 and w1 w2 of a form on NS6
+FORM_KEYS = tuple(NS6.encode({a: 1, b: 1}) for a in ("z1", "w1") for b in ("z2", "w2"))
+FORM_RINGS = {
+    "int": st.integers(-5, 5).filter(bool),
+    "gaussian": st.builds(QQi, st.integers(-3, 3), st.integers(-3, 3)).filter(bool),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring=st.sampled_from(sorted(FORM_RINGS)), n=st.integers(0, 9),
+       support=st.sampled_from([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1, 2),
+                                (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 2, 3)]),
+       data=st.data())
+def test_form_power_matches_repeated_squaring(ring, n, support, data):
+    """A form of two to four terms whose coefficients are all ints or all
+    Gaussian integers: form_power gives the terms of MPoly.pow, each of the
+    same type."""
+    coeffs = tuple(data.draw(FORM_RINGS[ring]) if i in support else 0 for i in range(4))
+    form = MPoly(NS6, {k: c for k, c in zip(FORM_KEYS, coeffs) if c})
+    got, expect = form_power(coeffs, FORM_KEYS, n), form.pow(n).terms
+    assert got == expect
+    assert {k: type(c) for k, c in got.items()} == {k: type(c) for k, c in expect.items()}
+
+
+def test_form_power_at_the_exponent_bound():
+    coeffs = (0, 1, -1, 0)
+    form = MPoly(NS6, {k: c for k, c in zip(FORM_KEYS, coeffs) if c})
+    assert form_power(coeffs, FORM_KEYS, MAX_EXPONENT) == form.pow(MAX_EXPONENT).terms
+    with pytest.raises(InputError):
+        form_power(coeffs, FORM_KEYS, MAX_EXPONENT + 1)
 
 
 # -- inverse square root ----------------------------------------------------
