@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,11 +42,21 @@ __all__ = [
     "detprime_limit",
     "asymptotic_estimate",
     "scale_prefactor",
+    "check_phase_bound",
+    "PHASE_TOL",
 ]
 
 _KERNEL_THRESHOLD = 1e-8
 _PHASE_THRESHOLD = 1e-6
 _CHUNK = 64  # restarts per batched least-squares call; bounds the search's memory
+
+# A pair phase sum_e (k c_e + 1) theta_e is refused once its error bound
+# k * sum_e c_e * dtheta passes PHASE_TOL radian, dtheta = max(tol,
+# _THETA_ROUNDING) being the error taken for each theta_e: the search accepts a
+# configuration at a closure residual up to tol, and at a residual near 1e-16
+# the theta_e of the all-2 tetrahedron repeat across seeds only to 4.4e-16.
+PHASE_TOL = 0.1
+_THETA_ROUNDING = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +658,21 @@ def scale_prefactor(graph: Graph, k) -> float:
         raise DomainError(f"scale k = {shown} is out of floating-point range: the prefactor "
                           "(2N)^(3/2) / (pi k^3)^(N-1) is not a finite positive float")
     return prefactor
+
+
+def check_phase_bound(coloring: dict, k: int, tol: float):
+    """Raise DomainError when the pair phases at the scale k have an error
+    bound k * sum_e c_e * dtheta past PHASE_TOL radian, dtheta = max(tol,
+    _THETA_ROUNDING) for configurations accepted at closure residual tol.
+    Compared in exact arithmetic, so any int k is checked; a tol that is not
+    finite and positive is left to find_configs to refuse."""
+    if not (math.isfinite(tol) and tol > 0):
+        return
+    dtheta = max(tol, _THETA_ROUNDING)
+    if k * sum(coloring.values()) * Fraction(dtheta) > Fraction(PHASE_TOL):
+        shown = k if k < 10 ** 15 else f"~1e{len(str(k)) - 1}"
+        raise DomainError(f"scale k = {shown} is past the phase accuracy: its pair-phase "
+                          f"error bound k * sum_e c_e * {dtheta:g} passes {PHASE_TOL} radian")
 
 
 def asymptotic_estimate(graph: Graph, coloring: dict, report: HypothesesReport,

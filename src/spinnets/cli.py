@@ -24,7 +24,7 @@ from . import __version__, bundled_graph_path
 from .errors import (AdmissibilityError, DomainError, HypothesisError, InputError,
                      NumericalError, PreconditionError, RegimeError, ResourceError,
                      SpinnetError)
-from .evaluator import bracket_square, eval_spin_network, theta_value
+from .evaluator import _bracket_square, bracket_square, eval_spin_network, theta_value
 from .graphs import (Graph, check_coloring, is_admissible, load_coloring, load_graph,
                      load_holonomy, parse_json, read_input, vertex_colors)
 from .haar import mc_bracket, mc_orthogonality, mc_W_point
@@ -202,13 +202,14 @@ def _cmd_eval(args):
     graph, holonomy, inputs = _load_inputs(args)
     coloring = _load_coloring_arg(args.coloring, graph)
     value = eval_spin_network(graph, coloring, holonomy)
+    admissible = is_admissible(graph, coloring)
     results = {
         "graph": graph.name,
         "coloring": coloring,
-        "admissible": is_admissible(graph, coloring),
+        "admissible": admissible,
         "value": format_exact(value),
         "abs": _float(value.norm2(), "the squared modulus of the value") ** 0.5,
-        "bracket_square": str(bracket_square(graph, coloring, value=value)),
+        "bracket_square": str(_bracket_square(graph, coloring, value) if admissible else 0),
     }
     _emit(_report(args, inputs, results))
     return 0
@@ -338,13 +339,15 @@ def _cmd_integrate(args):
 def _configs_and_report(args, ks=()):
     """Graph, coloring, input digests, critical configurations and their
     hypothesis report, shared by check and asymptote; asymptote's scales ks
-    are checked against the graph before the search."""
-    from .asymptotics import check_hypotheses, find_configs, scale_prefactor
+    are checked against the graph's prefactor and the phase accuracy before
+    the search."""
+    from .asymptotics import check_hypotheses, check_phase_bound, find_configs, scale_prefactor
 
     graph, _, inputs = _load_inputs(args)
     coloring = _load_coloring_arg(args.coloring, graph)
     for k in ks:
         scale_prefactor(graph, k)
+        check_phase_bound(coloring, k, args.tol)
     configs = find_configs(graph, coloring, restarts=args.restarts, tol=args.tol,
                            seed=args.seed)
     return graph, coloring, inputs, configs, check_hypotheses(graph, coloring, configs)

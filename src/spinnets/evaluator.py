@@ -18,6 +18,13 @@ degree c_a in the bracket of each angle a, so the final constant is divided
 once by prod_e c_e! * prod_a d_a^{c_a}.  The edges are contracted in a
 greedy order, cheapest first; a contraction whose term count could pass
 `polyring.TERM_BUDGET` raises ResourceError before it is formed.
+
+What depends on the graph alone is built once and kept on it (`_Plan`):
+the namespace, each angle's edges, keys and half-edges, and the trivial
+holonomy's angle powers, which every coloring then looks up and shares
+read-only.  A coloring's own work is its angle colors (admissibility is
+read from them: every one a non-negative integer), the lookups, and the
+contractions.
 """
 
 from __future__ import annotations
@@ -57,13 +64,20 @@ class _Plan:
     """What a contraction needs of a graph and no coloring: the namespace
     of the z and w variables; each angle's two edges and the third edge at
     its vertex, whose colors give the angle's color, its half-edges and the
-    keys of its four monomials z_g z_h, z_g w_h, w_g z_h and w_g w_h; and
-    each edge's variable names.  A factor or an edge carries a bitmask of
-    the half-edges it touches (bit i for graph.halfedges[i]).  Built once
-    per graph and kept on it: it depends only on the graph's half-edges,
-    angles and edges."""
+    keys of its four monomials z_g z_h, z_g w_h, w_g z_h and w_g w_h; each
+    edge's variable names; and the table of the angles' powers under the
+    trivial holonomy.  A factor or an edge carries a bitmask of the
+    half-edges it touches (bit i for graph.halfedges[i]).  Built once per
+    graph and kept on it: it depends only on the graph's half-edges, angles
+    and edges.
 
-    __slots__ = ("ns", "angles", "edges")
+    `powers` maps (angle index, n) to the MPoly form_power(_TRIVIAL_FORM, the
+    angle's keys, n), built on first use; there are at most one per angle
+    and color 1.._MAX_COLOR.  Every evaluation under the trivial holonomy
+    shares these, so they are read and never written.
+    """
+
+    __slots__ = ("ns", "angles", "edges", "powers")
 
     def __init__(self, graph: Graph):
         bit = {h: 1 << i for i, h in enumerate(graph.halfedges)}
@@ -77,6 +91,15 @@ class _Plan:
         self.angles = tuple(angles)
         self.edges = tuple((e, bit[l] | bit[r], (_zvar(l), _wvar(l), _zvar(r), _wvar(r)))
                            for e, l, r in graph.edges)
+        self.powers = {}
+
+    def power(self, a: int, n: int) -> MPoly:
+        """The trivial holonomy's bracket factor of angle a at color n."""
+        found = self.powers.get((a, n))
+        if found is None:
+            keys = self.angles[a][6]
+            found = self.powers[a, n] = MPoly(self.ns, form_power(_TRIVIAL_FORM[0], keys, n))
+        return found
 
 
 def _plan(graph: Graph) -> _Plan:
@@ -94,50 +117,73 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
             raise InputError(f"color {coloring[e]} exceeds supported bound {_MAX_COLOR}")
     if holonomy is not None and not holonomy.exact:
         raise RegimeError("exact evaluation needs an exact-regime holonomy")
-    if not is_admissible(graph, coloring):
-        return QQi(0)
     plan = _plan(graph)
-    ns = plan.ns
+
+    # the color (c_i + c_j - c_k) / 2 of each angle; the coloring is
+    # admissible (parity and triangle inequalities at every vertex) exactly
+    # when every one of them is a non-negative integer
+    colors = []
+    for ei, ej, ek, *_ in plan.angles:
+        t = coloring[ei] + coloring[ej] - coloring[ek]
+        if t < 0 or t & 1:
+            return QQi(0)
+        colors.append(t >> 1)
 
     # one bracket factor (d_a (Z_g W_h - Z_h W_g))^n per angle a = (g, h) of
-    # color n = (c_i + c_j - c_k) / 2, with the mask of the half-edges it
-    # touches; the value is divided once by scale: prod_e c_e!, as each edge
-    # contraction is c_e! times the edge's operator, and prod_a d_a^n for the
-    # scaled angle forms
+    # color n, with the mask of the half-edges it touches; the value is
+    # divided once by scale: prod_e c_e!, as each edge contraction is c_e!
+    # times the edge's operator, and prod_a d_a^n for the scaled angle forms
     scale = prod(map(factorial, coloring.values()))
     factors = []  # (half-edge mask, polynomial, its number of terms)
-    for ei, ej, ek, g, h, mask, keys in plan.angles:
-        n = (coloring[ei] + coloring[ej] - coloring[ek]) >> 1
+    for a, n in enumerate(colors):
         if n:
-            coeffs, den = _TRIVIAL_FORM if holonomy is None else holonomy.angle_form(g, h)
-            terms = form_power(coeffs, keys, n)
-            scale *= den ** n
-            factors.append((mask, MPoly(ns, terms), len(terms)))
+            _, _, _, g, h, mask, keys = plan.angles[a]
+            if holonomy is None:
+                poly = plan.power(a, n)
+            else:
+                coeffs, den = holonomy.angle_form(g, h)
+                poly = MPoly(plan.ns, form_power(coeffs, keys, n))
+                scale *= den ** n
+            factors.append((mask, poly, len(poly.terms)))
 
     # a color-0 edge touches no factor; an edge of color c_e > 0 touches a
     # factor at each half-edge, whose two angles' colors sum to c_e.  Each
     # step contracts the edge whose factors have the fewest terms in all,
-    # the earliest such edge on a tie.
+    # the earliest such edge on a tie.  costs[i] is that sum for
+    # remaining[i]; a contraction changes it only for the edges that touch
+    # the factors it merged, which then touch the merged factor instead.
     remaining = [edge for edge in plan.edges if coloring[edge[0]]]
+    costs = []
+    for _, em, _ in remaining:
+        cost = 0
+        for m, _, n in factors:
+            if m & em:
+                cost += n
+        costs.append(cost)
     while remaining:
-        best, least = 0, None
-        for i, (_, em, _) in enumerate(remaining):
-            cost = 0
-            for m, _, n in factors:
-                if m & em:
-                    cost += n
-            if least is None or cost < least:
-                best, least = i, cost
+        best = costs.index(min(costs))
+        del costs[best]
         e, em, names = remaining.pop(best)
-        gathered = [f for f in factors if f[0] & em]
-        factors = [f for f in factors if not f[0] & em]
-        involved = 0
-        for m, _, _ in gathered:
-            involved |= m
+        gathered, kept, involved = [], [], 0
+        for f in factors:
+            if f[0] & em:
+                gathered.append(f)
+                involved |= f[0]
+            else:
+                kept.append(f)
         contracted = apply_edge_operator([p for _, p, _ in gathered], *names, coloring[e])
         if contracted.is_zero():
             return QQi(0)
-        factors.append((involved & ~em, contracted, len(contracted.terms)))
+        n = len(contracted.terms)
+        for i, (_, other, _) in enumerate(remaining):
+            if other & involved:
+                cost = costs[i] + n
+                for m, _, k in gathered:
+                    if m & other:
+                        cost -= k
+                costs[i] = cost
+        kept.append((involved & ~em, contracted, n))
+        factors = kept
 
     value = QQi(1)
     for _, p, _ in factors:
@@ -187,11 +233,16 @@ def bracket_square(graph: Graph, coloring: dict, holonomy: Holonomy | None = Non
     if not is_admissible(graph, coloring):
         return Fraction(0)
     v = eval_spin_network(graph, coloring, holonomy) if value is None else value
+    return _bracket_square(graph, coloring, v)
+
+
+def _bracket_square(graph: Graph, coloring: dict, value: QQi) -> Fraction:
+    """bracket_square for a checked, admissible coloring and its value."""
     # prod over vertices of theta_value(a, b, c), as one fraction num / den
     num = den = 1
     for a, b, c in vertex_colors(graph, coloring):
         s = (a + b + c) // 2
         num *= factorial(s + 1) * factorial(s - c) * factorial(s - b) * factorial(s - a)
         den *= factorial(a) * factorial(b) * factorial(c)
-    n2 = Fraction(v.norm2())
+    n2 = Fraction(value.norm2())
     return Fraction(n2.numerator * den, n2.denominator * num)

@@ -9,11 +9,13 @@ whose caller knows its degree bound; the inverse, the inverse square root
 and the determinant series all come from one recurrence on homogeneous
 parts, F_0 = 1 and k·F_k = sum_m w(m, k)·g_m·F_{k-m}.
 
-Every sparse product runs on one multiply-accumulate kernel, _mul_acc,
-acc[ka + kb] += w·ca·cb over two term dicts: MPoly.__mul__, the series
-recurrence, the matrix powers and traces of `series`, and the integer
-edge contraction, which contracts the factors at an edge against the
-largest of them on term dicts, without forming their product or any MPoly
+Every sparse product runs the multiply-accumulate loop acc[ka + kb] +=
+w·ca·cb over two term dicts.  MPoly.__mul__, the series recurrence and the
+matrix powers and traces of `series` call it as _mul_acc.  The integer edge
+contraction, `apply_edge_operator`, runs it in its own loops, because its
+operands are many and tiny: it contracts the factors at an edge against the
+largest of them on term dicts, one term of the smaller side against one
+group of the larger at a time, without forming their product or any MPoly
 in between.  Each consumer accumulates into its own destination and drops
 cancelled terms once at the end.  A product or contraction of the edge
 contraction whose term count could pass TERM_BUDGET raises ResourceError
@@ -48,7 +50,7 @@ _BINOMIAL = tuple(tuple(comb(n, k) for k in range(n + 1)) for n in range(MAX_EXP
 class Namespace:
     """Ordered set of variable names with monomial packing helpers."""
 
-    __slots__ = ("names", "index", "high", "_edges")
+    __slots__ = ("names", "index", "carry", "_edges")
 
     def __init__(self, names):
         names = tuple(names)
@@ -56,8 +58,9 @@ class Namespace:
             raise InputError("duplicate variable names in namespace")
         self.names = names
         self.index = {n: i for i, n in enumerate(names)}
-        # the top bit of every field, set in a key where that exponent is >= 32
-        self.high = sum(1 << (_BITS * i + _BITS - 1) for i in range(len(names)))
+        # the low bit of every field but the first, and the bit past the last
+        # one: where a sum of keys that carries out of a field shows
+        self.carry = sum(1 << (_BITS * i) for i in range(1, len(names) + 1))
         self._edges = {}  # (z1, w1, z2, w2, c) -> edge_patterns(z1, w1, z2, w2, c)
 
     def __len__(self):
@@ -120,20 +123,49 @@ class Namespace:
 
 def _check_exponents(ns: Namespace, a: dict, b: dict):
     """Raise InputError when the product of a key of a and a key of b would
-    carry an exponent past MAX_EXPONENT into the next variable's field.
-
-    The OR of all keys of a and b has the top bit of every field clear
-    exactly when every exponent is below 32, and then no sum passes 63;
-    only when that test fails are the per-field maxima compared.
-    """
-    if not (reduce(or_, a, 0) | reduce(or_, b, 0)) & ns.high or not (a and b):
+    carry an exponent past MAX_EXPONENT into the next variable's field: the
+    two-dict case of _exponent_maxima, inline for the many small products
+    of `series`."""
+    if not (a and b):
         return
-    for i, name in enumerate(ns.names):
-        s = _BITS * i
-        top = (max((k >> s) & MAX_EXPONENT for k in a)
-               + max((k >> s) & MAX_EXPONENT for k in b))
-        if top > MAX_EXPONENT:
-            raise InputError(f"product has exponent {top} of {name}, "
+    x, y = reduce(or_, a), reduce(or_, b)
+    if ((x + y) ^ x ^ y) & ns.carry:
+        _check_field_sums(ns, _field_maxima(ns, a), _field_maxima(ns, b))
+
+
+def _exponent_maxima(ns: Namespace, dicts: list) -> list | None:
+    """None when no product of keys of the nonzero term dicts, in any order,
+    has an exponent past MAX_EXPONENT; otherwise each dict's per-field
+    maxima, for the caller to check step by step.
+
+    The OR of a dict's keys bounds each of its exponents, and while the
+    running sum of these ORs carries out of no field, the fieldwise sums of
+    the bounds stay at or below MAX_EXPONENT.  The per-field maxima add up
+    exactly over a product: in each variable, the top terms of two nonzero
+    polynomials multiply to a nonzero term.
+    """
+    envelope = 0
+    for terms in dicts:
+        key_or = reduce(or_, terms)
+        total = envelope + key_or
+        if (total ^ envelope ^ key_or) & ns.carry:
+            return [_field_maxima(ns, terms) for terms in dicts]
+        envelope = total
+    return None
+
+
+def _field_maxima(ns: Namespace, terms: dict) -> list:
+    """The largest exponent of each variable over the keys of terms."""
+    return [max((k >> s) & MAX_EXPONENT for k in terms)
+            for s in range(0, _BITS * len(ns), _BITS)]
+
+
+def _check_field_sums(ns: Namespace, a: list, b: list):
+    """Raise InputError at the first variable whose exponents a and b (per
+    field, as from _field_maxima) sum past MAX_EXPONENT."""
+    for name, x, y in zip(ns.names, a, b):
+        if x + y > MAX_EXPONENT:
+            raise InputError(f"product has exponent {x + y} of {name}, "
                              f"past the exponent bound {MAX_EXPONENT}")
 
 
@@ -141,7 +173,8 @@ def _mul_acc(acc: dict, a: dict, b: dict, w=1) -> dict:
     """acc[ka + kb] += w·ca·cb over every term ka: ca of a and kb: cb of b;
     returns acc.
 
-    The one sparse multiply kernel.  The smaller operand runs outside, so w
+    The sparse multiply kernel of MPoly and `series`; apply_edge_operator
+    runs the same loop in place.  The smaller operand runs outside, so w
     multiplies each of its coefficients once.  Cancelled entries stay in acc
     as zeros until the caller drops them with _nonzero, and the caller runs
     _check_exponents on the operands first: a key sum past MAX_EXPONENT
@@ -161,9 +194,11 @@ def _mul_acc(acc: dict, a: dict, b: dict, w=1) -> dict:
 
 
 def _nonzero(acc: dict) -> dict:
-    """acc with its zero entries deleted in place; returns acc."""
-    for k in [k for k, c in acc.items() if not c]:
-        del acc[k]
+    """acc with its zero entries deleted in place; returns acc.  Zeros are
+    rare, so the values are first searched for one in a single C-level scan."""
+    if 0 in acc.values():
+        for k in [k for k, c in acc.items() if not c]:
+            del acc[k]
     return acc
 
 
@@ -383,67 +418,90 @@ def apply_edge_operator(factors: list, z1: str, w1: str, z2: str, w2: str,
                         c: int) -> MPoly:
     """Apply (1/c!) (d_z1 d_w2 - d_z2 d_w1)^c to the product of the factors
     at an edge (a nonempty list of MPoly), then set the four variables to
-    zero.
+    zero.  The factors' term dicts are read and never written.
 
     A monomial z1^a1 w1^b1 z2^a2 w2^b2 * R survives iff a1 = b2, a2 = b1 and
     a1 + a2 = c; it contributes the integer weight (-1)^a2 * a1! * a2! times
     R, so nothing is divided and integer or Gaussian-integer coefficients
     stay in their ring.  The factors are sorted by term count and all but
     the largest, q, are multiplied out into p (the constant 1 when there is
-    one factor), on term dicts.  The terms of p and of q are grouped by their
-    four-variable edge part; for each group of the side with fewer groups
-    and each surviving pattern, the one group of the other side whose edge
-    part completes it is found by one lookup, and only those group pairs
-    are multiplied, so the product p·q is never formed.  The edge's field
-    mask and patterns are kept on the namespace.  A product or contraction
-    whose term count could pass TERM_BUDGET raises ResourceError before it
-    is formed.
+    one factor).  The terms of the larger of p and q are grouped by their
+    four-variable edge part; for each term of the smaller and each surviving
+    pattern, the one group whose edge part completes the term's to the
+    pattern is found by one lookup, and only those pairs are multiplied, so
+    the product p·q is never formed.  Every product runs in this function's
+    own loops, on term dicts.  The edge's field mask and patterns are kept
+    on the namespace.
+
+    Each step, a product of p with the next factor and then the contraction,
+    is checked in turn as if it ran alone: its exponents (InputError past
+    MAX_EXPONENT), then its count of coefficient products against
+    TERM_BUDGET (ResourceError), before it is formed.  Each factor's keys
+    are read once for the exponents, by _exponent_maxima.
     """
-    *rest, q = sorted(factors, key=lambda f: len(f.terms))
+    factors = sorted(factors, key=lambda f: len(f.terms))
+    q = factors[-1]
     ns = q.ns
-    for f in rest:
+    for f in factors[:-1]:
         _check_ns(f, q)
-    p = rest[0].terms if rest else {0: 1}
-    for f in rest[1:]:
-        _check_exponents(ns, p, f.terms)
-        if len(p) * len(f.terms) > TERM_BUDGET:
-            raise _over_budget(len(p) * len(f.terms), "a factor product")
-        p = _nonzero(_mul_acc({}, p, f.terms))
-    _check_exponents(ns, p, q.terms)
+    dicts = [f.terms for f in factors]
+    if not dicts[0]:  # a zero factor: a zero product, and nothing to check
+        return MPoly(ns, {})
     edge_part, patterns = ns.edge_patterns(z1, w1, z2, w2, c)
-    p_groups, q_groups = _edge_groups(p, edge_part), _edge_groups(q.terms, edge_part)
-    # with no exponent past MAX_EXPONENT, key addition is fieldwise, so the
-    # edge part pattern - e of the other side, when present, completes the
-    # edge part e to the pattern; the side with fewer groups looks up
-    if len(p_groups) > len(q_groups):
-        p_groups, q_groups = q_groups, p_groups
-    pairs = []
-    bound = 0
-    for ep, gp in p_groups.items():
-        for pattern, w in patterns:
-            gq = q_groups.get(pattern - ep)
-            if gq is not None:
-                pairs.append((gp, gq, w))
-                bound += len(gp) * len(gq)
-    if bound > TERM_BUDGET:
-        raise _over_budget(bound, "an edge contraction")
-    out: dict = {}
-    for gp, gq, w in pairs:
-        _mul_acc(out, gp, gq, w)
-    return MPoly(ns, _nonzero(out))
 
+    maxima = _exponent_maxima(ns, dicts)
+    running = maxima[0] if maxima else None
+    p = dicts[0] if len(dicts) > 1 else {0: 1}
+    for i in range(1, len(dicts)):
+        if maxima:
+            _check_field_sums(ns, running, maxima[i])
+            running = [x + y for x, y in zip(running, maxima[i])]
+        if i == len(dicts) - 1:
+            break
+        a, b = p, dicts[i]
+        if len(a) * len(b) > TERM_BUDGET:
+            raise _over_budget(len(a) * len(b), "a factor product")
+        if len(a) > len(b):
+            a, b = b, a
+        acc: dict = {}
+        get = acc.get
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                x = get(k)
+                acc[k] = ca * cb if x is None else x + ca * cb
+        p = _nonzero(acc)
 
-def _edge_groups(terms: dict, edge_part: int) -> dict:
-    """{edge part: {rest of the key: coefficient}} for the keys of terms."""
+    # the terms of the larger side, r, grouped by their edge part; with no
+    # exponent past MAX_EXPONENT, key addition is fieldwise, so the group of
+    # edge part pattern - e, when present, completes a term of the smaller
+    # side, s, whose edge part is e, to the pattern.  The count of coefficient
+    # products is at most |s|·|r|, and is summed exactly only past the budget
+    s, r = (p, dicts[-1]) if len(p) <= len(dicts[-1]) else (dicts[-1], p)
     groups: dict = {}
-    for k, c in terms.items():
+    add = groups.setdefault
+    for k, x in r.items():
         e = k & edge_part
-        g = groups.get(e)
-        if g is None:
-            groups[e] = {k - e: c}
-        else:
-            g[k - e] = c
-    return groups
+        add(e, []).append((k - e, x))
+    if len(s) * len(r) > TERM_BUDGET:
+        bound = sum(len(groups.get(pattern - (k & edge_part), ()))
+                    for k in s for pattern, _ in patterns)
+        if bound > TERM_BUDGET:
+            raise _over_budget(bound, "an edge contraction")
+    out: dict = {}
+    get = out.get
+    for ka, ca in s.items():
+        e = ka & edge_part
+        ka -= e
+        for pattern, w in patterns:
+            group = groups.get(pattern - e)
+            if group is not None:
+                ca_w = w * ca
+                for kb, cb in group:
+                    k = ka + kb
+                    x = get(k)
+                    out[k] = ca_w * cb if x is None else x + ca_w * cb
+    return MPoly(ns, _nonzero(out))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ and the configuration search solves one restart at a time with a
 single-start Levenberg-Marquardt instead of stepping a batch of them.  The
 exact evaluation by squaring is the contraction as the library ran it
 before its one-pass angle powers and term-dict edge kernel: each angle
-power by MPoly.pow, each edge by one _mul_acc per matched group pair.
+power by MPoly.pow, each edge by one _mul_acc per matched group pair, with
+the factor products and the term-budget checks in the order that kernel ran
+them.
 """
 
 import json
@@ -20,14 +22,14 @@ import warnings
 from fractions import Fraction
 from functools import reduce
 from math import factorial, prod
-from operator import mul
 
 import numpy as np
 
-from spinnets import asymptotics
+from spinnets import asymptotics, polyring
 from spinnets.evaluator import theta_value
 from spinnets.graphs import crossing_sign, internal_coloring, is_admissible
-from spinnets.polyring import MAX_EXPONENT, MPoly, Namespace, _check_exponents, _mul_acc, _nonzero
+from spinnets.polyring import (MAX_EXPONENT, MPoly, Namespace, _check_exponents, _mul_acc,
+                               _nonzero, _over_budget)
 from spinnets.rational import QQi, div_exact
 from spinnets.series import _blown_up
 
@@ -105,10 +107,18 @@ def naive_edge_operator(p: MPoly, z1, w1, z2, w2, c: int) -> MPoly:
 def edge_operator_by_products(factors: list, z1, w1, z2, w2, c: int) -> MPoly:
     """polyring.apply_edge_operator with the factors but the largest
     multiplied as MPoly, both sides grouped by their edge part, and one
-    _mul_acc per matched group pair."""
+    _mul_acc per matched group pair.  Each product checks its exponents,
+    then its term count |p|·|f| against polyring.TERM_BUDGET; the
+    contraction checks its exponents, then the sum of |g_p|·|g_q| over the
+    matched group pairs."""
     *rest, q = sorted(factors, key=lambda f: len(f.terms))
     ns = q.ns
-    p = reduce(mul, rest) if rest else MPoly.const(ns, 1)
+    p = rest[0] if rest else MPoly.const(ns, 1)
+    for f in rest[1:]:
+        _check_exponents(ns, p.terms, f.terms)
+        if len(p.terms) * len(f.terms) > polyring.TERM_BUDGET:
+            raise _over_budget(len(p.terms) * len(f.terms), "a factor product")
+        p = p * f
     _check_exponents(ns, p.terms, q.terms)
     s_z1, s_w1, s_z2, s_w2 = (ns.shift(v) for v in (z1, w1, z2, w2))
     edge_part = sum(MAX_EXPONENT << s for s in (s_z1, s_w1, s_z2, s_w2))
@@ -120,14 +130,20 @@ def edge_operator_by_products(factors: list, z1, w1, z2, w2, c: int) -> MPoly:
         return out
 
     q_groups = groups(q.terms)
-    out: dict = {}
+    pairs = []
     for ep, gp in groups(p.terms).items():
         for a2 in range(max(0, c - MAX_EXPONENT), min(c, MAX_EXPONENT) + 1):
             a1 = c - a2
             pattern = (a1 << s_z1) | (a2 << s_w1) | (a2 << s_z2) | (a1 << s_w2)
             gq = q_groups.get(pattern - ep)
             if gq is not None:
-                _mul_acc(out, gp, gq, (-1) ** a2 * factorial(a1) * factorial(a2))
+                pairs.append((gp, gq, (-1) ** a2 * factorial(a1) * factorial(a2)))
+    bound = sum(len(gp) * len(gq) for gp, gq, _ in pairs)
+    if bound > polyring.TERM_BUDGET:
+        raise _over_budget(bound, "an edge contraction")
+    out: dict = {}
+    for gp, gq, w in pairs:
+        _mul_acc(out, gp, gq, w)
     return MPoly(ns, _nonzero(out))
 
 

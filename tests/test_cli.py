@@ -9,12 +9,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from conftest import exact_text, random_holonomy, random_unitary_holonomy
 from oracles import report_text
 
 from spinnets import bundled_graph_path, load_graph
+from spinnets.asymptotics import _THETA_ROUNDING, PHASE_TOL, scale_prefactor
 from spinnets.cli import dispatch
 from spinnets.polyring import MAX_EXPONENT, MPoly, Namespace
 from spinnets.rational import QQi
@@ -262,10 +263,40 @@ def test_asymptote_refuses_a_scale_beyond_floating_point(capsys):
             err = capsys.readouterr().err
             assert rc == 2 and out == ""
             assert err.startswith("input error: scale k = ~1e") and err.count("\n") == 1
-    # the largest power of ten the tetrahedron's prefactor takes
-    rc, out = run_cli("asymptote", "-g", "tetrahedron", "-c", tet_c, "--k-list",
-                      f"{10 ** 102}", "--restarts", "30", "--seed", "3", "--report", "csv")
-    assert rc == 0 and 0 < float(out.splitlines()[1].split(",")[1]) < 1e-300
+    # the largest power of ten the tetrahedron's prefactor takes; the command
+    # refuses it on its phase bound (test_asymptote_refuses_a_scale_past_the_phase_bound)
+    tet = load_graph(bundled_graph_path("tetrahedron"))
+    assert 0 < scale_prefactor(tet, 10 ** 102) < 1e-300
+
+
+TET_C = {"ab": 2, "ac": 2, "ad": 2, "bc": 2, "bd": 2, "cd": 2}
+
+
+def test_asymptote_refuses_a_scale_past_the_phase_bound(capsys):
+    # for k = 10^60 the command printed a row with no correct digit of the
+    # pair phase and exited 0; a k whose phase error bound
+    # k * sum_e c_e * max(tol, _THETA_ROUNDING) passes PHASE_TOL is refused
+    # with the other --k-list checks, before the configuration search
+    last = int(PHASE_TOL / (sum(TET_C.values()) * 1e-10))
+    assert last == 83333333
+    args = ("asymptote", "-g", "tetrahedron", "-c", json.dumps(TET_C), "--restarts", "30",
+            "--seed", "3", "--report", "csv")
+    with mock.patch("spinnets.asymptotics.find_configs", side_effect=AssertionError):
+        for k_list in (f"10,{last + 1}", f"{10 ** 60}", f"{last + 1},10"):
+            rc, out = run_cli(*args, "--k-list", k_list)
+            err = capsys.readouterr().err
+            assert rc == 2 and out == ""
+            assert "is past the phase accuracy" in err and err.count("\n") == 1
+    rc, out = run_cli(*args, "--k-list", f"10,{last}")
+    assert rc == 0 and [row.split(",")[0] for row in out.splitlines()[1:]] == ["10", str(last)]
+    # the bound scales with --tol, and a tol below the rounding floor
+    # keeps the floor
+    rc, _ = run_cli(*args, "--k-list", f"{last}", "--tol", "2e-10")
+    assert rc == 2
+    with mock.patch("spinnets.asymptotics.find_configs", side_effect=AssertionError):
+        rc, _ = run_cli(*args, "--k-list", str(int(PHASE_TOL / (12 * _THETA_ROUNDING)) + 1),
+                        "--tol", "1e-300")
+    assert rc == 2 and "* 1e-14 passes" in capsys.readouterr().err
 
 
 def test_input_errors_exit_2(tmp_path, capsys):
@@ -662,6 +693,103 @@ def test_each_input_file_opened_once_per_dispatch(tmp_path, monkeypatch):
         rc, _ = run_cli("eval", "-g", gpath, "-H", str(hpath), "-c", str(cpath))
         assert rc == 0
         assert [opened.count(str(p)) for p in (gpath, hpath, cpath)] == [n, n, n]
+
+
+def test_eval_reads_admissibility_once(monkeypatch, capsys):
+    # eval ran is_admissible three times: in eval_spin_network, for the
+    # report's admissible field and in bracket_square; the evaluator now reads
+    # admissibility from its angle colors, and the report reuses one call
+    import spinnets
+    import spinnets.cli
+    import spinnets.evaluator
+    import spinnets.graphs
+
+    calls = []
+    real = spinnets.graphs.is_admissible
+
+    def counted(graph, coloring):
+        calls.append(dict(coloring))
+        return real(graph, coloring)
+
+    for module in (spinnets, spinnets.cli, spinnets.evaluator, spinnets.graphs):
+        monkeypatch.setattr(module, "is_admissible", counted)
+    for graph, coloring, admissible in (("theta", {"e1": 2, "e2": 2, "e3": 2}, True),
+                                        ("theta", {"e1": 1, "e2": 1, "e3": 1}, False),
+                                        ("tetrahedron", TET_C, True)):
+        calls.clear()
+        rc, out = run_cli("eval", "-g", graph, "-c", json.dumps(coloring))
+        results = json.loads(out)["results"]
+        assert rc == 0 and calls == [coloring]
+        assert results["admissible"] is admissible
+        assert (results["bracket_square"] == "0") is not admissible
+    # a direct library call keeps its own checks
+    calls.clear()
+    theta = load_graph(bundled_graph_path("theta"))
+    assert spinnets.evaluator.bracket_square(theta, {"e1": 2, "e2": 2, "e3": 2}) == 1
+    assert len(calls) == 1
+
+
+_COLORING_GRAPHS = {"theta": ("e1", "e2", "e3"),
+                    "tetrahedron": tuple(TET_C),
+                    "prism3": ("t12", "t23", "t13", "b12", "b23", "b13", "s1", "s2", "s3")}
+_BAD_COLORS = (-1, 59, 60, 61, 64, 2 ** 63, 10 ** 30, -10 ** 30, 2.0, 2.5, "2", True, False,
+               None, [], {}, [2], float("nan"), float("inf"), 1e308)
+_COLORING_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 8)),
+    st.tuples(st.just("unknown"), st.sampled_from(("zz", "", "u", "E1", "e1 "))),
+    st.tuples(st.just("value"), st.integers(0, 8), st.sampled_from(_BAD_COLORS)),
+    st.tuples(st.just("odd"), st.integers(0, 8)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(graph=st.sampled_from(sorted(_COLORING_GRAPHS)), colors=st.lists(st.integers(0, 3),
+       min_size=9, max_size=9), mutations=st.lists(_COLORING_MUTATIONS, max_size=3),
+       top=st.one_of(st.none(), st.none(), st.none(), st.sampled_from(([], 5, "x", None, [TET_C]))),
+       text=st.sampled_from(("json", "json", "truncated", "duplicate", "file")))
+def test_mutated_coloring_json(tmp_path_factory, graph, colors, mutations, top, text):
+    """eval on a coloring of a bundled graph, with dropped keys, unknown
+    keys, values of the wrong type or past the bounds, odd vertex sums, a
+    top level that is no object, truncated or duplicate-key JSON text, inline
+    or in a file: the exit code is 0, 1 or 2, nothing escapes dispatch, exit 2
+    comes with exactly one input error line, and an exit-0 report is
+    consistent about admissibility.  eval warns about nothing, so the
+    suite's error filter for warnings stands."""
+    edges = _COLORING_GRAPHS[graph]
+    obj = dict(zip(edges, colors))
+    for op, *rest in mutations:
+        if op == "unknown":
+            obj[rest[0]] = 2
+        elif obj:
+            e = list(obj)[rest[0] % len(obj)]
+            if op == "drop":
+                del obj[e]
+            elif op == "value":
+                obj[e] = rest[1]
+            elif isinstance(obj[e], int):
+                obj[e] += 1
+    doc = json.dumps(obj if top is None else top)
+    if text == "truncated":
+        doc = doc[:-1]
+    elif text == "duplicate" and obj and top is None:
+        doc = doc[:-1] + f', "{list(obj)[0]}": 1}}'
+    if text == "file":
+        path = tmp_path_factory.mktemp("coloring") / "c.json"
+        path.write_text(doc)
+        doc = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = dispatch(["eval", "-g", graph, "-c", doc])
+    lines = err.getvalue().splitlines()
+    event(f"exit {rc}")
+    assert rc in (0, 1, 2), (doc, rc)
+    if rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("input error:"), (doc, lines)
+        assert out.getvalue() == ""
+    elif rc == 0:
+        results = json.loads(out.getvalue())["results"]
+        if not results["admissible"]:
+            assert results["value"] == {"re": "0", "im": "0"}, doc
+            assert results["bracket_square"] == "0", doc
 
 
 def test_digest_is_of_the_parsed_bytes(tmp_path, monkeypatch):

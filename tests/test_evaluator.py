@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import presentations, rand_sl2, random_holonomy, shear_gauge, shear_gauges
 from oracles import eval_by_squaring, tet_value_oracle
+from spinnets import bundled_graph_path, load_graph
 from spinnets import evaluator as evaluator_module
 from spinnets.errors import AdmissibilityError, InputError, RegimeError
 from spinnets.evaluator import bracket_square, eval_spin_network, renormalize, theta_value
 from spinnets.graphs import Graph, Holonomy, admissible_colorings, gauge_transform
-from spinnets.polyring import apply_edge_operator
+from spinnets.polyring import apply_edge_operator, form_power
 from spinnets.rational import QQi
 
 
@@ -319,3 +320,44 @@ def test_values_match_the_recorded_digest(theta, tet, prism):
                 v = eval_spin_network(graph, col, h)
                 digest.update(f"{name} {sorted(col.items())} {v.re} {v.im}\n".encode())
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def _table_digest(plan):
+    digest = hashlib.sha256()
+    for key in sorted(plan.powers):
+        digest.update(f"{key} {sorted(plan.powers[key].terms.items())}\n".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "prism3"])
+def test_angle_power_table_is_shared_and_never_written(name):
+    """Every admissible coloring with colors <= 4, evaluated in one order
+    and then in the reverse order on the same graph: the values agree, the
+    second pass finds every angle power in the plan's table and hands those
+    same objects to the edge kernel, no entry is added or changed, each is
+    still the power form_power gives, and the table holds at most one power
+    per angle and color."""
+    graph = load_graph(bundled_graph_path(name))
+    cols = list(admissible_colorings(graph, max_color=4))
+    first = [eval_spin_network(graph, col) for col in cols]
+    plan = graph._contraction_plan
+    table = dict(plan.powers)
+    digest = _table_digest(plan)
+    assert 0 < len(table) <= len(graph.angles) * (evaluator_module._MAX_COLOR + 1)
+    ids = {id(p) for p in table.values()}
+    shared = []
+
+    def spy(factors, *args):
+        shared.extend(id(f) in ids for f in factors)
+        return apply_edge_operator(factors, *args)
+
+    with mock.patch.object(evaluator_module, "apply_edge_operator", spy):
+        second = [eval_spin_network(graph, col) for col in reversed(cols)]
+    assert second[::-1] == first
+    assert any(shared)
+    assert plan.powers.keys() == table.keys()
+    assert all(plan.powers[key] is table[key] for key in table)
+    assert _table_digest(plan) == digest
+    # and no entry was changed in the first pass either
+    for (a, n), power in table.items():
+        assert power.terms == form_power(evaluator_module._TRIVIAL_FORM[0], plan.angles[a][6], n)

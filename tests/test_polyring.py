@@ -1,11 +1,12 @@
 from fractions import Fraction
 from math import comb, factorial
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_det, naive_edge_operator
+from oracles import edge_operator_by_products, naive_det, naive_edge_operator
 from spinnets import polyring
 from spinnets.errors import InputError, PreconditionError, ResourceError
 from spinnets.polyring import (MAX_EXPONENT, MPoly, Namespace, apply_edge_operator, det_poly,
@@ -203,6 +204,77 @@ def test_edge_operator_refuses_a_product_past_the_term_budget(monkeypatch):
     monkeypatch.setattr(polyring, "TERM_BUDGET", 3)
     with pytest.raises(ResourceError, match="an edge contraction would form up to 4 terms"):
         apply_edge_operator([large], *EDGE, 1)
+
+
+# the variables of each side of the edge, and of both
+SIDES = {"left": ("z1", "w1"), "right": ("z2", "w2"), "both": EDGE}
+FACTOR_RINGS = {"int": RINGS["int"], "gaussian": RINGS["gaussian"],
+                "mixed": st.one_of(RINGS["int"], RINGS["gaussian"])}
+
+
+@st.composite
+def edge_factors(draw, coeffs, c):
+    """One to four factors on NS6, the first touching both half-edges with
+    edge exponents up to 2, and each other one a drawn side with edge
+    exponents up to 1.  A term of the first factor completes one
+    drawn term of each other factor to a surviving pattern (c - a2, a2, a2,
+    c - a2) where it can.  Every term carries a power of x above its
+    factor's drawn floor, mostly 0 but also 20, 30 or 40, so that a product
+    of factors may pass MAX_EXPONENT; a factor other than the first is now
+    and then zero."""
+    factors = []
+    for i in range(draw(st.integers(1, 4))):
+        names = EDGE if i == 0 else SIDES[draw(st.sampled_from(sorted(SIDES)))]
+        high = draw(st.sampled_from((0, 0, 0, 20, 30, 40)))
+        terms = []
+        if i == 0 or draw(st.integers(0, 9)):
+            for _ in range(draw(st.integers(1, 4))):
+                exps = {v: draw(st.integers(0, 2 if i == 0 else 1)) for v in names}
+                exps.update(x=high + draw(st.integers(0, 3)), y=draw(st.integers(0, 2)))
+                terms.append(exps)
+        factors.append(terms)
+    a2 = draw(st.integers(0, c))
+    need = dict(zip(EDGE, (c - a2, a2, a2, c - a2)))
+    for terms in factors[1:]:
+        if terms:
+            picked = draw(st.sampled_from(terms))
+            for v in EDGE:
+                need[v] -= picked.get(v, 0)
+    if min(need.values()) >= 0:
+        factors[0].append(dict(need, x=factors[0][0]["x"]))
+    polys = []
+    for terms in factors:
+        coeff = {NS6.encode(exps): draw(coeffs) for exps in terms}
+        polys.append(MPoly(NS6, {k: x for k, x in coeff.items() if x}))
+    return polys
+
+
+def _edge_outcome(kernel, factors, c):
+    try:
+        out = kernel(factors, *EDGE, c)
+    except (InputError, ResourceError) as exc:
+        return type(exc), str(exc)
+    return out.terms, {k: type(v) for k, v in out.terms.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring=st.sampled_from(sorted(FACTOR_RINGS)), c=st.integers(0, 4),
+       budget=st.one_of(st.none(), st.integers(0, 12)), data=st.data())
+def test_edge_operator_matches_the_product_oracle(ring, c, budget, data):
+    """apply_edge_operator gives the terms, coefficient types, InputError
+    (an exponent past MAX_EXPONENT) and ResourceError (under a lowered
+    TERM_BUDGET) of oracles.edge_operator_by_products, which multiplies the
+    factors as MPoly and contracts one matched group pair at a time, and
+    leaves its factors as they were."""
+    factors = data.draw(edge_factors(FACTOR_RINGS[ring], c))
+    before = [dict(f.terms) for f in factors]
+    with mock.patch.object(polyring, "TERM_BUDGET",
+                           polyring.TERM_BUDGET if budget is None else budget):
+        got = _edge_outcome(apply_edge_operator, factors, c)
+        expect = _edge_outcome(edge_operator_by_products, factors, c)
+    event(got[0].__name__ if isinstance(got[0], type) else "zero" if not got[0] else "terms")
+    assert got == expect
+    assert [f.terms for f in factors] == before
 
 
 # -- angle powers -------------------------------------------------------------
