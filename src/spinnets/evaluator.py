@@ -22,9 +22,10 @@ greedy order, cheapest first; a contraction whose term count could pass
 What depends on the graph alone is built once and kept on it (`_Plan`):
 the namespace, each angle's edges, keys and half-edges, and the trivial
 holonomy's angle powers, which every coloring then looks up and shares
-read-only.  A coloring's own work is its angle colors (admissibility is
-read from them: every one a non-negative integer), the lookups, and the
-contractions.
+read-only; an exact holonomy keeps its own angle powers per plan, shared
+the same way by every coloring evaluated under it.  A coloring's own work
+is its angle colors (admissibility is read from them: every one a
+non-negative integer), the lookups, and the contractions.
 """
 
 from __future__ import annotations
@@ -74,7 +75,10 @@ class _Plan:
     `powers` maps (angle index, n) to the MPoly form_power(_TRIVIAL_FORM, the
     angle's keys, n), built on first use; there are at most one per angle
     and color 1.._MAX_COLOR.  Every evaluation under the trivial holonomy
-    shares these, so they are read and never written.
+    shares these, so they are read and never written.  An exact holonomy
+    keeps a table of the same kind for each plan it meets, in its
+    `_angle_powers` keyed by the plan, so a holonomy shared by two
+    presentations never reads the other's entries.
     """
 
     __slots__ = ("ns", "angles", "edges", "powers")
@@ -93,12 +97,17 @@ class _Plan:
                            for e, l, r in graph.edges)
         self.powers = {}
 
-    def power(self, a: int, n: int) -> MPoly:
-        """The trivial holonomy's bracket factor of angle a at color n."""
-        found = self.powers.get((a, n))
+    def power(self, a: int, n: int, holonomy: Holonomy | None = None) -> MPoly:
+        """The bracket factor of angle a at color n under an exact holonomy
+        (None for the trivial one), scaled by the form's denominator."""
+        if holonomy is None:
+            table, coeffs = self.powers, _TRIVIAL_FORM[0]
+        else:
+            table = holonomy._angle_powers.setdefault(self, {})
+            coeffs = holonomy.angle_form(*self.angles[a][3:5])[0]
+        found = table.get((a, n))
         if found is None:
-            keys = self.angles[a][6]
-            found = self.powers[a, n] = MPoly(self.ns, form_power(_TRIVIAL_FORM[0], keys, n))
+            found = table[a, n] = MPoly(self.ns, form_power(coeffs, self.angles[a][6], n))
         return found
 
 
@@ -137,13 +146,10 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
     factors = []  # (half-edge mask, polynomial, its number of terms)
     for a, n in enumerate(colors):
         if n:
-            _, _, _, g, h, mask, keys = plan.angles[a]
-            if holonomy is None:
-                poly = plan.power(a, n)
-            else:
-                coeffs, den = holonomy.angle_form(g, h)
-                poly = MPoly(plan.ns, form_power(coeffs, keys, n))
-                scale *= den ** n
+            _, _, _, g, h, mask, _ = plan.angles[a]
+            poly = plan.power(a, n, holonomy)
+            if holonomy is not None:
+                scale *= holonomy.angle_form(g, h)[1] ** n
             factors.append((mask, poly, len(poly.terms)))
 
     # a color-0 edge touches no factor; an edge of color c_e > 0 touches a

@@ -361,6 +361,7 @@ class Holonomy:
                           for row in _rows2(m, f"holonomy at {h!r}")) for h, m in entries.items()}
         self.exact = all(type(x) is QQi for m in cells.values() for row in m for x in row)
         self._forms = {}  # (g, h) -> angle_form(g, h)
+        self._angle_powers = {}  # the evaluator's, per contraction plan, built on first use
         self.entries = {}
         for h in graph.halfedges:
             if h not in cells:

@@ -10,17 +10,21 @@ and the determinant series all come from one recurrence on homogeneous
 parts, F_0 = 1 and k·F_k = sum_m w(m, k)·g_m·F_{k-m}.
 
 Every sparse product runs the multiply-accumulate loop acc[ka + kb] +=
-w·ca·cb over two term dicts.  MPoly.__mul__, the series recurrence and the
-matrix powers and traces of `series` call it as _mul_acc.  The integer edge
-contraction, `apply_edge_operator`, runs it in its own loops, because its
-operands are many and tiny: it contracts the factors at an edge against the
-largest of them on term dicts, one term of the smaller side against one
-group of the larger at a time, without forming their product or any MPoly
-in between.  Each consumer accumulates into its own destination and drops
-cancelled terms once at the end.  A product or contraction of the edge
-contraction whose term count could pass TERM_BUDGET raises ResourceError
-before it is formed.  An angle's power, `form_power`, takes no product at
-all: it expands a four-term form by the binomial theorem in one pass.
+w·ca·cb over two term dicts: MPoly.__mul__ and the series recurrence call
+it as _mul_acc, the matrix powers and traces of `series` run it in a row
+kernel whose keys carry a matrix column above the monomial's fields, and
+the integer edge contraction, `apply_edge_operator`, runs it in its own
+loops, because its operands are many and tiny: it contracts the factors at
+an edge against the largest of them on term dicts, one term of the smaller
+side against one group of the larger at a time, without forming their
+product or any MPoly in between.  Each consumer accumulates into its own
+destination and drops cancelled terms once at the end.  A product or
+contraction of the edge contraction whose term count could pass
+TERM_BUDGET raises ResourceError before it is formed.  An angle's power,
+`form_power`, takes no product at all: it expands a four-term form by the
+binomial theorem in one pass.  Gaussian integers in the recurrence and the
+row kernel run as residues (_Residues): a + b·i is the int a + b·2^K
+modulo 2^(2K) + 1, K taken from an l1 bound on the operands.
 
 Monomials are packed into a single int key, 6 bits per variable (exponents
 must stay at or below MAX_EXPONENT = 63; products refuse to pass it).
@@ -36,7 +40,7 @@ from math import comb, factorial
 from operator import mul, or_
 
 from .errors import InputError, PreconditionError, ResourceError
-from .rational import QQi, div_exact
+from .rational import QQi, _qqi, div_exact
 
 _BITS = 6
 MAX_EXPONENT = (1 << _BITS) - 1
@@ -123,14 +127,9 @@ class Namespace:
 
 def _check_exponents(ns: Namespace, a: dict, b: dict):
     """Raise InputError when the product of a key of a and a key of b would
-    carry an exponent past MAX_EXPONENT into the next variable's field: the
-    two-dict case of _exponent_maxima, inline for the many small products
-    of `series`."""
-    if not (a and b):
-        return
-    x, y = reduce(or_, a), reduce(or_, b)
-    if ((x + y) ^ x ^ y) & ns.carry:
-        _check_field_sums(ns, _field_maxima(ns, a), _field_maxima(ns, b))
+    carry an exponent past MAX_EXPONENT into the next variable's field."""
+    if a and b and (maxima := _exponent_maxima(ns, [a, b])):
+        _check_field_sums(ns, *maxima)
 
 
 def _exponent_maxima(ns: Namespace, dicts: list) -> list | None:
@@ -665,31 +664,104 @@ def _det_bareiss(m) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
-# series helpers
+# series helpers, and Gaussian integers as residues
 # ---------------------------------------------------------------------------
 
-def _series_recurrence(parts, max_degree: int, weight) -> MPoly:
-    """The series F = F_0 + F_1 + ... + F_max_degree with F_0 = 1 and
-    k·F_k = sum_{m=1..k} weight(m, k)·g_m·F_{k-m}, where g_m = parts[m] is
-    homogeneous of degree m and parts[0] is the constant 1.
+def _on_gaussian_integers(dicts) -> bool:
+    """Every coefficient of the term dicts an int or an int-part QQi, one a QQi."""
+    others = [c for terms in dicts for c in terms.values() if type(c) is not int]
+    return bool(others) and all(type(c) is QQi and type(c.re) is int and type(c.im) is int
+                                for c in others)
+
+
+def _norm1(terms: dict) -> int:
+    """The sum of |re| + |im| over a term dict of ints and int-part QQi."""
+    return sum(abs(c) if type(c) is int else abs(c.re) + abs(c.im) for c in terms.values())
+
+
+class _Residues:
+    """Gaussian integers a + b·i with |a|, |b| <= bound as residues modulo
+    N = 2^(2K) + 1, where 2^K squares to -1 (Schönhage and Strassen): a + b·i
+    is encoded as the int a + b·2^K, and a sum of products of encodings,
+    reduced modulo N once, is the encoding of the same sum of Gaussian
+    products.  2^(K-1) > bound makes the decoding exact: the balanced residue
+    r, |r| <= N/2, is then a + b·2^K as an int, and a is r's balanced digit
+    modulo 2^K."""
+
+    __slots__ = ("width", "modulus")
+
+    def __init__(self, bound: int):
+        self.width = bound.bit_length() + 1
+        self.modulus = (1 << 2 * self.width) + 1
+
+    def encode(self, terms: dict) -> dict:
+        k = self.width
+        return {key: c if type(c) is int else c.re + (c.im << k) for key, c in terms.items()}
+
+    def reduce(self, terms: dict) -> dict:
+        """terms modulo N, zeros dropped."""
+        n = self.modulus
+        return {key: r for key, c in terms.items() if (r := c % n)}
+
+    def decode(self, terms: dict, divisor: int = 1) -> dict:
+        """The Gaussian integers that terms encode, each divided by divisor
+        as div_exact divides a QQi; zeros dropped."""
+        k, n = self.width, self.modulus
+        half, low = 1 << k - 1, (1 << k) - 1
+        out = {}
+        for key, c in terms.items():
+            r = c % n
+            if r:
+                if r > n >> 1:
+                    r -= n
+                re = ((r + half) & low) - half
+                out[key] = _qqi(div_exact(re, divisor), div_exact((r - re) >> k, divisor))
+        return out
+
+
+def _series_recurrence(parts, max_degree: int, weight, base: int = 1) -> MPoly:
+    """The series F_0 + F_1/base + ... + F_max_degree/base^max_degree with
+    F_0 = 1 and k·F_k = sum_{m=1..k} weight(m, k)·g_m·F_{k-m}, where
+    g_m = parts[m] is homogeneous of degree m and parts[0] is the constant 1.
 
     Each F_k is then homogeneous of degree k, so the products need no
     truncation, only parts up to max_degree are read, and a product with an
-    empty part is skipped.  The weights are ints and each division by k goes
-    through div_exact.
+    empty part is skipped; a product of degree k has no exponent past k, so
+    only a max_degree past MAX_EXPONENT needs its exponents checked.  The
+    weights are ints and each division by k goes through div_exact.  On
+    Gaussian integers each step runs on residues (see _Residues), its width
+    taken from sum_m |weight(m, k)|·|g_m|·|F_{k-m}| in the l1 norm, and its
+    sum is decoded once, before the division, which the three series keep
+    exact (so each F_k is a Gaussian integer again); ints and Fraction
+    parts run as they are.
     """
     ns = parts[0].ns
-    out = [parts[0]]
+    g = [p.terms for p in parts[:max_degree + 1]]
+    gauss = _on_gaussian_integers(g[1:])
+    if gauss:  # the l1 norms of the parts and of the F_k
+        g_norm, f_norm = [_norm1(t) for t in g], [_norm1(g[0])]
+    out = [g[0]]
     for k in range(1, max_degree + 1):
-        acc: dict = {}
-        for m in range(1, k + 1):
-            a, b = parts[m].terms, out[k - m].terms
-            if a and b:
+        pairs = [(m, g[m], out[k - m]) for m in range(1, k + 1) if g[m] and out[k - m]]
+        if max_degree > MAX_EXPONENT:
+            for _, a, b in pairs:
                 _check_exponents(ns, a, b)
+        acc: dict = {}
+        if gauss:
+            res = _Residues(sum(abs(weight(m, k)) * g_norm[m] * f_norm[k - m] for m, _, _ in pairs))
+            for m, a, b in pairs:
+                _mul_acc(acc, res.encode(a), res.encode(b), weight(m, k))
+            out.append(res.decode(acc, k))
+            f_norm.append(_norm1(out[k]))
+        else:
+            for m, a, b in pairs:
                 _mul_acc(acc, a, b, weight(m, k))
-        out.append(MPoly(ns, {key: div_exact(c, k) for key, c in acc.items() if c}))
+            out.append({key: div_exact(c, k) for key, c in acc.items() if c})
     # the F_k are homogeneous of distinct degrees, so no monomial repeats
-    return MPoly(ns, {key: c for part in out for key, c in part.terms.items()})
+    if base == 1:
+        return MPoly(ns, {key: c for part in out for key, c in part.items()})
+    return MPoly(ns, {key: div_exact(c, base ** k) for k, part in enumerate(out)
+                      for key, c in part.items()})
 
 
 def _homogeneous_parts(p: MPoly, max_degree: int) -> list:
@@ -724,10 +796,8 @@ def inv_sqrt_series(d: MPoly, max_degree: int) -> MPoly:
     is 4^(m-1)·d_m, so each division by k stays in the ring of d; the
     degree-k part is divided by 4^k once at the end.
     """
-    s = _series_recurrence(_unit_parts(d, max_degree, "inv_sqrt_series"), max_degree,
-                           lambda m, k: (m - 2 * k) << 2 * m - 1)
-    deg = d.ns.degree
-    return MPoly(d.ns, {k: div_exact(c, 1 << 2 * deg(k)) for k, c in s.terms.items()})
+    return _series_recurrence(_unit_parts(d, max_degree, "inv_sqrt_series"), max_degree,
+                              lambda m, k: (m - 2 * k) << 2 * m - 1, 4)
 
 
 def inverse_series(d: MPoly, max_degree: int) -> MPoly:

@@ -137,7 +137,7 @@ def narrow(x):
     re, im = _narrow_part(x.re), _narrow_part(x.im)
     if not im and type(re) is int:
         return re
-    return QQi(re, im)
+    return _qqi(re, im)
 
 
 def denominator(x) -> int:
@@ -153,9 +153,12 @@ def div_exact(a, b):
     Fraction operands give an integer, a Fraction when they give another
     rational, a QQi when either operand is a QQi (its parts chosen the same
     way)."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
+    if type(b) is int:
+        if type(a) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        if type(a) is QQi:  # QQi / int, part by part, as QQi.__truediv__ does
+            return _qqi(div_exact(a.re, b), div_exact(a.im, b))
     if isinstance(a, QQi) or isinstance(b, QQi):
         return _coerce(a) / b
     return _narrow_part(Fraction(a) / b)

@@ -18,7 +18,8 @@ from math import lcm
 from .errors import InputError, RegimeError
 from .evaluator import _TRIVIAL_FORM, _wvar, _zvar, eval_spin_network, renormalize
 from .graphs import Graph, Holonomy, admissible_colorings, check_diagonal_t, internal_coloring
-from .polyring import (MPoly, Namespace, _check_exponents, _mul_acc, _nonzero,
+from .polyring import (_BITS, MAX_EXPONENT, MPoly, Namespace, _check_exponents, _mul_acc,
+                       _nonzero, _norm1, _on_gaussian_integers, _Residues,
                        _series_recurrence, inv_sqrt_series)
 from .polyring import det_poly  # noqa: F401  perfbench/tracer.py patches it here by name
 from .rational import QQi, denominator, div_exact, narrow
@@ -91,80 +92,108 @@ def build_pq(graph: Graph, holonomy: Holonomy | None = None) -> PQMatrices:
 # P^{-1} = -P and det(P) = 1.  B's entries are X-linear, so the power sum
 # p_m = tr(B^m) is homogeneous of degree m, and the series recurrence of
 # polyring, run with g_m = p_m and weight -1 (Newton's identities), gives the
-# degree-k part of the determinant.  B and its powers are dict-of-dicts of
-# term dicts; each entry of a power and each trace is accumulated in one
-# dict by polyring's multiply-accumulate kernel, and as every product is
-# homogeneous of degree m <= max_degree, none needs truncating.  Each
-# coefficient of B is narrowed: to int when it is a real integer (every one
-# is for a real holonomy with integer entries, as i·i = -1), to a QQi with
-# int parts when it is a Gaussian integer.  series_Z scales Q by the common
-# denominator D of its coefficients first, which substitutes X -> D·X, so
-# for every exact holonomy B's powers, the traces and the determinant's
-# parts stay on Gaussian integers, each division by k being exact because
-# det(I - B) then has Gaussian-integer coefficients; series_Z divides the
-# degree-k part of the inverse square root by D^k once at the end.
+# degree-k part of the determinant.  Q is first scaled by the common
+# denominator D of its coefficients, which substitutes X -> D·X, so B holds
+# Gaussian integers, each narrowed to an int when it is real (every one is
+# for a real holonomy with integer entries, as i·i = -1), and det(I - B) has
+# Gaussian-integer coefficients: each division by k in the recurrence is
+# exact, and the degree-k part is divided by D^k once at the end.
+#
+# A power B^p is one term dict per row, its key the column shifted above the
+# monomial's fields plus the monomial: (col << 6·|ns|) + key.  Row i of
+# B^(p+1) is one pass over row i of B^p: a term of column j meets each
+# (delta, c) of B's list for row j, delta being the column change shifted
+# up plus B's monomial, so the product's key is one addition.  A trace
+# tr(B^p·B^q) runs the same kernel with row i of B^p against B^q's terms of
+# column i only, grouped once per q, their deltas dropping the column.
+# Every product is homogeneous of degree m <= max_degree, so none needs
+# truncating, and with max_degree <= MAX_EXPONENT no exponent can carry into
+# the next field; past it each product's operands are checked first, as
+# mul_trunc checks them.  When B holds a QQi the coefficients run as
+# residues (polyring._Residues), one modulo per term of a power and each
+# trace decoded once.  The width comes from B alone: with rho the largest
+# row sum of |re| + |im| over B's terms, every row sum of B^m is at most
+# rho^m, so every part of a coefficient of tr(B^m) is at most n·rho^m, n
+# being B's rows.
 # truncated_det caps max_degree at 4V: a vertex's angles occur only in Q's block
 # i·Dᵀ(S ⊗ ε)D on its half-edges (D = diag(psi_h^-1), ε and S the 2x2 and 3x3 antisymmetric
 # forms), of rank <= 4, and det(M + tN) has degree <= rank N in t (Horn & Johnson).
 # ---------------------------------------------------------------------------
 
-def _sparse_matmul(a, b, ns):
-    out: dict = {}
-    for i, row in a.items():
-        acc: dict = {}
-        for k, aik in row.items():
-            for j, bkj in b.get(k, {}).items():
-                _check_exponents(ns, aik, bkj)
-                _mul_acc(acc.setdefault(j, {}), aik, bkj)
-        acc = {j: t for j, t in acc.items() if _nonzero(t)}
-        if acc:
-            out[i] = acc
-    return out
-
-
-def _pair_trace(a, b, ns) -> MPoly:
-    acc: dict = {}
-    for i, row in a.items():
-        for j, aij in row.items():
-            bji = b.get(j, {}).get(i)
-            if bji is not None:
-                _check_exponents(ns, aij, bji)
-                _mul_acc(acc, aij, bji)
-    return MPoly(ns, _nonzero(acc))
+def _row_product(acc: dict, row: dict, lists, shift: int) -> dict:
+    """acc[k + delta] += c·d for every term k: c of row and (delta, d) in
+    lists[k >> shift]; returns acc."""
+    get = acc.get
+    for ka, ca in row.items():
+        for delta, cb in lists[ka >> shift]:
+            k = ka + delta
+            s = get(k)
+            acc[k] = ca * cb if s is None else s + ca * cb
+    return acc
 
 
 def truncated_det(pq: PQMatrices, max_degree: int) -> MPoly:
     """det(P + Q) with monomials of degree > max_degree dropped; any
-    max_degree >= 4V (V vertices) gives the exact determinant.
-
-    Q's coefficients are used as given, so a Gaussian-rational Q runs on
-    Fraction parts: about 7 times slower than on Gaussian integers for theta
-    with a complex SL(2) holonomy at degree 16.  series_Z scales Q to
-    Gaussian integers first."""
+    max_degree >= 4V (V vertices) gives the exact determinant."""
     if max_degree < 0:
         raise InputError(f"truncated_det needs a degree >= 0, got {max_degree}")
     ns = pq.ns
     max_degree = min(max_degree, 4 * len(ns) // 3)  # three angles per vertex
-    # B = P·Q as sparse dict-of-dicts of term dicts, on the narrowest ring:
-    # row r of P holds one entry s, at column k, so row r of B is s·(row k of Q)
+    den = lcm(*(denominator(c) for cols in pq.q.values()
+                for poly in cols.values() for c in poly.terms.values()))
+    n, shift = len(pq.basis), _BITS * len(ns)
+    index = {x: i for i, x in enumerate(pq.basis)}
+    # B = P·D·Q by rows: row r of P holds one entry s, at column k, so row r
+    # of B is s·D·(row k of Q)
     b: dict = {}
     for r, cols in pq.p.items():
         (k, s), = cols.items()
         if pq.q.get(k):
-            b[r] = {j: {key: narrow(s * c) for key, c in poly.terms.items()}
-                    for j, poly in pq.q[k].items()}
+            b[index[r]] = {(index[j] << shift) + key: narrow(s * narrow(den * c))
+                           for j, poly in pq.q[k].items() for key, c in poly.terms.items()}
+    res = None
+    if _on_gaussian_integers(b.values()):
+        res = _Residues(len(b) * max(map(_norm1, b.values())) ** max_degree)
+        b = {i: res.encode(row) for i, row in b.items()}
+    reduce_ = _nonzero if res is None else res.reduce
+
+    def check(left, right):
+        """Past MAX_EXPONENT, the exponents of left·right, as mul_trunc
+        checks a product's."""
+        if max_degree > MAX_EXPONENT:
+            _check_exponents(ns, *[{k & (1 << shift) - 1: 0 for row in rows.values() for k in row}
+                                   for rows in (left, right)])
+
+    # per row j of B, (column change shifted up + monomial, coeff)
+    b_lists = [[(key - (j << shift), c) for key, c in b.get(j, {}).items()] for j in range(n)]
     # tr(B^m) pairs B^p with B^(m-p) (B^0 being the identity on B's rows),
     # and both exponents stay <= top because m - top <= max_degree - top <= top
-    powers = {0: {i: {i: {0: 1}} for i in b}, 1: b}
     top = max(1, (max_degree + 1) // 2)
+    powers = [{i: {i << shift: 1} for i in b}, b]
     for m in range(2, top + 1):
-        powers[m] = _sparse_matmul(powers[m - 1], b, ns)
+        check(powers[m - 1], b)
+        rows = ((i, reduce_(_row_product({}, row, b_lists, shift)))
+                for i, row in powers[m - 1].items())
+        powers.append({i: row for i, row in rows if row})
+    columns: dict = {}  # q -> B^q's lists per column i and row j: (monomial - row, coeff)
     traces = [MPoly(ns, {0: 1})]
     for m in range(1, max_degree + 1):
         p = min(top, m - 1)
-        traces.append(_pair_trace(powers[p], powers[m - p], ns))
-    # Newton's identities: k·F_k = -sum_m tr(B^m)·F_{k-m}
-    return _series_recurrence(traces, max_degree, lambda m, k: -1)
+        check(powers[p], powers[m - p])
+        by_column = columns.get(m - p)
+        if by_column is None:
+            by_column = columns[m - p] = [[[] for _ in range(n)] for _ in range(n)]
+            for j, row in powers[m - p].items():
+                for key, c in row.items():
+                    i = key >> shift
+                    by_column[i][j].append((key - (i + j << shift), c))
+        acc: dict = {}
+        for i, row in powers[p].items():
+            _row_product(acc, row, by_column[i], shift)
+        traces.append(MPoly(ns, _nonzero(acc) if res is None else res.decode(acc)))
+    # Newton's identities: k·F_k = -sum_m tr(B^m)·F_{k-m}, for the determinant
+    # at D·X, whose degree-k part the recurrence divides by D^k
+    return _series_recurrence(traces, max_degree, lambda m, k: -1, den)
 
 
 def series_Z(graph: Graph, holonomy: Holonomy | None = None, degree: int = 8) -> MPoly:

@@ -10,6 +10,10 @@ term list) instead of the CLI's one-pass writer, the curve sum walks
 every cover of the blown-up graph instead of memoising by uncovered nodes,
 and the configuration search solves one restart at a time with a
 single-start Levenberg-Marquardt instead of stepping a batch of them.  The
+truncated determinant and the series recurrence are the library's before
+its row kernel and residue encoding: B's powers as dicts of entries, one
+_mul_acc per entry pair with its exponent check, and the recurrence on the
+coefficient objects as given.  The
 exact evaluation by squaring is the contraction as the library ran it
 before its one-pass angle powers and term-dict edge kernel: each angle
 power by MPoly.pow, each edge by one _mul_acc per matched group pair, with
@@ -26,11 +30,12 @@ from math import factorial, prod
 import numpy as np
 
 from spinnets import asymptotics, polyring
+from spinnets.errors import InputError
 from spinnets.evaluator import theta_value
 from spinnets.graphs import crossing_sign, internal_coloring, is_admissible
 from spinnets.polyring import (MAX_EXPONENT, MPoly, Namespace, _check_exponents, _mul_acc,
                                _nonzero, _over_budget)
-from spinnets.rational import QQi, div_exact
+from spinnets.rational import QQi, div_exact, narrow
 from spinnets.series import _blown_up
 
 # bundled tetrahedron edge ids in the single-sum formula's positions:
@@ -383,3 +388,87 @@ def find_configs_per_restart(graph, coloring, restarts=200, tol=1e-10, seed=7):
                       "components may have been missed", stacklevel=2)
     found.sort(key=lambda c: (c.triple_sign, np.round(c.gram, 8).tobytes()))
     return found, nfevs
+
+
+def series_recurrence_objects(parts, max_degree: int, weight, base: int = 1) -> MPoly:
+    """polyring._series_recurrence on the coefficient objects as given:
+    F_0 = parts[0] and k·F_k = sum_m weight(m, k)·g_m·F_{k-m}, each product
+    checked for exponents and each division by k through div_exact; the
+    result's degree-k part is then divided by base^k."""
+    ns = parts[0].ns
+    out = [parts[0]]
+    for k in range(1, max_degree + 1):
+        acc: dict = {}
+        for m in range(1, k + 1):
+            a, b = parts[m].terms, out[k - m].terms
+            if a and b:
+                _check_exponents(ns, a, b)
+                _mul_acc(acc, a, b, weight(m, k))
+        out.append(MPoly(ns, {key: div_exact(c, k) for key, c in acc.items() if c}))
+    s = MPoly(ns, {key: c for part in out for key, c in part.terms.items()})
+    if base == 1:
+        return s
+    deg = ns.degree
+    return MPoly(ns, {k: div_exact(c, base ** deg(k)) for k, c in s.terms.items()})
+
+
+def inverse_series_objects(d: MPoly, max_degree: int) -> MPoly:
+    """polyring.inverse_series by series_recurrence_objects."""
+    return series_recurrence_objects(polyring._unit_parts(d, max_degree, "inverse_series"),
+                                     max_degree, lambda m, k: -k)
+
+
+def inv_sqrt_series_objects(d: MPoly, max_degree: int) -> MPoly:
+    """polyring.inv_sqrt_series by series_recurrence_objects."""
+    return series_recurrence_objects(polyring._unit_parts(d, max_degree, "inv_sqrt_series"),
+                                     max_degree, lambda m, k: (m - 2 * k) << 2 * m - 1, 4)
+
+
+def _sparse_matmul(a, b, ns):
+    out: dict = {}
+    for i, row in a.items():
+        acc: dict = {}
+        for k, aik in row.items():
+            for j, bkj in b.get(k, {}).items():
+                _check_exponents(ns, aik, bkj)
+                _mul_acc(acc.setdefault(j, {}), aik, bkj)
+        acc = {j: t for j, t in acc.items() if _nonzero(t)}
+        if acc:
+            out[i] = acc
+    return out
+
+
+def _pair_trace(a, b, ns) -> MPoly:
+    acc: dict = {}
+    for i, row in a.items():
+        for j, aij in row.items():
+            bji = b.get(j, {}).get(i)
+            if bji is not None:
+                _check_exponents(ns, aij, bji)
+                _mul_acc(acc, aij, bji)
+    return MPoly(ns, _nonzero(acc))
+
+
+def truncated_det_entrywise(pq, max_degree: int) -> MPoly:
+    """series.truncated_det with B = P·Q and its powers as dicts of entries
+    (each a term dict, Q's coefficients used as given), one _mul_acc per
+    entry pair, and Newton's identities by series_recurrence_objects."""
+    if max_degree < 0:
+        raise InputError(f"truncated_det needs a degree >= 0, got {max_degree}")
+    ns = pq.ns
+    max_degree = min(max_degree, 4 * len(ns) // 3)
+    b: dict = {}
+    for r, cols in pq.p.items():
+        (k, s), = cols.items()
+        if pq.q.get(k):
+            b[r] = {j: {key: narrow(s * c) for key, c in poly.terms.items()}
+                    for j, poly in pq.q[k].items()}
+    powers = {0: {i: {i: {0: 1}} for i in b}, 1: b}
+    top = max(1, (max_degree + 1) // 2)
+    for m in range(2, top + 1):
+        powers[m] = _sparse_matmul(powers[m - 1], b, ns)
+    traces = [MPoly(ns, {0: 1})]
+    for m in range(1, max_degree + 1):
+        p = min(top, m - 1)
+        traces.append(_pair_trace(powers[p], powers[m - p], ns))
+    return series_recurrence_objects(traces, max_degree, lambda m, k: -1)

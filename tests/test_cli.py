@@ -11,12 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
-from conftest import exact_text, random_holonomy, random_unitary_holonomy
-from oracles import report_text
+from conftest import exact_text, random_holonomy, random_unitary_holonomy, shear_gauge
+from oracles import report_text, series_recurrence_objects, truncated_det_entrywise
 
 from spinnets import bundled_graph_path, load_graph
+from spinnets import polyring
+from spinnets import series as series_module
 from spinnets.asymptotics import _THETA_ROUNDING, PHASE_TOL, scale_prefactor
 from spinnets.cli import dispatch
+from spinnets.graphs import Holonomy, gauge_transform
 from spinnets.polyring import MAX_EXPONENT, MPoly, Namespace
 from spinnets.rational import QQi
 
@@ -58,6 +61,32 @@ def test_series_westbury_matches_det():
     s1 = json.loads(out1)["results"]["series"]
     s2 = json.loads(out2)["results"]["series"]
     assert s1 == s2
+
+
+@pytest.mark.parametrize("name, degree", [("theta", 8), ("tetrahedron", 8),
+                                          ("tetrahedron_nonplanar", 8), ("prism3", 8)])
+def test_series_stdout_matches_the_oracle_kernels(tmp_path, name, degree):
+    """`series --method det` under the trivial holonomy, a shear gauge of it
+    and a gauged random SL(2) holonomy, with and without
+    --check-against-eval, prints the same bytes and exits the same with the
+    entry-wise determinant and the recurrence on coefficient objects
+    patched in."""
+    graph = load_graph(bundled_graph_path(name))
+    holonomies = [gauge_transform(graph, Holonomy.trivial(graph), shear_gauge(graph, 1)),
+                  gauge_transform(graph, random_holonomy(graph, seed=2), shear_gauge(graph, 5))]
+    argvs = [["series", "-g", name, "--degree", str(degree)]]
+    for j, hol in enumerate(holonomies):
+        path = tmp_path / f"h{j}.json"
+        path.write_text(json.dumps({h: [[exact_text(x) for x in row] for row in m]
+                                    for h, m in hol.entries.items()}))
+        argvs.append(argvs[0] + ["-H", str(path)])
+    argvs += [argv + ["--check-against-eval"] for argv in argvs]
+    got = [run_cli(*argv) for argv in argvs]
+    with mock.patch.object(series_module, "truncated_det", truncated_det_entrywise), \
+            mock.patch.object(polyring, "_series_recurrence", series_recurrence_objects):
+        want = [run_cli(*argv) for argv in argvs]
+    assert got == want
+    assert all(rc == 0 for rc, _ in got)
 
 
 def test_series_cycle_routes_refuse_genus_one(tmp_path, capsys):

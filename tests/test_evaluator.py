@@ -322,10 +322,10 @@ def test_values_match_the_recorded_digest(theta, tet, prism):
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
-def _table_digest(plan):
+def _table_digest(table):
     digest = hashlib.sha256()
-    for key in sorted(plan.powers):
-        digest.update(f"{key} {sorted(plan.powers[key].terms.items())}\n".encode())
+    for key in sorted(table):
+        digest.update(f"{key} {sorted(table[key].terms.items(), key=str)}\n".encode())
     return digest.hexdigest()
 
 
@@ -342,7 +342,7 @@ def test_angle_power_table_is_shared_and_never_written(name):
     first = [eval_spin_network(graph, col) for col in cols]
     plan = graph._contraction_plan
     table = dict(plan.powers)
-    digest = _table_digest(plan)
+    digest = _table_digest(plan.powers)
     assert 0 < len(table) <= len(graph.angles) * (evaluator_module._MAX_COLOR + 1)
     ids = {id(p) for p in table.values()}
     shared = []
@@ -357,7 +357,50 @@ def test_angle_power_table_is_shared_and_never_written(name):
     assert any(shared)
     assert plan.powers.keys() == table.keys()
     assert all(plan.powers[key] is table[key] for key in table)
-    assert _table_digest(plan) == digest
+    assert _table_digest(plan.powers) == digest
     # and no entry was changed in the first pass either
     for (a, n), power in table.items():
         assert power.terms == form_power(evaluator_module._TRIVIAL_FORM[0], plan.angles[a][6], n)
+
+
+def test_holonomy_angle_power_table_is_shared_and_never_written():
+    """The table test above under an exact holonomy other than the trivial
+    one, on the two tetrahedron presentations, which share their half-edge
+    ids (so one Holonomy serves both) but not the order of their angles:
+    the holonomy keeps one table per plan, the second pass in reverse order
+    finds every power there and hands those same objects to the edge
+    kernel, no entry is added or changed, each is the power form_power
+    gives for that plan's angle, and every value equals the one under a
+    fresh copy of the holonomy, which has no table yet."""
+    graphs = [load_graph(bundled_graph_path(n)) for n in ("tetrahedron", "tetrahedron_nonplanar")]
+    hol = random_holonomy(graphs[0], seed=3)
+    cols = list(admissible_colorings(graphs[0], max_color=3))
+    first = [[eval_spin_network(g, col, hol) for col in cols] for g in graphs]
+    plans = [g._contraction_plan for g in graphs]
+    assert [a[3:5] for a in plans[0].angles] != [a[3:5] for a in plans[1].angles]
+    tables = hol._angle_powers
+    assert tables.keys() == set(plans)
+    for g, plan, values in zip(graphs, plans, first):
+        table = dict(tables[plan])
+        digest = _table_digest(table)
+        assert 0 < len(table) <= len(g.angles) * (evaluator_module._MAX_COLOR + 1)
+        ids = {id(p) for p in table.values()}
+        shared = []
+
+        def spy(factors, *args):
+            shared.extend(id(f) in ids for f in factors)
+            return apply_edge_operator(factors, *args)
+
+        with mock.patch.object(evaluator_module, "apply_edge_operator", spy):
+            second = [eval_spin_network(g, col, hol) for col in reversed(cols)]
+        assert second[::-1] == values
+        assert any(shared)
+        assert tables[plan].keys() == table.keys()
+        assert all(tables[plan][key] is table[key] for key in table)
+        assert _table_digest(tables[plan]) == digest
+        for (a, n), power in table.items():
+            _, _, _, gh, hh, _, keys = plan.angles[a]
+            assert power.terms == form_power(hol.angle_form(gh, hh)[0], keys, n)
+        fresh = Holonomy(g, hol.entries)
+        assert [eval_spin_network(g, col, fresh) for col in cols] == values
+    assert tables.keys() == set(plans)

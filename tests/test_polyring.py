@@ -6,7 +6,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import edge_operator_by_products, naive_det, naive_edge_operator
+from conftest import assert_same_series
+from oracles import (edge_operator_by_products, inv_sqrt_series_objects, inverse_series_objects,
+                     naive_det, naive_edge_operator)
 from spinnets import polyring
 from spinnets.errors import InputError, PreconditionError, ResourceError
 from spinnets.polyring import (MAX_EXPONENT, MPoly, Namespace, apply_edge_operator, det_poly,
@@ -403,6 +405,53 @@ def test_series_kernel_inverse_and_inverse_sqrt(d, degree):
     assert s.mul_trunc(s, degree).mul_trunc(d, degree) == one
     assert inv == _power_sum(u, degree, lambda k: (-1) ** k)
     assert s == _power_sum(u, degree, lambda k: Fraction(comb(2 * k, k), (-4) ** k))
+
+
+# parts up to 9, or within 2^10 of +-2^200, where the residue width is exercised
+_PART = st.integers(-9, 9) | st.integers(2**200 - 2**10, 2**200).map(lambda x: x * (-1) ** x)
+_UNIT_RINGS = {
+    "int": _PART,
+    "Gaussian": st.builds(QQi, _PART, _PART),
+    "mixed": _PART | st.builds(QQi, _PART, _PART),
+    "Fraction": st.fractions(-4, 4, max_denominator=6) | _PART,
+    "Gaussian rational": st.builds(QQi, st.fractions(-4, 4, max_denominator=6), _PART),
+}
+
+
+@st.composite
+def unit_series(draw):
+    """d = 1 + u on 1 to 3 variables, u of up to four terms of degree 1 to 3
+    in one of the rings above; the constant 1 an int or a QQi."""
+    ns = Namespace(("x", "y", "z")[:draw(st.integers(1, 3))])
+    coeff = _UNIT_RINGS[draw(st.sampled_from(sorted(_UNIT_RINGS)))]
+    terms = {0: draw(st.sampled_from((1, QQi(1))))}
+    for _ in range(draw(st.integers(1, 4))):
+        exps = {v: draw(st.integers(0, 3)) for v in ns.names}
+        if 0 < sum(exps.values()) <= 3 and (c := draw(coeff)):
+            terms[ns.encode(exps)] = c
+    return MPoly(ns, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_series(), st.integers(0, 6))
+def test_series_kernels_match_the_object_recurrence(d, degree):
+    """inverse_series and inv_sqrt_series, on residues for Gaussian-integer
+    input and on the objects otherwise, equal the recurrence run on the
+    coefficient objects term by term, with their types."""
+    assert_same_series(inverse_series(d, degree), inverse_series_objects(d, degree))
+    assert_same_series(inv_sqrt_series(d, degree), inv_sqrt_series_objects(d, degree))
+
+
+def test_residue_path_gives_every_coefficient_as_a_qqi():
+    """The one type difference by design: on 1 + x + i·y the residue path
+    gives x's coefficient of the inverse as QQi(-1), where the recurrence
+    on the objects keeps the int -1 it reached by real products alone."""
+    ns = Namespace(("x", "y"))
+    d = poly(ns, ({}, 1), ({"x": 1}, 1), ({"y": 1}, QQi(0, 1)))
+    x = ns.encode({"x": 1})
+    got, want = inverse_series(d, 2).terms, inverse_series_objects(d, 2).terms
+    assert type(got[x]) is QQi and got[x] == -1 and type(want[x]) is int
+    assert type(got[0]) is type(want[0]) is int  # F_0 is the int 1 either way
 
 
 def test_series_of_polynomial_with_empty_parts():

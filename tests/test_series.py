@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import presentations, random_holonomy, shear_gauge, shear_gauges
-from oracles import curve_sum_walk
+from conftest import (assert_same_series, presentations, random_holonomy, shear_gauge,
+                      shear_gauges)
+from oracles import curve_sum_walk, truncated_det_entrywise
 from spinnets import series as series_module
 from spinnets.errors import InputError, RegimeError
 from spinnets.graphs import Graph, Holonomy, gauge_transform
 from spinnets.polyring import MPoly, Namespace, det_poly, inverse_series
 from spinnets.rational import QQi, denominator, div_exact
-from spinnets.series import (abelian_curve_sum, build_pq, compare_with_evaluations,
+from spinnets.series import (PQMatrices, abelian_curve_sum, build_pq, compare_with_evaluations,
                              nonplanar_fix, pfaffian_dimer_sum, series_Z,
                              truncated_det, w1_matrix, westbury_polynomial)
 
@@ -68,6 +69,53 @@ def test_truncated_det_matches_bareiss(theta, tet):
     hol = random_holonomy(theta, seed=9)
     pq = build_pq(theta, hol)
     assert truncated_det(pq, 6) == det_poly(pq.full()).truncated(6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=presentations(4), kind=st.sampled_from(("trivial", "shear", "random")),
+       degree=st.integers(0, 8), seed=st.integers(0, 2**16))
+def test_truncated_det_matches_the_entrywise_oracle(g, kind, degree, seed):
+    """The row kernel, on ints or residues, against the entry-wise kernel
+    on the coefficient objects, term by term with their types: on Q as
+    built, which the kernel scales to Gaussian integers itself and the
+    oracle runs on Fraction parts, and on Q scaled by its denominator."""
+    hol = {"trivial": None,
+           "shear": gauge_transform(g, Holonomy.trivial(g), shear_gauge(g, seed)),
+           "random": random_holonomy(g, seed=seed)}[kind]
+    pq = build_pq(g, hol)
+    assert_same_series(truncated_det(pq, degree), truncated_det_entrywise(pq, degree))
+    scaled, _ = _scaled(pq)
+    assert_same_series(truncated_det(scaled, degree), truncated_det_entrywise(scaled, degree))
+
+
+def _diagonal_pq(ns, z, w):
+    """P of one edge between half-edges 1 and 2, as build_pq writes it, and
+    Q diagonal: the variable z on the z rows, w on the w rows; then
+    det(P + Q) = (1 + z·w)^2, and for z = w, B's powers carry z alone."""
+    i = QQi(0, 1)
+    basis = ("z1", "w1", "z2", "w2")
+    p = {"z1": {"w2": i}, "w2": {"z1": i}, "z2": {"w1": -i}, "w1": {"z2": -i}}
+    q = {b: {b: MPoly.var(ns, z if b[0] == "z" else w)} for b in basis}
+    return PQMatrices(ns, basis, p, q)
+
+
+def test_truncated_det_past_the_exponent_bound():
+    """48 variables cap the degree at 64, past MAX_EXPONENT = 63, so each
+    product is checked: tr(B^64) = 4·x0^64 when B carries x0 alone, and
+    the kernel refuses it with the InputError of a product past the bound,
+    as the entry-wise kernel does; (x0·x1)^32 passes.  At degree 63 no
+    exponent can pass the bound and nothing is checked."""
+    ns = Namespace(f"x{j}" for j in range(48))
+    one_var, two_vars = _diagonal_pq(ns, "x0", "x0"), _diagonal_pq(ns, "x0", "x1")
+    for kernel in (truncated_det, truncated_det_entrywise):
+        with pytest.raises(InputError, match="past the exponent bound 63"):
+            kernel(one_var, 64)
+    z, w = MPoly.var(ns, "x0"), MPoly.var(ns, "x1")
+    one = MPoly.const(ns, 1)
+    assert truncated_det(two_vars, 64) == (one + z * w).pow(2)
+    assert_same_series(truncated_det(two_vars, 64), truncated_det_entrywise(two_vars, 64))
+    assert truncated_det(one_var, 63) == (one + z * z).pow(2)
+    assert_same_series(truncated_det(one_var, 63), truncated_det_entrywise(one_var, 63))
 
 
 def test_negative_degree_is_refused(theta):
