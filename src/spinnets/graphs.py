@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import json
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import AdmissibilityError, InputError, RegimeError
 from .rational import QQi, denominator, narrow, parse_exact
@@ -305,6 +305,16 @@ def _adj2(m):
     return ((d, -b), (-c, a))
 
 
+def _cleared_adjugate(m):
+    """(D, adj(D m)) for a 2x2 matrix of QQi cells, D the least positive
+    integer that makes D m a Gaussian-integer matrix: adj(D m) has QQi cells
+    with int parts."""
+    den = lcm(*(denominator(x) for row in m for x in row))
+    return den, _adj2(tuple(tuple(QQi(x.re.numerator * (den // x.re.denominator),
+                                      x.im.numerator * (den // x.im.denominator))
+                                  for x in row) for row in m))
+
+
 def _mul2(m, n):
     (a, b), (c, d) = m
     (e, f), (g, h) = n
@@ -399,11 +409,14 @@ class Holonomy:
         half-edge pair, so it holds on any presentation sharing the ids."""
         form = self._forms.get((g, h))
         if form is None:
-            (a, b), (c, d) = _adj2(self.entries[g])
-            (a2, b2), (c2, d2) = _adj2(self.entries[h])
+            dg, ((a, b), (c, d)) = _cleared_adjugate(self.entries[g])
+            dh, ((a2, b2), (c2, d2)) = _cleared_adjugate(self.entries[h])
             coeffs = (a * c2 - a2 * c, a * d2 - b2 * c, b * c2 - a2 * d, b * d2 - b2 * d)
-            den = lcm(*(denominator(x) for x in coeffs))
-            form = self._forms[g, h] = (tuple(narrow(x * den) for x in coeffs), den)
+            # the form's coefficients are coeffs / (dg dh), Gaussian integers
+            # over dg dh; k cancels what dg dh shares with all their parts
+            k = gcd(dg * dh, *(p for x in coeffs for p in (x.re, x.im)))
+            form = self._forms[g, h] = (
+                tuple(narrow(QQi(x.re // k, x.im // k)) for x in coeffs), dg * dh // k)
         return form
 
     def is_trivial(self):

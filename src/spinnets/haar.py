@@ -4,16 +4,29 @@ Samples are unit quaternions (exactly Haar via normalized 4-d Gaussians,
 counter-based Philox streams), and every SU(2) product of an integrand is a
 Hamilton product of quaternion arrays: half the trace of a product is its
 scalar part, so <p, q> is half the trace of p q^-1.  `su2_matrix` carries a
-quaternion to its matrix for callers that need one.  Estimates are
-deterministic for a fixed (seed, samples, workers): worker i consumes its
-own spawned substream and partial sums are reduced in worker order.  The
-workers run on T = min(workers, CPUs) threads, each with one sample buffer
-its caller allocates; the calling thread runs the first of them.  Each
-also gets a drawer thread that only fills the buffer from the stream, block
-by block, while its own thread normalises the drawn blocks and evaluates
-the integrand.  Successive fills of a generator draw what one fill would,
-and which thread runs a worker never changes what the worker draws or the
-order of the sums, so no estimate depends on the CPU count.
+quaternion to its matrix for callers that need one.
+
+Samples arrive as (m, d, 4) sections, a quaternion's components side by
+side.  The conjugations of the integrands (psi g_v psi^-1 in the
+orthogonality integrand, c_e g_w c_e^-1 under a holonomy) copy their
+factors' components into contiguous rows, run `_hamilton`, the one
+Hamilton-product formula, on those rows, and copy the result into one
+(m, 4) buffer per block, which the einsum reads.  Every per-sample value
+keeps the bits of the stacked (..., 4) form: each component is formed by
+the same IEEE operations, associated left to right as the expanded formula
+reads; an inverse enters as exact sign flips of its vector part, here or
+on the other factor of a product; every einsum and summation is unchanged.
+Without a holonomy, W and the bracket read the sections' strided views.
+
+Estimates are deterministic for a fixed (seed, samples, workers): worker i
+consumes its own spawned substream and partial sums are reduced in worker
+order.  The workers run on T = min(workers, CPUs) threads, each with one
+sample buffer its caller allocates; the calling thread runs the first of
+them.  Each also gets a drawer thread that only fills the buffer from the
+stream, block by block, while its own thread normalises the drawn blocks
+and evaluates the integrand.  Successive fills of a generator draw what one
+fill would, and which thread runs a worker never changes what the worker
+draws or the order of the sums, so no estimate depends on the CPU count.
 """
 
 from __future__ import annotations
@@ -111,10 +124,12 @@ def _chebyshev_u(n: int, x: np.ndarray) -> np.ndarray:
         raise DomainError("character label must be >= 0")
     if n == 0:
         return np.ones_like(x)
-    prev = np.ones_like(x)
-    cur = 2.0 * x
+    two_x = 2.0 * x
+    prev, cur = np.ones_like(x), two_x
     for _ in range(n - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
+        nxt = two_x * cur
+        nxt -= prev
+        prev, cur = cur, nxt
     return cur
 
 
@@ -131,16 +146,32 @@ def su2_matrix(q: np.ndarray) -> np.ndarray:
 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])  # q * _CONJ is q^-1 for a unit q
 
+# component k of the Hamilton product p q is the sum of s * p[i] * q[j] over
+# row k's (i, j, s), added left to right: a*e - b*f - c*g - d*h for k = 0
+_HAMILTON = (((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
+             ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
+             ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, 1)),
+             ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)))
+
+
+def _hamilton(p, q, out):
+    """Write the Hamilton product p q into out.  p, q and out are sequences
+    of four components (arrays or scalars that broadcast to out's); out
+    overlaps neither p nor q."""
+    tmp = np.empty(np.shape(out[0]))
+    for o, ((i, j, _), *rest) in zip(out, _HAMILTON):
+        np.multiply(p[i], q[j], out=o)
+        for i, j, s in rest:
+            np.multiply(p[i], q[j], out=tmp)
+            (np.add if s > 0 else np.subtract)(o, tmp, out=o)
+
 
 def _qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Hamilton product of quaternion arrays (..., 4), broadcast; su2_matrix
     carries it to the matrix product."""
-    a, b, c, d = (p[..., i] for i in range(4))
-    e, f, g, h = (q[..., i] for i in range(4))
-    return np.stack([a * e - b * f - c * g - d * h,
-                     a * f + b * e + c * h - d * g,
-                     a * g - b * h + c * e + d * f,
-                     a * h + b * g - c * f + d * e], axis=-1)
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    _hamilton(np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0), [out[..., k] for k in range(4)])
+    return out
 
 
 def _check_samples(samples):
@@ -344,11 +375,19 @@ def _edge_half_traces(graph, conj, g):
     is <g_v, c_e g_w c_e^-1>, for vertex samples g of shape (n, V, 4)."""
     vi = graph.vertex_index
     out = {}
+    if conj is not None:
+        # one buffer each: g_w's components as contiguous rows, overwritten
+        # by c_e g_w c_e^-1's; c_e g_w; the (n, 4) stack the einsum reads
+        q, t, rotated = np.empty((4, len(g))), np.empty((4, len(g))), np.empty((len(g), 4))
     for e, l, r in graph.edges:
         qv = g[:, vi[graph.vertex_of[l]], :]
         qw = g[:, vi[graph.vertex_of[r]], :]
         if conj is not None:
-            qw = _qmul(_qmul(conj[e], qw), conj[e] * _CONJ)
+            np.copyto(q, qw.T)
+            _hamilton(conj[e], q, t)
+            _hamilton(t, conj[e] * _CONJ, q)
+            np.copyto(rotated, q.T)
+            qw = rotated
         out[e] = np.einsum("ij,ij->i", qv, qw)
     return out
 
@@ -431,12 +470,24 @@ def mc_orthogonality(graph: Graph, coloring: dict,
                 for vi, es in enumerate(graph.vertex_edges) for e in es]
 
     def integrand(gv, ge, psi):
-        vals = np.full(len(gv), scale)
+        m = len(gv)
+        vals = np.full(m, scale)
+        # one buffer each per block: psi's components as contiguous rows;
+        # g_v's, overwritten by psi g_v psi^-1's; psi g_v; the (m, 4) stack
+        # the einsum reads
+        p, q, t, rotated = np.empty((4, m)), np.empty((4, m)), np.empty((4, m)), np.empty((m, 4))
         for k, (ei, vi, c) in enumerate(halfinfo):
-            # half the trace of g_e psi g_v psi^-1 is <g_e^-1, psi g_v psi^-1>
-            p = psi[:, k]
-            rotated = _qmul(_qmul(p, gv[:, vi]), p * _CONJ)
-            half = np.einsum("ij,ij->i", ge[:, ei] * _CONJ, rotated)
+            np.copyto(p, psi[:, k].T)
+            np.copyto(q, gv[:, vi].T)
+            _hamilton(p, q, t)
+            np.negative(p[1:], out=p[1:])  # psi^-1
+            _hamilton(t, p, q)
+            # half the trace of g_e psi g_v psi^-1 is <g_e^-1, psi g_v psi^-1>;
+            # g_e^-1's sign flips move to the other factor, which leaves the
+            # bits of each product the einsum sums
+            np.negative(q[1:], out=q[1:])
+            np.copyto(rotated, q.T)
+            half = np.einsum("ij,ij->i", ge[:, ei], rotated)
             vals *= _chebyshev_u(c, half)
         return vals
 

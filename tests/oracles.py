@@ -18,24 +18,30 @@ exact evaluation by squaring is the contraction as the library ran it
 before its one-pass angle powers and term-dict edge kernel: each angle
 power by MPoly.pow, each edge by one _mul_acc per matched group pair, with
 the factor products and the term-budget checks in the order that kernel ran
-them.
+them.  The angle form is the holonomy's before its denominators were
+cleared: the adjugates' products on Gaussian rationals.  The Monte-Carlo
+integrands are the library's before they moved to contiguous quaternion
+components: each Hamilton product on strided (..., 4) views, stacked, and
+each inverse as q * _CONJ, formed again wherever it is used.
 """
 
 import json
 import warnings
 from fractions import Fraction
 from functools import reduce
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import numpy as np
 
 from spinnets import asymptotics, polyring
 from spinnets.errors import InputError
 from spinnets.evaluator import theta_value
-from spinnets.graphs import crossing_sign, internal_coloring, is_admissible
+from spinnets.graphs import (_adj2, crossing_sign, internal_coloring, is_admissible,
+                             vertex_colors)
+from spinnets.haar import _CONJ
 from spinnets.polyring import (MAX_EXPONENT, MPoly, Namespace, _check_exponents, _mul_acc,
                                _nonzero, _over_budget)
-from spinnets.rational import QQi, div_exact, narrow
+from spinnets.rational import QQi, denominator, div_exact, narrow
 from spinnets.series import _blown_up
 
 # bundled tetrahedron edge ids in the single-sum formula's positions:
@@ -472,3 +478,96 @@ def truncated_det_entrywise(pq, max_degree: int) -> MPoly:
         p = min(top, m - 1)
         traces.append(_pair_trace(powers[p], powers[m - p], ns))
     return series_recurrence_objects(traces, max_degree, lambda m, k: -1)
+
+
+def angle_form_fractions(holonomy, g, h):
+    """Holonomy.angle_form on the cells as given: the adjugates' products on
+    Gaussian rationals, then the common denominator of the coefficients."""
+    (a, b), (c, d) = _adj2(holonomy.entries[g])
+    (a2, b2), (c2, d2) = _adj2(holonomy.entries[h])
+    coeffs = (a * c2 - a2 * c, a * d2 - b2 * c, b * c2 - a2 * d, b * d2 - b2 * d)
+    den = lcm(*(denominator(x) for x in coeffs))
+    return tuple(narrow(x * den) for x in coeffs), den
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo integrands as the library evaluated them on (..., 4) stacks:
+# strided component views, np.stack'ed products and q * _CONJ for q^-1
+# ---------------------------------------------------------------------------
+
+def chebyshev_u_recurrence(n, x):
+    """haar._chebyshev_u with 2.0 * x formed again at every step."""
+    if n == 0:
+        return np.ones_like(x)
+    prev = np.ones_like(x)
+    cur = 2.0 * x
+    for _ in range(n - 1):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return cur
+
+
+def qmul_stack(p, q):
+    """Hamilton product of quaternion arrays (..., 4), broadcast."""
+    a, b, c, d = (p[..., i] for i in range(4))
+    e, f, g, h = (q[..., i] for i in range(4))
+    return np.stack([a * e - b * f - c * g - d * h,
+                     a * f + b * e + c * h - d * g,
+                     a * g - b * h + c * e + d * f,
+                     a * h + b * g - c * f + d * e], axis=-1)
+
+
+def edge_half_traces_stack(graph, conj, g):
+    """haar._edge_half_traces with each c_e g_w c_e^-1 by two qmul_stack."""
+    vi = graph.vertex_index
+    out = {}
+    for e, l, r in graph.edges:
+        qv = g[:, vi[graph.vertex_of[l]], :]
+        qw = g[:, vi[graph.vertex_of[r]], :]
+        if conj is not None:
+            qw = qmul_stack(qmul_stack(conj[e], qw), conj[e] * _CONJ)
+        out[e] = np.einsum("ij,ij->i", qv, qw)
+    return out
+
+
+def bracket_integrand_stack(graph, coloring, conj):
+    """mc_bracket's integrand on edge_half_traces_stack."""
+    def integrand(g):
+        half = edge_half_traces_stack(graph, conj, g)
+        vals = np.ones(len(g))
+        for e in graph.edge_ids:
+            vals *= chebyshev_u_recurrence(coloring[e], half[e])
+        return vals
+    return integrand
+
+
+def w_integrand_stack(graph, y, conj):
+    """mc_W_point's integrand on edge_half_traces_stack."""
+    def integrand(g):
+        half = edge_half_traces_stack(graph, conj, g)
+        vals = np.ones(len(g))
+        for e in graph.edge_ids:
+            vals /= 1.0 - 2.0 * y[e] * half[e] + y[e] * y[e]
+        return vals
+    return integrand
+
+
+def orthogonality_integrand_stack(graph, coloring):
+    """mc_orthogonality's integrand with psi g_v psi^-1 by two qmul_stack
+    per half-edge and g_e^-1 formed again at each of its half-edges."""
+    scale = 1.0
+    for cols in vertex_colors(graph, coloring):
+        scale *= float(theta_value(*cols))
+    for e in graph.edge_ids:
+        scale *= coloring[e] + 1
+    halfinfo = [(graph.edge_index[e], vi, coloring[e])
+                for vi, es in enumerate(graph.vertex_edges) for e in es]
+
+    def integrand(gv, ge, psi):
+        vals = np.full(len(gv), scale)
+        for k, (ei, vi, c) in enumerate(halfinfo):
+            p = psi[:, k]
+            rotated = qmul_stack(qmul_stack(p, gv[:, vi]), p * _CONJ)
+            half = np.einsum("ij,ij->i", ge[:, ei] * _CONJ, rotated)
+            vals *= chebyshev_u_recurrence(c, half)
+        return vals
+    return integrand

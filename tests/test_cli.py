@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
-from conftest import exact_text, random_holonomy, random_unitary_holonomy, shear_gauge
+from conftest import (exact_text, presentations, random_holonomy, random_unitary_holonomy,
+                      shear_gauge)
 from oracles import report_text, series_recurrence_objects, truncated_det_entrywise
 
 from spinnets import bundled_graph_path, load_graph
@@ -819,6 +820,72 @@ def test_mutated_coloring_json(tmp_path_factory, graph, colors, mutations, top, 
         if not results["admissible"]:
             assert results["value"] == {"re": "0", "im": "0"}, doc
             assert results["bracket_square"] == "0", doc
+
+
+# an integer literal past int()'s 4300 digits: json.dumps cannot write it
+_LONG_INT = "<a 5001-digit integer>"
+_GRAPH_VALUES = (5, 2.5, None, True, "", "x", [], {}, ["v0"], {"id": "v0"}, 2 ** 63, -10 ** 30,
+                 10 ** 400, _LONG_INT)
+_GRAPH_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 99)),
+    st.tuples(st.just("value"), st.integers(0, 99), st.sampled_from(_GRAPH_VALUES)),
+    st.tuples(st.just("duplicate"), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.just("crossing"), st.sampled_from(
+        (["e0", "zz"], ["zz", "yy"], ["e0", "e0"], ["e0"], ["e0", "e1", "e2"], ["e0", "v0"],
+         ["e0", "h0"], ["e0", "e1"], ["e1", "e0"], "e0", [10 ** 30, "e0"]))))
+
+
+def _graph_slots(obj):
+    """(container, key) of every value in a graph object: its top-level keys,
+    each vertex's and edge's keys, half-edge slots and crossing entries."""
+    slots = [(obj, k) for k in obj]
+    for part in ("vertices", "edges", "crossings"):
+        for entry in obj.get(part) if isinstance(obj.get(part), list) else ():
+            if isinstance(entry, dict):
+                slots += [(entry, k) for k in entry]
+                entry = entry.get("halfedges")
+            if isinstance(entry, list):
+                slots += [(entry, i) for i in range(len(entry))]
+    return slots
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=presentations(4), mutations=st.lists(_GRAPH_MUTATIONS, min_size=1, max_size=3),
+       top=st.one_of(st.none(), st.none(), st.none(), st.sampled_from(([], 5, "x", None))))
+def test_mutated_graph_json(tmp_path_factory, graph, mutations, top):
+    """eval on a random presentation's graph file with dropped keys, values
+    of the wrong type, huge integers, duplicate ids and crossings that name
+    unknown edges: the exit code is 0, 1 or 2, nothing escapes dispatch, and
+    exit 2 comes with exactly one input error line."""
+    obj = copy.deepcopy(graph.to_obj())
+    coloring = json.dumps(dict.fromkeys(graph.edge_ids, 2))
+    for op, *rest in mutations:
+        slots = _graph_slots(obj)
+        if op == "crossing":
+            if not isinstance(obj.get("crossings"), list):
+                obj["crossings"] = []
+            obj["crossings"].append(copy.deepcopy(rest[0]))
+        elif slots:
+            where, key = slots[rest[0] % len(slots)]
+            if op == "drop":
+                del where[key]
+            elif op == "value":
+                where[key] = rest[1]
+            else:
+                there, other = slots[rest[1] % len(slots)]
+                where[key] = copy.deepcopy(there[other])
+    path = tmp_path_factory.mktemp("graph") / "g.json"
+    path.write_text(json.dumps(obj if top is None else top).replace(
+        json.dumps(_LONG_INT), "1" + "0" * 5000))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = dispatch(["eval", "-g", str(path), "-c", coloring])
+    lines = err.getvalue().splitlines()
+    event(f"exit {rc}")
+    assert rc in (0, 1, 2), (obj, rc)
+    if rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("input error:"), (obj, lines)
+        assert out.getvalue() == ""
 
 
 def test_digest_is_of_the_parsed_bytes(tmp_path, monkeypatch):

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_text, random_holonomy, shear_gauges
+from conftest import (exact_text, presentations, random_holonomy, random_unitary_holonomy,
+                      shear_gauges)
+from oracles import angle_form_fractions
 from spinnets.errors import AdmissibilityError, InputError
 from spinnets.evaluator import _TRIVIAL_FORM
 from spinnets.graphs import (Graph, Holonomy, admissible_colorings, crossing_sign,
@@ -346,6 +348,23 @@ def test_vertex_gauge_keeps_angle_forms(theta, tet, prism, dumbbell, name, seed,
     gauged = gauge_transform(g, hol, gauge)
     for _, _, _, (h1, h2) in g.angles:
         assert _exactly(gauged.angle_form(h1, h2)) == _exactly(hol.angle_form(h1, h2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=presentations(4), kind=st.sampled_from(("gaussian", "unitary")),
+       seed=st.integers(0, 2**16), gauged=st.booleans(), data=st.data())
+def test_angle_forms_match_the_fraction_route(graph, kind, seed, gauged, data):
+    # the forms from the cleared Gaussian-integer adjugates equal, in value
+    # and in the type of each coefficient, the forms on Gaussian rationals;
+    # a shear gauge at every vertex and edge makes the cells' denominators
+    # products of several shears' (each up to 12)
+    hol = (random_holonomy if kind == "gaussian" else random_unitary_holonomy)(graph, seed)
+    if gauged:
+        hol = gauge_transform(graph, hol, data.draw(shear_gauges(graph)))
+    pairs = [hs for _, _, _, hs in graph.angles] + [(h, h) for h in graph.halfedges[:2]]
+    pairs.append(tuple(data.draw(st.permutations(graph.halfedges))[:2]))
+    for h1, h2 in pairs:
+        assert _exactly(hol.angle_form(h1, h2)) == _exactly(angle_form_fractions(hol, h1, h2))
 
 
 def test_genus(theta, tet, tetnp, prism, dumbbell):

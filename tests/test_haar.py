@@ -1,11 +1,15 @@
 import math
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from oracles import (bracket_integrand_stack, chebyshev_u_recurrence, edge_half_traces_stack,
+                     orthogonality_integrand_stack, qmul_stack, w_integrand_stack)
 
 import spinnets.haar as haar
 from spinnets.errors import DomainError, InputError, NumericalError, PreconditionError
@@ -523,3 +527,135 @@ def test_orthogonality_integrand_matches_matrix_form(theta):
         vals = vals * _chebyshev_u(col[e], _half_trace(m))
     assert est.mean == pytest.approx(vals.mean(), rel=1e-12, abs=1e-12)
     assert est.stderr == pytest.approx(vals.std(ddof=1) / n ** 0.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "0-d"])
+def test_chebyshev_u_matches_the_recurrence(kind):
+    # 2.0 * x formed once is the factor the old recurrence formed at each step
+    rng = np.random.default_rng(23)
+    x = rng.uniform(-1.5, 1.5, 1000)
+    if kind == "complex":
+        x = x + 1j * rng.uniform(-1.5, 1.5, 1000)
+    elif kind == "0-d":
+        x = np.array(0.37)
+    for n in range(12):
+        got, want = _chebyshev_u(n, x), chebyshev_u_recurrence(n, x)
+        assert type(got) is type(want) and got.dtype == want.dtype, n
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), n
+
+
+def _components(bound):
+    """Finite floats within bound, signed zeros and subnormals among them."""
+    return st.one_of(st.floats(-bound, bound), st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, 0.5, 1.0 + 2.0 ** -52]))
+
+
+def _quaternions(draw, shape, bound=1e3):
+    return draw(arrays(float, (*shape, 4), elements=_components(bound)))
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=st.integers(0, 9),
+       form=st.sampled_from(("rows", "one-left", "one-right", "single", "strided")))
+def test_qmul_is_the_stacked_product_bit_for_bit(data, m, form):
+    if form == "single":
+        p, q = _quaternions(data.draw, ()), _quaternions(data.draw, ())
+    elif form == "strided":  # views into (m, 3, 4) sections, as the integrands read them
+        p, q = _quaternions(data.draw, (m, 3))[:, 1], _quaternions(data.draw, (m, 2))[:, 0]
+    else:
+        p = _quaternions(data.draw, () if form == "one-left" else (m,))
+        q = _quaternions(data.draw, () if form == "one-right" else (m,))
+    assert _same_bits(_qmul(p, q), qmul_stack(p, q))
+
+
+def _draw_sections(draw, m, draws, bound=1e3):
+    """Sections (m, d, 4) read from one buffer, as the estimator passes them."""
+    buf = _quaternions(draw, (m * sum(draws),), bound)
+    out, lo = [], 0
+    for d in draws:
+        out.append(buf[m * lo:m * (lo + d)].reshape(m, d, 4))
+        lo += d
+    return out
+
+
+def _integrand_of(call):
+    """The integrand and draws that call() hands to haar._estimate."""
+    with mock.patch.object(haar, "_estimate", lambda integrand, draws, *rest: (integrand, draws)):
+        return call()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(("theta", "tet")), m=st.integers(1, 6))
+def test_edge_half_traces_match_the_stacked_kernel(theta, tet, data, name, m):
+    # non-unit vertex samples and non-unit edge quaternions c_e; the
+    # holonomy branch and the trivial one
+    graph = {"theta": theta, "tet": tet}[name]
+    g, = _draw_sections(data.draw, m, (len(graph.vertices),))
+    conj = dict(zip(graph.edge_ids, _quaternions(data.draw, (len(graph.edges),))))
+    for c in (conj, None):
+        got, want = _edge_half_traces(graph, c, g), edge_half_traces_stack(graph, c, g)
+        assert got.keys() == want.keys()
+        for e in want:
+            assert _same_bits(got[e], want[e]), e
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(("theta", "tet")), m=st.integers(1, 6),
+       colors=st.lists(st.integers(0, 4), min_size=6, max_size=6))
+def test_integrands_match_the_stacked_oracles(theta, tet, data, name, m, colors):
+    # each estimator's integrand on non-unit samples, against the old
+    # integrand on the same arrays; the holonomy enters as its unit c_e.
+    # Components within 3 keep every product of characters finite.
+    from conftest import random_unitary_holonomy
+    from spinnets.graphs import is_admissible
+
+    graph = {"theta": theta, "tet": tet}[name]
+    col = dict(zip(graph.edge_ids, colors))
+    hol = random_unitary_holonomy(graph, seed=m)
+    conj = _prepared_holonomy(graph, hol)
+    y = dict(zip(graph.edge_ids, (0.1, -0.2, 0.3, 0.25, -0.05, 0.15)))
+    cases = [(lambda: mc_bracket(graph, col, hol), bracket_integrand_stack(graph, col, conj)),
+             (lambda: mc_W_point(graph, y, hol), w_integrand_stack(graph, y, conj))]
+    # an inadmissible coloring's weight prod_v <v> is 0, which is refused
+    orth = col if is_admissible(graph, col) else dict.fromkeys(col, 2)
+    cases.append((lambda: mc_orthogonality(graph, orth),
+                  orthogonality_integrand_stack(graph, orth)))
+    for call, oracle in cases:
+        integrand, draws = _integrand_of(call)
+        sections = _draw_sections(data.draw, m, draws, bound=3.0)
+        assert _same_bits(integrand(*sections), oracle(*sections)), draws
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_estimates_equal_the_stacked_integrands(theta, tet, workers):
+    # each estimator equals _estimate run on the old integrand, ==, with
+    # and without a unitary holonomy; 40 000 samples give a full and a
+    # partial batch for one worker
+    from conftest import random_unitary_holonomy
+
+    n = 40_000
+    col = {"e1": 2, "e2": 3, "e3": 3}
+    tet_col = {e: 2 for e in tet.edge_ids}
+    y = {"e1": 0.3, "e2": 0.2, "e3": 0.1}
+    hol = random_unitary_holonomy(theta, seed=6)
+    conj = _prepared_holonomy(theta, hol)
+    nv = (len(theta.vertices),)
+    cases = [
+        (mc_bracket(tet, tet_col, samples=n, seed=41, workers=workers),
+         bracket_integrand_stack(tet, tet_col, None), (len(tet.vertices),)),
+        (mc_bracket(theta, col, hol, samples=n, seed=42, workers=workers),
+         bracket_integrand_stack(theta, col, conj), nv),
+        (mc_W_point(theta, y, samples=n, seed=43, workers=workers),
+         w_integrand_stack(theta, y, None), nv),
+        (mc_W_point(theta, y, hol, samples=n, seed=44, workers=workers),
+         w_integrand_stack(theta, y, conj), nv),
+        (mc_orthogonality(theta, col, samples=n, seed=45, workers=workers),
+         orthogonality_integrand_stack(theta, col),
+         (len(theta.vertices), len(theta.edges), len(theta.halfedges))),
+    ]
+    for est, oracle, draws in cases:
+        assert est == haar._estimate(oracle, draws, n, est.seed, workers), draws
