@@ -48,6 +48,7 @@ __all__ = [
 
 _KERNEL_THRESHOLD = 1e-8
 _PHASE_THRESHOLD = 1e-6
+_EXTRAPOLATION_TOL = 1e-4  # relative Richardson spread detprime_limit accepts
 _CHUNK = 64  # restarts per batched least-squares call; bounds the search's memory
 
 # A pair phase sum_e (k c_e + 1) theta_e is refused once its error bound
@@ -536,7 +537,7 @@ def _richardson(values):
 
 
 def detprime_limit(graph: Graph, coloring: dict, pair: CriticalPair,
-                   js=range(6, 13), rel_tol: float = 1e-4) -> tuple[complex, complex]:
+                   js=range(6, 13)) -> tuple[complex, complex]:
     """Extrapolated limits as kappa -> 1+ of (kappa-1)^{-3} det'(q_kappa) and
     of (kappa-1)^{-3/2} times the product of the square roots of the same
     eigenvalues, both from one eigen-solve per level h = 2^-j."""
@@ -552,11 +553,11 @@ def detprime_limit(graph: Graph, coloring: dict, pair: CriticalPair,
         vals.append(complex(np.prod(rest)) / h ** 3)
         sqrts.append(complex(np.prod(np.sqrt(rest))) / h ** 1.5)
     lim, err = _richardson(vals)
-    if abs(lim) == 0.0 or err / abs(lim) > rel_tol:
-        raise NumericalError(
-            f"det' extrapolation spread {err / max(abs(lim), 1e-300):.2e} exceeds {rel_tol}")
+    if abs(lim) == 0.0 or err / abs(lim) > _EXTRAPOLATION_TOL:
+        raise NumericalError(f"det' extrapolation spread {err / max(abs(lim), 1e-300):.2e} "
+                             f"exceeds {_EXTRAPOLATION_TOL}")
     slim, serr = _richardson(sqrts)
-    if abs(slim) == 0.0 or serr / abs(slim) > rel_tol:
+    if abs(slim) == 0.0 or serr / abs(slim) > _EXTRAPOLATION_TOL:
         raise NumericalError("sqrt det' extrapolation did not converge")
     return lim, slim
 
@@ -692,43 +693,27 @@ def asymptotic_estimate(graph: Graph, coloring: dict, report: HypothesesReport,
     eids = graph.edge_ids
     n_exc = graph.N
     first = 0.0
-    first_terms = []
     root_det_r = []
     for idx, P in enumerate(configs):
         det_r = float(np.linalg.det(form_r(graph, coloring, P)))
         dq = _detprime_of(report.spectra[idx], 3)
-        term = np.sqrt(det_r) / np.sqrt(float(dq.real))
-        first += term
+        first += np.sqrt(det_r) / np.sqrt(float(dq.real))
         root_det_r.append(np.sqrt(det_r))
-        first_terms.append({"config": idx, "det_r": det_r, "detprime_qP": dq.real,
-                            "term": term})
-    pairs = []  # (i, j), thetas, k-independent amplitude and denominator
-    for (i, j), pair in report.pairs.items():
+    pairs = []  # thetas, k-independent amplitude and denominator
+    for (i, _), pair in report.pairs.items():
         _, sqrt_lim = detprime_limit(graph, coloring, pair)
         sin_prod = float(np.prod([np.sin(pair.thetas[e]) for e in eids]))
-        pairs.append(((i, j), pair.thetas, (1j ** n_exc) * root_det_r[i],
-                      sqrt_lim * sin_prod))
+        pairs.append((pair.thetas, (1j ** n_exc) * root_det_r[i], sqrt_lim * sin_prod))
     rows = []
     for k, prefactor in zip(ks, prefactors):
         second = 0.0
-        pair_terms = []
-        for ij, thetas, amp, den in pairs:
+        for thetas, amp, den in pairs:
             phase = sum((k * coloring[e] + 1) * thetas[e] for e in eids)
-            z = amp * np.exp(1j * phase) / den
-            second += z.real
-            pair_terms.append({"pair": ij, "contribution": z.real,
-                               "thetas": {e: thetas[e] for e in eids}})
+            second += (amp * np.exp(1j * phase) / den).real
         rows.append({
             "k": k,
             "value": prefactor * (first + second),
-            "terms": {
-                "prefactor": prefactor,
-                "first_sum": first,
-                "second_sum": second,
-                "first_terms": first_terms,
-                "pair_terms": pair_terms,
-            },
-            "n_configs": len(configs),
+            "terms": {"prefactor": prefactor, "first_sum": first, "second_sum": second},
             "convention_dependent": bool(pairs) and any((k * coloring[e]) % 2 for e in eids),
         })
     return rows

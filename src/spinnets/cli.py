@@ -3,8 +3,8 @@
 Subcommands: eval, series, integrate, asymptote, check, selftest.  Reports
 are deterministic JSON on stdout (identical inputs + seed + workers give
 byte-identical output); timing and warnings go to stderr.  Exit codes:
-0 success, 1 hypothesis/numerical failure or a contraction past its term
-budget, 2 input error.
+0 success, 1 hypothesis/numerical failure or a contraction or series past
+its term budget, 2 input error.
 """
 
 from __future__ import annotations

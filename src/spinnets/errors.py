@@ -35,4 +35,4 @@ class NumericalError(SpinnetError):
 
 class ResourceError(SpinnetError):
     """A computation would pass a documented bound on its size (the term
-    budget of a contraction)."""
+    budget of a contraction or of a series step)."""

@@ -228,18 +228,13 @@ def renormalize(graph: Graph, coloring: dict, value: QQi) -> QQi:
     return value * Fraction(num, den)
 
 
-def bracket_square(graph: Graph, coloring: dict, holonomy: Holonomy | None = None,
-                   value: QQi | None = None) -> Fraction:
-    """|value|^2 divided by the product of per-vertex theta norms.
-
-    `value` is the network's evaluation under `holonomy` when the caller
-    already has it; otherwise the network is evaluated here.
-    """
+def bracket_square(graph: Graph, coloring: dict, holonomy: Holonomy | None = None) -> Fraction:
+    """|value|^2 divided by the product of per-vertex theta norms, value the
+    network's evaluation under `holonomy`."""
     check_coloring(coloring, graph, "coloring")
     if not is_admissible(graph, coloring):
         return Fraction(0)
-    v = eval_spin_network(graph, coloring, holonomy) if value is None else value
-    return _bracket_square(graph, coloring, v)
+    return _bracket_square(graph, coloring, eval_spin_network(graph, coloring, holonomy))
 
 
 def _bracket_square(graph: Graph, coloring: dict, value: QQi) -> Fraction:

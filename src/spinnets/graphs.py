@@ -86,14 +86,6 @@ class Graph:
             raise InputError(f"a crossing pair is listed twice in {crossings!r}")
         return cls(name, vertices, edges, crossings)
 
-    def to_obj(self):
-        return {
-            "name": self.name,
-            "vertices": [{"id": v, "halfedges": list(hs)} for v, hs in self.vertices],
-            "edges": [{"id": e, "left": l, "right": r} for e, l, r in self.edges],
-            "crossings": sorted(sorted(p) for p in self.crossings),
-        }
-
     def _index(self):
         """Fill the incidence maps and check the presentation as they fill."""
         self.vertex_index = {}
@@ -188,21 +180,6 @@ class Graph:
     def angles_at_halfedge(self, h):
         """Ids of the two angles containing half-edge h."""
         return self._angles_at[h]
-
-    def interleaving_crossings(self):
-        """Canonical crossing set: arcs whose slot endpoints interleave."""
-        arcs = {e: tuple(sorted((self.halfedge_slot[l], self.halfedge_slot[r])))
-                for e, l, r in self.edges}
-        out = set()
-        ids = self.edge_ids
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                (a0, a1), (b0, b1) = arcs[ids[i]], arcs[ids[j]]
-                if a0 > b0:
-                    (a0, a1), (b0, b1) = (b0, b1), (a0, a1)
-                if a0 < b0 < a1 < b1:
-                    out.add(frozenset((ids[i], ids[j])))
-        return frozenset(out)
 
     def __repr__(self):
         return f"Graph({self.name!r}, V={len(self.vertices)}, E={len(self.edges)})"
@@ -364,6 +341,8 @@ class Holonomy:
     `entries` must not change after construction."""
 
     def __init__(self, graph: Graph, entries: dict):
+        if not isinstance(entries, dict):
+            raise InputError("holonomy must be a JSON object {half-edge: 2x2 matrix}")
         unknown = entries.keys() - graph.vertex_of.keys()
         if unknown:
             raise InputError(f"holonomy names unknown half-edges {sorted(unknown, key=str)}")
@@ -389,18 +368,6 @@ class Holonomy:
     @classmethod
     def trivial(cls, graph: Graph):
         return cls(graph, dict.fromkeys(graph.halfedges, ((1, 0), (0, 1))))
-
-    @classmethod
-    def diagonal(cls, graph: Graph, t: dict):
-        """Diagonal exact holonomy diag(t_h, 1/t_h) from nonzero rationals."""
-        return cls(graph, {h: ((th, 0), (0, 1 / th))
-                           for h, th in check_diagonal_t(graph, t).items()})
-
-    @classmethod
-    def from_obj(cls, graph: Graph, obj):
-        if not isinstance(obj, dict):
-            raise InputError("holonomy must be a JSON object {half-edge: 2x2 matrix}")
-        return cls(graph, obj)
 
     def angle_form(self, g, h):
         """(coefficients, d) of Z_g W_h - Z_h W_g, (Z, W) = psi^{-1}(z, w), on
@@ -544,4 +511,4 @@ def load_coloring(path, graph: Graph) -> dict:
 
 def load_holonomy(path, graph: Graph, data: bytes | None = None) -> Holonomy:
     """The holonomy in the file at path; `data` as for `load_graph`."""
-    return Holonomy.from_obj(graph, _load_json(path, data))
+    return Holonomy(graph, _load_json(path, data))

@@ -19,12 +19,13 @@ an edge against the largest of them on term dicts, one term of the smaller
 side against one group of the larger at a time, without forming their
 product or any MPoly in between.  Each consumer accumulates into its own
 destination and drops cancelled terms once at the end.  A product or
-contraction of the edge contraction whose term count could pass
-TERM_BUDGET raises ResourceError before it is formed.  An angle's power,
-`form_power`, takes no product at all: it expands a four-term form by the
-binomial theorem in one pass.  Gaussian integers in the recurrence and the
-row kernel run as residues (_Residues): a + b·i is the int a + b·2^K
-modulo 2^(2K) + 1, K taken from an l1 bound on the operands.
+contraction of the edge contraction, or a step of the series recurrence,
+whose term count could pass TERM_BUDGET raises ResourceError before it is
+formed.  An angle's power, `form_power`, takes no product at all: it
+expands a four-term form by the binomial theorem in one pass.  Gaussian
+integers in the recurrence and the row kernel run as residues (_Residues):
+a + b·i is the int a + b·2^K modulo 2^(2K) + 1, K taken from an l1 bound
+on the operands.
 
 Monomials are packed into a single int key, 6 bits per variable (exponents
 must stay at or below MAX_EXPONENT = 63; products refuse to pass it).
@@ -228,10 +229,6 @@ class MPoly:
     def var(cls, ns, name, coeff=1):
         return cls(ns, {ns.encode({name: 1}): coeff} if coeff else {})
 
-    @classmethod
-    def monomial(cls, ns, exps: dict, coeff):
-        return cls(ns, {ns.encode(exps): coeff} if coeff else {})
-
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
         _check_ns(self, other)
@@ -321,10 +318,6 @@ class MPoly:
 
     def coefficient(self, exps: dict):
         return self.terms.get(self.ns.encode(exps), 0)
-
-    def truncated(self, max_degree: int):
-        deg = self.ns.degree
-        return MPoly(self.ns, {k: c for k, c in self.terms.items() if deg(k) <= max_degree})
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
@@ -733,7 +726,8 @@ def _series_recurrence(parts, max_degree: int, weight, base: int = 1) -> MPoly:
     taken from sum_m |weight(m, k)|·|g_m|·|F_{k-m}| in the l1 norm, and its
     sum is decoded once, before the division, which the three series keep
     exact (so each F_k is a Gaussian integer again); ints and Fraction
-    parts run as they are.
+    parts run as they are.  A step whose product count sum_m |g_m|·|F_{k-m}|
+    passes TERM_BUDGET raises ResourceError before it is formed.
     """
     ns = parts[0].ns
     g = [p.terms for p in parts[:max_degree + 1]]
@@ -743,6 +737,9 @@ def _series_recurrence(parts, max_degree: int, weight, base: int = 1) -> MPoly:
     out = [g[0]]
     for k in range(1, max_degree + 1):
         pairs = [(m, g[m], out[k - m]) for m in range(1, k + 1) if g[m] and out[k - m]]
+        bound = sum(len(a) * len(b) for _, a, b in pairs)
+        if bound > TERM_BUDGET:
+            raise _over_budget(bound, f"the degree-{k} part of a series")
         if max_degree > MAX_EXPONENT:
             for _, a, b in pairs:
                 _check_exponents(ns, a, b)

@@ -49,19 +49,6 @@ class PQMatrices:
     p: dict                  # {row: {col: QQi}}
     q: dict                  # {row: {col: MPoly}}
 
-    def full(self):
-        """Dense list-of-lists P + Q over MPoly (det_poly input)."""
-        n = len(self.basis)
-        idx = {b: i for i, b in enumerate(self.basis)}
-        rows = [[MPoly.zero(self.ns) for _ in range(n)] for _ in range(n)]
-        for r, cols in self.p.items():
-            for c, v in cols.items():
-                rows[idx[r]][idx[c]] = rows[idx[r]][idx[c]] + MPoly.const(self.ns, v)
-        for r, cols in self.q.items():
-            for c, v in cols.items():
-                rows[idx[r]][idx[c]] = rows[idx[r]][idx[c]] + v
-        return rows
-
 
 def build_pq(graph: Graph, holonomy: Holonomy | None = None) -> PQMatrices:
     if holonomy is not None and not holonomy.exact:
@@ -286,18 +273,6 @@ def _blown_up(graph: Graph, t: dict | None = None):
         link(g, h, key, div_exact(t[h], t[g]))
         link(h, g, key, -div_exact(t[g], t[h]))
     return ns, links
-
-
-def w1_matrix(graph: Graph, t: dict):
-    """Dense half-edge matrix (list of lists of MPoly) for det_poly checks."""
-    ns, links = _blown_up(graph, t)
-    n = len(links)
-    rows = [[MPoly.zero(ns) for _ in range(n)] for _ in range(n)]
-    for g, row in enumerate(links):
-        for h, ls in row.items():
-            # one edge link (key 0) and one angle link at most: keys differ
-            rows[g][h] = MPoly(ns, dict(ls))
-    return ns, rows
 
 
 def abelian_curve_sum(graph: Graph, t: dict | None = None) -> MPoly:

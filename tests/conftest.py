@@ -161,7 +161,33 @@ def presentations(draw, max_vertices):
         reached |= {s // 3 for arc in arcs if {s // 3 for s in arc} & reached for s in arc}
     assume(len(reached) == len(vertices))
     draft = Graph("draft", vertices, edges, [])
-    return Graph("presentation", vertices, edges, draft.interleaving_crossings())
+    return Graph("presentation", vertices, edges, interleaving_crossings(draft))
+
+
+def graph_obj(graph) -> dict:
+    """The graph-file object of graph, the inverse of Graph.from_obj."""
+    return {
+        "name": graph.name,
+        "vertices": [{"id": v, "halfedges": list(hs)} for v, hs in graph.vertices],
+        "edges": [{"id": e, "left": l, "right": r} for e, l, r in graph.edges],
+        "crossings": sorted(sorted(p) for p in graph.crossings),
+    }
+
+
+def interleaving_crossings(graph):
+    """Canonical crossing set: arcs whose slot endpoints interleave."""
+    arcs = {e: tuple(sorted((graph.halfedge_slot[l], graph.halfedge_slot[r])))
+            for e, l, r in graph.edges}
+    out = set()
+    ids = graph.edge_ids
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            (a0, a1), (b0, b1) = arcs[ids[i]], arcs[ids[j]]
+            if a0 > b0:
+                (a0, a1), (b0, b1) = (b0, b1), (a0, a1)
+            if a0 < b0 < a1 < b1:
+                out.add(frozenset((ids[i], ids[j])))
+    return frozenset(out)
 
 
 # rational unit quaternions (w, x, y, z): exact points of SU(2)

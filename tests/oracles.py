@@ -23,6 +23,10 @@ cleared: the adjugates' products on Gaussian rationals.  The Monte-Carlo
 integrands are the library's before they moved to contiguous quaternion
 components: each Hamilton product on strided (..., 4) views, stacked, and
 each inverse as q * _CONJ, formed again wherever it is used.
+
+Beside the oracles stand helpers the library has no use for: monomials,
+truncation, the dense matrices P + Q and W1 that det_poly cross-checks, and
+the diagonal holonomy.
 """
 
 import json
@@ -36,8 +40,8 @@ import numpy as np
 from spinnets import asymptotics, polyring
 from spinnets.errors import InputError
 from spinnets.evaluator import theta_value
-from spinnets.graphs import (_adj2, crossing_sign, internal_coloring, is_admissible,
-                             vertex_colors)
+from spinnets.graphs import (Holonomy, _adj2, check_diagonal_t, crossing_sign,
+                             internal_coloring, is_admissible, vertex_colors)
 from spinnets.haar import _CONJ
 from spinnets.polyring import (MAX_EXPONENT, MPoly, Namespace, _check_exponents, _mul_acc,
                                _nonzero, _over_budget)
@@ -213,6 +217,50 @@ def naive_det(m) -> MPoly:
         term = m[0][j] * naive_det(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def monomial(ns, exps: dict, coeff) -> MPoly:
+    """coeff times the monomial with exponents exps."""
+    return MPoly(ns, {ns.encode(exps): coeff} if coeff else {})
+
+
+def truncated(p: MPoly, max_degree: int) -> MPoly:
+    """p with every monomial of total degree > max_degree dropped."""
+    deg = p.ns.degree
+    return MPoly(p.ns, {k: c for k, c in p.terms.items() if deg(k) <= max_degree})
+
+
+def pq_full(pq) -> list:
+    """Dense list-of-lists P + Q over MPoly, the input of det_poly."""
+    n = len(pq.basis)
+    idx = {b: i for i, b in enumerate(pq.basis)}
+    rows = [[MPoly.zero(pq.ns) for _ in range(n)] for _ in range(n)]
+    for r, cols in pq.p.items():
+        for c, v in cols.items():
+            rows[idx[r]][idx[c]] = rows[idx[r]][idx[c]] + MPoly.const(pq.ns, v)
+    for r, cols in pq.q.items():
+        for c, v in cols.items():
+            rows[idx[r]][idx[c]] = rows[idx[r]][idx[c]] + v
+    return rows
+
+
+def w1_matrix(graph, t: dict):
+    """(namespace, dense half-edge matrix W1 as a list of lists of MPoly) of
+    the diagonal holonomy diag(t_h, 1/t_h), the input of det_poly."""
+    ns, links = _blown_up(graph, t)
+    n = len(links)
+    rows = [[MPoly.zero(ns) for _ in range(n)] for _ in range(n)]
+    for g, row in enumerate(links):
+        for h, ls in row.items():
+            # one edge link (key 0) and one angle link at most: keys differ
+            rows[g][h] = MPoly(ns, dict(ls))
+    return ns, rows
+
+
+def diagonal_holonomy(graph, t: dict) -> Holonomy:
+    """Diagonal exact holonomy diag(t_h, 1/t_h) from nonzero rationals."""
+    return Holonomy(graph, {h: ((th, 0), (0, 1 / th))
+                            for h, th in check_diagonal_t(graph, t).items()})
 
 
 def hopf_section(n):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import random_holonomy
-from oracles import tet_bracket_oracle, tet_value_oracle
+from oracles import pq_full, tet_bracket_oracle, tet_value_oracle, w1_matrix
 from spinnets.cli import dispatch
 from spinnets.evaluator import bracket_square, eval_spin_network, theta_value
 from spinnets.graphs import admissible_colorings
@@ -17,7 +17,7 @@ from spinnets.haar import (char_value, haar_su2, mc_bracket, mc_orthogonality,
                            mc_W_point, su2_matrix, _chebyshev_u)
 from spinnets.polyring import det_poly
 from spinnets.series import (abelian_curve_sum, build_pq, compare_with_evaluations,
-                             nonplanar_fix, pfaffian_dimer_sum, series_Z, w1_matrix,
+                             nonplanar_fix, pfaffian_dimer_sum, series_Z,
                              westbury_polynomial)
 
 
@@ -79,7 +79,7 @@ def test_c03_theorem1_series(theta, tet):
 def test_c04_westbury_determinant(theta, tet, prism):
     with Budget("4 Westbury determinant identity", 120):
         for g in (theta, tet, prism):
-            assert det_poly(build_pq(g).full()) == westbury_polynomial(g).pow(4), g.name
+            assert det_poly(pq_full(build_pq(g))) == westbury_polynomial(g).pow(4), g.name
 
 
 def test_c05_abelian_pfaffian(theta, tet):

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import os
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
 from operator import getitem
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
-from conftest import (exact_text, presentations, random_holonomy, random_unitary_holonomy,
-                      shear_gauge)
+from conftest import (exact_text, graph_obj, presentations, random_holonomy,
+                      random_unitary_holonomy, shear_gauge)
 from oracles import report_text, series_recurrence_objects, truncated_det_entrywise
 
 from spinnets import bundled_graph_path, load_graph
@@ -149,6 +150,29 @@ def test_contraction_past_the_term_budget_exits_1(monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("failure: ") and "term budget of 20" in err[0]
     monkeypatch.undo()
     assert run_cli(*argv)[0] == 0
+
+
+@pytest.mark.parametrize("method", ["det", "westbury"])
+def test_series_past_the_term_budget_exits_1(monkeypatch, capsys, method):
+    argv = ("series", "-g", "tetrahedron", "--degree", "8", "--method", method)
+    monkeypatch.setattr(polyring, "TERM_BUDGET", 20)
+    capsys.readouterr()
+    rc, out = run_cli(*argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and out == ""
+    assert len(err) == 1 and err[0].startswith("failure: the degree-"), err
+    assert "part of a series" in err[0] and "term budget of 20" in err[0]
+    monkeypatch.undo()
+    assert run_cli(*argv)[0] == 0
+
+
+def test_holonomy_file_that_is_no_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    path.write_text("[1]")
+    rc, out = run_cli("eval", "-g", "theta", "-c", '{"e1":2,"e2":2,"e3":2}', "-H", str(path))
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and out == ""
+    assert err == ["input error: holonomy must be a JSON object {half-edge: 2x2 matrix}"]
 
 
 def test_series_loop_edges_match_evaluations(dumbbell_path):
@@ -676,7 +700,7 @@ def test_user_graph_file_read_again_each_dispatch(tmp_path):
 def _graph_state(graph):
     maps = ("vertex_index", "vertex_of", "halfedge_slot", "edge_index", "edge_by_id",
             "edge_of", "_angles_at")
-    return graph.to_obj(), {m: dict(getattr(graph, m)) for m in maps}
+    return graph_obj(graph), {m: dict(getattr(graph, m)) for m in maps}
 
 
 def test_commands_leave_the_bundled_graph_unchanged():
@@ -771,6 +795,22 @@ _COLORING_MUTATIONS = st.one_of(
     st.tuples(st.just("odd"), st.integers(0, 8)))
 
 
+def _mutated_coloring(obj, mutations) -> dict:
+    """The coloring obj with the mutations applied, in place."""
+    for op, *rest in mutations:
+        if op == "unknown":
+            obj[rest[0]] = 2
+        elif obj:
+            e = list(obj)[rest[0] % len(obj)]
+            if op == "drop":
+                del obj[e]
+            elif op == "value":
+                obj[e] = rest[1]
+            elif isinstance(obj[e], int):
+                obj[e] += 1
+    return obj
+
+
 @settings(max_examples=120, deadline=None)
 @given(graph=st.sampled_from(sorted(_COLORING_GRAPHS)), colors=st.lists(st.integers(0, 3),
        min_size=9, max_size=9), mutations=st.lists(_COLORING_MUTATIONS, max_size=3),
@@ -784,19 +824,7 @@ def test_mutated_coloring_json(tmp_path_factory, graph, colors, mutations, top, 
     comes with exactly one input error line, and an exit-0 report is
     consistent about admissibility.  eval warns about nothing, so the
     suite's error filter for warnings stands."""
-    edges = _COLORING_GRAPHS[graph]
-    obj = dict(zip(edges, colors))
-    for op, *rest in mutations:
-        if op == "unknown":
-            obj[rest[0]] = 2
-        elif obj:
-            e = list(obj)[rest[0] % len(obj)]
-            if op == "drop":
-                del obj[e]
-            elif op == "value":
-                obj[e] = rest[1]
-            elif isinstance(obj[e], int):
-                obj[e] += 1
+    obj = _mutated_coloring(dict(zip(_COLORING_GRAPHS[graph], colors)), mutations)
     doc = json.dumps(obj if top is None else top)
     if text == "truncated":
         doc = doc[:-1]
@@ -822,10 +850,11 @@ def test_mutated_coloring_json(tmp_path_factory, graph, colors, mutations, top, 
             assert results["bracket_square"] == "0", doc
 
 
-# an integer literal past int()'s 4300 digits: json.dumps cannot write it
-_LONG_INT = "<a 5001-digit integer>"
+# stands for an integer literal past int()'s 4300 digits, which json.dumps
+# cannot write: _graph_text puts the literal in its place
+_LONG_INT_MARK = "<a 5001-digit integer>"
 _GRAPH_VALUES = (5, 2.5, None, True, "", "x", [], {}, ["v0"], {"id": "v0"}, 2 ** 63, -10 ** 30,
-                 10 ** 400, _LONG_INT)
+                 10 ** 400, _LONG_INT_MARK)
 _GRAPH_MUTATIONS = st.one_of(
     st.tuples(st.just("drop"), st.integers(0, 99)),
     st.tuples(st.just("value"), st.integers(0, 99), st.sampled_from(_GRAPH_VALUES)),
@@ -849,16 +878,10 @@ def _graph_slots(obj):
     return slots
 
 
-@settings(max_examples=100, deadline=None)
-@given(graph=presentations(4), mutations=st.lists(_GRAPH_MUTATIONS, min_size=1, max_size=3),
-       top=st.one_of(st.none(), st.none(), st.none(), st.sampled_from(([], 5, "x", None))))
-def test_mutated_graph_json(tmp_path_factory, graph, mutations, top):
-    """eval on a random presentation's graph file with dropped keys, values
-    of the wrong type, huge integers, duplicate ids and crossings that name
-    unknown edges: the exit code is 0, 1 or 2, nothing escapes dispatch, and
-    exit 2 comes with exactly one input error line."""
-    obj = copy.deepcopy(graph.to_obj())
-    coloring = json.dumps(dict.fromkeys(graph.edge_ids, 2))
+def _graph_text(graph, mutations, top) -> str:
+    """The JSON text of graph's object with the mutations applied, or of top
+    in its place when top is not None."""
+    obj = copy.deepcopy(graph_obj(graph))
     for op, *rest in mutations:
         slots = _graph_slots(obj)
         if op == "crossing":
@@ -874,17 +897,74 @@ def test_mutated_graph_json(tmp_path_factory, graph, mutations, top):
             else:
                 there, other = slots[rest[1] % len(slots)]
                 where[key] = copy.deepcopy(there[other])
+    return json.dumps(obj if top is None else top).replace(
+        json.dumps(_LONG_INT_MARK), "1" + "0" * 5000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=presentations(4), mutations=st.lists(_GRAPH_MUTATIONS, min_size=1, max_size=3),
+       top=st.one_of(st.none(), st.none(), st.none(), st.sampled_from(([], 5, "x", None))))
+def test_mutated_graph_json(tmp_path_factory, graph, mutations, top):
+    """eval on a random presentation's graph file with dropped keys, values
+    of the wrong type, huge integers, duplicate ids and crossings that name
+    unknown edges: the exit code is 0, 1 or 2, nothing escapes dispatch, and
+    exit 2 comes with exactly one input error line."""
+    text = _graph_text(graph, mutations, top)
     path = tmp_path_factory.mktemp("graph") / "g.json"
-    path.write_text(json.dumps(obj if top is None else top).replace(
-        json.dumps(_LONG_INT), "1" + "0" * 5000))
+    path.write_text(text)
+    coloring = json.dumps(dict.fromkeys(graph.edge_ids, 2))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         rc = dispatch(["eval", "-g", str(path), "-c", coloring])
     lines = err.getvalue().splitlines()
     event(f"exit {rc}")
-    assert rc in (0, 1, 2), (obj, rc)
+    assert rc in (0, 1, 2), (text, rc)
     if rc == 2:
-        assert len(lines) == 1 and lines[0].startswith("input error:"), (obj, lines)
+        assert len(lines) == 1 and lines[0].startswith("input error:"), (text, lines)
+        assert out.getvalue() == ""
+
+
+_BOUNDARY_COMMANDS = st.one_of(
+    st.builds(lambda d, method, check: ("series", "--degree", str(d), "--method", method) + check,
+              st.integers(0, 4), st.sampled_from(("det", "westbury", "curves", "pfaffian")),
+              st.sampled_from(((), ("--check-against-eval",)))),
+    st.builds(lambda r: ("check", "--restarts", str(r)), st.integers(1, 3)),
+    st.builds(lambda r, report: ("asymptote", "--restarts", str(r), "--k-list", "10,20",
+                                 "--report", report),
+              st.integers(1, 3), st.sampled_from(("json", "csv"))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=presentations(4), graph_mutations=st.lists(_GRAPH_MUTATIONS, max_size=3),
+       coloring_mutations=st.lists(_COLORING_MUTATIONS, max_size=2),
+       top=st.one_of(st.none(), st.none(), st.none(), st.sampled_from(([], 5, "x", None))),
+       command=_BOUNDARY_COMMANDS)
+def test_mutated_inputs_through_series_check_and_asymptote(tmp_path_factory, graph,
+                                                           graph_mutations, coloring_mutations,
+                                                           top, command):
+    """series, check and asymptote on a random presentation's graph file and
+    an all-2 coloring, each mutated as in the eval tests above: the exit code
+    is 0, 1 or 2, nothing escapes dispatch, and exit 2 comes with exactly one
+    input error line.  The configuration search's warnings about a thin
+    restart budget are expected at 3 restarts; they are caught here, and any
+    other warning fails the test."""
+    text = _graph_text(graph, graph_mutations, top)
+    path = tmp_path_factory.mktemp("graph") / "g.json"
+    path.write_text(text)
+    argv = [command[0], "-g", str(path), *command[1:]]
+    if command[0] != "series":
+        coloring = _mutated_coloring(dict.fromkeys(graph.edge_ids, 2), coloring_mutations)
+        argv += ["-c", json.dumps(coloring)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = dispatch(argv)
+    assert all(str(w.message).startswith("find_configs:") for w in caught), caught
+    lines = err.getvalue().splitlines()
+    event(f"{command[0]} exit {rc}")
+    assert rc in (0, 1, 2), (text, argv, rc)
+    if rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("input error:"), (text, argv, lines)
         assert out.getvalue() == ""
 
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import presentations, rand_sl2, random_holonomy, shear_gauge, shear_gauges
+from conftest import (interleaving_crossings, presentations, rand_sl2, random_holonomy,
+                      shear_gauge, shear_gauges)
 from oracles import eval_by_squaring, tet_value_oracle
 from spinnets import bundled_graph_path, load_graph
 from spinnets import evaluator as evaluator_module
@@ -99,7 +100,7 @@ THETA_ROT = {
 
 def test_rotated_vertex_presentation_agrees(theta):
     rotated = Graph.from_obj(THETA_ROT)
-    assert rotated.crossings == rotated.interleaving_crossings()
+    assert rotated.crossings == interleaving_crossings(rotated)
     for col in admissible_colorings(theta, max_color=4):
         assert eval_spin_network(theta, col) == eval_spin_network(rotated, col)
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (exact_text, presentations, random_holonomy, random_unitary_holonomy,
-                      shear_gauges)
+from conftest import (exact_text, graph_obj, interleaving_crossings, presentations,
+                      random_holonomy, random_unitary_holonomy, shear_gauges)
 from oracles import angle_form_fractions
 from spinnets.errors import AdmissibilityError, InputError
 from spinnets.evaluator import _TRIVIAL_FORM
@@ -217,7 +217,7 @@ def test_admissibility_invariant_under_rotation_and_relabeling(theta):
 
 def test_bundled_crossing_lists_match_interleaving(theta, tet, tetnp, prism):
     for g in (theta, tet, tetnp, prism):
-        assert g.crossings == g.interleaving_crossings()
+        assert g.crossings == interleaving_crossings(g)
 
 
 def cycle_space_parities(graph):
@@ -254,13 +254,20 @@ def test_holonomy_regimes(theta):
     triv = Holonomy.trivial(theta)
     assert triv.exact and triv.is_trivial()
     obj = {h: [["1", "0"], ["0", "1"]] for h in theta.halfedges}
-    assert Holonomy.from_obj(theta, obj).exact
+    assert Holonomy(theta, obj).exact
     obj["u1"] = [[0.6, [0.8, 0.0]], [-0.8, 0.6]]
-    hol = Holonomy.from_obj(theta, obj)
+    hol = Holonomy(theta, obj)
     assert not hol.exact
     bad = {h: [["2", "0"], ["0", "1"]] for h in theta.halfedges}
     with pytest.raises(InputError):
-        Holonomy.from_obj(theta, bad)
+        Holonomy(theta, bad)
+
+
+@pytest.mark.parametrize("entries", [[1], "u1", None], ids=["list", "str", "none"])
+def test_holonomy_entries_must_be_a_dict(theta, entries):
+    # each was an AttributeError on entries.keys()
+    with pytest.raises(InputError, match="holonomy must be a JSON object"):
+        Holonomy(theta, entries)
 
 
 # the ways one cell of a holonomy can be written: exact ones read as the QQi,
@@ -318,11 +325,11 @@ def test_holonomy_angle_form(theta):
     obj = {h: [["1", "1/2"], ["0", "1"]] for h in theta.halfedges}
     # psi^{-1} = ((1, -1/2), (0, 1)) at both half-edges cancels: the bracket
     # stays z_g w_h - z_h w_g
-    assert _exactly(Holonomy.from_obj(theta, obj).angle_form("u1", "u2")) == \
+    assert _exactly(Holonomy(theta, obj).angle_form("u1", "u2")) == \
         _exactly(((0, 1, -1, 0), 1))
     # with psi_u2 = 1 it is (z_1 - w_1/2) w_2 - z_2 w_1, scaled by 2
     obj["u2"] = [["1", "0"], ["0", "1"]]
-    assert _exactly(Holonomy.from_obj(theta, obj).angle_form("u1", "u2")) == \
+    assert _exactly(Holonomy(theta, obj).angle_form("u1", "u2")) == \
         _exactly(((0, 2, -2, -1), 2))
 
 
@@ -376,4 +383,4 @@ def test_genus(theta, tet, tetnp, prism, dumbbell):
 
 
 def test_graph_json_round_trip(tet):
-    assert Graph.from_obj(json.loads(json.dumps(tet.to_obj()))).to_obj() == tet.to_obj()
+    assert graph_obj(Graph.from_obj(json.loads(json.dumps(graph_obj(tet))))) == graph_obj(tet)

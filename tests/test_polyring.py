@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_same_series
 from oracles import (edge_operator_by_products, inv_sqrt_series_objects, inverse_series_objects,
-                     naive_det, naive_edge_operator)
+                     monomial, naive_det, naive_edge_operator, truncated)
 from spinnets import polyring
 from spinnets.errors import InputError, PreconditionError, ResourceError
 from spinnets.polyring import (MAX_EXPONENT, MPoly, Namespace, apply_edge_operator, det_poly,
@@ -22,7 +22,7 @@ NS4 = Namespace(("z1", "w1", "z2", "w2"))
 def poly(ns, *terms):
     p = MPoly.zero(ns)
     for exps, c in terms:
-        p = p + MPoly.monomial(ns, exps, c)
+        p = p + monomial(ns, exps, c)
     return p
 
 
@@ -34,7 +34,7 @@ def small_polys(draw):
         exps = {v: draw(st.integers(0, 3)) for v in "xyz"}
         c = QQi(Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))),
                 Fraction(draw(st.integers(-2, 2))))
-        p = p + MPoly.monomial(NS3, exps, c)
+        p = p + monomial(NS3, exps, c)
     return p
 
 
@@ -78,9 +78,9 @@ def test_products_keep_exponent_bound():
         x40.mul_trunc(x40, 100)
     assert x40.mul_trunc(x40, 63).is_zero()
     # exponents of 32 and more on both sides, sums still within the bound
-    x31y32 = MPoly.monomial(ns, {"x": 31, "y": 32}, 1)
-    y31 = MPoly.monomial(ns, {"y": 31}, 3)
-    assert x31y32 * y31 == MPoly.monomial(ns, {"x": 31, "y": 63}, 3)
+    x31y32 = monomial(ns, {"x": 31, "y": 32}, 1)
+    y31 = monomial(ns, {"y": 31}, 3)
+    assert x31y32 * y31 == monomial(ns, {"x": 31, "y": 63}, 3)
     assert x31y32.mul_trunc(y31, 100) == x31y32 * y31
 
 
@@ -118,7 +118,7 @@ def test_edge_operator_matches_naive(c, nterms, data):
     p = MPoly.zero(NS4)
     for _ in range(nterms):
         exps = {v: data.draw(st.integers(0, 3)) for v in NS4.names}
-        p = p + MPoly.monomial(NS4, exps, QQi(data.draw(st.integers(-3, 3))))
+        p = p + monomial(NS4, exps, QQi(data.draw(st.integers(-3, 3))))
     fast = apply_edge_operator([p], "z1", "w1", "z2", "w2", c)
     assert fast == naive_edge_operator(p, "z1", "w1", "z2", "w2", c).scalar_mul(factorial(c))
 
@@ -341,8 +341,8 @@ def test_inv_sqrt_perfect_power():
 @settings(max_examples=20, deadline=None)
 @given(small_polys(), st.integers(1, 5))
 def test_inv_sqrt_defining_identity(p, degree):
-    d = MPoly.const(NS3, 1) + (p * p).truncated(degree)  # constant term 1
-    d = MPoly(NS3, {k: c for k, c in d.terms.items()}) - MPoly.monomial(
+    d = MPoly.const(NS3, 1) + truncated(p * p, degree)  # constant term 1
+    d = MPoly(NS3, {k: c for k, c in d.terms.items()}) - monomial(
         NS3, {}, d.constant_term()) + MPoly.const(NS3, 1)
     s = inv_sqrt_series(d, degree)
     assert s.mul_trunc(s, degree).mul_trunc(d, degree) == MPoly.const(NS3, 1)
@@ -378,7 +378,7 @@ def unit_constant_polys(draw):
     for _ in range(draw(st.integers(0, 5))):
         exps = {v: draw(st.integers(0, 2)) for v in ns.names}
         if any(exps.values()):
-            d = d + MPoly.monomial(ns, exps, draw(coeff))
+            d = d + monomial(ns, exps, draw(coeff))
     return d
 
 
@@ -485,7 +485,7 @@ def test_det_2x2_and_identity():
 @settings(max_examples=15, deadline=None)
 @given(st.integers(2, 4), st.sampled_from((int, QQi)), st.data())
 def test_det_matches_cofactor(n, ring, data):
-    m = [[MPoly.monomial(NS3, {v: data.draw(st.integers(0, 1)) for v in "xy"},
+    m = [[monomial(NS3, {v: data.draw(st.integers(0, 1)) for v in "xy"},
                          ring(data.draw(st.integers(-2, 2))))
           for _ in range(n)] for _ in range(n)]
     d = det_poly(m)

@@ -1,10 +1,16 @@
 """Every name a module lists in `__all__` exists: a name moved or deleted
-without its `__all__` entry would otherwise fail only at a star import."""
+without its `__all__` entry would otherwise fail only at a star import.
+Every definition in the library has a caller there, or a stated reason to
+stay."""
 
+import ast
 import importlib
 import pkgutil
+from collections import Counter
+from pathlib import Path
 
 import spinnets
+from test_tracer_names import _load_tracer
 
 
 def test_all_entries_resolve():
@@ -16,3 +22,54 @@ def test_all_entries_resolve():
         checked += len(names)
     missing = [n for n in spinnets.__all__ if not hasattr(spinnets, n)]
     assert checked and not missing
+
+
+# definitions kept with no caller in the library, each with its reason
+_KEPT = {
+    "graphs.Holonomy.trivial": "the trivial holonomy as an object, for code that needs one",
+    "cli._Parser.error": "argparse calls it on a usage error",
+}
+
+
+def _definitions(tree):
+    """(qualified name, name, node) of every top-level function and class
+    of a module and every method of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _references(node) -> Counter:
+    """Every name the code under node reads or calls, as a bare name or as
+    an attribute; imports do not count."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_definition_has_a_library_caller():
+    """A function, class or method under src/spinnets is referenced by the
+    library outside its own body, listed in an `__all__`, a dunder, patched
+    by perfbench/tracer.py, or kept in _KEPT: code only the tests run lives
+    under tests/.  References are matched by name, so a method shares a
+    caller with any attribute of the same name."""
+    tracer = _load_tracer()
+    traced = {attr for _, attr, _ in tracer.FUNCTIONS} | {name for name, _ in tracer.METHODS}
+    trees, exported = {}, set()
+    for info in pkgutil.iter_modules(spinnets.__path__):
+        module = importlib.import_module(f"spinnets.{info.name}")
+        trees[info.name] = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        exported |= set(getattr(module, "__all__", ()))
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    orphans = []
+    for mod, tree in trees.items():
+        for qualname, name, node in _definitions(tree):
+            if (everywhere[name] > _references(node)[name] or name in exported
+                    or name.startswith("__") and name.endswith("__") or name in traced
+                    or f"{mod}.{qualname}" in _KEPT):
+                continue
+            orphans.append(f"{mod}.{qualname}")
+    assert orphans == []

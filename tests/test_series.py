@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_same_series, presentations, random_holonomy, shear_gauge,
-                      shear_gauges)
-from oracles import curve_sum_walk, truncated_det_entrywise
+from conftest import (assert_same_series, graph_obj, presentations, random_holonomy,
+                      shear_gauge, shear_gauges)
+from oracles import (curve_sum_walk, diagonal_holonomy, monomial, pq_full, truncated,
+                     truncated_det_entrywise, w1_matrix)
 from spinnets import series as series_module
 from spinnets.errors import InputError, RegimeError
 from spinnets.graphs import Graph, Holonomy, gauge_transform
@@ -19,7 +20,7 @@ from spinnets.polyring import MPoly, Namespace, det_poly, inverse_series
 from spinnets.rational import QQi, denominator, div_exact
 from spinnets.series import (PQMatrices, abelian_curve_sum, build_pq, compare_with_evaluations,
                              nonplanar_fix, pfaffian_dimer_sum, series_Z,
-                             truncated_det, w1_matrix, westbury_polynomial)
+                             truncated_det, westbury_polynomial)
 
 
 def test_build_pq_structure(theta, tet):
@@ -44,7 +45,7 @@ def test_build_pq_structure(theta, tet):
 
 def test_det_constant_term_is_one(theta, tet):
     for g in (theta, tet):
-        d = det_poly(build_pq(g).full())
+        d = det_poly(pq_full(build_pq(g)))
         assert d.constant_term() == QQi(1)
 
 
@@ -59,16 +60,16 @@ def test_westbury_counts(theta, tet, prism):
 
 def test_westbury_det_identity(theta, tet):
     for g in (theta, tet):
-        assert det_poly(build_pq(g).full()) == westbury_polynomial(g).pow(4)
+        assert det_poly(pq_full(build_pq(g))) == westbury_polynomial(g).pow(4)
 
 
 def test_truncated_det_matches_bareiss(theta, tet):
     for g, deg in ((theta, 8), (tet, 6)):
         pq = build_pq(g)
-        assert truncated_det(pq, deg) == det_poly(pq.full()).truncated(deg)
+        assert truncated_det(pq, deg) == truncated(det_poly(pq_full(pq)), deg)
     hol = random_holonomy(theta, seed=9)
     pq = build_pq(theta, hol)
-    assert truncated_det(pq, 6) == det_poly(pq.full()).truncated(6)
+    assert truncated_det(pq, 6) == truncated(det_poly(pq_full(pq)), 6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,7 +142,7 @@ def test_series_equals_westbury_inverse_square(theta):
     p = westbury_polynomial(theta)
     for degree in (10, 32):
         z = series_Z(theta, degree=degree)
-        assert z == inverse_series((p * p).truncated(degree), degree)
+        assert z == inverse_series(truncated(p * p, degree), degree)
 
 
 @settings(max_examples=12, deadline=None)
@@ -178,13 +179,13 @@ def _check_scaled_det(pq, degree):
     Bareiss determinant of the scaled matrix: det(P + D·Q) is det(P + Q)
     with X -> D·X."""
     scaled, den = _scaled(pq)
-    bareiss = det_poly(scaled.full())
+    bareiss = det_poly(pq_full(scaled))
     deg = pq.ns.degree
     got = truncated_det(scaled, degree)
     assert _on_gaussian_integers(got)
-    assert got == bareiss.truncated(degree)
+    assert got == truncated(bareiss, degree)
     unscaled = MPoly(pq.ns, {k: div_exact(c, den ** deg(k)) for k, c in bareiss.terms.items()})
-    assert truncated_det(pq, degree) == unscaled.truncated(degree)
+    assert truncated_det(pq, degree) == truncated(unscaled, degree)
 
 
 @settings(max_examples=10, deadline=None)
@@ -223,7 +224,7 @@ def _check_degree_bound(g, hol):
     and truncated_det at 4V + j equals it for j in 0..3."""
     scaled, _ = _scaled(build_pq(g, hol))
     bound = 4 * len(g.vertices)
-    bareiss = det_poly(scaled.full())
+    bareiss = det_poly(pq_full(scaled))
     assert bareiss.total_degree() <= bound
     for j in range(4):
         assert truncated_det(scaled, bound + j) == bareiss
@@ -253,8 +254,8 @@ def test_routes_run_on_int_ring(theta, prism):
         z = series_Z(g, degree=degree)
         for poly in (w, pf, curves):
             assert not any(isinstance(c, QQi) for c in poly.terms.values())
-        for poly in ((w * w).truncated(degree), (pf * pf).truncated(degree),
-                     curves.truncated(degree)):
+        for poly in (truncated(w * w, degree), truncated(pf * pf, degree),
+                     truncated(curves, degree)):
             inv = inverse_series(poly, degree)
             assert not any(isinstance(c, QQi) for c in inv.terms.values())
             assert inv == z
@@ -350,7 +351,7 @@ def test_curves_constant_term_and_zero_t(theta):
 
 @pytest.mark.parametrize("bad", [QQi(1, 1), 0.1, True, "2", 0],
                          ids=["qqi", "float", "bool", "str", "zero"])
-@pytest.mark.parametrize("route", [Holonomy.diagonal, abelian_curve_sum],
+@pytest.mark.parametrize("route", [diagonal_holonomy, abelian_curve_sum],
                          ids=["holonomy", "curves"])
 def test_diagonal_t_is_checked(theta, route, bad):
     # a QQi was a TypeError; 0.1 was read as its binary fraction, True as 1
@@ -360,7 +361,7 @@ def test_diagonal_t_is_checked(theta, route, bad):
         route(theta, t)
 
 
-@pytest.mark.parametrize("route", [Holonomy.diagonal, abelian_curve_sum],
+@pytest.mark.parametrize("route", [diagonal_holonomy, abelian_curve_sum],
                          ids=["holonomy", "curves"])
 def test_diagonal_t_must_be_a_dict(theta, route):
     # each was a TypeError
@@ -372,9 +373,9 @@ def test_diagonal_holonomy_series_consistency(theta, dumbbell):
     rng = random.Random(23)
     for g in (theta, dumbbell):
         t = {h: Fraction(rng.randint(1, 5), rng.randint(1, 5)) for h in g.halfedges}
-        hol = Holonomy.diagonal(g, t)
+        hol = diagonal_holonomy(g, t)
         z = series_Z(g, hol, degree=8)
-        assert z == inverse_series(abelian_curve_sum(g, t).truncated(8), 8)
+        assert z == inverse_series(truncated(abelian_curve_sum(g, t), 8), 8)
 
 
 def test_nonplanar_fix_identity_without_crossings(theta):
@@ -403,14 +404,14 @@ def test_nonplanar_fix_is_the_half_sum_operator(tet, data):
     polynomials, for crossing sets that share edges as well as disjoint ones."""
     pairs = [list(p) for p in itertools.combinations(tet.edge_ids, 2)]
     crossings = data.draw(st.lists(st.sampled_from(pairs), max_size=4, unique_by=tuple))
-    graph = Graph.from_obj({**tet.to_obj(), "crossings": crossings})
+    graph = Graph.from_obj({**graph_obj(tet), "crossings": crossings})
     ns = Namespace(graph.angle_ids)
     poly = MPoly.zero(ns)
     for _ in range(data.draw(st.integers(0, 8))):
         angles = data.draw(st.lists(st.sampled_from(graph.angle_ids), max_size=4))
         exps = {a: data.draw(st.integers(0, 3)) for a in angles}
         c = QQi(data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5)))
-        poly = poly + MPoly.monomial(ns, exps, c)
+        poly = poly + monomial(ns, exps, c)
     assert nonplanar_fix(poly, graph) == _half_sum_fix(poly, graph)
 
 
