@@ -19,10 +19,11 @@ an edge against the largest of them on term dicts, one term of the smaller
 side against one group of the larger at a time, without forming their
 product or any MPoly in between.  Each consumer accumulates into its own
 destination and drops cancelled terms once at the end.  A product or
-contraction of the edge contraction, or a step of the series recurrence,
-whose term count could pass TERM_BUDGET raises ResourceError before it is
-formed.  An angle's power, `form_power`, takes no product at all: it
-expands a four-term form by the binomial theorem in one pass.  Gaussian
+contraction of the edge contraction, or a product of the series
+recurrence, whose term count could pass TERM_BUDGET raises ResourceError
+before it is formed, and so does a series whose terms pass it.  An
+angle's power, `form_power`, takes no product at all: it expands a
+four-term form by the binomial theorem in one pass.  Gaussian
 integers in the recurrence and the row kernel run as residues (_Residues):
 a + b·i is the int a + b·2^K modulo 2^(2K) + 1, K taken from an l1 bound
 on the operands.
@@ -726,8 +727,14 @@ def _series_recurrence(parts, max_degree: int, weight, base: int = 1) -> MPoly:
     taken from sum_m |weight(m, k)|·|g_m|·|F_{k-m}| in the l1 norm, and its
     sum is decoded once, before the division, which the three series keep
     exact (so each F_k is a Gaussian integer again); ints and Fraction
-    parts run as they are.  A step whose product count sum_m |g_m|·|F_{k-m}|
-    passes TERM_BUDGET raises ResourceError before it is formed.
+    parts run as they are.
+
+    The terms kept are bounded by TERM_BUDGET (ResourceError): each product
+    g_m·F_{k-m} is checked on its own, by its count of coefficient
+    products, before it is formed, as a factor product is; and after each
+    product the terms held, the F_j below k and the sum so far, are counted.
+    The products of one step merge into few monomials (on prism3's
+    determinant, about 120 products a term), so their sum is not checked.
     """
     ns = parts[0].ns
     g = [p.terms for p in parts[:max_degree + 1]]
@@ -735,25 +742,30 @@ def _series_recurrence(parts, max_degree: int, weight, base: int = 1) -> MPoly:
     if gauss:  # the l1 norms of the parts and of the F_k
         g_norm, f_norm = [_norm1(t) for t in g], [_norm1(g[0])]
     out = [g[0]]
+    held = len(g[0])  # the terms of the F_j below k
     for k in range(1, max_degree + 1):
         pairs = [(m, g[m], out[k - m]) for m in range(1, k + 1) if g[m] and out[k - m]]
-        bound = sum(len(a) * len(b) for _, a, b in pairs)
-        if bound > TERM_BUDGET:
-            raise _over_budget(bound, f"the degree-{k} part of a series")
         if max_degree > MAX_EXPONENT:
             for _, a, b in pairs:
                 _check_exponents(ns, a, b)
+        what = f"the degree-{k} part of a series"
         acc: dict = {}
         if gauss:
             res = _Residues(sum(abs(weight(m, k)) * g_norm[m] * f_norm[k - m] for m, _, _ in pairs))
-            for m, a, b in pairs:
-                _mul_acc(acc, res.encode(a), res.encode(b), weight(m, k))
+        for m, a, b in pairs:
+            if len(a) * len(b) > TERM_BUDGET:
+                raise _over_budget(len(a) * len(b), what)
+            if gauss:
+                a, b = res.encode(a), res.encode(b)
+            _mul_acc(acc, a, b, weight(m, k))
+            if held + len(acc) > TERM_BUDGET:
+                raise _over_budget(held + len(acc), what + " and the parts below it")
+        if gauss:
             out.append(res.decode(acc, k))
             f_norm.append(_norm1(out[k]))
         else:
-            for m, a, b in pairs:
-                _mul_acc(acc, a, b, weight(m, k))
             out.append({key: div_exact(c, k) for key, c in acc.items() if c})
+        held += len(out[k])
     # the F_k are homogeneous of distinct degrees, so no monomial repeats
     if base == 1:
         return MPoly(ns, {key: c for part in out for key, c in part.items()})

@@ -471,6 +471,31 @@ def test_series_of_polynomial_with_empty_parts():
         assert s.mul_trunc(s, 40).mul_trunc(d, 40) == one
 
 
+def test_series_budget_bounds_the_terms_held_not_a_steps_products(monkeypatch):
+    """1/(1 - s - s^2), s = x + y + z, has every monomial up to degree 10,
+    286 terms, with no cancellation in any step; its last step takes more
+    coefficient products than that, no one product as many.  It runs on a
+    budget of exactly its terms and fails one term below, and a product
+    past the budget fails before it is formed."""
+    s = poly(NS3, *(({v: 1}, 1) for v in "xyz"))
+    d = MPoly.const(NS3, 1) - s - s * s
+    want = inverse_series(d, 10)
+    held = len(want.terms)
+    d_parts = polyring._homogeneous_parts(d, 10)
+    f_parts = polyring._homogeneous_parts(want, 10)
+    products = [len(d_parts[m]) * len(f_parts[10 - m]) for m in range(1, 11)]
+    assert held == comb(13, 3) and max(products) <= held < sum(products)
+    monkeypatch.setattr(polyring, "TERM_BUDGET", held)
+    assert inverse_series(d, 10) == want
+    monkeypatch.setattr(polyring, "TERM_BUDGET", held - 1)
+    with pytest.raises(ResourceError, match="degree-10 part of a series and the parts below"):
+        inverse_series(d, 10)
+    # one product, -s times F_0 = 1, past the budget before it is formed
+    monkeypatch.setattr(polyring, "TERM_BUDGET", 2)
+    with pytest.raises(ResourceError, match="degree-1 part of a series would form up to 3 terms"):
+        inverse_series(d, 10)
+
+
 # -- determinants -----------------------------------------------------------
 
 def test_det_2x2_and_identity():
