@@ -15,21 +15,24 @@ ints (real integer ones, as for the trivial holonomy) or QQi with int parts;
 `apply_edge_operator` contracts each edge e with c_e! times its operator,
 on integer weights and without dividing.  The value is homogeneous of
 degree c_a in the bracket of each angle a, so the final constant is divided
-once by prod_e c_e! * prod_a d_a^{c_a}.  The edges are contracted in a
-greedy order, cheapest first; a contraction whose term count could pass
-`polyring.TERM_BUDGET` raises ResourceError before it is formed.
+once by prod_e c_e! * prod_a d_a^{c_a}.  Every coloring contracts its
+nonzero-color edges in one order planned per graph (`_order`); a
+contraction whose term count could pass `polyring.TERM_BUDGET` raises
+ResourceError before it is formed.
 
 What depends on the graph alone is built once and kept on it (`_Plan`):
-the namespace, each angle's edges, keys and half-edges, and the trivial
-holonomy's angle powers, which every coloring then looks up and shares
-read-only; an exact holonomy keeps its own angle powers per plan, shared
-the same way by every coloring evaluated under it.  A coloring's own work
-is its angle colors (admissibility is read from them: every one a
-non-negative integer), the lookups, and the contractions.
+the namespace, each angle's edges, keys and half-edges, the edges in their
+planned order, and the trivial holonomy's angle powers, which every
+coloring then looks up and shares read-only; an exact holonomy keeps its
+own angle powers per plan, shared the same way by every coloring evaluated
+under it.  A coloring's own work is its angle colors (admissibility is read
+from them: every one a non-negative integer), the lookups, and the
+contractions.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import factorial, prod
 
@@ -60,17 +63,81 @@ def _wvar(h):
 # the angle form of the trivial holonomy, z_g w_h - z_h w_g
 _TRIVIAL_FORM = ((0, 1, -1, 0), 1)
 
+_TRIALS = 8  # greedy trials of the contraction order
+_NOISE = 6  # a random trial scores an edge 4 per open half-edge plus 0.._NOISE-1
+
+
+def _order(angle_masks: list, edge_masks: list) -> list:
+    """The edge indices in the order of the cheapest of _TRIALS greedy
+    trials under a color-independent cost, in the style of Gray & Kourtis
+    (Quantum 5, 410, 2021).  Factors start as the angles' half-edge masks;
+    contracting edge i merges the factors that touch edge_masks[i] into one
+    whose open half-edges are theirs less the edge's two.  With color 2 on
+    every edge a factor of k open half-edges holds about 3^k terms, and a
+    trial costs the sum of 3^k over the factors it forms.  Trial 0 takes the
+    edge whose merged factor's 3^k less its factors' is least, the earliest
+    on a tie; the others take the least 4k plus a draw of random.Random(0).
+    No clock is read and every cost is an int, so the order depends on the
+    graph alone."""
+    touching = [[a for a, m in enumerate(angle_masks) if m & em] for em in edge_masks]
+    edge_at = {h: i for i, em in enumerate(edge_masks)
+               for h in range(em.bit_length()) if em >> h & 1}
+    rng = random.Random(0)
+    best = None
+    for trial in range(_TRIALS):
+        factor = list(range(len(angle_masks)))  # each angle's factor
+        members = [[a] for a in factor]  # each factor's angles
+        mask = list(angle_masks)  # each factor's open half-edges
+
+        def merge(i):
+            fs = {factor[a] for a in touching[i]}
+            m = 0
+            for f in fs:
+                m |= mask[f]
+            return fs, m & ~edge_masks[i]
+
+        def score(i):
+            fs, m = merge(i)
+            k = m.bit_count()
+            if trial:
+                return 4 * k + rng.randrange(_NOISE), i
+            return 3 ** k - sum(3 ** mask[f].bit_count() for f in fs), i
+
+        scores = {i: score(i) for i in range(len(edge_masks))}
+        order, cost = [], 0
+        while scores:
+            i = min(scores.values())[1]
+            del scores[i]
+            fs, m = merge(i)
+            top = min(fs)
+            for f in fs - {top}:
+                for a in members[f]:
+                    factor[a] = top
+                members[top] += members[f]
+            mask[top] = m
+            cost += 3 ** m.bit_count()
+            order.append(i)
+            while m:  # the edges at the new factor's open half-edges
+                low = m & -m
+                m ^= low
+                j = edge_at[low.bit_length() - 1]
+                if j in scores:
+                    scores[j] = score(j)
+        if best is None or cost < best[0]:
+            best = cost, order
+    return best[1]
+
 
 class _Plan:
     """What a contraction needs of a graph and no coloring: the namespace
     of the z and w variables; each angle's two edges and the third edge at
     its vertex, whose colors give the angle's color, its half-edges and the
     keys of its four monomials z_g z_h, z_g w_h, w_g z_h and w_g w_h; each
-    edge's variable names; and the table of the angles' powers under the
-    trivial holonomy.  A factor or an edge carries a bitmask of the
-    half-edges it touches (bit i for graph.halfedges[i]).  Built once per
-    graph and kept on it: it depends only on the graph's half-edges, angles
-    and edges.
+    edge's variable names, with the edges in their planned order; and the
+    table of the angles' powers under the trivial holonomy.  A factor or an
+    edge carries a bitmask of the half-edges it touches (bit i for
+    graph.halfedges[i]).  Built once per graph and kept on it: it depends
+    only on the graph's half-edges, angles and edges.
 
     `powers` maps (angle index, n) to the MPoly form_power(_TRIVIAL_FORM, the
     angle's keys, n), built on first use; there are at most one per angle
@@ -93,8 +160,10 @@ class _Plan:
             angles.append((es[i], es[j], es[3 - i - j], g, h, bit[g] | bit[h],
                            (zg + zh, zg + wh, wg + zh, wg + wh)))
         self.angles = tuple(angles)
-        self.edges = tuple((e, bit[l] | bit[r], (_zvar(l), _wvar(l), _zvar(r), _wvar(r)))
-                           for e, l, r in graph.edges)
+        edges = [(e, bit[l] | bit[r], (_zvar(l), _wvar(l), _zvar(r), _wvar(r)))
+                 for e, l, r in graph.edges]
+        self.edges = tuple(edges[i] for i in _order([a[5] for a in angles],
+                                                      [em for _, em, _ in edges]))
         self.powers = {}
 
     def power(self, a: int, n: int, holonomy: Holonomy | None = None) -> MPoly:
@@ -143,56 +212,36 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
     # divided once by scale: prod_e c_e!, as each edge contraction is c_e!
     # times the edge's operator, and prod_a d_a^n for the scaled angle forms
     scale = prod(map(factorial, coloring.values()))
-    factors = []  # (half-edge mask, polynomial, its number of terms)
+    factors = []  # (half-edge mask, polynomial)
     for a, n in enumerate(colors):
         if n:
             _, _, _, g, h, mask, _ = plan.angles[a]
             poly = plan.power(a, n, holonomy)
             if holonomy is not None:
                 scale *= holonomy.angle_form(g, h)[1] ** n
-            factors.append((mask, poly, len(poly.terms)))
+            factors.append((mask, poly))
 
     # a color-0 edge touches no factor; an edge of color c_e > 0 touches a
-    # factor at each half-edge, whose two angles' colors sum to c_e.  Each
-    # step contracts the edge whose factors have the fewest terms in all,
-    # the earliest such edge on a tie.  costs[i] is that sum for
-    # remaining[i]; a contraction changes it only for the edges that touch
-    # the factors it merged, which then touch the merged factor instead.
-    remaining = [edge for edge in plan.edges if coloring[edge[0]]]
-    costs = []
-    for _, em, _ in remaining:
-        cost = 0
-        for m, _, n in factors:
-            if m & em:
-                cost += n
-        costs.append(cost)
-    while remaining:
-        best = costs.index(min(costs))
-        del costs[best]
-        e, em, names = remaining.pop(best)
+    # factor at each half-edge, whose two angles' colors sum to c_e
+    for e, em, names in plan.edges:
+        c = coloring[e]
+        if not c:
+            continue
         gathered, kept, involved = [], [], 0
         for f in factors:
             if f[0] & em:
-                gathered.append(f)
+                gathered.append(f[1])
                 involved |= f[0]
             else:
                 kept.append(f)
-        contracted = apply_edge_operator([p for _, p, _ in gathered], *names, coloring[e])
+        contracted = apply_edge_operator(gathered, *names, c)
         if contracted.is_zero():
             return QQi(0)
-        n = len(contracted.terms)
-        for i, (_, other, _) in enumerate(remaining):
-            if other & involved:
-                cost = costs[i] + n
-                for m, _, k in gathered:
-                    if m & other:
-                        cost -= k
-                costs[i] = cost
-        kept.append((involved & ~em, contracted, n))
+        kept.append((involved & ~em, contracted))
         factors = kept
 
     value = QQi(1)
-    for _, p, _ in factors:
+    for _, p in factors:
         value = value * p.constant_term()
     value = div_exact(value, scale)
     if sum(coloring.values()) % 2:

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume
 from hypothesis import strategies as st
 
 from spinnets import bundled_graph_path, load_graph
@@ -144,24 +143,70 @@ def shear_gauges(draw, graph):
     return _gauge_of_shears(graph, lambda: QQi(draw(_PART), draw(_PART)))
 
 
+def line_presentation(name, vertices, pairs):
+    """The presentation of a trivalent graph drawn with its vertices on a
+    line in the given order, each vertex's half-edges leaving upward in slot
+    order and every edge an arc above the line: vertices are (id, three
+    half-edges), pairs are (edge id, its two half-edges), each edge's left
+    half-edge is at the earlier slot, and the crossings are the pairs of
+    edges whose slot arcs interleave."""
+    slot = {h: s for s, h in enumerate(h for _, hs in vertices for h in hs)}
+    edges = [(e, *sorted(pair, key=slot.get)) for e, pair in pairs]
+    draft = Graph(name, vertices, edges, [])
+    return Graph(name, vertices, edges, interleaving_crossings(draft))
+
+
+def random_presentation(n_vertices, seed, loops=True):
+    """A connected trivalent presentation on n_vertices (even) vertices,
+    drawn by random.Random(seed): a random perfect matching of the 3V slots
+    (multi-edges allowed, loops unless loops is false), redrawn until the
+    graph is connected, as a line presentation."""
+    rng = random.Random(seed)
+    n = 3 * n_vertices
+    while True:
+        order = list(range(n))
+        rng.shuffle(order)
+        arcs = [order[i:i + 2] for i in range(0, n, 2)]
+        if not loops and any(a // 3 == b // 3 for a, b in arcs):
+            continue
+        reached = {0}
+        for _ in range(n_vertices):
+            reached |= {s // 3 for arc in arcs if {s // 3 for s in arc} & reached for s in arc}
+        if len(reached) == n_vertices:
+            break
+    vertices = [(f"v{i}", tuple(f"h{s}" for s in range(3 * i, 3 * i + 3)))
+                for i in range(n_vertices)]
+    return line_presentation("presentation", vertices,
+                             [(f"e{i}", (f"h{a}", f"h{b}")) for i, (a, b) in enumerate(arcs)])
+
+
 @st.composite
 def presentations(draw, max_vertices):
-    """A connected trivalent presentation on an even V <= max_vertices
-    vertices: a random perfect matching of the 3V slots (loops and
-    multi-edges allowed), each edge's left half-edge at the earlier slot,
-    and as crossings the pairs of edges whose slot arcs interleave."""
-    n = 3 * draw(st.sampled_from(range(2, max_vertices + 1, 2)))
-    order = draw(st.permutations(range(n)))
-    arcs = sorted(tuple(sorted(order[i:i + 2])) for i in range(0, n, 2))
-    vertices = [(f"v{i}", tuple(f"h{s}" for s in range(3 * i, 3 * i + 3)))
-                for i in range(n // 3)]
-    edges = [(f"e{i}", f"h{a}", f"h{b}") for i, (a, b) in enumerate(arcs)]
-    reached = {0}
-    for _ in vertices:
-        reached |= {s // 3 for arc in arcs if {s // 3 for s in arc} & reached for s in arc}
-    assume(len(reached) == len(vertices))
-    draft = Graph("draft", vertices, edges, [])
-    return Graph("presentation", vertices, edges, interleaving_crossings(draft))
+    """random_presentation on an even V <= max_vertices vertices and a drawn
+    seed."""
+    return random_presentation(draw(st.sampled_from(range(2, max_vertices + 1, 2))),
+                               draw(st.integers(0, 2**32 - 1)))
+
+
+def prism_graph(n):
+    """The n-gonal prism (V = 2n) in its planar rotation system, genus 0:
+    the outer cycle u1..un, the inner cycle w1..wn and the spokes ui-wi,
+    each vertex's half-edges in counterclockwise order, drawn as a line
+    presentation with the vertices in the order u1..un, wn..w1."""
+    def vertex(x, i, *nbrs):
+        return f"{x}{i}", tuple(f"{x}{i}_{y}" for y in nbrs)
+
+    def nxt(i, step):
+        return (i - 1 + step) % n + 1
+
+    us = [vertex("u", i, f"u{nxt(i, 1)}", f"w{i}", f"u{nxt(i, -1)}") for i in range(1, n + 1)]
+    ws = [vertex("w", i, f"u{i}", f"w{nxt(i, 1)}", f"w{nxt(i, -1)}") for i in range(n, 0, -1)]
+    pairs = []
+    for i in range(1, n + 1):
+        j = nxt(i, 1)
+        pairs += [(f"t{i}", (f"u{i}_u{j}", f"u{j}_u{i}")), (f"b{i}", (f"w{i}_w{j}", f"w{j}_w{i}")),
+                  (f"s{i}", (f"u{i}_w{i}", f"w{i}_u{i}"))]
+    return line_presentation(f"prism{n}", us + ws, pairs)
 
 
 def graph_obj(graph) -> dict:

@@ -18,7 +18,9 @@ exact evaluation by squaring is the contraction as the library ran it
 before its one-pass angle powers and term-dict edge kernel: each angle
 power by MPoly.pow, each edge by one _mul_acc per matched group pair, with
 the factor products and the term-budget checks in the order that kernel ran
-them.  The angle form is the holonomy's before its denominators were
+them.  The greedy evaluation is the contraction before its order was
+planned once per graph: each coloring picks its own edges, cheapest
+first.  The angle form is the holonomy's before its denominators were
 cleared: the adjugates' products on Gaussian rationals.  The Monte-Carlo
 integrands are the library's before they moved to contiguous quaternion
 components: each Hamilton product on strided (..., 4) views, stacked, and
@@ -37,7 +39,7 @@ from math import factorial, lcm, prod
 
 import numpy as np
 
-from spinnets import asymptotics, polyring
+from spinnets import asymptotics, evaluator, polyring
 from spinnets.errors import InputError
 from spinnets.evaluator import theta_value
 from spinnets.graphs import (Holonomy, _adj2, check_diagonal_t, crossing_sign,
@@ -165,7 +167,7 @@ def edge_operator_by_products(factors: list, z1, w1, z2, w2, c: int) -> MPoly:
 def eval_by_squaring(graph, coloring: dict, holonomy=None, trace=None) -> QQi:
     """evaluator.eval_spin_network for an admissible coloring, with each
     angle power by MPoly.pow and each edge by edge_operator_by_products, in
-    the same greedy order.  When trace is a list, each step appends (the
+    the same planned order.  When trace is a list, each step appends (the
     edge's four variable names, the term counts of its factors, the term
     count of the result)."""
     if not is_admissible(graph, coloring):
@@ -184,16 +186,48 @@ def eval_by_squaring(graph, coloring: dict, holonomy=None, trace=None) -> QQi:
             form = MPoly(ns, {ns.encode(m): x for m, x in zip(monomials, coeffs) if x})
             factors.append((bit[g] | bit[h], form.pow(n)))
             scale *= den ** n
-    remaining = [(e, bit[l] | bit[r], ("z@" + l, "w@" + l, "z@" + r, "w@" + r))
-                 for e, l, r in graph.edges if coloring[e]]
-    while remaining:
-        costs = [sum(len(p.terms) for m, p in factors if m & em) for _, em, _ in remaining]
-        e, em, names = remaining.pop(costs.index(min(costs)))
+    for e, em, names in evaluator._plan(graph).edges:
+        if not coloring[e]:
+            continue
         gathered = [f for f in factors if f[0] & em]
         factors = [f for f in factors if not f[0] & em]
         contracted = edge_operator_by_products([p for _, p in gathered], *names, coloring[e])
         if trace is not None:
             trace.append((names, tuple(len(p.terms) for _, p in gathered), len(contracted.terms)))
+        if contracted.is_zero():
+            return QQi(0)
+        factors.append((reduce(int.__or__, (m for m, _ in gathered)) & ~em, contracted))
+    value = div_exact(QQi(1) * prod(p.constant_term() for _, p in factors), scale)
+    if sum(coloring.values()) % 2:
+        value = -value
+    return value if crossing_sign(graph, coloring) > 0 else -value
+
+
+def eval_greedy(graph, coloring: dict, holonomy=None) -> QQi:
+    """evaluator.eval_spin_network as it ran before its contraction order
+    was planned once per graph: the same angle powers and edge kernel, but
+    each step contracts the nonzero-color edge whose factors have the fewest
+    terms in all, the earliest such edge on a tie."""
+    if not is_admissible(graph, coloring):
+        return QQi(0)
+    plan = evaluator._plan(graph)
+    internal = internal_coloring(graph, coloring)
+    scale = prod(factorial(c) for c in coloring.values())
+    factors = []  # (half-edge mask, polynomial)
+    for a, (aid, _, _, (g, h)) in enumerate(graph.angles):
+        n = internal[aid]
+        if n:
+            factors.append((plan.angles[a][5], plan.power(a, n, holonomy)))
+            if holonomy is not None:
+                scale *= holonomy.angle_form(g, h)[1] ** n
+    remaining = [edge for edge in sorted(plan.edges, key=lambda x: graph.edge_index[x[0]])
+                 if coloring[edge[0]]]
+    while remaining:
+        costs = [sum(len(p.terms) for m, p in factors if m & em) for _, em, _ in remaining]
+        e, em, names = remaining.pop(costs.index(min(costs)))
+        gathered = [f for f in factors if f[0] & em]
+        factors = [f for f in factors if not f[0] & em]
+        contracted = polyring.apply_edge_operator([p for _, p in gathered], *names, coloring[e])
         if contracted.is_zero():
             return QQi(0)
         factors.append((reduce(int.__or__, (m for m, _ in gathered)) & ~em, contracted))

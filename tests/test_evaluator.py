@@ -1,15 +1,21 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (interleaving_crossings, presentations, rand_sl2, random_holonomy,
-                      shear_gauge, shear_gauges)
-from oracles import eval_by_squaring, tet_value_oracle
+import spinnets
+from conftest import (_signature, interleaving_crossings, presentations, prism_graph,
+                      rand_sl2, random_holonomy, random_presentation, shear_gauge,
+                      shear_gauges)
+from oracles import eval_by_squaring, eval_greedy, tet_value_oracle
 from spinnets import bundled_graph_path, load_graph
 from spinnets import evaluator as evaluator_module
 from spinnets.errors import AdmissibilityError, InputError, RegimeError
@@ -405,3 +411,95 @@ def test_holonomy_angle_power_table_is_shared_and_never_written():
         fresh = Holonomy(g, hol.entries)
         assert [eval_spin_network(g, col, fresh) for col in cols] == values
     assert tables.keys() == set(plans)
+
+
+def _gauged_kinds(graph, seed):
+    """The trivial holonomy and a random exact one, each as is and
+    shear-gauged."""
+    hol = random_holonomy(graph, seed=seed)
+    return (None, gauge_transform(graph, Holonomy.trivial(graph), shear_gauge(graph, seed)),
+            hol, gauge_transform(graph, hol, shear_gauge(graph, seed + 1)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(graph=presentations(8), seed=st.integers(0, 2**16), data=st.data())
+def test_planned_order_matches_the_greedy(graph, seed, data):
+    """The order planned once per graph gives the value the per-coloring
+    greedy gives, of the same type and part types."""
+    col = data.draw(st.sampled_from(list(admissible_colorings(graph, max_total=4))))
+    hol = data.draw(st.sampled_from(_gauged_kinds(graph, seed)))
+    got, want = eval_spin_network(graph, col, hol), eval_greedy(graph, col, hol)
+    assert got == want and _signature(got) == _signature(want)
+
+
+@pytest.mark.parametrize("name", ["theta", "tetrahedron", "tetrahedron_nonplanar", "prism3"])
+def test_planned_order_matches_the_greedy_on_bundled_graphs(name):
+    graph = load_graph(bundled_graph_path(name))
+    hol = random_holonomy(graph, seed=11)
+    for col in admissible_colorings(graph, max_total=8):
+        for h in (None, hol):
+            got, want = eval_spin_network(graph, col, h), eval_greedy(graph, col, h)
+            assert got == want and _signature(got) == _signature(want), (col, h)
+
+
+_PRINT_ORDERS = """
+import time
+from spinnets import bundled_graph_path, load_graph
+from spinnets.evaluator import _plan
+
+graphs = [load_graph(bundled_graph_path(n))
+          for n in ("theta", "tetrahedron", "tetrahedron_nonplanar", "prism3")]
+
+def clock():
+    raise AssertionError("the contraction planner read a clock")
+
+time.perf_counter = time.time = time.monotonic = time.process_time = clock
+for g in graphs:
+    print(g.name, [e for e, _, _ in _plan(g).edges])
+"""
+
+
+def test_planned_order_is_deterministic():
+    """Each bundled graph's planned order is the same in two fresh
+    interpreters with other string hash seeds, and planning reads no
+    clock."""
+    outs = []
+    for hash_seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([str(Path(spinnets.__file__).parents[1]),
+                                              os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", _PRINT_ORDERS], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 4
+
+
+def test_planned_order_bounds_the_largest_factor():
+    """A V = 16 presentation, every color 4, on which the per-coloring
+    greedy's largest factor has 706051 terms (about 0.8 s): under the
+    planned order no factor the edge kernel returns passes 100000 terms."""
+    graph = random_presentation(16, 1603, loops=False)
+    col = dict.fromkeys(graph.edge_ids, 4)
+    largest = []
+
+    def spy(factors, *args):
+        out = apply_edge_operator(factors, *args)
+        largest.append(len(out.terms))
+        return out
+
+    with mock.patch.object(evaluator_module, "apply_edge_operator", spy):
+        eval_spin_network(graph, col)
+    assert len(largest) == len(graph.edges) and max(largest) < 100_000
+
+
+def test_prism_family_is_planar_and_matches_the_bundled_prism(prism):
+    """prism_graph(n) has genus 0, and prism_graph(3) evaluates as the
+    bundled prism3 under the edge names' correspondence."""
+    assert [prism_graph(n).genus for n in range(3, 7)] == [0, 0, 0, 0]
+    names = {"t12": "t1", "t23": "t2", "t13": "t3", "b12": "b1", "b23": "b2", "b13": "b3",
+             "s1": "s1", "s2": "s2", "s3": "s3"}
+    ours = prism_graph(3)
+    for col in admissible_colorings(prism, max_color=2):
+        assert eval_spin_network(ours, {names[e]: c for e, c in col.items()}) == \
+            eval_spin_network(prism, col)
