@@ -265,9 +265,11 @@ def theta_value(a: int, b: int, c: int) -> Fraction:
     return Fraction(num, factorial(a) * factorial(b) * factorial(c))
 
 
-def renormalize(graph: Graph, coloring: dict, value: QQi) -> QQi:
-    """Multiply by (prod_e c_e!) / (prod_angles c_angle!)."""
-    internal = internal_coloring(graph, coloring)
+def renormalize(graph: Graph, coloring: dict, value: QQi, internal: dict | None = None) -> QQi:
+    """Multiply by (prod_e c_e!) / (prod_angles c_angle!); `internal` is the
+    coloring's angle coloring, when the caller has it already."""
+    if internal is None:
+        internal = internal_coloring(graph, coloring)
     num = 1
     for e in graph.edge_ids:
         num *= factorial(coloring[e])

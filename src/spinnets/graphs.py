@@ -232,32 +232,51 @@ def crossing_sign(graph: Graph, coloring: dict) -> int:
 
 
 def admissible_colorings(graph: Graph, max_color=None, max_total=None):
-    """Yield admissible colorings with per-edge bound and/or total-sum bound."""
+    """Yield admissible colorings with per-edge bound and/or total-sum bound,
+    in lexicographic order of their colors in edge order.  An edge that
+    closes a vertex (comes last of its edges) takes every second color from
+    max |a - b| to min (a + b), a and b the other two colors at each vertex it
+    closes, whose parities must agree; a vertex it closes as a loop (its edge
+    at two slots) tests its triple."""
     if max_color is None and max_total is None:
         raise InputError("need max_color or max_total")
     cap = max_color if max_color is not None else max_total
     edges = graph.edge_ids
-    # each vertex's edge indices, checked once: when its last edge gets a color
-    closing = [[] for _ in edges]
+    # per edge, the other two edge indices of each vertex it closes, and the
+    # third edge index of each vertex it closes as a loop
+    pairs = [[] for _ in edges]
+    loops = [[] for _ in edges]
     for es in graph.vertex_edges:
-        tri = tuple(graph.edge_index[e] for e in es)
-        closing[max(tri)].append(tri)
-    cols = [0] * len(edges)
-
-    def rec(i, total):
-        if i == len(edges):
-            yield {e: cols[j] for j, e in enumerate(edges)}
-            return
-        top = cap
-        if max_total is not None:
-            top = min(top, max_total - total)
-        for c in range(top + 1):
-            cols[i] = c
-            if all(admissible_triple(cols[x], cols[y], cols[z]) for x, y, z in closing[i]):
-                yield from rec(i + 1, total + c)
-        cols[i] = 0
-
-    yield from rec(0, 0)
+        tri = sorted(graph.edge_index[e] for e in es)
+        i = tri.pop()
+        if tri[1] == i:
+            loops[i].append(tri[0])
+        else:
+            pairs[i].append(tri)
+    # the colorings of the first i edges, in order, extended one edge at a time
+    level = [((), 0)]
+    for i in range(len(edges)):
+        nxt = []
+        for cols, total in level:
+            lo, top, step = 0, cap, 1
+            if max_total is not None:
+                top = min(top, max_total - total)
+            if pairs[i]:  # the ranges at the vertices it closes, of one parity
+                step, parities = 2, 0
+                for x, y in pairs[i]:
+                    a, b = cols[x], cols[y]
+                    lo, top = max(lo, abs(a - b)), min(top, a + b)
+                    parities |= 1 << (a + b) % 2
+                if parities == 3:
+                    continue
+            colors = range(lo, top + 1, step)
+            if loops[i]:
+                colors = [c for c in colors
+                          if all(admissible_triple(cols[x], c, c) for x in loops[i])]
+            nxt += [(cols + (c,), total + c) for c in colors]
+        level = nxt
+    for cols, _ in level:
+        yield dict(zip(edges, cols))
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import lcm
 
+from . import polyring  # TERM_BUDGET read at call time, as polyring reads it
 from .errors import InputError, RegimeError
-from .evaluator import _TRIVIAL_FORM, _wvar, _zvar, eval_spin_network, renormalize
+from .evaluator import _MAX_COLOR, _TRIVIAL_FORM, _wvar, _zvar, eval_spin_network, renormalize
 from .graphs import Graph, Holonomy, admissible_colorings, check_diagonal_t, internal_coloring
 from .polyring import (_BITS, MAX_EXPONENT, MPoly, Namespace, _check_exponents, _mul_acc,
-                       _nonzero, _norm1, _on_gaussian_integers, _Residues,
+                       _nonzero, _norm1, _over_budget, _on_gaussian_integers, _Residues,
                        _series_recurrence, inv_sqrt_series)
 from .polyring import det_poly  # noqa: F401  perfbench/tracer.py patches it here by name
 from .rational import QQi, denominator, div_exact, narrow
@@ -220,27 +221,45 @@ def _check_genus_zero(graph: Graph, route: str):
 def westbury_polynomial(graph: Graph) -> MPoly:
     """Sum over subgraphs that are disjoint unions of cycles of the product
     of the angle variables covered twice (the empty subgraph contributes 1).
-    It is the planar formula, so a rotation system of genus > 0 is refused."""
+    In a connected trivalent graph these subgraphs are the edge sets meeting
+    every vertex in 0 or 2 half-edges, the cycle space: the XOR combinations
+    of the fundamental cycles of a spanning tree, one per edge off the tree
+    (a loop is its own), walked in Gray-code order.  Its 2^(E - V + 1) terms
+    are checked against TERM_BUDGET (ResourceError) first.  It is the planar
+    formula, so a rotation system of genus > 0 is refused."""
     _check_genus_zero(graph, "westbury_polynomial")
+    rank = len(graph.edges) - len(graph.vertices) + 1
+    if 1 << rank > polyring.TERM_BUDGET:
+        raise _over_budget(1 << rank, "the cycle polynomial")
     ns = Namespace(graph.angle_ids)
-    angle_at = {(v, ij): aid for aid, v, ij, _ in graph.angles}
-    # per vertex: (vertex id, [edge index per slot])
-    vslots = [(v, [graph.edge_index[e] for e in es])
-              for (v, _), es in zip(graph.vertices, graph.vertex_edges)]
-    terms = {}
-    for mask in range(1 << len(graph.edge_ids)):
-        exps = {}
-        ok = True
-        for v, slots in vslots:
-            inside = [p for p, ei in enumerate(slots) if mask >> ei & 1]
-            if not inside:
-                continue
-            if len(inside) != 2:
-                ok = False
-                break
-            exps[angle_at[v, tuple(inside)]] = 1
-        if ok:
-            terms[ns.encode(exps)] = 1
+    # per vertex: its edges' mask and {mask of two of its edges: their angle's key}
+    tables = []
+    for k, es in enumerate(graph.vertex_edges):
+        bits = [1 << graph.edge_index[e] for e in es]
+        table = {0: 0}
+        for aid, _, (i, j), _ in graph.angles[3 * k:3 * k + 3]:
+            table[bits[i] | bits[j]] = ns.encode({aid: 1})
+        tables.append((bits[0] | bits[1] | bits[2], table))
+    # a search from vertex 0 builds the tree, path[v] the edge mask of its
+    # tree path to v; an edge off the tree closes the cycle of the two paths
+    ends = [(graph.halfedge_slot[l] // 3, graph.halfedge_slot[r] // 3) for _, l, r in graph.edges]
+    adj = [[] for _ in graph.vertices]
+    for i, (u, w) in enumerate(ends):
+        adj[u].append((w, i))
+        adj[w].append((u, i))
+    path, stack = {0: 0}, [0]
+    while stack:
+        u = stack.pop()
+        for w, i in adj[u]:
+            if w not in path:
+                path[w] = path[u] | 1 << i
+                stack.append(w)
+    # a tree edge's two paths differ by the edge itself, so its cycle is empty
+    cycles = [c for i, (u, w) in enumerate(ends) if (c := path[u] ^ path[w] ^ 1 << i)]
+    mask, terms = 0, {0: 1}
+    for n in range(1, 1 << len(cycles)):
+        mask ^= cycles[(n & -n).bit_length() - 1]
+        terms[sum(table[mask & m] for m, table in tables)] = 1
     return MPoly(ns, terms)
 
 
@@ -387,11 +406,18 @@ def nonplanar_fix(poly: MPoly, graph: Graph) -> MPoly:
 def compare_with_evaluations(graph: Graph, holonomy: Holonomy | None,
                              series: MPoly, degree: int):
     """One row per admissible coloring of total degree <= degree:
-    (coloring, series coefficient, renormalized evaluation, equal?)."""
+    (coloring, series coefficient, renormalized evaluation, equal?).  A
+    coloring with a color past the evaluator's bound is refused (InputError)
+    before the first evaluation."""
+    colorings = list(admissible_colorings(graph, max_total=degree))
+    top = max((c for col in colorings for c in col.values()), default=0)
+    if top > _MAX_COLOR:
+        raise InputError(f"--check-against-eval at degree {degree} needs color {top}, "
+                         f"past the evaluator's bound {_MAX_COLOR}")
     rows = []
-    for col in admissible_colorings(graph, max_total=degree):
-        exps = {a: c for a, c in internal_coloring(graph, col).items() if c}
-        coeff = series.coefficient(exps)
-        expect = renormalize(graph, col, eval_spin_network(graph, col, holonomy))
+    for col in colorings:
+        internal = internal_coloring(graph, col)
+        coeff = series.coefficient(internal)
+        expect = renormalize(graph, col, eval_spin_network(graph, col, holonomy), internal)
         rows.append((col, coeff, expect, coeff == expect))
     return rows

@@ -8,8 +8,11 @@ matrices with a Hopf spinor instead of multiplying quaternions, the
 report text is json.dumps of a rounded copy (a polynomial expanded into its
 term list) instead of the CLI's one-pass writer, the curve sum walks
 every cover of the blown-up graph instead of memoising by uncovered nodes,
-and the configuration search solves one restart at a time with a
-single-start Levenberg-Marquardt instead of stepping a batch of them.  The
+the cycle polynomial tests all 2^E edge subsets instead of walking the
+cycle space, the admissible colorings filter every tuple of colors instead
+of taking a closing edge's colors from a range, and the configuration
+search solves one restart at a time with a single-start
+Levenberg-Marquardt instead of stepping a batch of them.  The
 truncated determinant and the series recurrence are the library's before
 its row kernel and residue encoding: B's powers as dicts of entries, one
 _mul_acc per entry pair with its exponent check, and the recurrence on the
@@ -31,6 +34,7 @@ truncation, the dense matrices P + Q and W1 that det_poly cross-checks, and
 the diagonal holonomy.
 """
 
+import itertools
 import json
 import warnings
 from fractions import Fraction
@@ -379,6 +383,42 @@ def curve_sum_walk(graph, t=None) -> MPoly:
 
     cover((1 << n) - 1, 0, 1, n)  # global factor (-1)^n via start parity
     return MPoly(ns, _nonzero(acc))
+
+
+def westbury_by_subsets(graph) -> MPoly:
+    """series.westbury_polynomial by testing every one of the 2^E edge
+    subsets: a subset counts when it meets each vertex in 0 or 2 slots."""
+    ns = Namespace(graph.angle_ids)
+    angle_at = {(v, ij): aid for aid, v, ij, _ in graph.angles}
+    # per vertex: (vertex id, [edge index per slot])
+    vslots = [(v, [graph.edge_index[e] for e in es])
+              for (v, _), es in zip(graph.vertices, graph.vertex_edges)]
+    terms = {}
+    for mask in range(1 << len(graph.edge_ids)):
+        exps = {}
+        ok = True
+        for v, slots in vslots:
+            inside = [p for p, ei in enumerate(slots) if mask >> ei & 1]
+            if not inside:
+                continue
+            if len(inside) != 2:
+                ok = False
+                break
+            exps[angle_at[v, tuple(inside)]] = 1
+        if ok:
+            terms[ns.encode(exps)] = 1
+    return MPoly(ns, terms)
+
+
+def admissible_colorings_brute(graph, max_color=None, max_total=None) -> list:
+    """graphs.admissible_colorings as a list, from every tuple of colors
+    0..cap per edge in lexicographic order, kept when admissible and within
+    the total."""
+    cap = max_color if max_color is not None else max_total
+    colorings = (dict(zip(graph.edge_ids, cols))
+                 for cols in itertools.product(range(cap + 1), repeat=len(graph.edge_ids))
+                 if max_total is None or sum(cols) <= max_total)
+    return [col for col in colorings if is_admissible(graph, col)]
 
 
 def lm_single(fun, x0, *, jac, xtol, ftol, gtol, max_nfev):

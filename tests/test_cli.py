@@ -166,6 +166,30 @@ def test_series_past_the_term_budget_exits_1(monkeypatch, capsys, method):
     assert run_cli(*argv)[0] == 0
 
 
+def test_cycle_polynomial_past_the_term_budget_exits_1(monkeypatch, capsys):
+    # the tetrahedron's cycle space has 2^3 = 8 elements; past the budget
+    # the enumeration is refused before it starts
+    argv = ("series", "-g", "tetrahedron", "--degree", "2", "--method", "westbury")
+    monkeypatch.setattr(polyring, "TERM_BUDGET", 7)
+    capsys.readouterr()
+    rc, out = run_cli(*argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and out == ""
+    assert err == ["failure: the cycle polynomial would form up to 8 terms, past the term "
+                   "budget of 7"]
+    monkeypatch.undo()
+    assert run_cli(*argv)[0] == 0
+
+
+def test_check_past_the_color_bound_is_refused(dumbbell_path, capsys):
+    # the loop a carries the whole total: the check exited 2 naming color 61
+    # from inside the evaluator
+    rc, out = run_cli("series", "-g", str(dumbbell_path), "--degree", "61", "--check-against-eval")
+    assert (rc, out, capsys.readouterr().err.splitlines()) == (2, "", [
+        "input error: --check-against-eval at degree 61 needs color 61, past the "
+        "evaluator's bound 60"])
+
+
 def test_holonomy_file_that_is_no_object_exits_2(tmp_path, capsys):
     path = tmp_path / "h.json"
     path.write_text("[1]")

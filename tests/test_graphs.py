@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import (exact_text, graph_obj, interleaving_crossings, presentations,
                       random_holonomy, random_unitary_holonomy, shear_gauges)
-from oracles import angle_form_fractions
+from oracles import admissible_colorings_brute, angle_form_fractions
 from spinnets.errors import AdmissibilityError, InputError
 from spinnets.evaluator import _TRIVIAL_FORM
 from spinnets.graphs import (Graph, Holonomy, admissible_colorings, crossing_sign,
@@ -184,6 +184,14 @@ def test_internal_coloring_round_trip(theta, tet):
                 assert internal[a1] + internal[a2] == col[e]
                 b1, b2 = g.angles_at_halfedge(r)
                 assert internal[b1] + internal[b2] == col[e]
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=presentations(4), bounds=st.sampled_from([(3, None), (None, 5), (2, 4), (4, 3)]))
+def test_admissible_colorings_match_the_brute_force_oracle(g, bounds):
+    # loops, multi-edges and crossings; the same colorings in the same order
+    # by max_color, max_total and both
+    assert list(admissible_colorings(g, *bounds)) == admissible_colorings_brute(g, *bounds)
 
 
 def test_internal_coloring_rejects_non_admissible(theta):

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_same_series, graph_obj, presentations, random_holonomy,
-                      shear_gauge, shear_gauges)
-from oracles import (curve_sum_walk, diagonal_holonomy, monomial, pq_full, truncated,
-                     truncated_det_entrywise, w1_matrix)
+from conftest import (_signature, assert_same_series, graph_obj, presentations, prism_graph,
+                      random_holonomy, shear_gauge, shear_gauges)
+from oracles import (admissible_colorings_brute, curve_sum_walk, diagonal_holonomy, monomial,
+                     pq_full, truncated, truncated_det_entrywise, w1_matrix, westbury_by_subsets)
 from spinnets import series as series_module
 from spinnets.errors import InputError, RegimeError
-from spinnets.graphs import Graph, Holonomy, gauge_transform
+from spinnets.evaluator import eval_spin_network, renormalize
+from spinnets.graphs import Graph, Holonomy, gauge_transform, internal_coloring
 from spinnets.polyring import MPoly, Namespace, det_poly, inverse_series
 from spinnets.rational import QQi, denominator, div_exact
 from spinnets.series import (PQMatrices, abelian_curve_sum, build_pq, compare_with_evaluations,
@@ -56,6 +57,21 @@ def test_westbury_counts(theta, tet, prism):
     assert len(westbury_polynomial(prism).terms) == 1 + 15
     for g in (theta, tet, prism):
         assert westbury_polynomial(g).constant_term() == QQi(1)
+
+
+def test_westbury_terms_span_the_cycle_space():
+    # one term per element of the cycle space, 2^(E - V + 1); a loop over
+    # all 2^E edge subsets takes tens of seconds at n = 8
+    for n in range(3, 9):
+        g = prism_graph(n)
+        assert len(westbury_polynomial(g).terms) == 2 ** (len(g.edges) - len(g.vertices) + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=presentations(8).filter(lambda g: not g.genus))
+def test_westbury_matches_the_subset_oracle_on_random_presentations(g):
+    # loops, multi-edges and crossings, on genus-0 rotation systems
+    assert westbury_polynomial(g) == westbury_by_subsets(g)
 
 
 def test_westbury_det_identity(theta, tet):
@@ -269,6 +285,23 @@ def test_series_matches_evaluations(theta, tet):
     assert rows and all(r[3] for r in rows)
 
 
+@pytest.mark.parametrize("holonomy", ["none", "random", "gauge"])
+def test_check_rows_match_the_per_row_reference(theta, tet, tetnp, dumbbell, holonomy):
+    degree = 6
+    for g in (theta, tet, tetnp, dumbbell):
+        hol = {"none": None, "random": random_holonomy(g, seed=5),
+               "gauge": gauge_transform(g, Holonomy.trivial(g), shear_gauge(g, 6))}[holonomy]
+        z = nonplanar_fix(series_Z(g, hol, degree), g)
+        rows = compare_with_evaluations(g, hol, z, degree)
+        assert [r[0] for r in rows] == admissible_colorings_brute(g, max_total=degree)
+        for col, coeff, expect, ok in rows:
+            want_coeff = z.coefficient({a: c for a, c in internal_coloring(g, col).items() if c})
+            want = renormalize(g, col, eval_spin_network(g, col, hol))
+            assert (coeff, expect, ok) == (want_coeff, want, want_coeff == want)
+            assert _signature(coeff) == _signature(want_coeff)
+            assert _signature(expect) == _signature(want)
+
+
 def test_series_nonadmissible_coefficients_vanish(theta):
     z = series_Z(theta, degree=7)
     ns = z.ns
@@ -291,7 +324,7 @@ def test_series_with_random_holonomy(theta):
 
 def test_pfaffian_equals_westbury(theta, tet, prism, dumbbell):
     for g in (theta, tet, prism, dumbbell):
-        assert pfaffian_dimer_sum(g) == westbury_polynomial(g)
+        assert pfaffian_dimer_sum(g) == westbury_polynomial(g) == westbury_by_subsets(g)
 
 
 def test_pfaffian_square_equals_curves(theta, tet, dumbbell):
