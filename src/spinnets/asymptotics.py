@@ -49,6 +49,7 @@ __all__ = [
 _KERNEL_THRESHOLD = 1e-8
 _PHASE_THRESHOLD = 1e-6
 _EXTRAPOLATION_TOL = 1e-4  # relative Richardson spread detprime_limit accepts
+_LEVELS = range(6, 13)  # the levels j, h = 2^-j, that detprime_limit extrapolates from
 _CHUNK = 64  # restarts per batched least-squares call; bounds the search's memory
 
 # A pair phase sum_e (k c_e + 1) theta_e is refused once its error bound
@@ -536,17 +537,16 @@ def _richardson(values):
     return t[-1][0], abs(t[-1][0] - t[-2][-1])
 
 
-def detprime_limit(graph: Graph, coloring: dict, pair: CriticalPair,
-                   js=range(6, 13)) -> tuple[complex, complex]:
+def detprime_limit(graph: Graph, coloring: dict, pair: CriticalPair) -> tuple[complex, complex]:
     """Extrapolated limits as kappa -> 1+ of (kappa-1)^{-3} det'(q_kappa) and
     of (kappa-1)^{-3/2} times the product of the square roots of the same
-    eigenvalues, both from one eigen-solve per level h = 2^-j."""
+    eigenvalues, both from one eigen-solve per level h = 2^-j, j in _LEVELS."""
     for t in pair.taus.values():
         if abs(t * t - 1.0) < _PHASE_THRESHOLD:
             raise DomainError("pair has a phase at +/-1; not in the oscillatory branch")
     vals = []
     sqrts = []
-    for j in js:
+    for j in _LEVELS:
         h = 2.0 ** (-j)
         m = form_qkappa(graph, coloring, pair, 1.0 + h)
         rest = _split_kernel(_eigs(m), 3)

@@ -104,17 +104,10 @@ def _normalise(out: np.ndarray) -> np.ndarray:
 
 
 def char_value(n: int, q):
-    """Character of the (n+1)-dimensional irreducible on the rotation by
-    angle theta: sin((n+1) theta) / sin(theta), with the limit at 0, pi."""
-    if n < 0:
-        raise DomainError("character label must be >= 0")
-    q = np.asarray(q, dtype=float)
-    w = np.clip(q[..., 0], -1.0, 1.0)
-    theta = np.arccos(w)
-    s = np.sin(theta)
-    big = np.abs(s) > 1e-8
-    ratio = np.divide(np.sin((n + 1) * theta), s, out=np.zeros_like(s), where=big)
-    out = np.where(big, ratio, (n + 1) * np.sign(np.cos(theta)) ** n)
+    """Character of the (n+1)-dimensional irreducible on the unit quaternion
+    q = (cos theta, ...): U_n(cos theta) = sin((n+1) theta) / sin(theta),
+    with its limits at 0 and pi."""
+    out = _chebyshev_u(n, np.clip(np.asarray(q, dtype=float)[..., 0], -1.0, 1.0))
     return out if out.shape else float(out)
 
 

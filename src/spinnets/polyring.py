@@ -10,23 +10,23 @@ and the determinant series all come from one recurrence on homogeneous
 parts, F_0 = 1 and k·F_k = sum_m w(m, k)·g_m·F_{k-m}.
 
 Every sparse product runs the multiply-accumulate loop acc[ka + kb] +=
-w·ca·cb over two term dicts: MPoly.__mul__ and the series recurrence call
-it as _mul_acc, the matrix powers and traces of `series` run it in a row
-kernel whose keys carry a matrix column above the monomial's fields, and
-the integer edge contraction, `apply_edge_operator`, runs it in its own
-loops, because its operands are many and tiny: it contracts the factors at
-an edge against the largest of them on term dicts, one term of the smaller
-side against one group of the larger at a time, without forming their
-product or any MPoly in between.  Each consumer accumulates into its own
-destination and drops cancelled terms once at the end.  A product or
-contraction of the edge contraction, or a product of the series
-recurrence, whose term count could pass TERM_BUDGET raises ResourceError
-before it is formed, and so does a series whose terms pass it.  An
-angle's power, `form_power`, takes no product at all: it expands a
-four-term form by the binomial theorem in one pass.  Gaussian
-integers in the recurrence and the row kernel run as residues (_Residues):
-a + b·i is the int a + b·2^K modulo 2^(2K) + 1, K taken from an l1 bound
-on the operands.
+w·ca·cb over two term dicts, _mul_acc.  The checked product, _product,
+first refuses one whose exponents would pass MAX_EXPONENT (InputError) or
+whose count of coefficient products could pass TERM_BUDGET (ResourceError):
+MPoly.__mul__, mul_trunc, the factor products of the edge contraction and
+the products of the series recurrence all go through it.  Two callers keep
+the raw kernel, as their exponents are bounded: `series.abelian_curve_sum`
+(no exponent past 2) and `form_power` (n <= MAX_EXPONENT checked on entry),
+which expands an angle's power by the binomial theorem.  The edge
+contraction, `apply_edge_operator`, contracts p, the product of the factors
+at an edge but the largest, against that largest one term against one group
+at a time, without forming their product; the matrix powers and traces of
+`series` run the loop in a row kernel whose keys carry a matrix column above
+the monomial's fields.  Each consumer drops cancelled terms once at the end,
+and a series whose terms pass TERM_BUDGET raises ResourceError too.
+Gaussian integers in the recurrence and the row kernel run as residues
+(_Residues): a + b·i is the int a + b·2^K modulo 2^(2K) + 1, K taken from an
+l1 bound on the operands.
 
 Monomials are packed into a single int key, 6 bits per variable (exponents
 must stay at or below MAX_EXPONENT = 63; products refuse to pass it).
@@ -127,59 +127,61 @@ class Namespace:
         return found
 
 
-def _check_exponents(ns: Namespace, a: dict, b: dict):
-    """Raise InputError when the product of a key of a and a key of b would
-    carry an exponent past MAX_EXPONENT into the next variable's field."""
-    if a and b and (maxima := _exponent_maxima(ns, [a, b])):
-        _check_field_sums(ns, *maxima)
+# A term of a product or contraction takes up to about 256 bytes, measured
+# with tracemalloc: 124 for an int coefficient on a 64-bit key, 256 for a
+# Gaussian integer of 30 digits on a 300-bit key.  TERM_BUDGET bounds a
+# product's term count to about 1 GiB of such terms; the bound checked is the
+# number of coefficient products, at least the number of terms formed.
+_BYTES_PER_TERM = 256
+TERM_BUDGET = (1 << 30) // _BYTES_PER_TERM
 
 
-def _exponent_maxima(ns: Namespace, dicts: list) -> list | None:
-    """None when no product of keys of the nonzero term dicts, in any order,
-    has an exponent past MAX_EXPONENT; otherwise each dict's per-field
-    maxima, for the caller to check step by step.
+def _over_budget(bound: int, what: str) -> ResourceError:
+    return ResourceError(f"{what} would form up to {bound} terms, past the term "
+                         f"budget of {TERM_BUDGET}")
 
-    The OR of a dict's keys bounds each of its exponents, and while the
-    running sum of these ORs carries out of no field, the fieldwise sums of
-    the bounds stay at or below MAX_EXPONENT.  The per-field maxima add up
-    exactly over a product: in each variable, the top terms of two nonzero
-    polynomials multiply to a nonzero term.
+
+def _check_exponents(ns: Namespace, a, b):
+    """Raise InputError when the sum of a key of a and a key of b, two
+    collections of keys (a term dict reads as its keys), would carry an
+    exponent past MAX_EXPONENT into the next variable's field.
+
+    The OR of a collection's keys bounds each of its exponents, so when the
+    sum of the two ORs carries out of no field, no sum of keys does.
+    Otherwise the per-field maxima decide: the largest exponent of a field
+    over the sums is the sum of the two maxima.
     """
-    envelope = 0
-    for terms in dicts:
-        key_or = reduce(or_, terms)
-        total = envelope + key_or
-        if (total ^ envelope ^ key_or) & ns.carry:
-            return [_field_maxima(ns, terms) for terms in dicts]
-        envelope = total
-    return None
-
-
-def _field_maxima(ns: Namespace, terms: dict) -> list:
-    """The largest exponent of each variable over the keys of terms."""
-    return [max((k >> s) & MAX_EXPONENT for k in terms)
-            for s in range(0, _BITS * len(ns), _BITS)]
-
-
-def _check_field_sums(ns: Namespace, a: list, b: list):
-    """Raise InputError at the first variable whose exponents a and b (per
-    field, as from _field_maxima) sum past MAX_EXPONENT."""
-    for name, x, y in zip(ns.names, a, b):
-        if x + y > MAX_EXPONENT:
-            raise InputError(f"product has exponent {x + y} of {name}, "
+    if not a or not b:
+        return
+    or_a, or_b = reduce(or_, a), reduce(or_, b)
+    if not ((or_a + or_b) ^ or_a ^ or_b) & ns.carry:
+        return
+    for s, name in zip(range(0, _BITS * len(ns), _BITS), ns.names):
+        x = max((k >> s) & MAX_EXPONENT for k in a) + max((k >> s) & MAX_EXPONENT for k in b)
+        if x > MAX_EXPONENT:
+            raise InputError(f"product has exponent {x} of {name}, "
                              f"past the exponent bound {MAX_EXPONENT}")
+
+
+def _product(ns: Namespace, acc: dict, a: dict, b: dict, what: str, w=1) -> dict:
+    """_mul_acc(acc, a, b, w) after its two checks, in this order: the
+    exponents of a·b (InputError past MAX_EXPONENT), then its count of
+    coefficient products against TERM_BUDGET (ResourceError, naming what)."""
+    _check_exponents(ns, a, b)
+    if len(a) * len(b) > TERM_BUDGET:
+        raise _over_budget(len(a) * len(b), what)
+    return _mul_acc(acc, a, b, w)
 
 
 def _mul_acc(acc: dict, a: dict, b: dict, w=1) -> dict:
     """acc[ka + kb] += w·ca·cb over every term ka: ca of a and kb: cb of b;
     returns acc.
 
-    The sparse multiply kernel of MPoly and `series`; apply_edge_operator
-    runs the same loop in place.  The smaller operand runs outside, so w
+    The sparse multiply kernel.  The smaller operand runs outside, so w
     multiplies each of its coefficients once.  Cancelled entries stay in acc
-    as zeros until the caller drops them with _nonzero, and the caller runs
-    _check_exponents on the operands first: a key sum past MAX_EXPONENT
-    would carry into the next variable's field.
+    as zeros until the caller drops them with _nonzero.  It checks nothing:
+    a key sum past MAX_EXPONENT would carry into the next variable's field,
+    so callers go through _product unless their exponents are bounded.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -256,8 +258,8 @@ class MPoly:
         if isinstance(other, (int, Fraction, QQi)):
             return self.scalar_mul(other)
         _check_ns(self, other)
-        _check_exponents(self.ns, self.terms, other.terms)
-        return MPoly(self.ns, _nonzero(_mul_acc({}, self.terms, other.terms)))
+        return MPoly(self.ns, _nonzero(_product(self.ns, {}, self.terms, other.terms,
+                                                "a product")))
 
     __rmul__ = __mul__
 
@@ -275,16 +277,17 @@ class MPoly:
         max_degree are multiplied.  With max_degree <= MAX_EXPONENT every
         kept monomial, and so every exponent, stays within the bound; above
         it the exponents are checked as in a full product, before any
-        monomial is dropped.
+        monomial is dropped.  Each pair is a checked product.
         """
         _check_ns(self, other)
+        ns = self.ns
         if max_degree > MAX_EXPONENT:
-            _check_exponents(self.ns, self.terms, other.terms)
+            _check_exponents(ns, self.terms, other.terms)
         a, b = _homogeneous_parts(self, max_degree), _homogeneous_parts(other, max_degree)
         out: dict = {}
         for da, ta in enumerate(a):
             for tb in b[:max_degree - da + 1]:
-                _mul_acc(out, ta, tb)
+                _product(ns, out, ta, tb, "a truncated product")
         return MPoly(self.ns, _nonzero(out))
 
     def pow(self, n: int):
@@ -345,30 +348,16 @@ class MPoly:
 # angle powers and the edge-contraction operator
 # ---------------------------------------------------------------------------
 
-# A term of a contraction or factor product takes up to about 256 bytes,
-# measured with tracemalloc: 124 for an int coefficient on a 64-bit key, 256
-# for a Gaussian integer of 30 digits on a 300-bit key.  TERM_BUDGET bounds a
-# product's term count to about 1 GiB of such terms; the bound checked is the
-# number of coefficient products, at least the number of terms formed.
-_BYTES_PER_TERM = 256
-TERM_BUDGET = (1 << 30) // _BYTES_PER_TERM
-
-
-def _over_budget(bound: int, what: str) -> ResourceError:
-    return ResourceError(f"{what} would form up to {bound} terms, past the term "
-                         f"budget of {TERM_BUDGET}")
-
-
-def _binomial_power(terms: list, m: int, powers: list) -> list:
-    """The terms (key, coefficient) of (sum of terms)^m for one or two terms,
+def _binomial_power(terms: list, m: int, powers: list) -> dict:
+    """The terms of (sum of terms)^m for one or two terms (key, coefficient),
     by the binomial theorem; powers[i][e] is the e-th power of term i's
     coefficient."""
     if len(terms) == 1:
-        return [(m * terms[0][0], powers[0][m])]
+        return {m * terms[0][0]: powers[0][m]}
     (k1, _), (k2, _) = terms
     p1, p2 = powers
     row, step, base = _BINOMIAL[m], k1 - k2, m * k2
-    return [(base + i * step, row[i] * p1[i] * p2[m - i]) for i in range(m + 1)]
+    return {base + i * step: row[i] * p1[i] * p2[m - i] for i in range(m + 1)}
 
 
 def form_power(coeffs, keys, n: int) -> dict:
@@ -377,10 +366,11 @@ def form_power(coeffs, keys, n: int) -> dict:
     form: z_g z_h, z_g w_h, w_g z_h and w_g w_h); the terms of MPoly.pow(n)
     on F, in the same ring, for n <= MAX_EXPONENT.
 
-    One pass of the binomial theorem, with no polynomial product: the
+    One pass of the binomial theorem, with no polynomial power: the
     nonzero terms of F split into A, the first two, and B, the rest, and
     F^n = sum_j C(n, j) A^j B^(n-j), each power of A and of B expanded by
-    the binomial theorem too.  A form of two terms, such as the trivial
+    the binomial theorem too and each product an unchecked _mul_acc, as no
+    exponent passes n.  A form of two terms, such as the trivial
     holonomy's z_g w_h - w_g z_h, is A alone and gives its n + 1 terms
     directly; only a form of four terms has two products on one monomial
     (z_g z_h·w_g w_h = z_g w_h·w_g z_h), and so a sum that may cancel.
@@ -392,18 +382,12 @@ def form_power(coeffs, keys, n: int) -> dict:
         return dict(terms)
     powers = [list(accumulate(repeat(c, n), mul, initial=1)) for _, c in terms]
     if len(terms) <= 2:
-        return dict(_binomial_power(terms, n, powers))
+        return _binomial_power(terms, n, powers)
     first, second = terms[:2], terms[2:]
     out: dict = {}
-    get = out.get
     for j, w in enumerate(_BINOMIAL[n]):
-        right = _binomial_power(second, n - j, powers[2:])
-        for ka, ca in _binomial_power(first, j, powers[:2]):
-            ca = w * ca
-            for kb, cb in right:
-                k = ka + kb
-                s = get(k)
-                out[k] = ca * cb if s is None else s + ca * cb
+        _mul_acc(out, _binomial_power(first, j, powers[:2]),
+                 _binomial_power(second, n - j, powers[2:]), w)
     return _nonzero(out) if len(terms) == 4 else out
 
 
@@ -422,15 +406,15 @@ def apply_edge_operator(factors: list, z1: str, w1: str, z2: str, w2: str,
     four-variable edge part; for each term of the smaller and each surviving
     pattern, the one group whose edge part completes the term's to the
     pattern is found by one lookup, and only those pairs are multiplied, so
-    the product p·q is never formed.  Every product runs in this function's
-    own loops, on term dicts.  The edge's field mask and patterns are kept
-    on the namespace.
+    the product p·q is never formed.  The factor products are checked
+    products (_product) on term dicts; the contraction runs in this
+    function's own loop.  The edge's field mask and patterns are kept on the
+    namespace.
 
     Each step, a product of p with the next factor and then the contraction,
     is checked in turn as if it ran alone: its exponents (InputError past
     MAX_EXPONENT), then its count of coefficient products against
-    TERM_BUDGET (ResourceError), before it is formed.  Each factor's keys
-    are read once for the exponents, by _exponent_maxima.
+    TERM_BUDGET (ResourceError), before it is formed.
     """
     factors = sorted(factors, key=lambda f: len(f.terms))
     q = factors[-1]
@@ -441,29 +425,10 @@ def apply_edge_operator(factors: list, z1: str, w1: str, z2: str, w2: str,
     if not dicts[0]:  # a zero factor: a zero product, and nothing to check
         return MPoly(ns, {})
     edge_part, patterns = ns.edge_patterns(z1, w1, z2, w2, c)
-
-    maxima = _exponent_maxima(ns, dicts)
-    running = maxima[0] if maxima else None
     p = dicts[0] if len(dicts) > 1 else {0: 1}
-    for i in range(1, len(dicts)):
-        if maxima:
-            _check_field_sums(ns, running, maxima[i])
-            running = [x + y for x, y in zip(running, maxima[i])]
-        if i == len(dicts) - 1:
-            break
-        a, b = p, dicts[i]
-        if len(a) * len(b) > TERM_BUDGET:
-            raise _over_budget(len(a) * len(b), "a factor product")
-        if len(a) > len(b):
-            a, b = b, a
-        acc: dict = {}
-        get = acc.get
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                x = get(k)
-                acc[k] = ca * cb if x is None else x + ca * cb
-        p = _nonzero(acc)
+    for f in dicts[1:-1]:
+        p = _nonzero(_product(ns, {}, p, f, "a factor product"))
+    _check_exponents(ns, p, dicts[-1])
 
     # the terms of the larger side, r, grouped by their edge part; with no
     # exponent past MAX_EXPONENT, key addition is fieldwise, so the group of
@@ -720,21 +685,20 @@ def _series_recurrence(parts, max_degree: int, weight, base: int = 1) -> MPoly:
 
     Each F_k is then homogeneous of degree k, so the products need no
     truncation, only parts up to max_degree are read, and a product with an
-    empty part is skipped; a product of degree k has no exponent past k, so
-    only a max_degree past MAX_EXPONENT needs its exponents checked.  The
-    weights are ints and each division by k goes through div_exact.  On
-    Gaussian integers each step runs on residues (see _Residues), its width
-    taken from sum_m |weight(m, k)|·|g_m|·|F_{k-m}| in the l1 norm, and its
-    sum is decoded once, before the division, which the three series keep
-    exact (so each F_k is a Gaussian integer again); ints and Fraction
-    parts run as they are.
+    empty part is skipped.  The weights are ints and each division by k
+    goes through div_exact.  On Gaussian integers each step runs on residues
+    (see _Residues), its width taken from sum_m |weight(m, k)|·|g_m|·|F_{k-m}|
+    in the l1 norm, and its sum is decoded once, before the division, which
+    the three series keep exact (so each F_k is a Gaussian integer again);
+    ints and Fraction parts run as they are.
 
-    The terms kept are bounded by TERM_BUDGET (ResourceError): each product
-    g_m·F_{k-m} is checked on its own, by its count of coefficient
-    products, before it is formed, as a factor product is; and after each
-    product the terms held, the F_j below k and the sum so far, are counted.
-    The products of one step merge into few monomials (on prism3's
-    determinant, about 120 products a term), so their sum is not checked.
+    Each product g_m·F_{k-m} is a checked product (_product): its
+    exponents, then its count of coefficient products against TERM_BUDGET,
+    before it is formed.  After each product the terms held, the F_j below
+    k and the sum so far, are counted against the same budget
+    (ResourceError).  The products of one step merge into few monomials (on
+    prism3's determinant, about 120 products a term), so their sum is not
+    checked.
     """
     ns = parts[0].ns
     g = [p.terms for p in parts[:max_degree + 1]]
@@ -745,19 +709,14 @@ def _series_recurrence(parts, max_degree: int, weight, base: int = 1) -> MPoly:
     held = len(g[0])  # the terms of the F_j below k
     for k in range(1, max_degree + 1):
         pairs = [(m, g[m], out[k - m]) for m in range(1, k + 1) if g[m] and out[k - m]]
-        if max_degree > MAX_EXPONENT:
-            for _, a, b in pairs:
-                _check_exponents(ns, a, b)
         what = f"the degree-{k} part of a series"
         acc: dict = {}
         if gauss:
             res = _Residues(sum(abs(weight(m, k)) * g_norm[m] * f_norm[k - m] for m, _, _ in pairs))
         for m, a, b in pairs:
-            if len(a) * len(b) > TERM_BUDGET:
-                raise _over_budget(len(a) * len(b), what)
             if gauss:
                 a, b = res.encode(a), res.encode(b)
-            _mul_acc(acc, a, b, weight(m, k))
+            _product(ns, acc, a, b, what, weight(m, k))
             if held + len(acc) > TERM_BUDGET:
                 raise _over_budget(held + len(acc), what + " and the parts below it")
         if gauss:

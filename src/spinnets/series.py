@@ -149,7 +149,7 @@ def truncated_det(pq: PQMatrices, max_degree: int) -> MPoly:
         """Past MAX_EXPONENT, the exponents of left·right, as mul_trunc
         checks a product's."""
         if max_degree > MAX_EXPONENT:
-            _check_exponents(ns, *[{k & (1 << shift) - 1: 0 for row in rows.values() for k in row}
+            _check_exponents(ns, *[{k & (1 << shift) - 1 for row in rows.values() for k in row}
                                    for rows in (left, right)])
 
     # per row j of B, (column change shifted up + monomial, coeff)
@@ -212,10 +212,16 @@ def series_Z(graph: Graph, holonomy: Holonomy | None = None, degree: int = 8) ->
 # cycle polynomial
 # ---------------------------------------------------------------------------
 
-def _check_genus_zero(graph: Graph, route: str):
+def _check_planar_route(graph: Graph, route: str):
+    """Refuse a rotation system of genus > 0 (RegimeError), then a cycle
+    space of 2^(E - V + 1) elements past TERM_BUDGET (ResourceError): the
+    planar routes enumerate one term per element."""
     if graph.genus:
         raise RegimeError(f"{route} is a planar formula and needs a genus-0 rotation "
                           f"system; {graph.name!r} has genus {graph.genus}")
+    rank = len(graph.edges) - len(graph.vertices) + 1
+    if 1 << rank > polyring.TERM_BUDGET:
+        raise _over_budget(1 << rank, "the cycle polynomial")
 
 
 def westbury_polynomial(graph: Graph) -> MPoly:
@@ -224,13 +230,10 @@ def westbury_polynomial(graph: Graph) -> MPoly:
     In a connected trivalent graph these subgraphs are the edge sets meeting
     every vertex in 0 or 2 half-edges, the cycle space: the XOR combinations
     of the fundamental cycles of a spanning tree, one per edge off the tree
-    (a loop is its own), walked in Gray-code order.  Its 2^(E - V + 1) terms
-    are checked against TERM_BUDGET (ResourceError) first.  It is the planar
-    formula, so a rotation system of genus > 0 is refused."""
-    _check_genus_zero(graph, "westbury_polynomial")
-    rank = len(graph.edges) - len(graph.vertices) + 1
-    if 1 << rank > polyring.TERM_BUDGET:
-        raise _over_budget(1 << rank, "the cycle polynomial")
+    (a loop is its own), walked in Gray-code order.  It is the planar
+    formula: _check_planar_route refuses a rotation system of genus > 0, and
+    then 2^(E - V + 1) terms past TERM_BUDGET, first."""
+    _check_planar_route(graph, "westbury_polynomial")
     ns = Namespace(graph.angle_ids)
     # per vertex: its edges' mask and {mask of two of its edges: their angle's key}
     tables = []
@@ -353,9 +356,11 @@ def abelian_curve_sum(graph: Graph, t: dict | None = None) -> MPoly:
 
 def pfaffian_dimer_sum(graph: Graph) -> MPoly:
     """Sum over dimer configurations of the blown-up graph of the product of
-    covered angle variables, all signs +1; equals westbury_polynomial, and
-    like it refuses a rotation system of genus > 0."""
-    _check_genus_zero(graph, "pfaffian_dimer_sum")
+    covered angle variables, all signs +1; equals westbury_polynomial, one
+    configuration per element of the cycle space, and like it refuses a
+    rotation system of genus > 0 and then 2^(E - V + 1) terms past
+    TERM_BUDGET."""
+    _check_planar_route(graph, "pfaffian_dimer_sum")
     ns, links = _blown_up(graph)
     adj = [[(u, [k for k, _ in ls]) for u, ls in sorted(row.items())] for row in links]
     acc: dict = {}

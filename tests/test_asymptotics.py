@@ -482,12 +482,14 @@ def test_detprime_rotation_invariance(tet, tet_configs):
     assert d0 > 0
 
 
-def test_detprime_limit_consistency(tet, tet_configs):
+def test_detprime_limit_consistency(tet, tet_configs, monkeypatch):
     col = {e: 2 for e in tet.edge_ids}
     pair = critical_pair(tet, col, tet_configs[0], tet_configs[1])
     # extrapolants from levels up to j=11 and up to j=12 agree to 4 digits
-    lim11, _ = detprime_limit(tet, col, pair, js=range(6, 12))
-    lim12, _ = detprime_limit(tet, col, pair, js=range(6, 13))
+    assert asymptotics._LEVELS == range(6, 13)
+    lim12, _ = detprime_limit(tet, col, pair)
+    monkeypatch.setattr(asymptotics, "_LEVELS", range(6, 12))
+    lim11, _ = detprime_limit(tet, col, pair)
     assert abs(lim11 - lim12) / abs(lim12) < 1e-4
     # the raw scaled sequence converges linearly toward the same limit
     vs = []

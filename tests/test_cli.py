@@ -152,24 +152,44 @@ def test_contraction_past_the_term_budget_exits_1(monkeypatch, capsys):
     assert run_cli(*argv)[0] == 0
 
 
-@pytest.mark.parametrize("method", ["det", "westbury"])
-def test_series_past_the_term_budget_exits_1(monkeypatch, capsys, method):
-    argv = ("series", "-g", "tetrahedron", "--degree", "8", "--method", method)
-    monkeypatch.setattr(polyring, "TERM_BUDGET", 20)
+# westbury squares the 8-term cycle polynomial, 64 coefficient products,
+# before its series runs, so its series step is reached only at a budget of 64
+@pytest.mark.parametrize("method, degree, budget", [("det", "8", 20), ("westbury", "10", 64)],
+                         ids=["det", "westbury"])
+def test_series_past_the_term_budget_exits_1(monkeypatch, capsys, method, degree, budget):
+    argv = ("series", "-g", "tetrahedron", "--degree", degree, "--method", method)
+    monkeypatch.setattr(polyring, "TERM_BUDGET", budget)
     capsys.readouterr()
     rc, out = run_cli(*argv)
     err = capsys.readouterr().err.splitlines()
     assert rc == 1 and out == ""
     assert len(err) == 1 and err[0].startswith("failure: the degree-"), err
-    assert "part of a series" in err[0] and "term budget of 20" in err[0]
+    assert "part of a series" in err[0] and f"term budget of {budget}" in err[0]
     monkeypatch.undo()
     assert run_cli(*argv)[0] == 0
 
 
-def test_cycle_polynomial_past_the_term_budget_exits_1(monkeypatch, capsys):
-    # the tetrahedron's cycle space has 2^3 = 8 elements; past the budget
-    # the enumeration is refused before it starts
-    argv = ("series", "-g", "tetrahedron", "--degree", "2", "--method", "westbury")
+@pytest.mark.parametrize("method", ["westbury", "pfaffian"])
+def test_square_of_the_cycle_polynomial_past_the_term_budget_exits_1(monkeypatch, capsys,
+                                                                     method):
+    # the square of the tetrahedron's 8-term cycle polynomial takes 64
+    # coefficient products; it ran unchecked, and is now refused before
+    # any of its terms is formed
+    argv = ("series", "-g", "tetrahedron", "--degree", "8", "--method", method)
+    monkeypatch.setattr(polyring, "TERM_BUDGET", 20)
+    capsys.readouterr()
+    rc, out = run_cli(*argv)
+    assert rc == 1 and out == ""
+    assert capsys.readouterr().err.splitlines() == [
+        "failure: a product would form up to 64 terms, past the term budget of 20"]
+
+
+@pytest.mark.parametrize("method", ["westbury", "pfaffian"])
+def test_cycle_polynomial_past_the_term_budget_exits_1(monkeypatch, capsys, method):
+    # the tetrahedron's cycle space has 2^3 = 8 elements, a cycle term or a
+    # dimer configuration each; past the budget the enumeration is refused
+    # before it starts
+    argv = ("series", "-g", "tetrahedron", "--degree", "2", "--method", method)
     monkeypatch.setattr(polyring, "TERM_BUDGET", 7)
     capsys.readouterr()
     rc, out = run_cli(*argv)

@@ -3,7 +3,7 @@ from math import comb, factorial
 from unittest import mock
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_series
@@ -82,6 +82,66 @@ def test_products_keep_exponent_bound():
     y31 = monomial(ns, {"y": 31}, 3)
     assert x31y32 * y31 == monomial(ns, {"x": 31, "y": 63}, 3)
     assert x31y32.mul_trunc(y31, 100) == x31y32 * y31
+
+
+def _exponent_outcome(ns, a, b):
+    try:
+        polyring._check_exponents(ns, a, b)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def _exponent_outcome_brute(ns, a, b):
+    """The message of the first variable, in namespace order, in which some
+    key of a plus some key of b passes MAX_EXPONENT, with the largest such
+    sum; None when no pair does."""
+    for i, name in enumerate(ns.names):
+        s = 6 * i
+        top = max(((ka >> s) & 63) + ((kb >> s) & 63) for ka in a for kb in b) if a and b else 0
+        if top > MAX_EXPONENT:
+            return f"product has exponent {top} of {name}, past the exponent bound {MAX_EXPONENT}"
+    return None
+
+
+# exponents near 0, 31 and 32 most of the time, where the ORs of two key
+# sets carry while their maxima may still fit
+EXPONENTS = st.one_of(st.integers(0, 2), st.integers(29, 34), st.integers(0, MAX_EXPONENT))
+KEY_SETS = st.lists(st.tuples(EXPONENTS, EXPONENTS, EXPONENTS), max_size=5).map(
+    lambda rows: {NS3.encode(dict(zip("xyz", row))) for row in rows})
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=KEY_SETS, b=KEY_SETS)
+@example(a={NS3.encode({"x": 32}), NS3.encode({"x": 31})}, b={NS3.encode({"x": 1})})
+@example(a={NS3.encode({"x": 32})}, b={NS3.encode({"x": 32})})
+@example(a={NS3.encode({"y": 40, "z": 30})}, b={NS3.encode({"y": 30, "z": 40})})
+def test_check_exponents_matches_a_per_field_brute_force(a, b):
+    """_check_exponents passes or raises the InputError text of a brute force
+    over every pair of keys: OR 63 in x (32 and 31) against 1 passes though
+    the ORs carry, 32 + 32 fails, and the first variable past the bound is
+    named."""
+    got = _exponent_outcome(NS3, a, b)
+    event("raises" if got else "passes")
+    assert got == _exponent_outcome_brute(NS3, a, b)
+    assert _exponent_outcome(NS3, {k: 1 for k in a}, b) == got  # a term dict reads as its keys
+
+
+def test_product_past_the_term_budget_forms_no_term(monkeypatch):
+    # 3 × 3 coefficient products against a budget of 8: refused before the
+    # multiply kernel runs; a product past the exponent bound too reports
+    # the exponents first
+    small = poly(NS3, ({"x": 1}, 1), ({"y": 1}, 1), ({}, 1))
+    high = small + monomial(NS3, {"x": 40}, 1)
+    monkeypatch.setattr(polyring, "TERM_BUDGET", 8)
+    monkeypatch.setattr(polyring, "_mul_acc", lambda *args: pytest.fail("a term was formed"))
+    with pytest.raises(ResourceError, match="^a product would form up to 9 terms, past the "
+                                            "term budget of 8$"):
+        small * small
+    with pytest.raises(InputError, match="^product has exponent 80 of x, past the exponent"):
+        high * high
+    monkeypatch.undo()
+    assert len((small * small).terms) == 6
 
 
 def test_namespace_mismatch():
