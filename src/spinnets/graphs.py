@@ -5,7 +5,9 @@ A presentation fixes: the left-to-right vertex order, the order of the three
 half-edges at each vertex (a rotation of the clockwise cyclic order), a
 left/right half-edge per edge, and the set of crossing edge pairs.  All sign
 conventions downstream are relative to this data, which is part of the input
-format and never inferred.
+format and never inferred.  One search builds a spanning tree, which
+refuses a disconnected graph and gives the fundamental cycles (`Graph.cycles`)
+that the planar series routes walk.
 """
 
 from __future__ import annotations
@@ -130,20 +132,27 @@ class Graph:
         for e, l, r in self.edges:
             if self.halfedge_slot[l] > self.halfedge_slot[r]:
                 raise InputError(f"edge {e!r}: left half-edge is right of its partner")
-        parent = {v: v for v in self.vertex_index}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for l, r in self.edge_by_id.values():
-            a, b = find(self.vertex_of[l]), find(self.vertex_of[r])
-            if a != b:
-                parent[a] = b
-        if len({find(v) for v in parent}) != 1:
+        # a search from vertex 0, path[u] the edge mask of u's tree path, must
+        # reach every vertex (the empty graph keeps vertex 0's entry)
+        ends = [(self.halfedge_slot[l] // 3, self.halfedge_slot[r] // 3)
+                for _, l, r in self.edges]
+        adj = [[] for _ in self.vertices]
+        for i, (u, w) in enumerate(ends):
+            adj[u].append((w, i))
+            adj[w].append((u, i))
+        path, stack = {0: 0}, [0] if adj else []
+        while stack:
+            u = stack.pop()
+            for w, i in adj[u]:
+                if w not in path:
+                    path[w] = path[u] | 1 << i
+                    stack.append(w)
+        if len(path) != len(self.vertices):
             raise InputError("graph is not connected")
+        # per edge off the tree (a loop included), in edge order, the edge
+        # mask of its cycle: its ends' paths and itself, empty on the tree
+        self.cycles = tuple(c for i, (u, w) in enumerate(ends)
+                            if (c := path[u] ^ path[w] ^ 1 << i))
 
         self.halfedges = tuple(self.vertex_of)
         self.edge_ids = tuple(self.edge_index)

@@ -163,11 +163,14 @@ def _check_exponents(ns: Namespace, a, b):
                              f"past the exponent bound {MAX_EXPONENT}")
 
 
-def _product(ns: Namespace, acc: dict, a: dict, b: dict, what: str, w=1) -> dict:
+def _product(ns: Namespace, acc: dict, a: dict, b: dict, what: str, w=1, checked=False) -> dict:
     """_mul_acc(acc, a, b, w) after its two checks, in this order: the
-    exponents of a·b (InputError past MAX_EXPONENT), then its count of
-    coefficient products against TERM_BUDGET (ResourceError, naming what)."""
-    _check_exponents(ns, a, b)
+    exponents of a·b (InputError past MAX_EXPONENT) unless checked, which a
+    caller passes when no key sum can carry (a and b homogeneous of degrees
+    adding up to at most MAX_EXPONENT, say), then its count of coefficient
+    products against TERM_BUDGET (ResourceError, naming what)."""
+    if not checked:
+        _check_exponents(ns, a, b)
     if len(a) * len(b) > TERM_BUDGET:
         raise _over_budget(len(a) * len(b), what)
     return _mul_acc(acc, a, b, w)
@@ -277,7 +280,7 @@ class MPoly:
         max_degree are multiplied.  With max_degree <= MAX_EXPONENT every
         kept monomial, and so every exponent, stays within the bound; above
         it the exponents are checked as in a full product, before any
-        monomial is dropped.  Each pair is a checked product.
+        monomial is dropped.  So each pair checks its term count only.
         """
         _check_ns(self, other)
         ns = self.ns
@@ -287,7 +290,7 @@ class MPoly:
         out: dict = {}
         for da, ta in enumerate(a):
             for tb in b[:max_degree - da + 1]:
-                _product(ns, out, ta, tb, "a truncated product")
+                _product(ns, out, ta, tb, "a truncated product", checked=True)
         return MPoly(self.ns, _nonzero(out))
 
     def pow(self, n: int):
@@ -694,8 +697,9 @@ def _series_recurrence(parts, max_degree: int, weight, base: int = 1) -> MPoly:
 
     Each product g_m·F_{k-m} is a checked product (_product): its
     exponents, then its count of coefficient products against TERM_BUDGET,
-    before it is formed.  After each product the terms held, the F_j below
-    k and the sum so far, are counted against the same budget
+    before it is formed.  Its keys all have degree k, so its exponents are
+    scanned only past MAX_EXPONENT.  After each product the terms held, the
+    F_j below k and the sum so far, are counted against the same budget
     (ResourceError).  The products of one step merge into few monomials (on
     prism3's determinant, about 120 products a term), so their sum is not
     checked.
@@ -716,7 +720,7 @@ def _series_recurrence(parts, max_degree: int, weight, base: int = 1) -> MPoly:
         for m, a, b in pairs:
             if gauss:
                 a, b = res.encode(a), res.encode(b)
-            _product(ns, acc, a, b, what, weight(m, k))
+            _product(ns, acc, a, b, what, weight(m, k), checked=k <= MAX_EXPONENT)
             if held + len(acc) > TERM_BUDGET:
                 raise _over_budget(held + len(acc), what + " and the parts below it")
         if gauss:

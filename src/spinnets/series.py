@@ -7,7 +7,9 @@ Four routes to the same series and its determinant identities:
     (abelian_curve_sum),
   * dimer/Pfaffian expansion (pfaffian_dimer_sum),
 plus the sign-fix operators that upgrade the determinant series to the true
-generating series on presentations with crossings.
+generating series on presentations with crossings.  The two planar routes
+enumerate the cycle space spanned by `Graph.cycles`, which the graph keeps
+from the search that checked its connectivity.
 """
 
 from __future__ import annotations
@@ -219,9 +221,8 @@ def _check_planar_route(graph: Graph, route: str):
     if graph.genus:
         raise RegimeError(f"{route} is a planar formula and needs a genus-0 rotation "
                           f"system; {graph.name!r} has genus {graph.genus}")
-    rank = len(graph.edges) - len(graph.vertices) + 1
-    if 1 << rank > polyring.TERM_BUDGET:
-        raise _over_budget(1 << rank, "the cycle polynomial")
+    if 1 << len(graph.cycles) > polyring.TERM_BUDGET:
+        raise _over_budget(1 << len(graph.cycles), "the cycle polynomial")
 
 
 def westbury_polynomial(graph: Graph) -> MPoly:
@@ -229,10 +230,10 @@ def westbury_polynomial(graph: Graph) -> MPoly:
     of the angle variables covered twice (the empty subgraph contributes 1).
     In a connected trivalent graph these subgraphs are the edge sets meeting
     every vertex in 0 or 2 half-edges, the cycle space: the XOR combinations
-    of the fundamental cycles of a spanning tree, one per edge off the tree
-    (a loop is its own), walked in Gray-code order.  It is the planar
-    formula: _check_planar_route refuses a rotation system of genus > 0, and
-    then 2^(E - V + 1) terms past TERM_BUDGET, first."""
+    of the graph's fundamental cycles, `Graph.cycles`, walked in Gray-code
+    order.  It is the planar formula: _check_planar_route refuses a rotation
+    system of genus > 0, and then 2^(E - V + 1) terms past TERM_BUDGET,
+    first."""
     _check_planar_route(graph, "westbury_polynomial")
     ns = Namespace(graph.angle_ids)
     # per vertex: its edges' mask and {mask of two of its edges: their angle's key}
@@ -243,25 +244,9 @@ def westbury_polynomial(graph: Graph) -> MPoly:
         for aid, _, (i, j), _ in graph.angles[3 * k:3 * k + 3]:
             table[bits[i] | bits[j]] = ns.encode({aid: 1})
         tables.append((bits[0] | bits[1] | bits[2], table))
-    # a search from vertex 0 builds the tree, path[v] the edge mask of its
-    # tree path to v; an edge off the tree closes the cycle of the two paths
-    ends = [(graph.halfedge_slot[l] // 3, graph.halfedge_slot[r] // 3) for _, l, r in graph.edges]
-    adj = [[] for _ in graph.vertices]
-    for i, (u, w) in enumerate(ends):
-        adj[u].append((w, i))
-        adj[w].append((u, i))
-    path, stack = {0: 0}, [0]
-    while stack:
-        u = stack.pop()
-        for w, i in adj[u]:
-            if w not in path:
-                path[w] = path[u] | 1 << i
-                stack.append(w)
-    # a tree edge's two paths differ by the edge itself, so its cycle is empty
-    cycles = [c for i, (u, w) in enumerate(ends) if (c := path[u] ^ path[w] ^ 1 << i)]
     mask, terms = 0, {0: 1}
-    for n in range(1, 1 << len(cycles)):
-        mask ^= cycles[(n & -n).bit_length() - 1]
+    for n in range(1, 1 << len(graph.cycles)):
+        mask ^= graph.cycles[(n & -n).bit_length() - 1]
         terms[sum(table[mask & m] for m, table in tables)] = 1
     return MPoly(ns, terms)
 

@@ -16,7 +16,7 @@ import spinnets.asymptotics as asymptotics
 from conftest import build_cube_config
 from oracles import (find_configs_per_restart, hopf_section, lm_single, spinor_phase,
                      tet_bracket_oracle)
-from spinnets.asymptotics import (Configuration, _canonical_rotation, _closure, _eigs,
+from spinnets.asymptotics import (Configuration, _canonical_rotation, _eigs,
                                   _frame, _make_config, _quaternion_from_rotation,
                                   _search_system, asymptotic_estimate, check_hypotheses,
                                   critical_pair, detprime, detprime_limit, find_configs,
@@ -612,7 +612,7 @@ def test_bricard_cube_fails_h1():
     pos = {"A0": A, "A1": half_turn(A), "B0": B, "B1": half_turn(B),
            "C0": C, "C1": half_turn(C)}
     g, vecs, cols = build_cube_config(pos)
-    res = float(np.max(np.linalg.norm(_closure(g, cols)(vecs), axis=1)))
+    res = float(np.max(np.linalg.norm(_search_system(g, cols)[0](vecs), axis=1)))
     assert res < 1e-6
     q = form_qP(g, cols, _make_config(vecs, res))
     eigs = np.sort(np.abs(_eigs(q)))
@@ -639,14 +639,16 @@ def test_prism_all2_fails_h2_honestly(prism):
     assert len(configs) == 4
     rep = check_hypotheses(prism, col, configs)
     assert rep.h1 and not rep.h2 and not rep.passed
-    good = [p for p in rep.details["pairs"] if p["H2_pass"]]
-    bad = [p for p in rep.details["pairs"] if not p["H2_pass"]]
-    assert bad and all(p["min_abs_tau2_minus_1"] < 1e-12 for p in bad)
+    rows = {tuple(row["pair"]): row for row in rep.to_obj()["pairs"]}
+    dev = {ij: min(abs(t * t - 1.0) for t in pair.taus.values())
+           for ij, pair in rep.pairs.items()}
+    good = [ij for ij in dev if rows[ij]["H2_pass"]]
+    bad = [ij for ij in dev if not rows[ij]["H2_pass"]]
+    assert bad and all(dev[ij] < 1e-12 for ij in bad)
     # the report prints those noise-level deviations as 0.0 and keeps 12
     # significant digits of the others
-    shown = {tuple(row["pair"]): row["min_abs_tau2_minus_1"] for row in rep.to_obj()["pairs"]}
-    assert all(shown[p["pair"]] == 0.0 for p in bad)
-    assert all(shown[p["pair"]] == float(f"{p['min_abs_tau2_minus_1']:.12g}") > 0
-               for p in good)
+    shown = {ij: row["min_abs_tau2_minus_1"] for ij, row in rows.items()}
+    assert all(shown[ij] == 0.0 for ij in bad)
+    assert all(shown[ij] == float(f"{dev[ij]:.12g}") > 0 for ij in good)
     # the genuinely opposite pair still satisfies H2 and H3
-    assert good and all(p.get("qpp_corank") == 6 for p in good)
+    assert good and all(rows[ij].get("qpp_corank") == 6 for ij in good)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import (exact_text, graph_obj, interleaving_crossings, presentations,
                       random_holonomy, random_unitary_holonomy, shear_gauges)
+from spinnets.cli import dispatch
 from oracles import admissible_colorings_brute, angle_form_fractions
 from spinnets.errors import AdmissibilityError, InputError
 from spinnets.evaluator import _TRIVIAL_FORM
@@ -133,6 +134,36 @@ def test_each_construction_fault(mutate, match):
     mutate(obj)
     with pytest.raises(InputError, match=match):
         Graph.from_obj(obj)
+
+
+@pytest.mark.parametrize("obj", [_two_thetas, lambda obj: obj.update(vertices=[], edges=[])],
+                         ids=["two-thetas", "empty"])
+def test_disconnected_graph_exits_2(tmp_path, capsys, obj):
+    """The search that finds the cycles refuses a graph it does not cover,
+    the empty graph included."""
+    graph = theta_obj()
+    obj(graph)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    assert dispatch(["series", "-g", str(path), "--degree", "0"]) == 2
+    assert capsys.readouterr().err == "input error: graph is not connected\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=presentations(12))
+def test_cycles_are_a_basis_of_the_cycle_space(g):
+    """Graph.cycles, with loops and multi-edges: E - V + 1 cycles, each
+    meeting every vertex in 0 or 2 half-edges (a loop twice), whose XOR
+    span has 2^(E - V + 1) elements."""
+    rank = len(g.edges) - len(g.vertices) + 1
+    assert len(g.cycles) == rank
+    for c in g.cycles:
+        for es in g.vertex_edges:
+            assert sum(c >> g.edge_index[e] & 1 for e in es) in (0, 2)
+    span = {0}
+    for c in g.cycles:
+        span |= {x ^ c for x in span}
+    assert len(span) == 1 << rank
 
 
 def test_one_pass_maps(theta, tet, prism, dumbbell):

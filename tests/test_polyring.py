@@ -531,6 +531,21 @@ def test_series_of_polynomial_with_empty_parts():
         assert s.mul_trunc(s, 40).mul_trunc(d, 40) == one
 
 
+def test_series_check_exponents_past_degree_63():
+    """A series step's products are homogeneous of the step's degree, so
+    only past MAX_EXPONENT can they carry: on 1 + z^2 the degree-64 step
+    forms z^2·z^62 and both series refuse it, and on 1 + z·w, whose
+    exponents stay at 32, both match the object recurrence, which checks
+    every product."""
+    ns = Namespace(("z", "w"))
+    for series in (inverse_series, inv_sqrt_series):
+        with pytest.raises(InputError, match="^product has exponent 64 of z, past"):
+            series(poly(ns, ({}, 1), ({"z": 2}, 1)), 64)
+    d = poly(ns, ({}, 1), ({"z": 1, "w": 1}, 1))
+    assert_same_series(inverse_series(d, 64), inverse_series_objects(d, 64))
+    assert_same_series(inv_sqrt_series(d, 64), inv_sqrt_series_objects(d, 64))
+
+
 def test_series_budget_bounds_the_terms_held_not_a_steps_products(monkeypatch):
     """1/(1 - s - s^2), s = x + y + z, has every monomial up to degree 10,
     286 terms, with no cancellation in any step; its last step takes more
