@@ -16,7 +16,9 @@ ints (real integer ones, as for the trivial holonomy) or QQi with int parts;
 on integer weights and without dividing.  The value is homogeneous of
 degree c_a in the bracket of each angle a, so the final constant is divided
 once by prod_e c_e! * prod_a d_a^{c_a}.  Every coloring contracts its
-nonzero-color edges in one order planned per graph (`_order`); a
+nonzero-color edges in one order planned per graph (`_order`): a vertex
+set grown one vertex at a time across the smallest cut, so the factors
+contracted so far, which meet the rest only at the cut, stay small.  A
 contraction whose term count could pass `polyring.TERM_BUDGET` raises
 ResourceError before it is formed.
 
@@ -32,7 +34,6 @@ contractions.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import factorial, prod
 
@@ -63,69 +64,49 @@ def _wvar(h):
 # the angle form of the trivial holonomy, z_g w_h - z_h w_g
 _TRIVIAL_FORM = ((0, 1, -1, 0), 1)
 
-_TRIALS = 8  # greedy trials of the contraction order
-_NOISE = 6  # a random trial scores an edge 4 per open half-edge plus 0.._NOISE-1
 
+def _order(graph: Graph) -> list:
+    """The edge indices in the order of a vertex set S grown across the
+    smallest cut, a linear layout of small cutwidth in the style of Dudek,
+    Duenas-Osorio & Vardi (arXiv:1908.04381) and Gray & Kourtis (Quantum 5,
+    410, 2021).  From each start vertex, S grows one vertex at a time: the
+    next is the neighbor of S that leaves the fewest edges across the cut
+    (S, rest), ties to the one with the most edges into S, then the lowest
+    index, and it emits its edges into S, then its loops.  The factors
+    contracted so far meet the rest only at the cut's edges, so a small cut
+    keeps them small.  Of the V growths the one kept has the least largest
+    cut, then the least sum of 3^cut, then the earliest start.  Every cost
+    is an int of the graph alone, so no clock or random draw decides the
+    order."""
+    nbrs = [[] for _ in graph.vertices]  # (neighbor, edge) per non-loop edge
+    loops = [[] for _ in graph.vertices]
+    for i, (u, w) in enumerate(graph.ends):
+        if u == w:
+            loops[u].append(i)
+        else:
+            nbrs[u].append((w, i))
+            nbrs[w].append((u, i))
 
-def _order(angle_masks: list, edge_masks: list) -> list:
-    """The edge indices in the order of the cheapest of _TRIALS greedy
-    trials under a color-independent cost, in the style of Gray & Kourtis
-    (Quantum 5, 410, 2021).  Factors start as the angles' half-edge masks;
-    contracting edge i merges the factors that touch edge_masks[i] into one
-    whose open half-edges are theirs less the edge's two.  With color 2 on
-    every edge a factor of k open half-edges holds about 3^k terms, and a
-    trial costs the sum of 3^k over the factors it forms.  Trial 0 takes the
-    edge whose merged factor's 3^k less its factors' is least, the earliest
-    on a tie; the others take the least 4k plus a draw of random.Random(0).
-    No clock is read and every cost is an int, so the order depends on the
-    graph alone."""
-    touching = [[a for a, m in enumerate(angle_masks) if m & em] for em in edge_masks]
-    edge_at = {h: i for i, em in enumerate(edge_masks)
-               for h in range(em.bit_length()) if em >> h & 1}
-    rng = random.Random(0)
-    best = None
-    for trial in range(_TRIALS):
-        factor = list(range(len(angle_masks)))  # each angle's factor
-        members = [[a] for a in factor]  # each factor's angles
-        mask = list(angle_masks)  # each factor's open half-edges
+    def grow(start):
+        into = [0] * len(nbrs)  # each vertex's edges into S
+        inside = [False] * len(nbrs)
+        frontier, order, cut, top, cost = set(), [], 0, 0, 0
+        v = start
+        while True:
+            inside[v] = True
+            frontier.discard(v)
+            cut += len(nbrs[v]) - 2 * into[v]
+            top, cost = max(top, cut), cost + 3 ** cut
+            order += [i for w, i in nbrs[v] if inside[w]] + loops[v]
+            for w, _ in nbrs[v]:
+                if not inside[w]:
+                    into[w] += 1
+                    frontier.add(w)
+            if not frontier:
+                return top, cost, start, order
+            v = min(frontier, key=lambda w: (len(nbrs[w]) - 2 * into[w], -into[w], w))
 
-        def merge(i):
-            fs = {factor[a] for a in touching[i]}
-            m = 0
-            for f in fs:
-                m |= mask[f]
-            return fs, m & ~edge_masks[i]
-
-        def score(i):
-            fs, m = merge(i)
-            k = m.bit_count()
-            if trial:
-                return 4 * k + rng.randrange(_NOISE), i
-            return 3 ** k - sum(3 ** mask[f].bit_count() for f in fs), i
-
-        scores = {i: score(i) for i in range(len(edge_masks))}
-        order, cost = [], 0
-        while scores:
-            i = min(scores.values())[1]
-            del scores[i]
-            fs, m = merge(i)
-            top = min(fs)
-            for f in fs - {top}:
-                for a in members[f]:
-                    factor[a] = top
-                members[top] += members[f]
-            mask[top] = m
-            cost += 3 ** m.bit_count()
-            order.append(i)
-            while m:  # the edges at the new factor's open half-edges
-                low = m & -m
-                m ^= low
-                j = edge_at[low.bit_length() - 1]
-                if j in scores:
-                    scores[j] = score(j)
-        if best is None or cost < best[0]:
-            best = cost, order
-    return best[1]
+    return min(map(grow, range(len(nbrs))))[3]
 
 
 class _Plan:
@@ -162,8 +143,7 @@ class _Plan:
         self.angles = tuple(angles)
         edges = [(e, bit[l] | bit[r], (_zvar(l), _wvar(l), _zvar(r), _wvar(r)))
                  for e, l, r in graph.edges]
-        self.edges = tuple(edges[i] for i in _order([a[5] for a in angles],
-                                                      [em for _, em, _ in edges]))
+        self.edges = tuple(edges[i] for i in _order(graph))
         self.powers = {}
 
     def power(self, a: int, n: int, holonomy: Holonomy | None = None) -> MPoly:

@@ -132,12 +132,13 @@ class Graph:
         for e, l, r in self.edges:
             if self.halfedge_slot[l] > self.halfedge_slot[r]:
                 raise InputError(f"edge {e!r}: left half-edge is right of its partner")
-        # a search from vertex 0, path[u] the edge mask of u's tree path, must
-        # reach every vertex (the empty graph keeps vertex 0's entry)
-        ends = [(self.halfedge_slot[l] // 3, self.halfedge_slot[r] // 3)
-                for _, l, r in self.edges]
+        # each edge's end-vertex positions, left first; a search from vertex
+        # 0, path[u] the edge mask of u's tree path, must reach every vertex
+        # (the empty graph keeps vertex 0's entry)
+        self.ends = tuple((self.halfedge_slot[l] // 3, self.halfedge_slot[r] // 3)
+                          for _, l, r in self.edges)
         adj = [[] for _ in self.vertices]
-        for i, (u, w) in enumerate(ends):
+        for i, (u, w) in enumerate(self.ends):
             adj[u].append((w, i))
             adj[w].append((u, i))
         path, stack = {0: 0}, [0] if adj else []
@@ -151,7 +152,7 @@ class Graph:
             raise InputError("graph is not connected")
         # per edge off the tree (a loop included), in edge order, the edge
         # mask of its cycle: its ends' paths and itself, empty on the tree
-        self.cycles = tuple(c for i, (u, w) in enumerate(ends)
+        self.cycles = tuple(c for i, (u, w) in enumerate(self.ends)
                             if (c := path[u] ^ path[w] ^ 1 << i))
 
         self.halfedges = tuple(self.vertex_of)

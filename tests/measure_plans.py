@@ -2,11 +2,17 @@
 
     PYTHONPATH=src python tests/measure_plans.py
 
-Random loop-free presentations (random_presentation, seed 100V + s) with
-every color 4: the time to plan, the time of the one evaluation and the
-largest factor the edge kernel returns.  The planar prisms at V = 8, 10
-and 12: the time to plan and the best of five runs over 200 admissible
-colorings, a random.Random(0) sample of those with every color <= 2.
+Prints three blocks, times in ms:
+
+- random loop-free presentations (random_presentation, seed 100V + s) with
+  every color 4: the time to plan, the time of the one evaluation and the
+  largest factor the edge kernel returns (or that it passed the term
+  budget);
+- the planar prisms at V = 8, 10 and 12: the time to plan and the best of
+  five runs over 200 admissible colorings, a random.Random(0) sample of
+  those with every color <= 2;
+- loop-free presentations at V = 40, 60 and 100 (seed 100V + 1): the best
+  of three times to build a fresh plan, none evaluated.
 """
 
 import random
@@ -52,3 +58,8 @@ for n in (4, 5, 6):
     run_ms = min(timed(lambda: [evaluator.eval_spin_network(graph, c) for c in colorings])
                  for _ in range(5))
     print(f"prism V={2 * n}: plan {plan_ms:.1f} ms, 200 colorings {run_ms:.1f} ms")
+
+for n in (40, 60, 100):
+    graph = random_presentation(n, 100 * n + 1, loops=False)
+    plan_ms = min(timed(evaluator._Plan, graph) for _ in range(3))
+    print(f"V={n}: plan {plan_ms:.1f} ms (best of 3)")

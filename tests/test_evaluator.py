@@ -424,12 +424,15 @@ def _gauged_kinds(graph, seed):
 @settings(max_examples=25, deadline=None)
 @given(graph=presentations(8), seed=st.integers(0, 2**16), data=st.data())
 def test_planned_order_matches_the_greedy(graph, seed, data):
-    """The order planned once per graph gives the value the per-coloring
+    """The order planned once per graph holds every edge of the graph once,
+    loops and multi-edges included, and gives the value the per-coloring
     greedy gives, of the same type and part types."""
     col = data.draw(st.sampled_from(list(admissible_colorings(graph, max_total=4))))
     hol = data.draw(st.sampled_from(_gauged_kinds(graph, seed)))
     got, want = eval_spin_network(graph, col, hol), eval_greedy(graph, col, hol)
     assert got == want and _signature(got) == _signature(want)
+    planned = [e for e, _, _ in evaluator_module._plan(graph).edges]
+    assert sorted(planned, key=graph.edge_index.get) == list(graph.edge_ids)
 
 
 @pytest.mark.parametrize("name", ["theta", "tetrahedron", "tetrahedron_nonplanar", "prism3"])
@@ -476,21 +479,24 @@ def test_planned_order_is_deterministic():
 
 
 def test_planned_order_bounds_the_largest_factor():
-    """A V = 16 presentation, every color 4, on which the per-coloring
-    greedy's largest factor has 706051 terms (about 0.8 s): under the
-    planned order no factor the edge kernel returns passes 100000 terms."""
-    graph = random_presentation(16, 1603, loops=False)
-    col = dict.fromkeys(graph.edge_ids, 4)
-    largest = []
+    """Every color 4 on a V = 16 presentation, on which the per-coloring
+    greedy's largest factor has 706051 terms (about 0.8 s), and on a V = 24
+    one, on which the cheapest of 8 greedy trials passed the term budget:
+    under the planned order no factor the edge kernel returns passes 100000
+    terms."""
+    for n, seed in ((16, 1603), (24, 2403)):
+        graph = random_presentation(n, seed, loops=False)
+        col = dict.fromkeys(graph.edge_ids, 4)
+        largest = []
 
-    def spy(factors, *args):
-        out = apply_edge_operator(factors, *args)
-        largest.append(len(out.terms))
-        return out
+        def spy(factors, *args):
+            out = apply_edge_operator(factors, *args)
+            largest.append(len(out.terms))
+            return out
 
-    with mock.patch.object(evaluator_module, "apply_edge_operator", spy):
-        eval_spin_network(graph, col)
-    assert len(largest) == len(graph.edges) and max(largest) < 100_000
+        with mock.patch.object(evaluator_module, "apply_edge_operator", spy):
+            eval_spin_network(graph, col)
+        assert len(largest) == len(graph.edges) and max(largest) < 100_000, (n, seed)
 
 
 def test_prism_family_is_planar_and_matches_the_bundled_prism(prism):
