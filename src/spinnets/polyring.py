@@ -75,9 +75,6 @@ class Namespace:
     def __eq__(self, other):
         return isinstance(other, Namespace) and self.names == other.names
 
-    def __hash__(self):
-        return hash(self.names)
-
     def encode(self, exps: dict) -> int:
         key = 0
         for name, e in exps.items():
@@ -331,9 +328,6 @@ class MPoly:
             return NotImplemented
         return self.ns == other.ns and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.ns, frozenset(self.terms.items())))
-
     def __repr__(self):
         if not self.terms:
             return "MPoly(0)"
@@ -381,8 +375,6 @@ def form_power(coeffs, keys, n: int) -> dict:
     if n > MAX_EXPONENT:
         raise InputError(f"power {n} of a form passes the exponent bound {MAX_EXPONENT}")
     terms = [(k, c) for k, c in zip(keys, coeffs) if c]
-    if n == 1:
-        return dict(terms)
     powers = [list(accumulate(repeat(c, n), mul, initial=1)) for _, c in terms]
     if len(terms) <= 2:
         return _binomial_power(terms, n, powers)
@@ -425,8 +417,6 @@ def apply_edge_operator(factors: list, z1: str, w1: str, z2: str, w2: str,
     for f in factors[:-1]:
         _check_ns(f, q)
     dicts = [f.terms for f in factors]
-    if not dicts[0]:  # a zero factor: a zero product, and nothing to check
-        return MPoly(ns, {})
     edge_part, patterns = ns.edge_patterns(z1, w1, z2, w2, c)
     p = dicts[0] if len(dicts) > 1 else {0: 1}
     for f in dicts[1:-1]:

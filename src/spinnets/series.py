@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from math import lcm
 
 from . import polyring  # TERM_BUDGET read at call time, as polyring reads it
-from .errors import InputError, RegimeError
+from .errors import InputError, RegimeError, ResourceError
 from .evaluator import _MAX_COLOR, _TRIVIAL_FORM, _wvar, _zvar, eval_spin_network, renormalize
 from .graphs import Graph, Holonomy, admissible_colorings, check_diagonal_t, internal_coloring
 from .polyring import (_BITS, MAX_EXPONENT, MPoly, Namespace, _check_exponents, _mul_acc,
@@ -285,14 +285,13 @@ def _blown_up(graph: Graph, t: dict | None = None):
 def abelian_curve_sum(graph: Graph, t: dict | None = None) -> MPoly:
     """Signed sum over configurations of oriented curves and dimers covering
     the blown-up graph; equals det(W1) and, inverted, the generating series
-    for the diagonal holonomy diag(t_h, t_h^{-1})."""
+    for the diagonal holonomy diag(t_h, t_h^{-1}).  A dimer {v, u} is the
+    2-cycle v -> u -> v, so one walk finds every piece.  The walk's steps
+    count against TERM_BUDGET, and past it the sum is refused (ResourceError)."""
     ns, links = _blown_up(graph, t)
     adj = [sorted(row.items()) for row in links]
-    # per node v, the dimers {v, u} with u > v: every product of a link from
-    # v to u with a link back
-    dimers = [[(u, [(k1 + k2, c1 * c2) for k1, c1 in ls for k2, c2 in links[u][v]])
-               for u, ls in row if u > v] for v, row in enumerate(adj)]
     memo = {0: {0: 1}}
+    budget, steps = polyring.TERM_BUDGET, 0
 
     def cover(mask) -> dict:
         """{key: coeff} summed over the covers of the nodes in mask, each
@@ -302,30 +301,27 @@ def abelian_curve_sum(graph: Graph, t: dict | None = None) -> MPoly:
         if got is not None:
             return got
         v = (mask & -mask).bit_length() - 1
-        mask_v = mask & ~(1 << v)
-        # the first pieces, grouped by the nodes they leave uncovered
-        first: dict = {}
-        for u, products in dimers[v]:
-            if (mask_v >> u) & 1:
-                piece = first.setdefault(mask_v & ~(1 << u), {})
-                for kd, cd in products:
-                    piece[kd] = piece.get(kd, 0) + cd
+        first: dict = {}  # the first pieces, grouped by the nodes they leave uncovered
 
-        # oriented cycles of length >= 3 through v (v is the minimum node)
-        def walk(cur, mask2, key2, coeff2, length):
+        # oriented cycles through v (v is the minimum node), a dimer being the
+        # cycle of length 2: no node links to itself, so the walk closes only
+        # after a step away from v
+        def walk(cur, mask2, key2, coeff2):
+            nonlocal steps
+            steps += 1
+            if steps > budget:
+                raise ResourceError(f"the curve sum would walk more steps than the term "
+                                    f"budget of {budget}")
             for u, ls in adj[cur]:
                 if u == v:
-                    if length >= 3:
-                        piece = first.setdefault(mask2, {})
-                        for ke, ce in ls:
-                            piece[key2 + ke] = piece.get(key2 + ke, 0) + coeff2 * ce
-                    continue
-                if not (mask2 >> u) & 1:
-                    continue
-                for ke, ce in ls:
-                    walk(u, mask2 & ~(1 << u), key2 + ke, coeff2 * ce, length + 1)
+                    piece = first.setdefault(mask2, {})
+                    for ke, ce in ls:
+                        piece[key2 + ke] = piece.get(key2 + ke, 0) + coeff2 * ce
+                elif (mask2 >> u) & 1:
+                    for ke, ce in ls:
+                        walk(u, mask2 & ~(1 << u), key2 + ke, coeff2 * ce)
 
-        walk(v, mask_v, 0, 1, 1)
+        walk(v, mask & ~(1 << v), 0, 1)
         # zeros are kept until the end, so each coefficient's ring is the one
         # its products give; a cover uses each angle link at most twice, so
         # no exponent passes 2 and the keys need no overflow check

@@ -13,6 +13,11 @@ commands whose output changed.  The set, each command once:
   CHECKOUT's `perfbench/workloads.build` writes them;
 - `series` by all four methods on the bundled graphs at degrees 0-8, with
   and without `--check-against-eval`;
+- the same at degrees 0-6 on four graph files with features no bundled
+  graph has: `prism_graph(4)`, the dumbbell (two loops),
+  `random_presentation(6, 601)` (a multi-edge, genus 1) and
+  `random_presentation(8, 801)` (a loop, two multi-edges, genus 1), the
+  test helpers of `conftest`;
 - `eval` on every admissible coloring of total <= 8 of each bundled graph,
   with and without a seeded exact SL(2) holonomy file;
 - `check` and `asymptote` on the tetrahedron, colored all 2 and
@@ -36,6 +41,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import oracle  # noqa: E402
 import workloads  # noqa: E402
+from conftest import DUMBBELL, graph_obj, prism_graph, random_presentation  # noqa: E402
 from spinnets.cli import _BUNDLED, _bundled, dispatch  # noqa: E402
 from spinnets.graphs import admissible_colorings  # noqa: E402
 
@@ -48,9 +54,15 @@ def commands(tmp: Path) -> list:
             where = tmp / f"{name}-{seed}"
             where.mkdir()
             out += [job.argv for job in workloads.build(name, ROOT, where, seed, "full", dispatch)]
-    for graph in _BUNDLED:
+    files = {"prism4": graph_obj(prism_graph(4)), "dumbbell": DUMBBELL,
+             "random6": graph_obj(random_presentation(6, 601)),
+             "random8": graph_obj(random_presentation(8, 801))}
+    for name, obj in files.items():
+        (tmp / f"{name}.json").write_text(json.dumps(obj))
+    series = [(graph, 9) for graph in _BUNDLED] + [(str(tmp / f"{name}.json"), 7) for name in files]
+    for graph, degrees in series:
         for method in ("det", "westbury", "curves", "pfaffian"):
-            for degree in range(9):
+            for degree in range(degrees):
                 argv = ["series", "-g", graph, "--degree", str(degree), "--method", method]
                 out += [argv, argv + ["--check-against-eval"]]
     for graph in _BUNDLED:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
-from conftest import (exact_text, graph_obj, presentations, random_holonomy,
+from conftest import (exact_text, graph_obj, presentations, prism_graph, random_holonomy,
                       random_unitary_holonomy, shear_gauge)
 from oracles import report_text, series_recurrence_objects, truncated_det_entrywise
 
@@ -167,6 +167,19 @@ def test_series_past_the_term_budget_exits_1(monkeypatch, capsys, method, degree
     assert "part of a series" in err[0] and f"term budget of {budget}" in err[0]
     monkeypatch.undo()
     assert run_cli(*argv)[0] == 0
+
+
+def test_curve_walk_past_the_term_budget_exits_1(monkeypatch, capsys, tmp_path):
+    # the curve sum on prism_graph(5) takes about 0.9 M walk steps, past the
+    # lowered budget
+    path = tmp_path / "prism5.json"
+    path.write_text(json.dumps(graph_obj(prism_graph(5))))
+    monkeypatch.setattr(polyring, "TERM_BUDGET", 100_000)
+    capsys.readouterr()
+    rc, out = run_cli("series", "-g", str(path), "--degree", "2", "--method", "curves")
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and out == ""
+    assert len(err) == 1 and err[0].startswith("failure:"), err
 
 
 @pytest.mark.parametrize("method", ["westbury", "pfaffian"])
