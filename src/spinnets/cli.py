@@ -3,8 +3,10 @@
 Subcommands: eval, series, integrate, asymptote, check, selftest.  Reports
 are deterministic JSON on stdout (identical inputs + seed + workers give
 byte-identical output); timing and warnings go to stderr.  Exit codes:
-0 success, 1 hypothesis/numerical failure or a contraction or series past
-its term budget, 2 input error.
+0 success, 1 hypothesis/numerical failure or a refusal past the term budget
+(a product or edge contraction, a series step counting its products and the
+terms it holds, the planar routes' cycle space, the curve walk's steps), 2
+input error.
 """
 
 from __future__ import annotations

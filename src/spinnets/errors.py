@@ -34,5 +34,6 @@ class NumericalError(SpinnetError):
 
 
 class ResourceError(SpinnetError):
-    """A computation would pass a documented bound on its size (the term
-    budget of a contraction or of a series step)."""
+    """A computation would pass polyring.TERM_BUDGET: a product or an edge
+    contraction; a series step, counting its products and the terms it
+    holds; the planar routes' cycle space; or the curve walk's steps."""

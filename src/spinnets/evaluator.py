@@ -23,13 +23,12 @@ contraction whose term count could pass `polyring.TERM_BUDGET` raises
 ResourceError before it is formed.
 
 What depends on the graph alone is built once and kept on it (`_Plan`):
-the namespace, each angle's edges, keys and half-edges, the edges in their
-planned order, and the trivial holonomy's angle powers, which every
-coloring then looks up and shares read-only; an exact holonomy keeps its
-own angle powers per plan, shared the same way by every coloring evaluated
-under it.  A coloring's own work is its angle colors (admissibility is read
-from them: every one a non-negative integer), the lookups, and the
-contractions.
+the namespace, each angle's edges, keys and half-edges, and the edges in
+their planned order.  Each holonomy, None standing for the graph's one
+trivial holonomy (`Holonomy.trivial`), keeps its angle powers per plan,
+which every coloring evaluated under it looks up and shares read-only.  A
+coloring's own work is its angle colors (admissibility is read from them:
+every one a non-negative integer), the lookups, and the contractions.
 """
 
 from __future__ import annotations
@@ -59,10 +58,6 @@ def _zvar(h):
 
 def _wvar(h):
     return "w@" + h
-
-
-# the angle form of the trivial holonomy, z_g w_h - z_h w_g
-_TRIVIAL_FORM = ((0, 1, -1, 0), 1)
 
 
 def _order(graph: Graph) -> list:
@@ -114,22 +109,18 @@ class _Plan:
     of the z and w variables; each angle's two edges and the third edge at
     its vertex, whose colors give the angle's color, its half-edges and the
     keys of its four monomials z_g z_h, z_g w_h, w_g z_h and w_g w_h; each
-    edge's variable names, with the edges in their planned order; and the
-    table of the angles' powers under the trivial holonomy.  A factor or an
-    edge carries a bitmask of the half-edges it touches (bit i for
+    edge's variable names, with the edges in their planned order.  A factor
+    or an edge carries a bitmask of the half-edges it touches (bit i for
     graph.halfedges[i]).  Built once per graph and kept on it: it depends
     only on the graph's half-edges, angles and edges.
 
-    `powers` maps (angle index, n) to the MPoly form_power(_TRIVIAL_FORM, the
-    angle's keys, n), built on first use; there are at most one per angle
-    and color 1.._MAX_COLOR.  Every evaluation under the trivial holonomy
-    shares these, so they are read and never written.  An exact holonomy
-    keeps a table of the same kind for each plan it meets, in its
-    `_angle_powers` keyed by the plan, so a holonomy shared by two
-    presentations never reads the other's entries.
+    A holonomy keeps one table of `power`'s entries per plan it meets, in
+    its `_angle_powers`, so two presentations never read each other's: at
+    most one per angle and color 1.._MAX_COLOR, built on first use and then
+    shared by every evaluation under it, so read and never written.
     """
 
-    __slots__ = ("ns", "angles", "edges", "powers")
+    __slots__ = ("ns", "angles", "edges")
 
     def __init__(self, graph: Graph):
         bit = {h: 1 << i for i, h in enumerate(graph.halfedges)}
@@ -144,19 +135,15 @@ class _Plan:
         edges = [(e, bit[l] | bit[r], (_zvar(l), _wvar(l), _zvar(r), _wvar(r)))
                  for e, l, r in graph.edges]
         self.edges = tuple(edges[i] for i in _order(graph))
-        self.powers = {}
 
-    def power(self, a: int, n: int, holonomy: Holonomy | None = None) -> MPoly:
-        """The bracket factor of angle a at color n under an exact holonomy
-        (None for the trivial one), scaled by the form's denominator."""
-        if holonomy is None:
-            table, coeffs = self.powers, _TRIVIAL_FORM[0]
-        else:
-            table = holonomy._angle_powers.setdefault(self, {})
-            coeffs = holonomy.angle_form(*self.angles[a][3:5])[0]
+    def power(self, a: int, n: int, holonomy: Holonomy) -> tuple:
+        """(d**n, form_power of angle a's form under an exact holonomy at
+        color n), the form's coefficients scaled by their denominator d."""
+        table = holonomy._angle_powers.setdefault(self, {})
         found = table.get((a, n))
         if found is None:
-            found = table[a, n] = MPoly(self.ns, form_power(coeffs, self.angles[a][6], n))
+            coeffs, d = holonomy.angle_form(*self.angles[a][3:5])
+            found = table[a, n] = (d ** n, MPoly(self.ns, form_power(coeffs, self.angles[a][6], n)))
         return found
 
 
@@ -173,7 +160,9 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
     for e in graph.edge_ids:
         if coloring[e] > _MAX_COLOR:
             raise InputError(f"color {coloring[e]} exceeds supported bound {_MAX_COLOR}")
-    if holonomy is not None and not holonomy.exact:
+    if holonomy is None:
+        holonomy = Holonomy.trivial(graph)
+    elif not holonomy.exact:
         raise RegimeError("exact evaluation needs an exact-regime holonomy")
     plan = _plan(graph)
 
@@ -195,11 +184,9 @@ def eval_spin_network(graph: Graph, coloring: dict, holonomy: Holonomy | None = 
     factors = []  # (half-edge mask, polynomial)
     for a, n in enumerate(colors):
         if n:
-            _, _, _, g, h, mask, _ = plan.angles[a]
-            poly = plan.power(a, n, holonomy)
-            if holonomy is not None:
-                scale *= holonomy.angle_form(g, h)[1] ** n
-            factors.append((mask, poly))
+            d, poly = plan.power(a, n, holonomy)
+            scale *= d
+            factors.append((plan.angles[a][5], poly))
 
     # a color-0 edge touches no factor; an edge of color c_e > 0 touches a
     # factor at each half-edge, whose two angles' colors sum to c_e

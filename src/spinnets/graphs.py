@@ -54,6 +54,7 @@ class Graph:
         self.crossings = frozenset(frozenset(p) for p in crossings)
         self._index()
         self._contraction_plan = None  # the evaluator's, built on first use
+        self._trivial_holonomy = None  # Holonomy.trivial's, built on first use
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -396,7 +397,12 @@ class Holonomy:
 
     @classmethod
     def trivial(cls, graph: Graph):
-        return cls(graph, dict.fromkeys(graph.halfedges, ((1, 0), (0, 1))))
+        """The graph's one trivial holonomy, which None stands for: kept on
+        the graph from the first call, its angle forms and angle powers
+        shared by every caller and read only."""
+        if graph._trivial_holonomy is None:
+            graph._trivial_holonomy = cls(graph, dict.fromkeys(graph.halfedges, ((1, 0), (0, 1))))
+        return graph._trivial_holonomy
 
     def angle_form(self, g, h):
         """(coefficients, d) of Z_g W_h - Z_h W_g, (Z, W) = psi^{-1}(z, w), on

@@ -19,7 +19,7 @@ from math import lcm
 
 from . import polyring  # TERM_BUDGET read at call time, as polyring reads it
 from .errors import InputError, RegimeError, ResourceError
-from .evaluator import _MAX_COLOR, _TRIVIAL_FORM, _wvar, _zvar, eval_spin_network, renormalize
+from .evaluator import _MAX_COLOR, _wvar, _zvar, eval_spin_network, renormalize
 from .graphs import Graph, Holonomy, admissible_colorings, check_diagonal_t, internal_coloring
 from .polyring import (_BITS, MAX_EXPONENT, MPoly, Namespace, _check_exponents, _mul_acc,
                        _nonzero, _norm1, _over_budget, _on_gaussian_integers, _Residues,
@@ -54,7 +54,9 @@ class PQMatrices:
 
 
 def build_pq(graph: Graph, holonomy: Holonomy | None = None) -> PQMatrices:
-    if holonomy is not None and not holonomy.exact:
+    if holonomy is None:
+        holonomy = Holonomy.trivial(graph)
+    elif not holonomy.exact:
         raise RegimeError("build_pq needs an exact-regime holonomy")
     ns = Namespace(graph.angle_ids)
     basis = [x for h in graph.halfedges for x in (_zvar(h), _wvar(h))]
@@ -68,7 +70,7 @@ def build_pq(graph: Graph, holonomy: Holonomy | None = None) -> PQMatrices:
 
     q: dict = {b: {} for b in basis}
     for aid, v, (i, j), (g, h) in graph.angles:
-        coeffs, den = _TRIVIAL_FORM if holonomy is None else holonomy.angle_form(g, h)
+        coeffs, den = holonomy.angle_form(g, h)
         pairs = ((_zvar(g), _zvar(h)), (_zvar(g), _wvar(h)),
                  (_wvar(g), _zvar(h)), (_wvar(g), _wvar(h)))
         for (rr, cc), c in zip(pairs, coeffs):

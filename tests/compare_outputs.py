@@ -19,7 +19,10 @@ commands whose output changed.  The set, each command once:
   `random_presentation(8, 801)` (a loop, two multi-edges, genus 1), the
   test helpers of `conftest`;
 - `eval` on every admissible coloring of total <= 8 of each bundled graph,
-  with and without a seeded exact SL(2) holonomy file;
+  with no holonomy file, with a seeded exact SL(2) one and with the
+  identity one;
+- `series` by all four methods on the bundled graphs at degrees 0-8 with
+  the identity holonomy file, with and without `--check-against-eval`;
 - `check` and `asymptote` on the tetrahedron, colored all 2 and
   (3, 4, 3, 3, 4, 3), at seeds 3 and 5 and 30 and 200 restarts, and
   `check` on prism3 colored all 2;
@@ -66,12 +69,19 @@ def commands(tmp: Path) -> list:
                 argv = ["series", "-g", graph, "--degree", str(degree), "--method", method]
                 out += [argv, argv + ["--check-against-eval"]]
     for graph in _BUNDLED:
-        holonomy = tmp / f"{graph}-sl2.json"
-        holonomy.write_text(json.dumps(workloads.gauged_sl2_holonomy(
+        sl2, identity = tmp / f"{graph}-sl2.json", tmp / f"{graph}-identity.json"
+        sl2.write_text(json.dumps(workloads.gauged_sl2_holonomy(
             oracle.graph_json(ROOT, graph), random.Random(f"compare/{graph}"))))
+        halfedges = _bundled(graph)[0].halfedges
+        identity.write_text(json.dumps(dict.fromkeys(halfedges, [["1", "0"], ["0", "1"]])))
         for col in admissible_colorings(_bundled(graph)[0], max_total=8):
             argv = ["eval", "-g", graph, "-c", json.dumps(col)]
-            out += [argv, argv + ["-H", str(holonomy)]]
+            out += [argv, argv + ["-H", str(sl2)], argv + ["-H", str(identity)]]
+        for method in ("det", "westbury", "curves", "pfaffian"):
+            for degree in range(9):
+                argv = ["series", "-g", graph, "--degree", str(degree), "--method", method,
+                        "-H", str(identity)]
+                out += [argv, argv + ["--check-against-eval"]]
     tet = _bundled("tetrahedron")[0].edge_ids
     for colors in ((2,) * 6, (3, 4, 3, 3, 4, 3)):
         col = json.dumps(dict(zip(tet, colors)))

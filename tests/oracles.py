@@ -214,16 +214,18 @@ def eval_greedy(graph, coloring: dict, holonomy=None) -> QQi:
     terms in all, the earliest such edge on a tie."""
     if not is_admissible(graph, coloring):
         return QQi(0)
+    if holonomy is None:
+        holonomy = Holonomy.trivial(graph)
     plan = evaluator._plan(graph)
     internal = internal_coloring(graph, coloring)
     scale = prod(factorial(c) for c in coloring.values())
     factors = []  # (half-edge mask, polynomial)
-    for a, (aid, _, _, (g, h)) in enumerate(graph.angles):
+    for a, (aid, *_) in enumerate(graph.angles):
         n = internal[aid]
         if n:
-            factors.append((plan.angles[a][5], plan.power(a, n, holonomy)))
-            if holonomy is not None:
-                scale *= holonomy.angle_form(g, h)[1] ** n
+            d, power = plan.power(a, n, holonomy)
+            factors.append((plan.angles[a][5], power))
+            scale *= d
     remaining = [edge for edge in sorted(plan.edges, key=lambda x: graph.edge_index[x[0]])
                  if coloring[edge[0]]]
     while remaining:

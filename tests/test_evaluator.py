@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinnets
-from conftest import (_signature, interleaving_crossings, presentations, prism_graph,
+from conftest import (DUMBBELL, _signature, interleaving_crossings, presentations, prism_graph,
                       rand_sl2, random_holonomy, random_presentation, shear_gauge,
                       shear_gauges)
 from oracles import eval_by_squaring, eval_greedy, tet_value_oracle
@@ -23,6 +23,7 @@ from spinnets.evaluator import bracket_square, eval_spin_network, renormalize, t
 from spinnets.graphs import Graph, Holonomy, admissible_colorings, gauge_transform
 from spinnets.polyring import apply_edge_operator, form_power
 from spinnets.rational import QQi
+from spinnets.series import series_Z
 
 
 def test_theta_trivial_cases(theta):
@@ -332,26 +333,52 @@ def test_values_match_the_recorded_digest(theta, tet, prism):
 def _table_digest(table):
     digest = hashlib.sha256()
     for key in sorted(table):
-        digest.update(f"{key} {sorted(table[key].terms.items(), key=str)}\n".encode())
+        d, power = table[key]
+        digest.update(f"{key} {d} {sorted(power.terms.items(), key=str)}\n".encode())
     return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", ["theta", "tetrahedron", "prism3", "tetrahedron_nonplanar",
+                                  "dumbbell"])
+def test_none_reads_the_one_trivial_holonomy(name):
+    """None stands for the graph's one trivial holonomy, kept on the graph:
+    evaluations under None build one angle-power table in it, keyed by the
+    graph's plan, and every value of total <= 6 and the series to degree 8
+    equal those under the holonomy passed, coefficient types included."""
+    graph = (Graph.from_obj(DUMBBELL) if name == "dumbbell"
+             else load_graph(bundled_graph_path(name)))
+    trivial = Holonomy.trivial(graph)
+    assert Holonomy.trivial(graph) is trivial
+    cols = list(admissible_colorings(graph, max_total=6))
+    values = [eval_spin_network(graph, col) for col in cols]
+    assert list(trivial._angle_powers) == [graph._contraction_plan]
+    for col, value in zip(cols, values):
+        got = eval_spin_network(graph, col, trivial)
+        assert got == value and _signature(got) == _signature(value), col
+    want, got = series_Z(graph, None, 8), series_Z(graph, trivial, 8)
+    assert got.ns == want.ns and got.terms.keys() == want.terms.keys()
+    for k, c in got.terms.items():
+        assert c == want.terms[k] and _signature(c) == _signature(want.terms[k]), k
 
 
 @pytest.mark.parametrize("name", ["tetrahedron", "prism3"])
 def test_angle_power_table_is_shared_and_never_written(name):
     """Every admissible coloring with colors <= 4, evaluated in one order
     and then in the reverse order on the same graph: the values agree, the
-    second pass finds every angle power in the plan's table and hands those
-    same objects to the edge kernel, no entry is added or changed, each is
-    still the power form_power gives, and the table holds at most one power
-    per angle and color."""
+    second pass finds every angle power in the table the graph's trivial
+    holonomy keeps for its plan and hands those same objects to the edge
+    kernel, no entry is added or changed, each is still the power
+    form_power gives, and the table holds at most one power per angle and
+    color."""
     graph = load_graph(bundled_graph_path(name))
     cols = list(admissible_colorings(graph, max_color=4))
     first = [eval_spin_network(graph, col) for col in cols]
     plan = graph._contraction_plan
-    table = dict(plan.powers)
-    digest = _table_digest(plan.powers)
+    powers = Holonomy.trivial(graph)._angle_powers[plan]
+    table = dict(powers)
+    digest = _table_digest(powers)
     assert 0 < len(table) <= len(graph.angles) * (evaluator_module._MAX_COLOR + 1)
-    ids = {id(p) for p in table.values()}
+    ids = {id(p) for _, p in table.values()}
     shared = []
 
     def spy(factors, *args):
@@ -362,12 +389,12 @@ def test_angle_power_table_is_shared_and_never_written(name):
         second = [eval_spin_network(graph, col) for col in reversed(cols)]
     assert second[::-1] == first
     assert any(shared)
-    assert plan.powers.keys() == table.keys()
-    assert all(plan.powers[key] is table[key] for key in table)
-    assert _table_digest(plan.powers) == digest
+    assert powers.keys() == table.keys()
+    assert all(powers[key] is table[key] for key in table)
+    assert _table_digest(powers) == digest
     # and no entry was changed in the first pass either
-    for (a, n), power in table.items():
-        assert power.terms == form_power(evaluator_module._TRIVIAL_FORM[0], plan.angles[a][6], n)
+    for (a, n), (d, power) in table.items():
+        assert (d, power.terms) == (1, form_power((0, 1, -1, 0), plan.angles[a][6], n))
 
 
 def test_holonomy_angle_power_table_is_shared_and_never_written():
@@ -391,7 +418,7 @@ def test_holonomy_angle_power_table_is_shared_and_never_written():
         table = dict(tables[plan])
         digest = _table_digest(table)
         assert 0 < len(table) <= len(g.angles) * (evaluator_module._MAX_COLOR + 1)
-        ids = {id(p) for p in table.values()}
+        ids = {id(p) for _, p in table.values()}
         shared = []
 
         def spy(factors, *args):
@@ -405,9 +432,10 @@ def test_holonomy_angle_power_table_is_shared_and_never_written():
         assert tables[plan].keys() == table.keys()
         assert all(tables[plan][key] is table[key] for key in table)
         assert _table_digest(tables[plan]) == digest
-        for (a, n), power in table.items():
+        for (a, n), (d, power) in table.items():
             _, _, _, gh, hh, _, keys = plan.angles[a]
-            assert power.terms == form_power(hol.angle_form(gh, hh)[0], keys, n)
+            coeffs, den = hol.angle_form(gh, hh)
+            assert (d, power.terms) == (den ** n, form_power(coeffs, keys, n))
         fresh = Holonomy(g, hol.entries)
         assert [eval_spin_network(g, col, fresh) for col in cols] == values
     assert tables.keys() == set(plans)

@@ -9,7 +9,6 @@ from conftest import (exact_text, graph_obj, interleaving_crossings, presentatio
 from spinnets.cli import dispatch
 from oracles import admissible_colorings_brute, angle_form_fractions
 from spinnets.errors import AdmissibilityError, InputError
-from spinnets.evaluator import _TRIVIAL_FORM
 from spinnets.graphs import (Graph, Holonomy, admissible_colorings, crossing_sign,
                              gauge_transform, internal_coloring, is_admissible)
 from spinnets.rational import QQi
@@ -373,11 +372,12 @@ def test_holonomy_angle_form(theta):
 
 
 def test_trivial_angle_form_is_the_evaluator_constant(theta, tet, tetnp, prism, dumbbell):
-    # the evaluator's holonomy-None fast path must follow the general rule
+    # every angle form of the trivial holonomy is z_g w_h - z_h w_g, int
+    # coefficients over 1, as the values under None have always read it
     for g in (theta, tet, tetnp, prism, dumbbell):
         triv = Holonomy.trivial(g)
         for _, _, _, (h1, h2) in g.angles:
-            assert _exactly(triv.angle_form(h1, h2)) == _exactly(_TRIVIAL_FORM)
+            assert _exactly(triv.angle_form(h1, h2)) == _exactly(((0, 1, -1, 0), 1))
 
 
 @settings(max_examples=15, deadline=None)

@@ -26,7 +26,6 @@ def test_all_entries_resolve():
 
 # definitions kept with no caller in the library, each with its reason
 _KEPT = {
-    "graphs.Holonomy.trivial": "the trivial holonomy as an object, for code that needs one",
     "cli._Parser.error": "argparse calls it on a usage error",
 }
 
