@@ -28,7 +28,6 @@ __all__ = [
     "parse_json",
     "load_coloring",
     "check_coloring",
-    "check_diagonal_t",
     "load_holonomy",
     "gauge_transform",
     "check_edge_keys",
@@ -519,25 +518,6 @@ def check_coloring(obj, graph: Graph, source: str) -> dict:
             raise InputError(f"{source}: color of {e!r} must be a non-negative integer")
     check_edge_keys(obj, graph, f"{source}: coloring")
     return obj
-
-
-def check_diagonal_t(graph: Graph, t: dict) -> dict:
-    """{half-edge: Fraction} from the values t_h of a diagonal holonomy
-    diag(t_h, 1/t_h): one per half-edge, each a nonzero int (not bool) or
-    Fraction."""
-    if not isinstance(t, dict):
-        raise InputError(f"t must be a dict {{half-edge: nonzero rational}}, got {t!r}")
-    out = {}
-    for h in graph.halfedges:
-        if h not in t:
-            raise InputError(f"t misses half-edge {h!r}")
-        th = t[h]
-        if not isinstance(th, (int, Fraction)) or isinstance(th, bool):
-            raise InputError(f"t[{h!r}] must be an int or a Fraction, got {th!r}")
-        if not th:
-            raise InputError(f"t[{h!r}] must be nonzero")
-        out[h] = Fraction(th)
-    return out
 
 
 def load_coloring(path, graph: Graph) -> dict:

@@ -3,8 +3,8 @@
 Four routes to the same series and its determinant identities:
   * quadratic-form determinant (build_pq + series_Z),
   * cycle-subgraph polynomial (westbury_polynomial),
-  * curve/dimer expansion of the half-edge matrix for diagonal holonomies
-    (abelian_curve_sum),
+  * curve/dimer expansion of the half-edge matrix, for holonomies whose
+    angle forms pair each z with a w only (abelian_curve_sum),
   * dimer/Pfaffian expansion (pfaffian_dimer_sum),
 plus the sign-fix operators that upgrade the determinant series to the true
 generating series on presentations with crossings.  The two planar routes
@@ -20,7 +20,7 @@ from math import lcm
 from . import polyring  # TERM_BUDGET read at call time, as polyring reads it
 from .errors import InputError, RegimeError, ResourceError
 from .evaluator import _MAX_COLOR, _wvar, _zvar, eval_spin_network, renormalize
-from .graphs import Graph, Holonomy, admissible_colorings, check_diagonal_t, internal_coloring
+from .graphs import Graph, Holonomy, admissible_colorings, internal_coloring
 from .polyring import (_BITS, MAX_EXPONENT, MPoly, Namespace, _check_exponents, _mul_acc,
                        _nonzero, _norm1, _over_budget, _on_gaussian_integers, _Residues,
                        _series_recurrence, inv_sqrt_series)
@@ -256,18 +256,24 @@ def westbury_polynomial(graph: Graph) -> MPoly:
 # ---------------------------------------------------------------------------
 # blown-up graph: nodes are half-edges; an external link per edge, an
 # internal link per angle.  Link weights follow the half-edge matrix of the
-# diagonal-holonomy quadratic form divided by i.  A loop edge and the angle
-# between its two half-edges link the same pair of nodes, so each ordered
-# pair holds a list of links, and the enumerations take one link per step.
+# quadratic form divided by i.  A loop edge and the angle between its two
+# half-edges link the same pair of nodes, so each ordered pair holds a list
+# of links, and the enumerations take one link per step.
 # ---------------------------------------------------------------------------
 
-def _blown_up(graph: Graph, t: dict | None = None):
+def _blown_up(graph: Graph, holonomy: Holonomy | None = None):
     """(namespace, links) where links[g][h] lists the (monomial key, weight)
     links from node g to node h, nodes numbered in half-edge order: weight 1
-    from left to right and -1 back per edge, (t_g^{-1} t_h) X_a from g to h
-    and -(t_g t_h^{-1}) X_a back per angle a = (g, h); t defaults to 1."""
+    from left to right and -1 back per edge; per angle a = (g, h), X_a times
+    the coefficient of z_g w_h in the holonomy's angle form, and back that of
+    w_g z_h (t_h/t_g and -t_g/t_h for diag(t_h, 1/t_h)).  None is the trivial
+    holonomy; a floating one (RegimeError) and a form with a z z or w w term
+    (InputError) are refused."""
+    if holonomy is None:
+        holonomy = Holonomy.trivial(graph)
+    elif not holonomy.exact:
+        raise RegimeError("the curve sum needs an exact-regime holonomy")
     ns = Namespace(graph.angle_ids)
-    t = dict.fromkeys(graph.halfedges, 1) if t is None else check_diagonal_t(graph, t)
     idx = {h: i for i, h in enumerate(graph.halfedges)}
     links = [{} for _ in idx]
 
@@ -278,19 +284,24 @@ def _blown_up(graph: Graph, t: dict | None = None):
         link(l, r, 0, 1)
         link(r, l, 0, -1)
     for aid, v, (i, j), (g, h) in graph.angles:
+        (zz, zw, wz, ww), d = holonomy.angle_form(g, h)
+        if zz or ww:
+            raise InputError(f"the curve sum needs angle forms that pair each z with a w; "
+                             f"the form of angle {aid!r} has a z z or w w term")
         key = ns.encode({aid: 1})
-        link(g, h, key, div_exact(t[h], t[g]))
-        link(h, g, key, -div_exact(t[g], t[h]))
+        link(g, h, key, div_exact(zw, d))
+        link(h, g, key, div_exact(wz, d))
     return ns, links
 
 
-def abelian_curve_sum(graph: Graph, t: dict | None = None) -> MPoly:
+def abelian_curve_sum(graph: Graph, holonomy: Holonomy | None = None) -> MPoly:
     """Signed sum over configurations of oriented curves and dimers covering
     the blown-up graph; equals det(W1) and, inverted, the generating series
-    for the diagonal holonomy diag(t_h, t_h^{-1}).  A dimer {v, u} is the
+    for a holonomy whose angle forms pair each z with a w only, a diagonal or
+    anti-diagonal one (_blown_up refuses others).  A dimer {v, u} is the
     2-cycle v -> u -> v, so one walk finds every piece.  The walk's steps
     count against TERM_BUDGET, and past it the sum is refused (ResourceError)."""
-    ns, links = _blown_up(graph, t)
+    ns, links = _blown_up(graph, holonomy)
     adj = [sorted(row.items()) for row in links]
     memo = {0: {0: 1}}
     budget, steps = polyring.TERM_BUDGET, 0

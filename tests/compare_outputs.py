@@ -23,6 +23,9 @@ commands whose output changed.  The set, each command once:
   identity one;
 - `series` by all four methods on the bundled graphs at degrees 0-8 with
   the identity holonomy file, with and without `--check-against-eval`;
+- `series --degree 6` by the methods `westbury`, `curves` and `pfaffian`,
+  which refuse a non-trivial holonomy, on the bundled graphs with the
+  seeded SL(2) file;
 - `check` and `asymptote` on the tetrahedron, colored all 2 and
   (3, 4, 3, 3, 4, 3), at seeds 3 and 5 and 30 and 200 restarts, and
   `check` on prism3 colored all 2;
@@ -82,6 +85,9 @@ def commands(tmp: Path) -> list:
                 argv = ["series", "-g", graph, "--degree", str(degree), "--method", method,
                         "-H", str(identity)]
                 out += [argv, argv + ["--check-against-eval"]]
+        for method in ("westbury", "curves", "pfaffian"):
+            out.append(["series", "-g", graph, "--degree", "6", "--method", method,
+                        "-H", str(sl2)])
     tet = _bundled("tetrahedron")[0].edge_ids
     for colors in ((2,) * 6, (3, 4, 3, 3, 4, 3)):
         col = json.dumps(dict(zip(tet, colors)))

@@ -46,8 +46,8 @@ import numpy as np
 from spinnets import asymptotics, evaluator, polyring
 from spinnets.errors import InputError
 from spinnets.evaluator import theta_value
-from spinnets.graphs import (Holonomy, _adj2, check_diagonal_t, crossing_sign,
-                             internal_coloring, is_admissible, vertex_colors)
+from spinnets.graphs import (Holonomy, _adj2, crossing_sign, internal_coloring, is_admissible,
+                             vertex_colors)
 from spinnets.haar import _CONJ
 from spinnets.polyring import (MAX_EXPONENT, MPoly, Namespace, _check_exponents, _mul_acc,
                                _nonzero, _over_budget)
@@ -286,21 +286,27 @@ def pq_full(pq) -> list:
 
 def w1_matrix(graph, t: dict):
     """(namespace, dense half-edge matrix W1 as a list of lists of MPoly) of
-    the diagonal holonomy diag(t_h, 1/t_h), the input of det_poly."""
-    ns, links = _blown_up(graph, t)
-    n = len(links)
-    rows = [[MPoly.zero(ns) for _ in range(n)] for _ in range(n)]
-    for g, row in enumerate(links):
-        for h, ls in row.items():
-            # one edge link (key 0) and one angle link at most: keys differ
-            rows[g][h] = MPoly(ns, dict(ls))
-    return ns, rows
+    the diagonal holonomy diag(t_h, 1/t_h), the input of det_poly, built from
+    t itself: 1 from left to right and -1 back per edge, t_h/t_g X_a from g to
+    h and -t_g/t_h X_a back per angle a = (g, h).  It reads no angle form, so
+    it checks the curve sum's links independently."""
+    ns = Namespace(graph.angle_ids)
+    idx = {h: i for i, h in enumerate(graph.halfedges)}
+    # one edge term (key 0) and one angle term at most per entry: keys differ
+    terms = [[{} for _ in idx] for _ in idx]
+    for e, l, r in graph.edges:
+        terms[idx[l]][idx[r]][0] = 1
+        terms[idx[r]][idx[l]][0] = -1
+    for aid, v, (i, j), (g, h) in graph.angles:
+        key = ns.encode({aid: 1})
+        terms[idx[g]][idx[h]][key] = div_exact(t[h], t[g])
+        terms[idx[h]][idx[g]][key] = -div_exact(t[g], t[h])
+    return ns, [[MPoly(ns, entry) for entry in row] for row in terms]
 
 
 def diagonal_holonomy(graph, t: dict) -> Holonomy:
     """Diagonal exact holonomy diag(t_h, 1/t_h) from nonzero rationals."""
-    return Holonomy(graph, {h: ((th, 0), (0, 1 / th))
-                            for h, th in check_diagonal_t(graph, t).items()})
+    return Holonomy(graph, {h: ((t[h], 0), (0, 1 / Fraction(t[h]))) for h in graph.halfedges})
 
 
 def hopf_section(n):
@@ -347,11 +353,11 @@ def report_text(obj) -> str:
     return json.dumps(_sanitize(obj), sort_keys=True, indent=2)
 
 
-def curve_sum_walk(graph, t=None) -> MPoly:
+def curve_sum_walk(graph, holonomy=None) -> MPoly:
     """series.abelian_curve_sum by walking every cover of the blown-up graph
     once: each dimer or oriented cycle through the lowest uncovered node in
     turn, the sign kept as a running parity."""
-    ns, links = _blown_up(graph, t)
+    ns, links = _blown_up(graph, holonomy)
     n = len(links)
     adj = [sorted(row.items()) for row in links]
     dimers = [[(u, [(k1 + k2, c1 * c2) for k1, c1 in ls for k2, c2 in links[u][v]])

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import random_holonomy
-from oracles import pq_full, tet_bracket_oracle, tet_value_oracle, w1_matrix
+from oracles import diagonal_holonomy, pq_full, tet_bracket_oracle, tet_value_oracle, w1_matrix
 from spinnets.cli import dispatch
 from spinnets.evaluator import bracket_square, eval_spin_network, theta_value
 from spinnets.graphs import admissible_colorings
@@ -94,7 +94,7 @@ def test_c05_abelian_pfaffian(theta, tet):
                 t = {h: Fraction(rng.randint(1, 9), rng.randint(1, 9))
                      for h in g.halfedges}
                 ns, w1 = w1_matrix(g, t)
-                assert abelian_curve_sum(g, t) == det_poly(w1), g.name
+                assert abelian_curve_sum(g, diagonal_holonomy(g, t)) == det_poly(w1), g.name
 
 
 def test_c06_nonplanar_fix(tetnp):

@@ -97,3 +97,33 @@ def test_every_definition_has_a_library_caller():
                 orphans.append(f"{mod}.{qualname}")
     assert orphans == []
     assert set(_SHARED) <= shared, "a _SHARED entry whose name is no longer shared"
+
+
+def _imported_names(tree):
+    """(name, line) of every name an import binds under tree, `from
+    __future__` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def test_no_unused_imports():
+    """Every name a library module imports is read in that module or listed
+    in its `__all__`, so a deletion leaves no import behind; a name that
+    perfbench/tracer.py patches in the module is exempt, as the tracer
+    reads it there."""
+    tracer = _load_tracer()
+    patched = {(mod, attr) for mod, attr, _ in tracer.FUNCTIONS}
+    unused = []
+    for info in pkgutil.iter_modules(spinnets.__path__):
+        module = importlib.import_module(f"spinnets.{info.name}")
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        kept = read | set(getattr(module, "__all__", ()))
+        unused += [f"{info.name}:{line} {name}" for name, line in _imported_names(tree)
+                   if name not in kept and (module.__name__, name) not in patched]
+    assert unused == []

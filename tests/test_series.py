@@ -339,7 +339,7 @@ def test_curves_match_w1_determinant(theta, tet, dumbbell):
         for _ in range(3):
             t = {h: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for h in g.halfedges}
             ns, w1 = w1_matrix(g, t)
-            assert abelian_curve_sum(g, t) == det_poly(w1)
+            assert abelian_curve_sum(g, diagonal_holonomy(g, t)) == det_poly(w1)
 
 
 def test_w1_determinant_stays_off_qqi(theta, prism):
@@ -349,7 +349,7 @@ def test_w1_determinant_stays_off_qqi(theta, prism):
     for g, tt in ((theta, {h: 1 for h in theta.halfedges}), (prism, t)):
         d = det_poly(w1_matrix(g, tt)[1])
         assert not any(isinstance(c, QQi) for c in d.terms.values())
-        assert d == abelian_curve_sum(g, tt)
+        assert d == abelian_curve_sum(g, diagonal_holonomy(g, tt))
 
 
 def _assert_same_terms(got: MPoly, want: MPoly):
@@ -361,9 +361,9 @@ def _assert_same_terms(got: MPoly, want: MPoly):
 def test_curve_sum_matches_walk_oracle(theta, tet, prism, tetnp):
     rng = random.Random(29)
     for g in (theta, tet, prism, tetnp):
-        for t in (None, {h: Fraction(rng.randint(1, 5), rng.randint(1, 5))
-                         for h in g.halfedges}):
-            _assert_same_terms(abelian_curve_sum(g, t), curve_sum_walk(g, t))
+        for hol in (None, diagonal_holonomy(g, {h: Fraction(rng.randint(1, 5), rng.randint(1, 5))
+                                                for h in g.halfedges})):
+            _assert_same_terms(abelian_curve_sum(g, hol), curve_sum_walk(g, hol))
 
 
 @settings(max_examples=40, deadline=None)
@@ -371,35 +371,17 @@ def test_curve_sum_matches_walk_oracle(theta, tet, prism, tetnp):
 def test_curve_sum_matches_walk_oracle_on_random_presentations(g, data):
     t = data.draw(st.none() | st.fixed_dictionaries(
         {h: st.fractions(-4, 4, max_denominator=4).filter(bool) for h in g.halfedges}))
-    _assert_same_terms(abelian_curve_sum(g, t), curve_sum_walk(g, t))
+    hol = None if t is None else diagonal_holonomy(g, t)
+    _assert_same_terms(abelian_curve_sum(g, hol), curve_sum_walk(g, hol))
 
 
 def test_curves_constant_term_and_zero_t(theta):
     assert abelian_curve_sum(theta).constant_term() == QQi(1)
-    t = {h: Fraction(1) for h in theta.halfedges}
-    t["u1"] = Fraction(0)
-    with pytest.raises(InputError):
-        abelian_curve_sum(theta, t)
-
-
-@pytest.mark.parametrize("bad", [QQi(1, 1), 0.1, True, "2", 0],
-                         ids=["qqi", "float", "bool", "str", "zero"])
-@pytest.mark.parametrize("route", [diagonal_holonomy, abelian_curve_sum],
-                         ids=["holonomy", "curves"])
-def test_diagonal_t_is_checked(theta, route, bad):
-    # a QQi was a TypeError; 0.1 was read as its binary fraction, True as 1
-    t = {h: Fraction(1) for h in theta.halfedges}
-    t["u1"] = bad
+    # diag(t, 1/t) has no t = 0; the cell diag(0, 1) fails Holonomy's determinant check
+    cells = dict.fromkeys(theta.halfedges, ((1, 0), (0, 1)))
+    cells["u1"] = ((0, 0), (0, 1))
     with pytest.raises(InputError, match="u1"):
-        route(theta, t)
-
-
-@pytest.mark.parametrize("route", [diagonal_holonomy, abelian_curve_sum],
-                         ids=["holonomy", "curves"])
-def test_diagonal_t_must_be_a_dict(theta, route):
-    # each was a TypeError
-    with pytest.raises(InputError, match="t must be a dict"):
-        route(theta, 5)
+        abelian_curve_sum(theta, Holonomy(theta, cells))
 
 
 def test_diagonal_holonomy_series_consistency(theta, dumbbell):
@@ -408,7 +390,36 @@ def test_diagonal_holonomy_series_consistency(theta, dumbbell):
         t = {h: Fraction(rng.randint(1, 5), rng.randint(1, 5)) for h in g.halfedges}
         hol = diagonal_holonomy(g, t)
         z = series_Z(g, hol, degree=8)
-        assert z == inverse_series(truncated(abelian_curve_sum(g, t), 8), 8)
+        assert z == inverse_series(truncated(abelian_curve_sum(g, hol), 8), 8)
+
+
+@pytest.mark.parametrize("graph", ["theta", "dumbbell", "tet"])
+def test_curve_sum_reads_the_angle_forms(request, graph):
+    """The curve route reads a holonomy through its angle forms: any whose
+    forms pair each z with a w only, here Gaussian-rational diagonal and
+    anti-diagonal ones, gives the det route's series; a form with a z z or
+    w w term is refused naming its angle, a floating holonomy by regime, and
+    None is the trivial holonomy, coefficient types included."""
+    g = request.getfixturevalue(graph)
+    rng = random.Random(41)
+    degree = 6
+    for anti in (False, True):
+        cells = {}
+        for h in g.halfedges:
+            x = QQi(Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5)),
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            cells[h] = ((0, x), (-1 / x, 0)) if anti else ((x, 0), (0, 1 / x))
+        hol = Holonomy(g, cells)
+        curves = abelian_curve_sum(g, hol)
+        assert any(isinstance(c, QQi) for c in curves.terms.values())
+        assert inverse_series(truncated(curves, degree), degree) == series_Z(g, hol, degree)
+    with pytest.raises(InputError, match="angle") as info:
+        abelian_curve_sum(g, random_holonomy(g, seed=9))
+    assert any(repr(a) in str(info.value) for a in g.angle_ids)
+    floating = Holonomy(g, dict.fromkeys(g.halfedges, ((1.0, 0.0), (0.0, 1.0))))
+    with pytest.raises(RegimeError):
+        abelian_curve_sum(g, floating)
+    _assert_same_terms(abelian_curve_sum(g), abelian_curve_sum(g, Holonomy.trivial(g)))
 
 
 def test_nonplanar_fix_identity_without_crossings(theta):
