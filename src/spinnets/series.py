@@ -300,9 +300,23 @@ def abelian_curve_sum(graph: Graph, holonomy: Holonomy | None = None) -> MPoly:
     for a holonomy whose angle forms pair each z with a w only, a diagonal or
     anti-diagonal one (_blown_up refuses others).  A dimer {v, u} is the
     2-cycle v -> u -> v, so one walk finds every piece.  The walk's steps
-    count against TERM_BUDGET, and past it the sum is refused (ResourceError)."""
+    count against TERM_BUDGET, and past it the sum is refused (ResourceError).
+
+    The walk drops a branch as soon as a node can no longer be covered
+    (forward checking: Haralick & Elliott, Artif. Intell. 14, 1980).  It
+    stops stepping once v has no uncovered neighbour left, as the cycle
+    could not close, and it does not step to u when that would leave a
+    neighbour w of u with no uncovered neighbour while w is not adjacent to
+    v: w could then lie neither on a cycle of the rest nor on this one.  A
+    mask whose nodes fall in more than one component has the product of the
+    components' covers, with no sign, as each cycle lies in one of them.
+    The recursive closures are deleted after use: each refers to itself, and
+    the cycle would leave the memo and the pieces to the cyclic collector."""
     ns, links = _blown_up(graph, holonomy)
     adj = [sorted(row.items()) for row in links]
+    # every link has its reverse (l <-> r per edge, g <-> h per angle), so
+    # nbr[g], the mask of the nodes g links to, is also that of its predecessors
+    nbr = [sum(1 << u for u in row) for row in links]
     memo = {0: {0: 1}}
     budget, steps = polyring.TERM_BUDGET, 0
 
@@ -314,6 +328,20 @@ def abelian_curve_sum(graph: Graph, holonomy: Holonomy | None = None) -> MPoly:
         if got is not None:
             return got
         v = (mask & -mask).bit_length() - 1
+        part, grow = 0, 1 << v  # v's component within mask
+        while grow:
+            part |= grow
+            reach = 0
+            while grow:
+                low = grow & -grow
+                reach |= nbr[low.bit_length() - 1]
+                grow ^= low
+            grow = reach & mask & ~part
+        if part != mask:
+            head = cover(part)
+            memo[mask] = acc = _mul_acc({}, head, cover(mask & ~part)) if head else {}
+            return acc
+        near_v = nbr[v]
         first: dict = {}  # the first pieces, grouped by the nodes they leave uncovered
 
         # oriented cycles through v (v is the minimum node), a dimer being the
@@ -325,16 +353,25 @@ def abelian_curve_sum(graph: Graph, holonomy: Holonomy | None = None) -> MPoly:
             if steps > budget:
                 raise ResourceError(f"the curve sum would walk more steps than the term "
                                     f"budget of {budget}")
+            closable = near_v & mask2  # the nodes the cycle can still close from
             for u, ls in adj[cur]:
                 if u == v:
                     piece = first.setdefault(mask2, {})
                     for ke, ce in ls:
                         piece[key2 + ke] = piece.get(key2 + ke, 0) + coeff2 * ce
-                elif (mask2 >> u) & 1:
-                    for ke, ce in ls:
-                        walk(u, mask2 & ~(1 << u), key2 + ke, coeff2 * ce)
+                elif closable and (mask2 >> u) & 1:
+                    mask3 = mask2 & ~(1 << u)
+                    # a neighbour w of u left with no neighbour in mask3 could
+                    # only be the next step, and then only if it closes to v
+                    for w in links[u]:
+                        if (mask3 >> w) & 1 and not nbr[w] & mask3 and not (near_v >> w) & 1:
+                            break
+                    else:
+                        for ke, ce in ls:
+                            walk(u, mask3, key2 + ke, coeff2 * ce)
 
         walk(v, mask & ~(1 << v), 0, 1)
+        del walk
         # zeros are kept until the end, so each coefficient's ring is the one
         # its products give; a cover uses each angle link at most twice, so
         # no exponent passes 2 and the keys need no overflow check
@@ -345,7 +382,10 @@ def abelian_curve_sum(graph: Graph, holonomy: Holonomy | None = None) -> MPoly:
         return acc
 
     # the global sign (-1)^n is 1, as the n = 2E nodes come in edge pairs
-    return MPoly(ns, _nonzero(cover((1 << len(links)) - 1)))
+    try:
+        return MPoly(ns, _nonzero(cover((1 << len(links)) - 1)))
+    finally:
+        del cover
 
 
 def pfaffian_dimer_sum(graph: Graph) -> MPoly:
@@ -371,6 +411,7 @@ def pfaffian_dimer_sum(graph: Graph) -> MPoly:
                     match(mask_v & ~(1 << u), key + k)
 
     match((1 << len(links)) - 1, 0)
+    del match  # the closure refers to itself: no cycle left to the collector
     return MPoly(ns, acc)
 
 

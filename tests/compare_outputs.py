@@ -13,8 +13,9 @@ commands whose output changed.  The set, each command once:
   CHECKOUT's `perfbench/workloads.build` writes them;
 - `series` by all four methods on the bundled graphs at degrees 0-8, with
   and without `--check-against-eval`;
-- the same at degrees 0-6 on four graph files with features no bundled
-  graph has: `prism_graph(4)`, the dumbbell (two loops),
+- the same at degrees 0-6 on five graph files with features no bundled
+  graph has: `prism_graph(4)`, `prism_graph(5)` (the set's largest curve
+  walk), the dumbbell (two loops),
   `random_presentation(6, 601)` (a multi-edge, genus 1) and
   `random_presentation(8, 801)` (a loop, two multi-edges, genus 1), the
   test helpers of `conftest`;
@@ -60,7 +61,8 @@ def commands(tmp: Path) -> list:
             where = tmp / f"{name}-{seed}"
             where.mkdir()
             out += [job.argv for job in workloads.build(name, ROOT, where, seed, "full", dispatch)]
-    files = {"prism4": graph_obj(prism_graph(4)), "dumbbell": DUMBBELL,
+    files = {"prism4": graph_obj(prism_graph(4)), "prism5": graph_obj(prism_graph(5)),
+             "dumbbell": DUMBBELL,
              "random6": graph_obj(random_presentation(6, 601)),
              "random8": graph_obj(random_presentation(8, 801))}
     for name, obj in files.items():

@@ -170,11 +170,11 @@ def test_series_past_the_term_budget_exits_1(monkeypatch, capsys, method, degree
 
 
 def test_curve_walk_past_the_term_budget_exits_1(monkeypatch, capsys, tmp_path):
-    # the curve sum on prism_graph(5) takes about 0.9 M walk steps, past the
-    # lowered budget
+    # the curve sum on prism_graph(5) takes about 101 k walk steps, five
+    # times the lowered budget
     path = tmp_path / "prism5.json"
     path.write_text(json.dumps(graph_obj(prism_graph(5))))
-    monkeypatch.setattr(polyring, "TERM_BUDGET", 100_000)
+    monkeypatch.setattr(polyring, "TERM_BUDGET", 20_000)
     capsys.readouterr()
     rc, out = run_cli("series", "-g", str(path), "--degree", "2", "--method", "curves")
     err = capsys.readouterr().err.splitlines()

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from dataclasses import replace
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (_signature, assert_same_series, graph_obj, presentations, prism_graph,
-                      random_holonomy, shear_gauge, shear_gauges)
+                      random_holonomy, random_presentation, shear_gauge, shear_gauges)
 from oracles import (admissible_colorings_brute, curve_sum_walk, diagonal_holonomy, monomial,
                      pq_full, truncated, truncated_det_entrywise, w1_matrix, westbury_by_subsets)
+from spinnets import polyring
 from spinnets import series as series_module
 from spinnets.errors import InputError, RegimeError
 from spinnets.evaluator import eval_spin_network, renormalize
@@ -358,11 +360,29 @@ def _assert_same_terms(got: MPoly, want: MPoly):
         k: type(c) for k, c in want.terms.items()}
 
 
-def test_curve_sum_matches_walk_oracle(theta, tet, prism, tetnp):
+def test_curve_sum_matches_walk_oracle(theta, tet, prism, tetnp, dumbbell):
+    """The walk's prunes and the component product drop only branches that
+    reach no cover: the sum equals the oracle's full walk term for term,
+    coefficient types included, on the fixtures, two prisms in a line
+    presentation with crossings and random presentations with loops (two,
+    three, two and one), with no holonomy, int and Fraction diagonal ones
+    and a Gaussian-rational anti-diagonal one."""
     rng = random.Random(29)
-    for g in (theta, tet, prism, tetnp):
-        for hol in (None, diagonal_holonomy(g, {h: Fraction(rng.randint(1, 5), rng.randint(1, 5))
-                                                for h in g.halfedges})):
+    looped = [random_presentation(v, seed) for v, seed in ((2, 201), (4, 405), (6, 607), (8, 801))]
+    for g in (theta, tet, prism, tetnp, dumbbell, prism_graph(3), prism_graph(4), *looped):
+        anti = {}
+        for h in g.halfedges:
+            x = QQi(Fraction(rng.randint(1, 5), rng.randint(1, 5)),
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            anti[h] = ((0, x), (-1 / x, 0))
+        holonomies = (
+            None,
+            diagonal_holonomy(g, {h: rng.choice((-1, 1)) * rng.randint(1, 3)
+                                  for h in g.halfedges}),
+            diagonal_holonomy(g, {h: Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
+                                              rng.randint(1, 5)) for h in g.halfedges}),
+            Holonomy(g, anti))
+        for hol in holonomies:
             _assert_same_terms(abelian_curve_sum(g, hol), curve_sum_walk(g, hol))
 
 
@@ -373,6 +393,32 @@ def test_curve_sum_matches_walk_oracle_on_random_presentations(g, data):
         {h: st.fractions(-4, 4, max_denominator=4).filter(bool) for h in g.halfedges}))
     hol = None if t is None else diagonal_holonomy(g, t)
     _assert_same_terms(abelian_curve_sum(g, hol), curve_sum_walk(g, hol))
+
+
+def test_blown_up_enumerations_leave_no_garbage(prism):
+    """abelian_curve_sum and pfaffian_dimer_sum delete their recursive
+    closures, so a call leaves no reference cycle, and with it none of its
+    memo, to the cyclic collector."""
+    for g in (prism, random_presentation(6, 607)):
+        gc.collect()
+        gc.disable()
+        try:
+            for route in (abelian_curve_sum, pfaffian_dimer_sum):
+                route(g)
+                assert gc.collect() == 0, route.__name__
+        finally:
+            gc.enable()
+
+
+def test_pruned_curve_walk_completes_under_a_lowered_budget(monkeypatch):
+    """The pruned walk on prism_graph(5) takes 100944 steps (897816
+    without its prunes), inside a budget of 200000.  The prism's line
+    presentation has crossings, so the sum is the square of the cycle
+    polynomial after the sign fix."""
+    g = prism_graph(5)
+    monkeypatch.setattr(polyring, "TERM_BUDGET", 200_000)
+    w = westbury_polynomial(g)
+    assert nonplanar_fix(abelian_curve_sum(g), g) == w * w
 
 
 def test_curves_constant_term_and_zero_t(theta):
